@@ -23,6 +23,10 @@ from .errors import ParseError
 
 STAGES = ("gate", "prune", "anchor", "audit", "synthesize", "ensemble", "facts")
 
+# One shared encoder; allow_nan=False raises ValueError instead of writing
+# a bare NaN or Infinity token, which is not JSON.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
 
 @dataclass(frozen=True)
 class AuditLogEntry:
@@ -40,7 +44,7 @@ class AuditLogEntry:
             "payload": {k: self.payload[k] for k in sorted(self.payload)},
             "parent_refs": list(self.parent_refs),
         }
-        return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+        return _ENCODER.encode(obj)
 
     @classmethod
     def from_line(cls, line: str, lineno: int = 0) -> "AuditLogEntry":

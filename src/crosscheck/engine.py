@@ -27,8 +27,9 @@ byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .auditlog import AuditLog
 from .ensemble import CollectResult, ExpertOutput, collect
@@ -77,10 +78,10 @@ class EngineConfig:
             raise InvalidConfigError("budget must be >= 0")
         if not 0.0 <= self.gate_threshold <= 1.0:
             raise InvalidConfigError("gate_threshold must be in [0,1]")
-        if len(self.weights) != 3 or any(w < 0 for w in self.weights):
-            raise InvalidConfigError("weights must be three nonnegative reals")
-        if sum(self.weights) <= 0:
-            raise InvalidConfigError("weights must not all be zero")
+        if len(self.weights) != 3 or not all(0 <= w < math.inf for w in self.weights):
+            raise InvalidConfigError("weights must be three finite nonnegative reals")
+        if not 0 < sum(self.weights) < math.inf:
+            raise InvalidConfigError("weights must not all be zero, and their sum must be finite")
 
     @property
     def normalized_weights(self) -> tuple[float, float, float]:
@@ -106,6 +107,17 @@ def statements(traces: Sequence[ExpertOutput]) -> list[Statement]:
             result = trace.steps[step]
             pool.append(Statement(step, result.value, trace.expert_id, result.confidence))
     return pool
+
+
+def group_by_step(pool: Sequence[Statement]) -> dict[str, list[Statement]]:
+    """Bucket the pool by step in one pass: steps in sorted order, pool order within a step."""
+    buckets: dict[str, list[Statement]] = {}
+    for s in pool:
+        buckets.setdefault(s.step, []).append(s)
+    return {step: buckets[step] for step in sorted(buckets)}
+
+
+StepBuckets = Mapping[str, Sequence[Statement]]
 
 
 @dataclass(frozen=True)
@@ -146,20 +158,25 @@ class AnchorSet:
         return step in self._anchors
 
 
-def anchor(pool: Sequence[Statement], theta: int) -> tuple[AnchorSet, list[str]]:
+def anchor(
+    pool: Sequence[Statement], theta: int, buckets: StepBuckets | None = None
+) -> tuple[AnchorSet, list[str]]:
     """Promote statements with quorum support; report quorum ties as collisions.
 
     A (step, value) is promoted when at least ``theta`` distinct experts
     asserted an equal value there. If several values at one step reach
     quorum, the better-supported one wins; an exact tie anchors nothing
-    and leaves the step for the conflict set.
+    and leaves the step for the conflict set. ``buckets`` is
+    ``group_by_step(pool)`` when the caller already has it.
     """
     if theta < 2:
         raise InvalidThetaError(f"anchor quorum must be >= 2, got {theta}")
+    if buckets is None:
+        buckets = group_by_step(pool)
     anchors = AnchorSet(theta)
     collisions: list[str] = []
-    for step in sorted({s.step for s in pool}):
-        groups = group_values((s.value, s.expert_id) for s in pool if s.step == step)
+    for step, bucket in buckets.items():
+        groups = group_values((s.value, s.expert_id) for s in bucket)
         eligible = []
         for value, expert_ids in groups:
             supporters = tuple(sorted(set(expert_ids)))
@@ -231,18 +248,23 @@ class ConflictSet:
         return step in self._items
 
 
-def conflicts(pool: Sequence[Statement], anchors: AnchorSet) -> ConflictSet:
+def conflicts(
+    pool: Sequence[Statement], anchors: AnchorSet, buckets: StepBuckets | None = None
+) -> ConflictSet:
     """Steps where two distinct experts assert unequal values, minus anchored steps.
 
     Anchored steps are excluded even when a minority dissents — quorum
     already settled them. Candidate values are ordered by supporter count
-    so the audit tries the strongest claim first.
+    so the audit tries the strongest claim first. ``buckets`` is
+    ``group_by_step(pool)`` when the caller already has it.
     """
+    if buckets is None:
+        buckets = group_by_step(pool)
     out = ConflictSet()
-    for step in sorted({s.step for s in pool}):
+    for step, bucket in buckets.items():
         if step in anchors:
             continue
-        groups = group_values((s.value, s.expert_id) for s in pool if s.step == step)
+        groups = group_values((s.value, s.expert_id) for s in bucket)
         if len(groups) < 2:
             continue
         expert_sets = [frozenset(ids) for _, ids in groups]
@@ -266,16 +288,24 @@ def _distinct_experts_disagree(expert_sets: list[frozenset[str]]) -> bool:
     return False
 
 
-def rank_conflicts(conflict_set: ConflictSet, dag: PlanDag, pool: Sequence[Statement]) -> list[str]:
+def rank_conflicts(
+    conflict_set: ConflictSet,
+    dag: PlanDag,
+    pool: Sequence[Statement],
+    buckets: StepBuckets | None = None,
+) -> list[str]:
     """Audit order: impact = (1 + |dependents|) * confidence spread, descending.
 
     A contested step that feeds many downstream steps and splits expert
     confidence wide is worth a verify call more than a contested leaf
     everyone is equally unsure about. Ties fall back to step id.
+    ``buckets`` is ``group_by_step(pool)`` when the caller already has it.
     """
+    if buckets is None:
+        buckets = group_by_step(pool)
     spreads: dict[str, float] = {}
     for step in conflict_set.steps():
-        confs = [s.confidence for s in pool if s.step == step]
+        confs = [s.confidence for s in buckets.get(step, ())]
         spreads[step] = (max(confs) - min(confs)) if confs else 0.0
 
     def impact(step: str) -> float:
@@ -464,6 +494,7 @@ def synthesize(
         raise NoFeasibleCandidateError("no candidate response survived the gate")
     supported = conflict_set.supported_statements()
     refuted = conflict_set.refuted_statements()
+    anchor_items = anchors.items()
 
     def _without_refuted(steps: dict) -> dict:
         return {
@@ -478,15 +509,15 @@ def synthesize(
         if exclude_refuted:
             asserted = _without_refuted(asserted)
             surviving = _without_refuted(surviving)
-        if len(anchors) == 0:
+        if not anchor_items:
             anchor_support = 1.0
         else:
             consistent = sum(
                 1
-                for a in anchors.items()
+                for a in anchor_items
                 if a.step not in asserted or values_equal(asserted[a.step].value, a.value)
             )
-            anchor_support = consistent / len(anchors)
+            anchor_support = consistent / len(anchor_items)
         agree_frac = 0.0
         if supported:
             agree = sum(
@@ -595,7 +626,9 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             (output.expert_id,),
         )
 
-    gate_facts = facts if cfg.facts_enabled else None
+    # A store without verified facts answers every consistency check
+    # "unknown", which is exactly what the gate assumes with no store at all.
+    gate_facts = facts if cfg.facts_enabled and facts.verified_facts() else None
     retained: list[GatedTrace] = []
     screening: list[ScreeningRecord] = []
     salvageable: list[tuple[int, ExpertOutput, GateResult]] = []
@@ -651,7 +684,8 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     pool = statements([gt.trace for gt in retained])
     log.append("anchor", "statements", {"count": len(pool)})
 
-    anchors, collisions = anchor(pool, cfg.theta)
+    buckets = group_by_step(pool)
+    anchors, collisions = anchor(pool, cfg.theta, buckets)
     for a in anchors.items():
         log.append(
             "anchor",
@@ -662,7 +696,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     for step in collisions:
         log.append("anchor", "collision", {"step": step}, (step,))
 
-    conflict_set = conflicts(pool, anchors)
+    conflict_set = conflicts(pool, anchors, buckets)
     for item in conflict_set.items():
         log.append(
             "audit",
@@ -672,7 +706,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             (item.step,),
         )
 
-    ranked = rank_conflicts(conflict_set, scenario.dag, pool)
+    ranked = rank_conflicts(conflict_set, scenario.dag, pool, buckets)
     b_max = cfg.budget if cfg.budget is not None else min(len(conflict_set), BUDGET_CAP)
     budget = AuditBudget(b_max=b_max)
     if ranked:

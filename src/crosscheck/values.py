@@ -134,22 +134,72 @@ def _fold(s: str) -> str:
     return s.strip().casefold()
 
 
-def group_values(items: Iterable[tuple[Value, _T]]) -> list[tuple[Value, list[_T]]]:
-    """Group tagged values by canonical equality.
+_KEYED_TYPES = {NUMBER: (int, float), TEXT: (str,), BOOLEAN: (bool,)}
 
-    The representative of each group is the first value encountered, so
-    iteration order decides representatives deterministically. Tolerance
-    equality is not transitive in the extreme, which is why grouping
-    matches against representatives instead of hashing.
+
+def _exact_key(v: Value) -> tuple | None:
+    """A hashable key on which equal keys mean interchangeable values.
+
+    Two values with equal keys have the same kind and payloads of the same
+    types with equal contents, so :func:`values_equal` answers the same for
+    both against any third value. Structural ``Value`` equality is not
+    enough: ``1 == 1.0``, yet an int and a float take different arithmetic in
+    :func:`numbers_close` at the tolerance edge. A payload outside the types
+    the constructors make, or a NaN (equal to nothing, itself included),
+    gets no key.
+    """
+    kind, p = v.kind, v.payload
+    if kind == COMPOSITE:
+        if type(p) is not tuple or not all(isinstance(item, Value) for item in p):
+            return None
+        keys = tuple(map(_exact_key, p))
+        return None if None in keys else (kind, keys)
+    if kind == QUANTITY:
+        if type(p) is not tuple or len(p) != 2 or type(p[1]) is not str:
+            return None
+        magnitude = p[0]
+        if type(magnitude) not in (int, float) or magnitude != magnitude:
+            return None
+        return (kind, type(magnitude), p)
+    if type(p) not in _KEYED_TYPES.get(kind, ()) or p != p:
+        return None
+    return (kind, type(p), p)
+
+
+def group_values(items: Iterable[tuple[Value, _T]]) -> list[tuple[Value, list[_T]]]:
+    """Group tagged values by canonical equality, first-seen value as representative.
+
+    Each value joins the first group whose representative it equals, or
+    opens a new group. Representatives are never replaced, so iteration
+    order decides them deterministically. That matters because tolerance
+    equality is not transitive: with ``1e9``, ``1e9+1`` and ``1e9+2`` the
+    neighbours are equal but the ends are not, so the result depends on
+    which value stands for a group, and grouping cannot be done by hashing
+    canonical forms.
+
+    What can be hashed is exact identity. A memo maps each value's
+    :func:`_exact_key` to the group it joined, and an exact twin of an
+    earlier value joins that group without the scan over representatives.
+    The scan would pick the same group: the twin equals the same
+    representatives as its first occurrence. Values without a key always
+    take the scan.
     """
     groups: list[tuple[Value, list[_T]]] = []
+    memo: dict[tuple, list[_T]] = {}
     for value, tag in items:
-        for rep, tags in groups:
-            if values_equal(rep, value):
-                tags.append(tag)
-                break
-        else:
-            groups.append((value, [tag]))
+        key = _exact_key(value)
+        tags = memo.get(key) if key is not None else None
+        if tags is None:
+            for rep, rep_tags in groups:
+                if values_equal(rep, value):
+                    tags = rep_tags
+                    break
+            else:
+                tags = []
+                groups.append((value, tags))
+            if key is not None:
+                memo[key] = tags
+        tags.append(tag)
     return groups
 
 

@@ -180,17 +180,11 @@ def gate(
     or the surviving fraction falls below ``threshold``.
     """
     del query  # present for interface symmetry; the default gate is query-free
-    failing = []
-    for step, result in trace.steps.items():
-        ok = all(
-            c.holds(result.value, facts, step)
-            for c in constraints
-            if c.applies_to_step(step)
-        )
-        if ok and facts is not None:
-            ok = facts.check_consistency((step, result.value)).verdict != CONFLICT
-        if not ok:
-            failing.append(step)
+    failing = [
+        step
+        for step, result in trace.steps.items()
+        if not _statement_admissible(step, result.value, facts, constraints)
+    ]
     removed_all = removal_set(dag, failing)
     removed = tuple(sorted(s for s in trace.steps if s in removed_all))
     keep = {s for s in trace.steps if s not in removed_all}
@@ -200,6 +194,27 @@ def gate(
     if not response_ok or score < threshold:
         return GateResult(None, score, tuple(sorted(failing)), removed, response_ok)
     return GateResult(trace.restricted_to(keep), score, tuple(sorted(failing)), removed, response_ok)
+
+
+def _statement_admissible(
+    step: str, value: Value, facts: FactStore | None, constraints: Sequence[Constraint]
+) -> bool:
+    """Every applicable step constraint holds and the facts report no conflict.
+
+    Constraints run in order and stop at the first failure. Every
+    consistency constraint makes the same ``check_consistency((step, value))``
+    call as the final facts check, so the store is asked at most once.
+    """
+    facts_checked = False
+    for c in constraints:
+        if not c.applies_to_step(step) or (facts_checked and c.kind == "consistency"):
+            continue
+        if not c.holds(value, facts, step):
+            return False
+        facts_checked = facts_checked or c.kind == "consistency"
+    if facts is None or facts_checked:
+        return True
+    return facts.check_consistency((step, value)).verdict != CONFLICT
 
 
 # --- verify operators ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Randomized fact-store workloads for property and acceptance tests."""
 
+import bisect
 import random
 
 from crosscheck.facts import DERIVED, RETRIEVED, FactStore, ToolRecord
@@ -15,25 +16,29 @@ def random_value(rng: random.Random):
 
 
 def apply_random_ops(store: FactStore, rng: random.Random, n_ops: int) -> None:
-    """Drive the store through a random but always-legal mutation sequence."""
+    """Drive the store through a random but always-legal mutation sequence.
+
+    Tool and note ids are listed once and then kept sorted as ops add them,
+    which makes the same rng calls as re-listing the store before every op.
+    """
     tool_seq = 0
+    tool_ids = sorted(t.id for t in store.tools())
+    note_ids = sorted(n.id for n in store.notes())
     for _ in range(n_ops):
         roll = rng.random()
-        tool_ids = sorted(t.id for t in store.tools())
-        note_ids = sorted(n.id for n in store.notes())
         if roll < 0.35 or not tool_ids:
             tool_seq += 1
-            store.record_tool(ToolRecord(
+            bisect.insort(tool_ids, store.record_tool(ToolRecord(
                 id=f"t{rng.randrange(10**9)}-{tool_seq}",
                 tool_name=rng.choice(["search", "calc", "fetch"]),
                 params={"q": rng.randint(0, 9)},
                 outcome=random_value(rng),
                 source_url="https://example.test/doc" if rng.random() < 0.5 else None,
                 retrieved_at=f"T{rng.randint(0, 999):03d}",
-            ))
+            )))
         elif roll < 0.6:
             picked = rng.sample(tool_ids, k=min(len(tool_ids), rng.randint(1, 3)))
-            store.summarize_to_note(picked)
+            bisect.insort(note_ids, store.summarize_to_note(picked).id)
         elif roll < 0.85 and note_ids:
             key = rng.choice(KEYS)
             value = random_value(rng)

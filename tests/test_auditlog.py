@@ -25,6 +25,14 @@ def test_seq_strictly_increases():
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
 
 
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_payload_never_reaches_the_text(number):
+    log = _sample_log()
+    log.append("synthesize", "score", {"expert": "e01", "total": number})
+    with pytest.raises(ValueError):
+        log.to_text()
+
+
 def test_unknown_stage_rejected():
     log = AuditLog()
     with pytest.raises(ValueError):

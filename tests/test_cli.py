@@ -85,6 +85,15 @@ def test_run_bad_weights_exits_one(tmp_path):
                  "--weights", "1,2"]) == 1
 
 
+@pytest.mark.parametrize("weights", ["nan,1,1", "1,inf,1", "1,1,-inf"])
+def test_run_non_finite_weights_exit_one(tmp_path, capsys, weights):
+    scenario = _write_unanimous(tmp_path / "u.json")
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out), "--weights", weights]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_mv_reports_per_scenario_verdicts(tmp_path):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()

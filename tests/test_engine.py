@@ -20,7 +20,7 @@ from crosscheck.engine import (
     synthesize,
 )
 from crosscheck.ensemble import parse_expert_output
-from crosscheck.errors import InvalidThetaError, NoFeasibleCandidateError
+from crosscheck.errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
 from crosscheck.facts import FactStore
 from crosscheck.plandag import build_plan
 from crosscheck.scenario import scenario_from_dict
@@ -551,3 +551,14 @@ def test_synthesis_matches_direct_formula_oracle(seed):
             best_total, best_expert = total, gt.expert_id
     assert result.winner_expert == best_expert
     assert result.score.total == pytest.approx(best_total, abs=1e-12)
+
+
+@pytest.mark.parametrize("weights", [
+    (float("nan"), 1.0, 1.0),
+    (1.0, float("inf"), 1.0),
+    (1.0, 1.0, float("-inf")),
+    (1e308, 1e308, 1.0),  # each finite, but the sum overflows
+])
+def test_config_rejects_non_finite_weights(weights):
+    with pytest.raises(InvalidConfigError):
+        EngineConfig(weights=weights)

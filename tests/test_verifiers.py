@@ -5,11 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crosscheck.corpus import GeneratorParams, random_scenario
 from crosscheck.ensemble import parse_expert_output
 from crosscheck.errors import DuplicateIdError
-from crosscheck.facts import FactStore, ToolRecord
+from crosscheck.facts import CONFLICT, FactStore, ToolRecord
 from crosscheck.plandag import build_plan
-from crosscheck.values import number, quantity, statement_key, text
+from crosscheck.scenario import scenario_expert_outputs
+from crosscheck.values import format_literal, number, quantity, statement_key, text
 from crosscheck.verifiers import (
     INCONCLUSIVE,
     REFUTE,
@@ -277,3 +279,74 @@ def test_gate_partial_retention_matches_closure_oracle(case):
         again = gate(result.trace, "q", facts, (), dag, threshold=0.0)
         assert again.score >= result.score
         assert again.score == 1.0
+
+
+# --- the gate and the facts store ------------------------------------------------
+
+class SpyFactStore(FactStore):
+    """Records every consistency check as (key, value literal)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls: list[tuple[str, str]] = []
+
+    def check_consistency(self, candidate):
+        self.calls.append((candidate[0], format_literal(candidate[1])))
+        return super().check_consistency(candidate)
+
+
+FACTS_CHECK = constraint_from_spec({"id": "facts", "check": "facts", "step_pattern": "*"})
+
+
+def _corpus_cases(seed):
+    scenario = random_scenario(seed, GeneratorParams(with_constraints=True, with_facts=True))
+    return scenario, scenario_expert_outputs(scenario)
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_gate_with_empty_store_equals_gate_without_store(seed, with_facts_check):
+    scenario, outputs = _corpus_cases(seed)
+    constraints = scenario.constraints + ((FACTS_CHECK,) if with_facts_check else ())
+    for output in outputs:
+        with_store = gate(output, scenario.query, FactStore(), constraints, scenario.dag, 0.5)
+        without = gate(output, scenario.query, None, constraints, scenario.dag, 0.5)
+        assert with_store == without
+
+
+def _reference_failing(trace, facts, constraints):
+    """The gate's rule asked the plain way: every constraint, then the store."""
+    failing = []
+    for step, result in trace.steps.items():
+        ok = all(c.holds(result.value, facts, step) for c in constraints if c.applies_to_step(step))
+        ok = ok and facts.check_consistency((step, result.value)).verdict != CONFLICT
+        if not ok:
+            failing.append(step)
+    return tuple(sorted(failing))
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["first", "last", "twice"]))
+@settings(max_examples=40, deadline=None)
+def test_gate_asks_the_store_once_per_statement(seed, placement):
+    scenario, outputs = _corpus_cases(seed)
+    constraints = {
+        "first": (FACTS_CHECK,) + scenario.constraints,
+        "last": scenario.constraints + (FACTS_CHECK,),
+        "twice": (FACTS_CHECK,) + scenario.constraints + (FACTS_CHECK,),
+    }[placement]
+    facts = SpyFactStore()
+    for record in scenario.facts_seed:
+        facts.load_record(record)
+    for step in scenario.dag.steps[::2]:
+        facts.add_given(step, number(0))  # so that many statements conflict
+    for output in outputs:
+        facts.calls.clear()
+        result = gate(output, scenario.query, facts, constraints, scenario.dag, 0.5)
+        calls = list(facts.calls)
+        assert result.failing == _reference_failing(output, facts, constraints)
+        asked = [(step, format_literal(r.value)) for step, r in output.steps.items()]
+        if placement == "last":
+            # A statement that fails an earlier constraint never reaches the store.
+            assert calls == [s for s in asked if s in calls]
+        else:
+            assert calls == asked
