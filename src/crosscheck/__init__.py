@@ -34,18 +34,16 @@ from .engine import (
     synthesize,
 )
 from .ensemble import (
-    EnsemblePlan,
     ExpertConfig,
     ExpertOutput,
     HttpBackend,
     ScriptedBackend,
     collect,
-    make_ensemble,
     sample_traces,
 )
 from .errors import CrosscheckError
 from .facts import ConsistencyReport, Fact, FactStore, Note, ToolRecord, synchronize
-from .plandag import PlanDag, StepResult, backtrack, build_plan
+from .plandag import PlanDag, StepResult, build_plan
 from .scenario import Scenario, load_corpus, load_scenario, save_scenario
 from .values import Value, boolean, composite, number, quantity, text, values_equal
 from .verifiers import Constraint, GateResult, OperatorRegistry, Verdict, check_response, gate
@@ -61,7 +59,6 @@ __all__ = [
     "Constraint",
     "CrosscheckError",
     "EngineConfig",
-    "EnsemblePlan",
     "EvalReport",
     "ExpertConfig",
     "ExpertOutput",
@@ -81,7 +78,6 @@ __all__ = [
     "Value",
     "Verdict",
     "anchor",
-    "backtrack",
     "boolean",
     "build_plan",
     "check_response",
@@ -93,7 +89,6 @@ __all__ = [
     "load_corpus",
     "load_scenario",
     "majority_vote",
-    "make_ensemble",
     "number",
     "pass_at_n",
     "quantity",

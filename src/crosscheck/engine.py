@@ -35,7 +35,7 @@ from .auditlog import AuditLog
 from .ensemble import CollectResult, ExpertOutput, collect
 from .errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
 from .facts import FactStore
-from .plandag import PlanDag
+from .plandag import PlanDag, StepResult
 from .values import Value, format_literal, group_values, values_equal
 from .verifiers import (
     INCONCLUSIVE,
@@ -130,8 +130,7 @@ class Anchor:
 class AnchorSet:
     """At most one trusted value per step; grows only."""
 
-    def __init__(self, theta: int) -> None:
-        self.theta = theta
+    def __init__(self) -> None:
         self._anchors: dict[str, Anchor] = {}
 
     def add(self, anchor: Anchor) -> None:
@@ -158,22 +157,18 @@ class AnchorSet:
         return step in self._anchors
 
 
-def anchor(
-    pool: Sequence[Statement], theta: int, buckets: StepBuckets | None = None
-) -> tuple[AnchorSet, list[str]]:
+def anchor(buckets: StepBuckets, theta: int) -> tuple[AnchorSet, list[str]]:
     """Promote statements with quorum support; report quorum ties as collisions.
 
     A (step, value) is promoted when at least ``theta`` distinct experts
     asserted an equal value there. If several values at one step reach
     quorum, the better-supported one wins; an exact tie anchors nothing
-    and leaves the step for the conflict set. ``buckets`` is
-    ``group_by_step(pool)`` when the caller already has it.
+    and leaves the step for the conflict set. ``buckets`` is the
+    statement pool as :func:`group_by_step` returns it.
     """
     if theta < 2:
         raise InvalidThetaError(f"anchor quorum must be >= 2, got {theta}")
-    if buckets is None:
-        buckets = group_by_step(pool)
-    anchors = AnchorSet(theta)
+    anchors = AnchorSet()
     collisions: list[str] = []
     for step, bucket in buckets.items():
         groups = group_values((s.value, s.expert_id) for s in bucket)
@@ -248,27 +243,23 @@ class ConflictSet:
         return step in self._items
 
 
-def conflicts(
-    pool: Sequence[Statement], anchors: AnchorSet, buckets: StepBuckets | None = None
-) -> ConflictSet:
+def conflicts(buckets: StepBuckets, anchors: AnchorSet) -> ConflictSet:
     """Steps where two distinct experts assert unequal values, minus anchored steps.
 
     Anchored steps are excluded even when a minority dissents — quorum
     already settled them. Candidate values are ordered by supporter count
-    so the audit tries the strongest claim first. ``buckets`` is
-    ``group_by_step(pool)`` when the caller already has it.
+    so the audit tries the strongest claim first. ``buckets`` is the
+    statement pool as :func:`group_by_step` returns it.
     """
-    if buckets is None:
-        buckets = group_by_step(pool)
     out = ConflictSet()
     for step, bucket in buckets.items():
         if step in anchors:
             continue
         groups = group_values((s.value, s.expert_id) for s in bucket)
-        if len(groups) < 2:
-            continue
-        expert_sets = [frozenset(ids) for _, ids in groups]
-        if not _distinct_experts_disagree(expert_sets):
+        # A conflict needs experts i != j on unequal values; one expert
+        # disagreeing with itself does not count. Once there are two value
+        # groups, any two distinct experts at the step make such a pair.
+        if len(groups) < 2 or len({s.expert_id for s in bucket}) < 2:
             continue
         candidates = [
             Candidate(value, tuple(sorted(set(ids)))) for value, ids in groups
@@ -278,31 +269,14 @@ def conflicts(
     return out
 
 
-def _distinct_experts_disagree(expert_sets: list[frozenset[str]]) -> bool:
-    # A conflict needs experts i != j on different values; two traces from
-    # one expert disagreeing with themselves do not count.
-    for i in range(len(expert_sets)):
-        for j in range(i + 1, len(expert_sets)):
-            if len(expert_sets[i] | expert_sets[j]) >= 2:
-                return True
-    return False
-
-
-def rank_conflicts(
-    conflict_set: ConflictSet,
-    dag: PlanDag,
-    pool: Sequence[Statement],
-    buckets: StepBuckets | None = None,
-) -> list[str]:
+def rank_conflicts(conflict_set: ConflictSet, dag: PlanDag, buckets: StepBuckets) -> list[str]:
     """Audit order: impact = (1 + |dependents|) * confidence spread, descending.
 
     A contested step that feeds many downstream steps and splits expert
     confidence wide is worth a verify call more than a contested leaf
     everyone is equally unsure about. Ties fall back to step id.
-    ``buckets`` is ``group_by_step(pool)`` when the caller already has it.
+    ``buckets`` is the statement pool as :func:`group_by_step` returns it.
     """
-    if buckets is None:
-        buckets = group_by_step(pool)
     spreads: dict[str, float] = {}
     for step in conflict_set.steps():
         confs = [s.confidence for s in buckets.get(step, ())]
@@ -518,25 +492,11 @@ def synthesize(
                 if a.step not in asserted or values_equal(asserted[a.step].value, a.value)
             )
             anchor_support = consistent / len(anchor_items)
-        agree_frac = 0.0
-        if supported:
-            agree = sum(
-                1
-                for s, v in supported
-                if s in asserted and values_equal(asserted[s].value, v)
-            )
-            agree_frac = agree / len(supported)
-        refute_frac = 0.0
-        if refuted:
-            leaning = sum(
-                1
-                for s, v in refuted
-                if s in asserted and values_equal(asserted[s].value, v)
-            )
-            refute_frac = leaning / len(refuted)
         if not supported and not refuted:
             conflict_agreement = 0.5
         else:
+            agree_frac = _asserted_share(asserted, supported)
+            refute_frac = _asserted_share(asserted, refuted)
             conflict_agreement = min(1.0, max(0.0, (agree_frac - refute_frac + 1.0) / 2.0))
         confidences = [r.confidence for r in surviving.values()]
         mean_confidence = sum(confidences) / len(confidences) if confidences else 0.0
@@ -544,15 +504,8 @@ def synthesize(
         total = w_a * anchor_support + w_c * conflict_agreement + w_g * mean_confidence
         return SynthesisScore(anchor_support, conflict_agreement, mean_confidence, total)
 
-    def asserts_refuted(gt: GatedTrace) -> bool:
-        steps = gt.asserted.steps
-        return any(
-            s in steps and values_equal(steps[s].value, v)
-            for s, v in refuted
-        )
-
     candidates = sorted(retained, key=lambda gt: (gt.expert_id, gt.trace_index))
-    fallback = bool(refuted) and all(asserts_refuted(gt) for gt in candidates)
+    fallback = bool(refuted) and all(_asserted_share(gt.asserted.steps, refuted) > 0 for gt in candidates)
     if fallback and log is not None:
         log.append("synthesize", "fallback", {"reason": "every candidate asserts a refuted statement"})
     best: tuple[GatedTrace, SynthesisScore] | None = None
@@ -576,6 +529,14 @@ def synthesize(
             best = (gt, score)
     assert best is not None
     return best[0], best[1], fallback
+
+
+def _asserted_share(steps: Mapping[str, StepResult], statements: Sequence[tuple[str, Value]]) -> float:
+    """The share of ``statements`` that ``steps`` asserts with an equal value; 0.0 when there are none."""
+    if not statements:
+        return 0.0
+    hits = sum(1 for s, v in statements if s in steps and values_equal(steps[s].value, v))
+    return hits / len(statements)
 
 
 def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> RunResult:
@@ -685,7 +646,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     log.append("anchor", "statements", {"count": len(pool)})
 
     buckets = group_by_step(pool)
-    anchors, collisions = anchor(pool, cfg.theta, buckets)
+    anchors, collisions = anchor(buckets, cfg.theta)
     for a in anchors.items():
         log.append(
             "anchor",
@@ -696,7 +657,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     for step in collisions:
         log.append("anchor", "collision", {"step": step}, (step,))
 
-    conflict_set = conflicts(pool, anchors, buckets)
+    conflict_set = conflicts(buckets, anchors)
     for item in conflict_set.items():
         log.append(
             "audit",
@@ -706,7 +667,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             (item.step,),
         )
 
-    ranked = rank_conflicts(conflict_set, scenario.dag, pool, buckets)
+    ranked = rank_conflicts(conflict_set, scenario.dag, buckets)
     b_max = cfg.budget if cfg.budget is not None else min(len(conflict_set), BUDGET_CAP)
     budget = AuditBudget(b_max=b_max)
     if ranked:

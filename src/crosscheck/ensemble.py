@@ -1,10 +1,11 @@
 """Expert ensembles: diversified configs, trace sampling, tuple collection.
 
-Experts are instantiated from one pluggable backend under mixed sampling
-regimes: low-temperature conservative experts anchor the stable consensus,
-higher-temperature radical experts widen coverage and make disagreements
-informative. A fixed share of every ensemble is reserved for conservative
-experts so the stable baseline never disappears.
+Experts share one pluggable backend and differ in their sampling
+regime: each config names a role (conservative or radical), a
+temperature and a seed. Low-temperature conservative experts anchor the
+stable consensus; higher-temperature radical experts widen coverage and
+make disagreements informative. The mix is the caller's choice; scenario
+files carry their own expert configs.
 
 Backends return raw trace payloads (JSON-shaped dicts); this module is the
 schema boundary that turns them into validated :class:`ExpertOutput`
@@ -32,9 +33,6 @@ from .values import Value, value_from_json
 CONSERVATIVE = "conservative"
 RADICAL = "radical"
 
-CONSERVATIVE_TEMPERATURE = 0.1
-RADICAL_TEMPERATURE_RANGE = (0.7, 1.0)
-
 # Confidences drift by a whisker when they round-trip through JSON; clamp
 # within tolerance, reject anything genuinely out of range.
 _CONFIDENCE_SLACK = 1e-9
@@ -51,10 +49,15 @@ class ExpertConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.expert_id, str) or not self.expert_id:
+            raise InvalidPlanError(f"expert_id must be a nonempty string, got {self.expert_id!r}")
         if self.role not in (CONSERVATIVE, RADICAL):
             raise InvalidPlanError(f"unknown expert role {self.role!r}")
-        if self.temperature < 0:
-            raise InvalidPlanError("temperature must be >= 0")
+        t = self.temperature
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 <= t < math.inf:
+            raise InvalidPlanError(f"temperature must be a finite number >= 0, got {t!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise InvalidPlanError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -74,57 +77,6 @@ class ExpertOutput:
         """A fragment containing only the retained steps; shares StepResults."""
         kept = {s: r for s, r in self.steps.items() if s in keep}
         return ExpertOutput(self.expert_id, kept, self.analysis, self.response)
-
-
-@dataclass(frozen=True)
-class EnsemblePlan:
-    n_experts: int
-    conservative_fraction: float = 0.25
-    temperature_schedule: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_experts < 1:
-            raise InvalidPlanError("n_experts must be >= 1")
-        if not 0.0 <= self.conservative_fraction <= 1.0:
-            raise InvalidPlanError("conservative_fraction must be in [0,1]")
-        if self.n_experts >= 2 and math.ceil(self.conservative_fraction * self.n_experts) < 1:
-            raise InvalidPlanError("ensembles of 2+ experts must reserve at least one conservative slot")
-
-
-def default_schedule(n_conservative: int, n_radical: int) -> tuple[float, ...]:
-    lo, hi = RADICAL_TEMPERATURE_RANGE
-    if n_radical <= 1:
-        radical = [hi] * n_radical
-    else:
-        radical = [round(lo + (hi - lo) * i / (n_radical - 1), 6) for i in range(n_radical)]
-    return tuple([CONSERVATIVE_TEMPERATURE] * n_conservative + radical)
-
-
-def make_ensemble(plan: EnsemblePlan, master_seed: int = 0) -> list[ExpertConfig]:
-    """Instantiate configs: conservative slots first, then the radical spread.
-
-    A singleton ensemble defaults to conservative. Temperatures come from
-    the schedule by index; per-expert seeds derive from the master seed, so
-    the same (plan, master_seed) always reproduces the same configs.
-    """
-    n = plan.n_experts
-    # A singleton is conservative by definition; mixtures only matter at n >= 2.
-    n_conservative = 1 if n == 1 else math.ceil(plan.conservative_fraction * n)
-    schedule = plan.temperature_schedule or default_schedule(n_conservative, n - n_conservative)
-    configs = []
-    for i in range(n):
-        role = CONSERVATIVE if i < n_conservative else RADICAL
-        configs.append(ExpertConfig(
-            expert_id=f"e{i + 1:02d}",
-            role=role,
-            temperature=schedule[i % len(schedule)],
-            seed=(master_seed * 1_000_003 + i) % 2**32,
-        ))
-    cons_temps = [c.temperature for c in configs if c.role == CONSERVATIVE]
-    rad_temps = [c.temperature for c in configs if c.role == RADICAL]
-    if cons_temps and rad_temps and max(cons_temps) > min(rad_temps):
-        raise InvalidPlanError("conservative temperatures must not exceed radical ones")
-    return configs
 
 
 class ExpertBackend(Protocol):

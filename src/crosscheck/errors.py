@@ -34,7 +34,7 @@ class BrokenChainError(CrosscheckError):
 
 
 class InvalidPlanError(CrosscheckError):
-    """An ensemble plan violates its own constraints."""
+    """An expert config violates its own constraints."""
 
 
 class BackendError(CrosscheckError):
@@ -47,10 +47,6 @@ class SchemaError(CrosscheckError):
 
 class AllExpertsFailedError(CrosscheckError):
     """Every expert invocation failed; there is nothing to verify."""
-
-
-class OperatorError(CrosscheckError):
-    """A verification operator crashed while examining a statement."""
 
 
 class InvalidThetaError(CrosscheckError):

@@ -382,6 +382,8 @@ class FactStore:
 
     def load_record(self, obj: dict) -> None:
         """Seed one serialized record; used by dumps and scenario files."""
+        if not isinstance(obj, dict):
+            raise SchemaError(f"store record must be an object, got {type(obj).__name__}")
         kind = obj.get("kind")
         if kind == "tool":
             self.record_tool(ToolRecord(
@@ -402,11 +404,7 @@ class FactStore:
             credibility = obj["credibility"]
             if credibility not in CREDIBILITIES:
                 raise SchemaError(f"unknown credibility {credibility!r}")
-            note = Note(id=obj["id"], summary=obj["summary"], credibility=credibility, derived_from=derived)
-            if note.id in self._notes:
-                raise DuplicateIdError(f"note {note.id!r} already present")
-            self._notes[note.id] = note
-            self._bump("note", note.id)
+            self._seed_note(Note(id=obj["id"], summary=obj["summary"], credibility=credibility, derived_from=derived))
             return
         if kind == "fact":
             category = obj["category"]
@@ -420,7 +418,7 @@ class FactStore:
                 raise SchemaError(f"{category} fact {obj.get('id')!r} needs note provenance")
             for note_id in derived:
                 self.get_note(note_id)
-            fact = Fact(
+            self._seed_fact(Fact(
                 id=obj["id"],
                 category=category,
                 key=obj["key"],
@@ -428,13 +426,23 @@ class FactStore:
                 status=status,
                 version=int(obj.get("version", 1)),
                 derived_from=derived,
-            )
-            if fact.id in self._facts:
-                raise DuplicateIdError(f"fact {fact.id!r} already present")
-            self._facts[fact.id] = fact
-            self._bump("seed_fact", fact.id, fact.status)
+            ))
             return
         raise SchemaError(f"unknown record kind {kind!r}")
+
+    def _seed_note(self, note: Note) -> None:
+        """Insert a note as given, provenance already checked; shared by loading and merging."""
+        if note.id in self._notes:
+            raise DuplicateIdError(f"note {note.id!r} already present")
+        self._notes[note.id] = note
+        self._bump("note", note.id)
+
+    def _seed_fact(self, fact: Fact) -> None:
+        """Insert a fact with its status and version as given; shared by loading and merging."""
+        if fact.id in self._facts:
+            raise DuplicateIdError(f"fact {fact.id!r} already present")
+        self._facts[fact.id] = fact
+        self._bump("seed_fact", fact.id, fact.status)
 
     def _fresh_id(self, prefix: str, requested: str | None, table: dict) -> str:
         if requested is not None:
@@ -545,11 +553,9 @@ def synchronize(stores: Sequence[FactStore]) -> tuple[FactStore, list[tuple[str,
     for tool_id in sorted(merged_tools):
         merged.record_tool(merged_tools[tool_id])
     for note_id in sorted(merged_notes):
-        merged._notes[note_id] = merged_notes[note_id]
-        merged._bump("note", note_id)
+        merged._seed_note(merged_notes[note_id])
     for fact_id in sorted(merged_facts):
-        merged._facts[fact_id] = merged_facts[fact_id]
-        merged._bump("seed_fact", fact_id, merged_facts[fact_id].status)
+        merged._seed_fact(merged_facts[fact_id])
 
     conflicts: list[tuple[str, tuple[str, ...]]] = []
     by_key: dict[str, list[Fact]] = {}

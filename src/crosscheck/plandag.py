@@ -3,17 +3,16 @@
 A plan is a set of step ids plus dependency edges. Construction rejects
 cycles and dangling edges, after which the graph is immutable and safe to
 share across threads. Topological order breaks ties by step id so replays
-of the same plan always walk the same sequence. ``backtrack`` removes a
-set of violated step results together with everything downstream of them
-and nothing else — upstream and sibling results are returned untouched,
-by reference.
+of the same plan always walk the same sequence. ``removal_set`` names a
+set of violated steps together with everything downstream of them and
+nothing else, so repair never touches upstream or sibling steps.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import CycleError, UnknownStepError
 from .values import Value
@@ -82,10 +81,6 @@ class PlanDag:
         """Dependencies first; ties broken by step id (lexicographically least valid order)."""
         return self._order
 
-    def successors(self, step: str) -> tuple[str, ...]:
-        self._require(step)
-        return self._succ[step]
-
     def dependents_closure(self, step: str) -> frozenset[str]:
         """All steps reachable from ``step`` along edges, excluding ``step`` itself."""
         self._require(step)
@@ -128,18 +123,3 @@ def removal_set(dag: PlanDag, violated: Iterable[str]) -> frozenset[str]:
         removed.update(dag.dependents_closure(step))
     return frozenset(removed)
 
-
-def backtrack(
-    dag: PlanDag,
-    results: Mapping[str, StepResult],
-    violated: Iterable[str],
-) -> tuple[dict[str, StepResult], frozenset[str]]:
-    """Drop violated results and their dependents; keep the rest untouched.
-
-    Retained entries are the same objects that came in — repair is confined
-    to the affected sub-chains, there is no global re-parse. Re-executing
-    the removed steps is the caller's business.
-    """
-    removed = removal_set(dag, violated)
-    retained = {step: res for step, res in results.items() if step not in removed}
-    return retained, removed

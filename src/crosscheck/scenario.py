@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .ensemble import CONSERVATIVE, RADICAL, ExpertConfig, ScriptedBackend, parse_expert_output
-from .errors import CycleError, ParseError, SchemaError, UnknownIdError, UnknownStepError, ValidationError
+from .ensemble import CONSERVATIVE, ExpertConfig, ScriptedBackend, parse_expert_output
+from .errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
 from .facts import FactStore, params_key
 from .plandag import PlanDag, build_plan
 from .values import Value, parse_statement_key, value_from_json, value_to_json
@@ -84,120 +84,127 @@ class Scenario:
 
         return run_tool
 
-    def responses(self) -> list[Value]:
-        """All non-failing experts' responses, in expert-id then trace order."""
-        out = []
-        for expert in sorted(self.experts, key=lambda e: e.config.expert_id):
-            if expert.fail:
-                continue
-            for raw in expert.raw_traces:
-                out.append(value_from_json(raw["response"]))
-        return out
+
+# What reading untrusted input raises when a key is missing or a value has
+# the wrong type, plus the typed errors the builders raise themselves.
+_REJECTED = (CrosscheckError, KeyError, TypeError, AttributeError, ValueError)
+
+
+def _expect(value: object, kind: type):
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise TypeError(f"must be {noun}, got {type(value).__name__}")
+    return value
 
 
 def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
-    """Build and fully validate a scenario; every dangling reference is named."""
+    """Build and fully validate a scenario; every dangling reference is named.
+
+    A scenario file is untrusted input: a missing key or a wrong type
+    surfaces as KeyError, TypeError, AttributeError or ValueError in the
+    code that reads it. One boundary around the build turns each rejection
+    into a ValidationError naming the field ``at`` marks as being read.
+    Marking is a plain assignment, so a valid file pays nothing for it; a
+    context manager per expert and trace would add two calls to each.
+    """
     if not isinstance(obj, dict):
         raise ParseError("scenario must be a JSON object")
+    at: tuple = ("dag", None)
     try:
-        dag_obj = obj["dag"]
-        dag = build_plan(
-            dag_obj.get("steps", []),
-            [tuple(edge) for edge in dag_obj.get("edges", [])],
-        )
-    except KeyError as exc:
-        raise ValidationError(f"scenario missing field {exc}") from exc
-    except (ValueError, SchemaError, CycleError, UnknownStepError) as exc:
-        raise ValidationError(f"bad dag: {exc}") from exc
+        dag_obj = _expect(obj["dag"], dict)
+        steps = dag_obj.get("steps", [])
+        for step in steps:
+            if not isinstance(step, str) or "|" in step:
+                raise ValidationError(f"step ids must be strings without '|', got {step!r}")
+        at = ("dag.edges", None)
+        edges = [tuple(edge) for edge in dag_obj.get("edges", [])]
+        at = ("dag", None)
+        dag = build_plan(steps, edges)
 
-    constraints = tuple(constraint_from_spec(c) for c in obj.get("constraints", []))
+        at = ("constraints", None)
+        constraints = []
+        for c_idx, spec in enumerate(_expect(obj.get("constraints", []), list)):
+            at = ("constraints", c_idx)
+            constraints.append(constraint_from_spec(spec))
 
-    experts = []
-    seen_ids: set[str] = set()
-    for block in obj.get("experts", []):
-        expert_id = block.get("expert_id", "")
-        if not expert_id:
-            raise ValidationError("expert block missing expert_id")
-        if expert_id in seen_ids:
-            raise ValidationError(f"duplicate expert_id {expert_id!r}")
-        seen_ids.add(expert_id)
-        role = block.get("class", CONSERVATIVE)
-        if role not in (CONSERVATIVE, RADICAL):
-            raise ValidationError(f"expert {expert_id!r} has unknown class {role!r}")
-        config = ExpertConfig(
-            expert_id=expert_id,
-            role=role,
-            temperature=float(block.get("temperature", 0.1)),
-            seed=int(block.get("seed", 0)),
-        )
-        raw_traces = tuple(block.get("traces", []))
-        if not raw_traces and not block.get("fail", False):
-            raise ValidationError(f"expert {expert_id!r} has no traces and is not marked failing")
-        for t_idx, raw in enumerate(raw_traces):
-            try:
-                parsed = parse_expert_output(expert_id, raw)
-            except SchemaError as exc:
-                raise ValidationError(f"expert {expert_id!r} trace {t_idx}: {exc}") from exc
-            for step in parsed.steps:
-                if step not in dag:
-                    raise ValidationError(
-                        f"expert {expert_id!r} trace {t_idx} references unknown step {step!r}"
-                    )
-        experts.append(ScriptedExpert(config=config, raw_traces=raw_traces, fail=bool(block.get("fail", False))))
-    if not experts:
-        raise ValidationError("scenario needs at least one expert")
+        at = ("experts", None)
+        experts = []
+        seen_ids: set[str] = set()
+        for e_idx, block in enumerate(_expect(obj.get("experts", []), list)):
+            at = ("experts", e_idx)
+            config = ExpertConfig(
+                expert_id=_expect(block, dict).get("expert_id", ""),
+                role=block.get("class", CONSERVATIVE),
+                temperature=block.get("temperature", 0.1),
+                seed=block.get("seed", 0),
+            )
+            expert_id = config.expert_id
+            if expert_id in seen_ids:
+                raise ValidationError(f"duplicate expert_id {expert_id!r}")
+            seen_ids.add(expert_id)
+            raw_traces = tuple(block.get("traces", []))
+            if not raw_traces and not block.get("fail", False):
+                raise ValidationError(f"expert {expert_id!r} has no traces and is not marked failing")
+            for t_idx, raw in enumerate(raw_traces):
+                at = (f"experts[{e_idx}].traces", t_idx)
+                for step in parse_expert_output(expert_id, raw).steps:
+                    if step not in dag:
+                        raise ValidationError(f"references unknown step {step!r}")
+            experts.append(ScriptedExpert(config=config, raw_traces=raw_traces, fail=bool(block.get("fail", False))))
+        if not experts:
+            raise ValidationError("scenario needs at least one expert")
 
-    verdict_table = dict(obj.get("verdict_table", {}))
-    for key, verdict in sorted(verdict_table.items()):
-        if verdict not in VERDICTS:
-            raise ValidationError(f"verdict_table[{key!r}] has unknown verdict {verdict!r}")
-        try:
+        at = ("verdict_table", None)
+        verdict_table = dict(_expect(obj.get("verdict_table", {}), dict))
+        for key, verdict in sorted(verdict_table.items()):
+            at = ("verdict_table", key)
+            if verdict not in VERDICTS:
+                raise ValidationError(f"unknown verdict {verdict!r}")
             step, _ = parse_statement_key(key)
-        except ParseError as exc:
-            raise ValidationError(f"verdict_table key {key!r} does not parse: {exc}") from exc
-        if step not in dag:
-            raise ValidationError(f"verdict_table key {key!r} references unknown step {step!r}")
-
-    tool_scripts = dict(obj.get("tool_scripts", {}))
-    for key, outcome in sorted(tool_scripts.items()):
-        tool_name, sep, params_json = key.partition("|")
-        if not sep or not tool_name:
-            raise ValidationError(f"tool_scripts key {key!r} must look like 'tool|{{params-json}}'")
-        try:
-            json.loads(params_json)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"tool_scripts key {key!r} has bad params JSON: {exc}") from exc
-        try:
-            value_from_json(outcome)
-        except ParseError as exc:
-            raise ValidationError(f"tool_scripts[{key!r}] outcome does not parse: {exc}") from exc
-
-    oracle = None
-    if obj.get("oracle") is not None:
-        oracle_obj = obj["oracle"]
-        if "answer" not in oracle_obj:
-            raise ValidationError("oracle present but missing 'answer'")
-        truth = {}
-        for step, raw_value in sorted(oracle_obj.get("truth", {}).items()):
             if step not in dag:
-                raise ValidationError(f"oracle truth references unknown step {step!r}")
-            truth[step] = value_from_json(raw_value)
-        oracle = Oracle(answer=value_from_json(oracle_obj["answer"]), truth=truth)
+                raise ValidationError(f"references unknown step {step!r}")
 
-    facts_seed = tuple(obj.get("facts_seed", ()))
-    if facts_seed:
+        at = ("tool_scripts", None)
+        tool_scripts = dict(_expect(obj.get("tool_scripts", {}), dict))
+        for key, outcome in sorted(tool_scripts.items()):
+            at = ("tool_scripts", key)
+            tool_name, sep, params_json = key.partition("|")
+            if not sep or not tool_name:
+                raise ValidationError("key must look like 'tool|{params-json}'")
+            json.loads(params_json)
+            value_from_json(outcome)
+
+        at = ("oracle", None)
+        oracle = None
+        if obj.get("oracle") is not None:
+            oracle_obj = _expect(obj["oracle"], dict)
+            answer = value_from_json(oracle_obj["answer"])
+            truth = {}
+            for step, raw_value in sorted(_expect(oracle_obj.get("truth", {}), dict).items()):
+                at = ("oracle.truth", step)
+                if step not in dag:
+                    raise ValidationError(f"references unknown step {step!r}")
+                truth[step] = value_from_json(raw_value)
+            oracle = Oracle(answer=answer, truth=truth)
+
+        at = ("facts_seed", None)
+        facts_seed = tuple(_expect(obj.get("facts_seed", []), list))
         probe = FactStore()
-        try:
-            for record in facts_seed:
-                probe.load_record(record)
-        except (SchemaError, UnknownIdError) as exc:
-            raise ValidationError(f"facts_seed does not load: {exc}") from exc
+        for r_idx, record in enumerate(facts_seed):
+            at = ("facts_seed", r_idx)
+            probe.load_record(record)
+    except _REJECTED as exc:
+        where, index = at
+        if index is not None:
+            where = f"{where}[{index!r}]"
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValidationError(f"{where}: {detail}") from exc
 
     return Scenario(
         query=str(obj.get("query", "")),
         dag=dag,
         experts=tuple(experts),
-        constraints=constraints,
+        constraints=tuple(constraints),
         verdict_table=verdict_table,
         tool_scripts=tool_scripts,
         oracle=oracle,
@@ -314,10 +321,6 @@ facts store dump (line-delimited JSON; tools, then notes, then facts, by id)
   {"kind": "note", "id", "summary", "credibility", "derived_from"}
   {"kind": "fact", "id", "category", "key", "value", "status", "version", "derived_from"}
 """
-
-
-def corpus_paths(directory: str | Path) -> list[Path]:
-    return sorted(Path(directory).glob("*.json"))
 
 
 def scenario_expert_outputs(scenario: Scenario) -> list:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, TypeVar
 
 from .errors import ParseError
 
@@ -37,8 +37,6 @@ BOOLEAN = "boolean"
 QUANTITY = "quantity"
 COMPOSITE = "composite"
 
-KINDS = (NUMBER, TEXT, BOOLEAN, QUANTITY, COMPOSITE)
-
 _T = TypeVar("_T")
 
 
@@ -48,9 +46,6 @@ class Value:
 
     kind: str
     payload: object
-
-    def literal(self) -> str:
-        return format_literal(self)
 
 
 def number(x: int | float) -> Value:
@@ -344,13 +339,3 @@ def value_from_json(obj: object) -> Value:
         raise ParseError(f"unknown value kind {kind!r}")
     raise ParseError(f"cannot decode value from {type(obj).__name__}")
 
-
-def sort_key(v: Value) -> tuple[str, str]:
-    """A stable total order for deterministic iteration, not equality."""
-    return (v.kind, format_literal(v))
-
-
-def iter_distinct(values: Iterable[Value]) -> Iterator[Value]:
-    """Yield canonical-equality representatives in first-seen order."""
-    for rep, _ in group_values((v, None) for v in values):
-        yield rep

@@ -18,6 +18,7 @@ non-scripted decision must cite evidence (``tool:``/``fact:``/``anchor:``/
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
@@ -88,20 +89,22 @@ def constraint_from_spec(obj: dict) -> Constraint:
     equality), ``unit`` (quantity unit tag equality), ``facts``
     (consistency with verified facts).
     """
+    if not isinstance(obj, dict):
+        raise ParseError(f"constraint spec must be an object, got {type(obj).__name__}")
     check = obj.get("check")
     scope = obj.get("scope", STEP_SCOPE)
     if scope not in (STEP_SCOPE, RESPONSE_SCOPE):
         raise ParseError(f"constraint scope must be step or response, got {scope!r}")
     common = dict(
-        id=obj["id"],
+        id=_spec_text(obj, "id"),
         scope=scope,
         description=obj.get("description", ""),
-        step_pattern=obj.get("step_pattern"),
+        step_pattern=_spec_text(obj, "step_pattern") if obj.get("step_pattern") is not None else None,
         spec=obj,
     )
     if check == "range":
-        lo = obj.get("min", float("-inf"))
-        hi = obj.get("max", float("inf"))
+        lo = _spec_bound(obj, "min", float("-inf"))
+        hi = _spec_bound(obj, "max", float("inf"))
 
         def in_range(v: Value, lo=lo, hi=hi) -> bool:
             if v.kind == NUMBER:
@@ -112,17 +115,20 @@ def constraint_from_spec(obj: dict) -> Constraint:
 
         return Constraint(kind="invariant", predicate=in_range, **common)
     if check == "regex":
-        pattern = re.compile(obj["pattern"])
+        try:
+            pattern = re.compile(_spec_text(obj, "pattern"))
+        except re.error as exc:
+            raise ParseError(f"constraint 'pattern' does not compile: {exc}") from exc
         return Constraint(
             kind="schema",
             predicate=lambda v, rx=pattern: v.kind == TEXT and rx.fullmatch(v.payload) is not None,  # type: ignore[arg-type]
             **common,
         )
     if check == "kind":
-        expected = obj["expect"]
+        expected = _spec_text(obj, "expect")
         return Constraint(kind="schema", predicate=lambda v, k=expected: v.kind == k, **common)
     if check == "unit":
-        unit = obj["unit"]
+        unit = _spec_text(obj, "unit")
         return Constraint(
             kind="unit",
             predicate=lambda v, u=unit: v.kind == QUANTITY and v.payload[1] == u,  # type: ignore[index]
@@ -131,6 +137,22 @@ def constraint_from_spec(obj: dict) -> Constraint:
     if check == "facts":
         return Constraint(kind="consistency", predicate=None, **common)
     raise ParseError(f"unknown constraint check {check!r}")
+
+
+def _spec_text(obj: dict, name: str) -> str:
+    value = obj.get(name)
+    if not isinstance(value, str):
+        raise ParseError(f"constraint {name!r} must be a string, got {value!r}")
+    return value
+
+
+def _spec_bound(obj: dict, name: str, default: float) -> int | float:
+    if name not in obj:
+        return default
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not -math.inf < value < math.inf:
+        raise ParseError(f"range bound {name!r} must be a finite number, got {value!r}")
+    return value
 
 
 def check_response(response: Value, constraints: Sequence[Constraint], facts: FactStore | None = None) -> bool:

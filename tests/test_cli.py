@@ -125,6 +125,21 @@ def test_eval_empty_corpus_exits_one(tmp_path, capsys):
     assert "no scenario files" in capsys.readouterr().err
 
 
+def test_eval_corpus_with_a_bad_file_exits_one(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    _write_unanimous(corpus_dir / "a.json")
+    bad = json.loads((corpus_dir / "a.json").read_text())
+    bad["experts"][0]["temperature"] = "hot"
+    (corpus_dir / "b.json").write_text(json.dumps(bad), encoding="utf-8")
+    assert main(["eval", "--corpus", str(corpus_dir), "--methods", "mv",
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "temperature" in err
+    assert "Traceback" not in err
+
+
 def test_eval_unknown_method_exits_one(tmp_path):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()

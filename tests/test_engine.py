@@ -13,6 +13,7 @@ from crosscheck.engine import (
     Statement,
     anchor,
     conflicts,
+    group_by_step,
     rank_conflicts,
     run_audit,
     run_pipeline,
@@ -23,7 +24,7 @@ from crosscheck.ensemble import parse_expert_output
 from crosscheck.errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
 from crosscheck.facts import FactStore
 from crosscheck.plandag import build_plan
-from crosscheck.scenario import scenario_from_dict
+from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict
 from crosscheck.values import format_literal, number, statement_key, values_equal
 from crosscheck.verifiers import OperatorRegistry, ScriptedTableOperator
 
@@ -70,7 +71,7 @@ def test_statements_cardinality_oracle(seed):
 
 def test_anchor_quorum_met():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e2"), _stmt("s", 17, "e3")]
-    anchors, collisions = anchor(pool, theta=2)
+    anchors, collisions = anchor(group_by_step(pool), theta=2)
     assert collisions == []
     assert anchors.steps() == ("s",)
     assert values_equal(anchors.get("s").value, number(42))
@@ -79,28 +80,28 @@ def test_anchor_quorum_met():
 
 def test_anchor_quorum_unmet():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e2"), _stmt("s", 17, "e3")]
-    anchors, _ = anchor(pool, theta=3)
+    anchors, _ = anchor(group_by_step(pool), theta=3)
     assert len(anchors) == 0
 
 
 def test_anchor_theta_below_two_rejected():
     with pytest.raises(InvalidThetaError):
-        anchor([], theta=1)
+        anchor(group_by_step([]), theta=1)
 
 
 def test_anchor_collision_tie_goes_to_conflicts():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e2"), _stmt("s", 17, "e3"), _stmt("s", 17, "e4")]
-    anchors, collisions = anchor(pool, theta=2)
+    anchors, collisions = anchor(group_by_step(pool), theta=2)
     assert len(anchors) == 0
     assert collisions == ["s"]
-    conflict_set = conflicts(pool, anchors)
+    conflict_set = conflicts(group_by_step(pool), anchors)
     assert conflict_set.steps() == ("s",)
 
 
 def test_anchor_collision_majority_wins():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e2"), _stmt("s", 42, "e5"),
             _stmt("s", 17, "e3"), _stmt("s", 17, "e4")]
-    anchors, collisions = anchor(pool, theta=2)
+    anchors, collisions = anchor(group_by_step(pool), theta=2)
     assert collisions == []
     assert values_equal(anchors.get("s").value, number(42))
 
@@ -108,7 +109,7 @@ def test_anchor_collision_majority_wins():
 def test_anchor_counts_distinct_experts_not_traces():
     # one expert asserting twice does not reach a quorum of two
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e1")]
-    anchors, _ = anchor(pool, theta=2)
+    anchors, _ = anchor(group_by_step(pool), theta=2)
     assert len(anchors) == 0
 
 
@@ -118,7 +119,7 @@ def test_anchor_matches_count_filter_oracle(seed):
     scenario = random_scenario(seed)
     outputs = [parse_expert_output(e.config.expert_id, e.raw_traces[0]) for e in scenario.experts]
     pool = statements(outputs)
-    anchors, _ = anchor(pool, theta=2)
+    anchors, _ = anchor(group_by_step(pool), theta=2)
     got = {a.step: format_literal(a.value) for a in anchors.items()}
     assert got == count_filter_anchors(pool, 2)
 
@@ -127,14 +128,14 @@ def test_anchor_matches_count_filter_oracle(seed):
 
 def test_conflicts_empty_on_unanimity():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e2")]
-    anchors, _ = anchor(pool, theta=2)
-    assert len(conflicts(pool, anchors)) == 0
+    anchors, _ = anchor(group_by_step(pool), theta=2)
+    assert len(conflicts(group_by_step(pool), anchors)) == 0
 
 
 def test_conflicts_below_quorum():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 17, "e2")]
-    anchors, _ = anchor(pool, theta=2)
-    conflict_set = conflicts(pool, anchors)
+    anchors, _ = anchor(group_by_step(pool), theta=2)
+    conflict_set = conflicts(group_by_step(pool), anchors)
     item = conflict_set.get("s")
     assert len(item.candidates) == 2
     literals = {format_literal(c.value) for c in item.candidates}
@@ -143,15 +144,15 @@ def test_conflicts_below_quorum():
 
 def test_anchored_step_excluded_despite_dissent():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e2"), _stmt("s", 17, "e3")]
-    anchors, _ = anchor(pool, theta=2)
+    anchors, _ = anchor(group_by_step(pool), theta=2)
     assert "s" in anchors
-    assert len(conflicts(pool, anchors)) == 0
+    assert len(conflicts(group_by_step(pool), anchors)) == 0
 
 
 def test_single_expert_disagreeing_with_itself_is_no_conflict():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 17, "e1")]
-    anchors, _ = anchor(pool, theta=2)
-    assert len(conflicts(pool, anchors)) == 0
+    anchors, _ = anchor(group_by_step(pool), theta=2)
+    assert len(conflicts(group_by_step(pool), anchors)) == 0
 
 
 @given(st.integers(0, 10**6))
@@ -160,8 +161,8 @@ def test_conflicts_match_pairwise_oracle(seed):
     scenario = random_scenario(seed)
     outputs = [parse_expert_output(e.config.expert_id, e.raw_traces[0]) for e in scenario.experts]
     pool = statements(outputs)
-    anchors, _ = anchor(pool, theta=2)
-    conflict_set = conflicts(pool, anchors)
+    anchors, _ = anchor(group_by_step(pool), theta=2)
+    conflict_set = conflicts(group_by_step(pool), anchors)
     assert set(conflict_set.steps()) == pairwise_conflicts(pool, set(anchors.steps()))
 
 
@@ -169,10 +170,10 @@ def test_conflicts_match_pairwise_oracle(seed):
 
 def test_rank_singleton():
     pool = [_stmt("s", 1, "e1", 0.9), _stmt("s", 2, "e2", 0.2)]
-    anchors, _ = anchor(pool, theta=2)
-    conflict_set = conflicts(pool, anchors)
+    anchors, _ = anchor(group_by_step(pool), theta=2)
+    conflict_set = conflicts(group_by_step(pool), anchors)
     dag = build_plan(["s"], [])
-    assert rank_conflicts(conflict_set, dag, pool) == ["s"]
+    assert rank_conflicts(conflict_set, dag, group_by_step(pool)) == ["s"]
 
 
 def test_rank_prefers_root_with_dependents():
@@ -181,10 +182,10 @@ def test_rank_prefers_root_with_dependents():
     pool = []
     for step in ("root", "sink"):
         pool += [_stmt(step, 1, "e1", 0.9), _stmt(step, 2, "e2", 0.5)]
-    anchors, _ = anchor(pool, theta=2)
-    conflict_set = conflicts(pool, anchors)
+    anchors, _ = anchor(group_by_step(pool), theta=2)
+    conflict_set = conflicts(group_by_step(pool), anchors)
     # equal spreads (0.4); root has 3 dependents, sink none
-    assert rank_conflicts(conflict_set, dag, pool) == ["root", "sink"]
+    assert rank_conflicts(conflict_set, dag, group_by_step(pool)) == ["root", "sink"]
 
 
 def test_rank_ties_break_by_step_id():
@@ -192,9 +193,9 @@ def test_rank_ties_break_by_step_id():
     pool = []
     for step in ("c", "a", "b"):
         pool += [_stmt(step, 1, "e1", 0.7), _stmt(step, 2, "e2", 0.3)]
-    anchors, _ = anchor(pool, theta=2)
-    conflict_set = conflicts(pool, anchors)
-    assert rank_conflicts(conflict_set, dag, pool) == ["a", "b", "c"]
+    anchors, _ = anchor(group_by_step(pool), theta=2)
+    conflict_set = conflicts(group_by_step(pool), anchors)
+    assert rank_conflicts(conflict_set, dag, group_by_step(pool)) == ["a", "b", "c"]
 
 
 # --- auditing -------------------------------------------------------------------
@@ -205,9 +206,9 @@ def _audit_fixture(n_steps, table, b_max):
     pool = []
     for step in steps:
         pool += [_stmt(step, 1, "e1", 0.9), _stmt(step, 2, "e2", 0.5)]
-    anchors, _ = anchor(pool, theta=2)
-    conflict_set = conflicts(pool, anchors)
-    ranked = rank_conflicts(conflict_set, dag, pool)
+    anchors, _ = anchor(group_by_step(pool), theta=2)
+    conflict_set = conflicts(group_by_step(pool), anchors)
+    ranked = rank_conflicts(conflict_set, dag, group_by_step(pool))
     registry = OperatorRegistry().register(ScriptedTableOperator(table))
     budget = AuditBudget(b_max=b_max)
     from crosscheck.auditlog import AuditLog
@@ -240,8 +241,8 @@ def test_minority_value_wins_after_majority_refuted():
     steps = ["s"]
     dag = build_plan(steps, [])
     pool = [_stmt("s", 7, "e1", 0.6), _stmt("s", 9, "e2", 0.9), _stmt("s", 9, "e3", 0.9)]
-    anchors, _ = anchor(pool, theta=3)
-    conflict_set = conflicts(pool, anchors)
+    anchors, _ = anchor(group_by_step(pool), theta=3)
+    conflict_set = conflicts(group_by_step(pool), anchors)
     item = conflict_set.get("s")
     assert [format_literal(c.value) for c in item.candidates] == ["num:9", "num:7"]
     table = {statement_key("s", number(9)): "refute", statement_key("s", number(7)): "support"}
@@ -283,7 +284,7 @@ def test_synthesize_single_expert_degenerate():
 
     trace = _output("e01", {"s1": 5}, 5, confidence=0.7)
     winner, score, fallback = synthesize(
-        [GatedTrace(trace, 1.0, 0)], AnchorSet(theta=2), ConflictSet(), (0.5, 0.3, 0.2)
+        [GatedTrace(trace, 1.0, 0)], AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2)
     )
     assert winner.expert_id == "e01"
     assert score.anchor_support == 1.0  # vacuous with no anchors
@@ -295,7 +296,7 @@ def test_synthesize_single_expert_degenerate():
 def test_synthesize_anchor_dominance():
     from crosscheck.engine import Anchor, AnchorSet, ConflictSet
 
-    anchors = AnchorSet(theta=2)
+    anchors = AnchorSet()
     for i, v in enumerate((1, 2, 3)):
         anchors.add(Anchor(f"s{i}", number(v), ("e01", "e02")))
     agree = _output("e01", {"s0": 1, "s1": 2, "s2": 3}, 3, confidence=0.5)
@@ -312,7 +313,7 @@ def test_synthesize_raises_without_candidates():
     from crosscheck.engine import AnchorSet, ConflictSet
 
     with pytest.raises(NoFeasibleCandidateError):
-        synthesize([], AnchorSet(theta=2), ConflictSet(), (0.5, 0.3, 0.2))
+        synthesize([], AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2))
 
 
 def test_synthesize_tie_breaks_to_lowest_expert_id():
@@ -322,7 +323,7 @@ def test_synthesize_tie_breaks_to_lowest_expert_id():
     b = _output("e01", {"s1": 7}, 7, confidence=0.6)
     winner, _, _ = synthesize(
         [GatedTrace(a, 1.0, 1), GatedTrace(b, 1.0, 0)],
-        AnchorSet(theta=2), ConflictSet(), (0.5, 0.3, 0.2),
+        AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2),
     )
     assert winner.expert_id == "e01"
 
@@ -364,7 +365,7 @@ def test_adversarial_majority_is_overturned():
     scenario = adversarial_scenario(11)
     result = run_pipeline(scenario, EngineConfig(theta=3, budget=2))
     assert values_equal(result.answer, scenario.oracle.answer)
-    responses = scenario.responses()
+    responses = [o.response for o in scenario_expert_outputs(scenario)]
     assert not values_equal(majority_vote(responses), scenario.oracle.answer)
     assert result.verify_calls == 2
 

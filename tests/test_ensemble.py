@@ -1,20 +1,16 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from crosscheck.ensemble import (
     CONSERVATIVE,
-    RADICAL,
-    EnsemblePlan,
     ExpertConfig,
     ScriptedBackend,
     collect,
-    make_ensemble,
     parse_expert_output,
     sample_traces,
 )
-from crosscheck.errors import AllExpertsFailedError, BackendError, InvalidPlanError, SchemaError
+from crosscheck.errors import AllExpertsFailedError, BackendError, SchemaError
 from crosscheck.values import number
 
 
@@ -24,50 +20,6 @@ def _trace(value=42, confidence=0.9, response=42):
         "analysis": "scripted",
         "response": response,
     }
-
-
-def test_quarter_fraction_of_four():
-    configs = make_ensemble(EnsemblePlan(n_experts=4, conservative_fraction=0.25))
-    roles = [c.role for c in configs]
-    assert roles.count(CONSERVATIVE) == 1
-    assert roles.count(RADICAL) == 3
-
-
-def test_singleton_defaults_conservative():
-    configs = make_ensemble(EnsemblePlan(n_experts=1, conservative_fraction=0.25))
-    assert len(configs) == 1
-    assert configs[0].role == CONSERVATIVE
-
-
-def test_ten_experts_reproducible():
-    plan = EnsemblePlan(n_experts=10, conservative_fraction=0.3)
-    first = make_ensemble(plan, master_seed=99)
-    second = make_ensemble(plan, master_seed=99)
-    assert [c.role for c in first].count(CONSERVATIVE) == 3
-    assert repr(first) == repr(second)
-    different_seed = make_ensemble(plan, master_seed=100)
-    assert [c.seed for c in different_seed] != [c.seed for c in first]
-
-
-def test_zero_fraction_invalid_for_multi():
-    with pytest.raises(InvalidPlanError):
-        EnsemblePlan(n_experts=3, conservative_fraction=0.0)
-
-
-def test_bad_schedule_rejected():
-    plan = EnsemblePlan(n_experts=2, conservative_fraction=0.5, temperature_schedule=(0.9, 0.1))
-    with pytest.raises(InvalidPlanError):
-        make_ensemble(plan)
-
-
-@given(st.integers(2, 12), st.floats(0.1, 1.0))
-def test_conservative_reservation_and_monotonicity(n, fraction):
-    configs = make_ensemble(EnsemblePlan(n_experts=n, conservative_fraction=fraction))
-    cons = [c.temperature for c in configs if c.role == CONSERVATIVE]
-    rads = [c.temperature for c in configs if c.role == RADICAL]
-    assert len(cons) >= 1
-    if cons and rads:
-        assert max(cons) <= min(rads)
 
 
 def test_scripted_passthrough():
@@ -130,13 +82,6 @@ def test_unscripted_expert_is_backend_error():
     backend = ScriptedBackend({})
     with pytest.raises(BackendError):
         sample_traces(ExpertConfig("e09", CONSERVATIVE, 0.1, 0), "q", backend)
-
-
-def test_default_schedule_values():
-    configs = make_ensemble(EnsemblePlan(n_experts=4, conservative_fraction=0.25))
-    temps = [c.temperature for c in configs]
-    assert temps[0] == 0.1
-    assert temps[1:] == [0.7, 0.85, 1.0]  # radical spread over [0.7, 1.0]
 
 
 def test_http_backend_maps_content_and_errors(monkeypatch):

@@ -193,15 +193,14 @@ def test_bucketed_stages_match_steps_times_pool_scans(pool, theta):
     assert [s for bucket in buckets.values() for s in bucket] == sorted(pool, key=lambda s: s.step)
 
     ref_anchors, ref_collisions = _reference_anchor(pool, theta)
-    for passed in (None, buckets):
-        anchors, collisions = anchor(pool, theta, passed)
-        assert list(anchors.items()) == ref_anchors
-        assert _literals(anchors.items()) == _literals(ref_anchors)
-        assert collisions == ref_collisions
+    anchors, collisions = anchor(buckets, theta)
+    assert list(anchors.items()) == ref_anchors
+    assert _literals(anchors.items()) == _literals(ref_anchors)
+    assert collisions == ref_collisions
 
-        conflict_set = conflicts(pool, anchors, passed)
-        ref_items = _reference_conflicts(pool, set(anchors.steps()))
-        assert list(conflict_set.items()) == ref_items
-        assert [_literals(i.candidates) for i in conflict_set.items()] == [_literals(i.candidates) for i in ref_items]
+    conflict_set = conflicts(buckets, anchors)
+    ref_items = _reference_conflicts(pool, set(anchors.steps()))
+    assert list(conflict_set.items()) == ref_items
+    assert [_literals(i.candidates) for i in conflict_set.items()] == [_literals(i.candidates) for i in ref_items]
 
-        assert rank_conflicts(conflict_set, DAG, pool, passed) == _reference_rank(conflict_set.steps(), pool)
+    assert rank_conflicts(conflict_set, DAG, buckets) == _reference_rank(conflict_set.steps(), pool)

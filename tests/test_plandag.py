@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crosscheck.errors import CycleError, UnknownStepError
-from crosscheck.plandag import StepResult, backtrack, build_plan
-from crosscheck.values import number
+from crosscheck.plandag import build_plan, removal_set
 
 from oracles import all_valid_orders, dfs_reachable, removal_oracle
 
@@ -24,10 +23,6 @@ def random_dags(draw, max_nodes=12):
             if draw(st.booleans()):
                 edges.append((steps[i], steps[j]))
     return steps, edges
-
-
-def _results(steps):
-    return {s: StepResult(s, number(i), 0.5) for i, s in enumerate(steps)}
 
 
 def test_chain_builds():
@@ -94,26 +89,17 @@ def test_random_20_node_closure_matches_dfs_oracle():
 
 def test_backtrack_no_violation_keeps_everything():
     dag = build_plan(*DIAMOND)
-    results = _results(dag.steps)
-    retained, removed = backtrack(dag, results, set())
-    assert removed == frozenset()
-    assert retained == results
+    assert removal_set(dag, set()) == frozenset()
 
 
 def test_backtrack_chain_removes_downstream():
     dag = build_plan(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    results = _results(dag.steps)
-    retained, removed = backtrack(dag, results, {"b"})
-    assert removed == {"b", "c"}
-    assert set(retained) == {"a"}
-    assert retained["a"] is results["a"]  # untouched, not copied
+    assert removal_set(dag, {"b"}) == {"b", "c"}
 
 
 def test_backtrack_diamond_spares_sibling():
     dag = build_plan(*DIAMOND)
-    retained, removed = backtrack(dag, _results(dag.steps), {"b"})
-    assert removed == {"b", "d"}
-    assert set(retained) == {"a", "c"}
+    assert removal_set(dag, {"b"}) == {"b", "d"}
     # sibling c is genuinely not downstream of b
     assert "c" not in dfs_reachable(DIAMOND[1], "b")
 
@@ -121,7 +107,7 @@ def test_backtrack_diamond_spares_sibling():
 def test_backtrack_unknown_step():
     dag = build_plan(*DIAMOND)
     with pytest.raises(UnknownStepError):
-        backtrack(dag, _results(dag.steps), {"zz"})
+        removal_set(dag, {"zz"})
 
 
 @given(random_dags())
@@ -144,12 +130,11 @@ def test_backtrack_locality_properties(dag_spec, data):
     steps, edges = dag_spec
     dag = build_plan(steps, edges)
     violated = set(data.draw(st.lists(st.sampled_from(steps), max_size=len(steps))))
-    results = _results(steps)
-    retained, removed = backtrack(dag, results, violated)
-    assert not (set(retained) & removed)
+    removed = removal_set(dag, violated)
     assert removed == removal_oracle(steps, edges, violated)
     # retained steps have no violated ancestor
-    for step in retained:
+    for step in set(steps) - removed:
+        assert step not in violated
         assert all(step not in dfs_reachable(edges, v) for v in violated)
 
 

@@ -96,6 +96,57 @@ def test_tool_scripts_key_shape():
         scenario_from_dict(obj)
 
 
+def _expert(**fields):
+    obj = _minimal()
+    obj["experts"][0].update(fields)
+    return obj
+
+
+def _dag(steps, edges):
+    return _minimal(dag={"steps": steps, "edges": edges})
+
+
+def _constraint(**spec):
+    return _minimal(constraints=[spec])
+
+
+TOOL_RECORD = {"kind": "tool", "tool_name": "calc", "params": {}, "outcome": 1}
+
+
+# Each of these once escaped the loader as a raw Python exception, or loaded
+# and then crashed inside run_pipeline.
+@pytest.mark.parametrize("obj, field", [
+    (_constraint(check="kind", expect="number"), r"constraints\[0\].*'id'"),
+    (_constraint(id="c", check="regex", pattern="("), "'pattern' does not compile"),
+    (_minimal(experts=["e01"]), r"experts\[0\]: must be an object"),
+    (_minimal(constraints=["c"]), r"constraints\[0\]"),
+    (_minimal(facts_seed=["tool"]), r"facts_seed\[0\]: store record must be an object"),
+    (_expert(temperature="hot"), r"experts\[0\]: temperature"),
+    (_expert(seed="x"), "seed"),
+    (_dag(["s1"], [1]), r"dag\.edges: "),
+    (_dag([["s1"]], []), r"dag: step ids"),
+    (_minimal(verdict_table=["s1|num:1"]), "verdict_table: must be an object"),
+    (_minimal(facts_seed=[TOOL_RECORD]), r"facts_seed\[0\].*'id'"),
+    (_constraint(id="c", check="range", min="a"), "'min'"),
+    (_expert(expert_id=7), "expert_id"),
+    (_constraint(id="c", check="regex", pattern=3), "'pattern'"),
+    (_constraint(id="c", check="kind", expect="number", step_pattern=3), "'step_pattern'"),
+    (_expert(temperature=float("nan")), "temperature"),
+    (_expert(temperature=float("inf")), "temperature"),
+    (_expert(temperature=-0.5), "temperature"),
+    (_expert(**{"class": "wild"}), "role 'wild'"),
+    (_constraint(id="c", check="range", max=float("inf")), "'max'"),
+    (_constraint(id="c", check="range", min=True), "'min'"),
+    (_constraint(id="c", check="unit", unit=5), "'unit'"),
+    (_constraint(id="c", check="kind", expect=None), "'expect'"),
+    (_expert(traces=[{"steps": {"s1": {"value": {"kind": "number"}}}, "response": 1}]),
+     r"experts\[0\]\.traces\[0\]: missing field 'value'"),
+])
+def test_malformed_scenario_is_validation_error(obj, field):
+    with pytest.raises(ValidationError, match=field):
+        scenario_from_dict(obj)
+
+
 def test_tool_runner_resolves_scripts():
     obj = _minimal(tool_scripts={'calc|{"expr":"6*7"}': 42})
     scenario = scenario_from_dict(obj)
