@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .engine import EngineConfig, run_pipeline
 from .ensemble import ExpertOutput
@@ -43,29 +43,21 @@ def majority_vote(responses: Sequence[Value]) -> Value:
     return best[0]
 
 
-def highest_confidence_synthesizer(outputs: Sequence[ExpertOutput]) -> Value:
-    """Default one-pass rule: the response whose trace is most self-confident."""
-    def mean_confidence(output: ExpertOutput) -> float:
-        confs = list(output.confidences.values())
-        return sum(confs) / len(confs) if confs else 0.0
-
-    ordered = sorted(outputs, key=lambda o: o.expert_id)
-    best = max(ordered, key=lambda o: (mean_confidence(o),))
-    return best.response
-
-
-def simple_verification(
-    outputs: Sequence[ExpertOutput],
-    synthesizer: Callable[[Sequence[ExpertOutput]], Value] = highest_confidence_synthesizer,
-) -> Value:
-    """Single-pass synthesis over the raw expert tuples.
+def simple_verification(outputs: Sequence[ExpertOutput]) -> Value:
+    """Single-pass synthesis over the raw expert tuples: the response whose
+    trace is most self-confident, the lowest expert id on ties.
 
     Deliberately blind to constraints, facts, and disagreements: this is
     the control the audited pipeline is measured against.
     """
     if not outputs:
         raise InvalidConfigError("simple_verification needs at least one expert output")
-    return synthesizer(outputs)
+
+    def mean_confidence(output: ExpertOutput) -> float:
+        confs = list(output.confidences.values())
+        return sum(confs) / len(confs) if confs else 0.0
+
+    return max(sorted(outputs, key=lambda o: o.expert_id), key=mean_confidence).response
 
 
 def pass_at_n(responses: Sequence[Value], oracle: Oracle) -> bool:
@@ -174,17 +166,20 @@ def evaluate_methods(
         outputs = scenario_expert_outputs(scenario)
         responses = [o.response for o in outputs]
         for method in methods:
-            if method == METHOD_MV:
-                verdicts[method].append(_outcome(majority_vote(responses), scenario.oracle))
-            elif method == METHOD_SV:
-                verdicts[method].append(_outcome(simple_verification(outputs), scenario.oracle))
-            elif method == METHOD_PASSN:
+            if method == METHOD_PASSN:
                 hit = pass_at_n(responses, scenario.oracle)
                 verdicts[method].append(CORRECT if hit else WRONG)
+                continue
+            # With every expert failed there is nothing to vote on or
+            # synthesize from: mv and sv abstain, as the pipeline does.
+            if method == METHOD_MV:
+                answer = majority_vote(responses) if responses else None
+            elif method == METHOD_SV:
+                answer = simple_verification(outputs) if outputs else None
             else:
                 answer, calls = _pipeline_answer(scenario, cfg)
-                verdicts[method].append(_outcome(answer, scenario.oracle))
                 verify_calls[METHOD_AUDIT].append(calls)
+            verdicts[method].append(_outcome(answer, scenario.oracle))
     wall = time.perf_counter() - started
     scores = {
         m: sum(1 for v in verdicts[m] if v == CORRECT) / len(ordered) for m in methods
@@ -226,7 +221,7 @@ def run_ablation(
                 answer, calls = _pipeline_answer(scenario, replace(cfg, facts_enabled=row.facts))
                 verify_calls.setdefault(row.label, []).append(calls)
             elif row.synth:
-                answer = simple_verification(outputs)
+                answer = simple_verification(outputs) if outputs else None
             else:
                 answer = outputs[0].response if outputs else None
             verdicts[row.label].append(_outcome(answer, scenario.oracle))

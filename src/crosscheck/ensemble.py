@@ -26,7 +26,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .errors import AllExpertsFailedError, BackendError, InvalidPlanError, SchemaError
+from .errors import AllExpertsFailedError, BackendError, InvalidPlanError, ParseError, SchemaError
 from .plandag import StepResult
 from .values import Value, value_from_json
 
@@ -86,46 +86,51 @@ class ExpertBackend(Protocol):
 
 
 def parse_expert_output(expert_id: str, raw: dict) -> ExpertOutput:
-    """Validate one raw trace payload into an ExpertOutput; SchemaError on violation."""
+    """Validate one raw trace payload into an ExpertOutput; SchemaError on violation.
+
+    A value that does not decode is a SchemaError too, so ``collect``
+    records that expert as failed instead of aborting.
+    """
     if not isinstance(raw, dict):
         raise SchemaError(f"trace payload must be an object, got {type(raw).__name__}")
     steps_raw = raw.get("steps", {})
     if not isinstance(steps_raw, dict):
         raise SchemaError("trace 'steps' must be a map of step id to result")
     steps: dict[str, StepResult] = {}
-    for step in sorted(steps_raw):
-        entry = steps_raw[step]
-        if not isinstance(entry, dict) or "value" not in entry:
-            raise SchemaError(f"step {step!r} entry must be an object with a 'value'")
-        confidence = entry.get("confidence", 1.0)
-        if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
-            raise SchemaError(f"step {step!r} confidence must be numeric")
-        if -_CONFIDENCE_SLACK <= confidence < 0.0:
-            confidence = 0.0
-        elif 1.0 < confidence <= 1.0 + _CONFIDENCE_SLACK:
-            confidence = 1.0
-        if not 0.0 <= confidence <= 1.0:
-            raise SchemaError(f"step {step!r} confidence {confidence!r} outside [0,1]")
-        provenance = entry.get("provenance", [])
-        if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):
-            raise SchemaError(f"step {step!r} provenance must be a list of tool record ids")
-        steps[step] = StepResult(
-            step=step,
-            value=value_from_json(entry["value"]),
-            confidence=float(confidence),
-            provenance=tuple(provenance),
-        )
-    if "response" not in raw:
-        raise SchemaError("trace payload missing 'response'")
+    try:
+        for step in sorted(steps_raw):
+            entry = steps_raw[step]
+            if not isinstance(entry, dict) or "value" not in entry:
+                raise SchemaError(f"step {step!r} entry must be an object with a 'value'")
+            confidence = entry.get("confidence", 1.0)
+            if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+                raise SchemaError(f"step {step!r} confidence must be numeric")
+            if -_CONFIDENCE_SLACK <= confidence < 0.0:
+                confidence = 0.0
+            elif 1.0 < confidence <= 1.0 + _CONFIDENCE_SLACK:
+                confidence = 1.0
+            if not 0.0 <= confidence <= 1.0:
+                raise SchemaError(f"step {step!r} confidence {confidence!r} outside [0,1]")
+            provenance = entry.get("provenance", [])
+            if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):
+                raise SchemaError(f"step {step!r} provenance must be a list of tool record ids")
+            steps[step] = StepResult(
+                step=step,
+                value=value_from_json(entry["value"]),
+                confidence=float(confidence),
+                provenance=tuple(provenance),
+            )
+        if "response" not in raw:
+            raise SchemaError("trace payload missing 'response'")
+        response = value_from_json(raw["response"])
+    except KeyError as exc:
+        raise SchemaError(f"missing field {exc} in a trace value") from exc
+    except (TypeError, ParseError) as exc:
+        raise SchemaError(f"malformed trace value: {exc}") from exc
     analysis = raw.get("analysis", "")
     if not isinstance(analysis, str):
         raise SchemaError("trace 'analysis' must be a string")
-    return ExpertOutput(
-        expert_id=expert_id,
-        steps=steps,
-        analysis=analysis,
-        response=value_from_json(raw["response"]),
-    )
+    return ExpertOutput(expert_id=expert_id, steps=steps, analysis=analysis, response=response)
 
 
 def sample_traces(config: ExpertConfig, query: str, backend: ExpertBackend) -> list[ExpertOutput]:

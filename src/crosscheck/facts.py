@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from .errors import BrokenChainError, DuplicateIdError, SchemaError, UnknownIdError
+from .errors import BrokenChainError, DuplicateIdError, ParseError, SchemaError, UnknownIdError
 from .values import Value, format_literal, group_values, value_from_json, value_to_json, values_comparable, values_equal
 
 GIVEN = "given"
@@ -334,37 +334,7 @@ class FactStore:
 
     def to_lines(self) -> list[str]:
         """Line-delimited dump: tools, then notes, then facts, each sorted by id."""
-        lines = []
-        for record in self.tools():
-            lines.append(_dump_record({
-                "kind": "tool",
-                "id": record.id,
-                "tool_name": record.tool_name,
-                "params": {k: record.params[k] for k in sorted(record.params)},
-                "outcome": value_to_json(record.outcome),
-                "source_url": record.source_url,
-                "retrieved_at": record.retrieved_at,
-            }))
-        for note in self.notes():
-            lines.append(_dump_record({
-                "kind": "note",
-                "id": note.id,
-                "summary": note.summary,
-                "credibility": note.credibility,
-                "derived_from": list(note.derived_from),
-            }))
-        for fact in self.facts():
-            lines.append(_dump_record({
-                "kind": "fact",
-                "id": fact.id,
-                "category": fact.category,
-                "key": fact.key,
-                "value": value_to_json(fact.value),
-                "status": fact.status,
-                "version": fact.version,
-                "derived_from": list(fact.derived_from),
-            }))
-        return lines
+        return [_dump_record(_record(entry)) for entry in (*self.tools(), *self.notes(), *self.facts())]
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "FactStore":
@@ -381,68 +351,80 @@ class FactStore:
         return store
 
     def load_record(self, obj: dict) -> None:
-        """Seed one serialized record; used by dumps and scenario files."""
+        """Insert one dump record as given; dumps, scenario seeds and merges all load this way.
+
+        A missing or malformed field raises SchemaError naming it. ``at``
+        marks the field being converted by plain assignment, so a valid
+        record pays nothing for the boundary.
+        """
         if not isinstance(obj, dict):
             raise SchemaError(f"store record must be an object, got {type(obj).__name__}")
         kind = obj.get("kind")
-        if kind == "tool":
-            self.record_tool(ToolRecord(
-                id=obj["id"],
-                tool_name=obj["tool_name"],
-                params=dict(obj.get("params", {})),
-                outcome=value_from_json(obj["outcome"]),
-                source_url=obj.get("source_url"),
-                retrieved_at=obj.get("retrieved_at"),
-            ))
-            return
-        if kind == "note":
-            derived = tuple(obj["derived_from"])
-            if not derived:
-                raise SchemaError(f"note {obj.get('id')!r} has empty provenance")
-            for tool_id in derived:
-                self.get_tool(tool_id)
-            credibility = obj["credibility"]
-            if credibility not in CREDIBILITIES:
-                raise SchemaError(f"unknown credibility {credibility!r}")
-            self._seed_note(Note(id=obj["id"], summary=obj["summary"], credibility=credibility, derived_from=derived))
-            return
-        if kind == "fact":
-            category = obj["category"]
-            status = obj.get("status", UNVERIFIED)
-            if category not in CATEGORIES:
-                raise SchemaError(f"unknown fact category {category!r}")
-            if status not in STATUSES:
-                raise SchemaError(f"unknown fact status {status!r}")
-            derived = tuple(obj.get("derived_from", ()))
-            if category in (RETRIEVED, DERIVED) and not derived:
-                raise SchemaError(f"{category} fact {obj.get('id')!r} needs note provenance")
-            for note_id in derived:
-                self.get_note(note_id)
-            self._seed_fact(Fact(
-                id=obj["id"],
-                category=category,
-                key=obj["key"],
-                value=value_from_json(obj["value"]),
-                status=status,
-                version=int(obj.get("version", 1)),
-                derived_from=derived,
-            ))
-            return
+        at = "id"
+        try:
+            if kind == "tool":
+                tool_id, tool_name = obj["id"], obj["tool_name"]
+                at = "params"
+                params = dict(obj.get("params", {}))
+                at = "outcome"
+                outcome = value_from_json(obj["outcome"])
+                at = "id"
+                self.record_tool(ToolRecord(
+                    id=tool_id,
+                    tool_name=tool_name,
+                    params=params,
+                    outcome=outcome,
+                    source_url=obj.get("source_url"),
+                    retrieved_at=obj.get("retrieved_at"),
+                ))
+                return
+            if kind == "note":
+                at = "derived_from"
+                derived = tuple(obj["derived_from"])
+                if not derived:
+                    raise SchemaError(f"note {obj.get('id')!r} has empty provenance")
+                for tool_id in derived:
+                    self.get_tool(tool_id)
+                credibility = obj["credibility"]
+                if credibility not in CREDIBILITIES:
+                    raise SchemaError(f"unknown credibility {credibility!r}")
+                at = "id"
+                note = Note(id=obj["id"], summary=obj["summary"], credibility=credibility, derived_from=derived)
+                if note.id in self._notes:
+                    raise DuplicateIdError(f"note {note.id!r} already present")
+                self._notes[note.id] = note
+                self._bump("note", note.id)
+                return
+            if kind == "fact":
+                category = obj["category"]
+                status = obj.get("status", UNVERIFIED)
+                if category not in CATEGORIES:
+                    raise SchemaError(f"unknown fact category {category!r}")
+                if status not in STATUSES:
+                    raise SchemaError(f"unknown fact status {status!r}")
+                at = "derived_from"
+                derived = tuple(obj.get("derived_from", ()))
+                if category in (RETRIEVED, DERIVED) and not derived:
+                    raise SchemaError(f"{category} fact {obj.get('id')!r} needs note provenance")
+                for note_id in derived:
+                    self.get_note(note_id)
+                at = "value"
+                value = value_from_json(obj["value"])
+                at = "version"
+                version = int(obj.get("version", 1))
+                at = "id"
+                fact = Fact(id=obj["id"], category=category, key=obj["key"], value=value,
+                            status=status, version=version, derived_from=derived)
+                if fact.id in self._facts:
+                    raise DuplicateIdError(f"fact {fact.id!r} already present")
+                self._facts[fact.id] = fact
+                self._bump("seed_fact", fact.id, fact.status)
+                return
+        except KeyError as exc:
+            raise SchemaError(f"{kind} record missing field {exc}") from exc
+        except (TypeError, ValueError, ParseError) as exc:
+            raise SchemaError(f"{kind} record field {at!r}: {exc}") from exc
         raise SchemaError(f"unknown record kind {kind!r}")
-
-    def _seed_note(self, note: Note) -> None:
-        """Insert a note as given, provenance already checked; shared by loading and merging."""
-        if note.id in self._notes:
-            raise DuplicateIdError(f"note {note.id!r} already present")
-        self._notes[note.id] = note
-        self._bump("note", note.id)
-
-    def _seed_fact(self, fact: Fact) -> None:
-        """Insert a fact with its status and version as given; shared by loading and merging."""
-        if fact.id in self._facts:
-            raise DuplicateIdError(f"fact {fact.id!r} already present")
-        self._facts[fact.id] = fact
-        self._bump("seed_fact", fact.id, fact.status)
 
     def _fresh_id(self, prefix: str, requested: str | None, table: dict) -> str:
         if requested is not None:
@@ -455,13 +437,80 @@ class FactStore:
         return f"{prefix}{n:04d}"
 
 
+def _record(entry: ToolRecord | Note | Fact) -> dict:
+    """The dump record of one store entry; ``FactStore.load_record`` reads it back."""
+    if isinstance(entry, ToolRecord):
+        return {
+            "kind": "tool",
+            "id": entry.id,
+            "tool_name": entry.tool_name,
+            "params": {k: entry.params[k] for k in sorted(entry.params)},
+            "outcome": value_to_json(entry.outcome),
+            "source_url": entry.source_url,
+            "retrieved_at": entry.retrieved_at,
+        }
+    if isinstance(entry, Note):
+        return {
+            "kind": "note",
+            "id": entry.id,
+            "summary": entry.summary,
+            "credibility": entry.credibility,
+            "derived_from": list(entry.derived_from),
+        }
+    return {
+        "kind": "fact",
+        "id": entry.id,
+        "category": entry.category,
+        "key": entry.key,
+        "value": value_to_json(entry.value),
+        "status": entry.status,
+        "version": entry.version,
+        "derived_from": list(entry.derived_from),
+    }
+
+
 def _dump_record(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
-def _digest(parts: object) -> str:
-    blob = json.dumps(parts, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:8]
+# Not part of an entry's content: the id is what collides, and a fact at a
+# later version (a downgrade) is the same fact.
+_NOT_CONTENT = ("id", "status", "version")
+
+
+def _rename_tier(tier: list[tuple[int, dict]], below: dict[tuple[int, str], str]) -> dict[tuple[int, str], str]:
+    """Give one tier's ``(store index, dump record)`` pairs their merged ids, in place.
+
+    References are first rewritten with ``below``, the renames of the tier
+    underneath. Then an id whose content differs between stores becomes
+    ``id@digest`` wherever it occurs; identical content keeps its id.
+    Returns the renames, keyed by store index and old id.
+    """
+    contents: dict[str, set[str]] = {}
+    blobs = []
+    for store_index, record in tier:
+        if "derived_from" in record:
+            record["derived_from"] = [below[store_index, ref] for ref in record["derived_from"]]
+        content = [value for field, value in record.items() if field not in _NOT_CONTENT]
+        blob = json.dumps(content, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        contents.setdefault(record["id"], set()).add(blob)
+        blobs.append(blob)
+    renames = {}
+    for (store_index, record), blob in zip(tier, blobs):
+        new_id = record["id"]
+        if len(contents[new_id]) > 1:
+            new_id = f"{new_id}@{hashlib.sha256(blob.encode('utf-8')).hexdigest()[:8]}"
+        renames[store_index, record["id"]] = new_id
+        record["id"] = new_id
+    return renames
+
+
+def _supersedes(record: dict, kept: dict) -> bool:
+    """Of two records with one merged id, and so one content, the higher
+    version wins, then the lower status. Tools and notes have neither."""
+    if record.get("version") != kept.get("version"):
+        return record["version"] > kept["version"]
+    return record.get("status", "") < kept.get("status", "")
 
 
 def synchronize(stores: Sequence[FactStore]) -> tuple[FactStore, list[tuple[str, tuple[str, ...]]]]:
@@ -478,84 +527,25 @@ def synchronize(stores: Sequence[FactStore]) -> tuple[FactStore, list[tuple[str,
     the merge's. Everything is content-driven, so input order never
     changes the resulting verified-fact set.
     """
-    # Bottom-up, per-store rename maps: tools, then notes (whose content
-    # includes renamed tool refs), then facts (renamed note refs).
-    def tool_content(record: ToolRecord) -> object:
-        return ["tool", record.tool_name, {k: record.params[k] for k in sorted(record.params)},
-                value_to_json(record.outcome), record.source_url, record.retrieved_at]
-
-    tool_contents: dict[str, dict[str, ToolRecord]] = {}
-    for store in stores:
-        for record in store.tools():
-            blob = json.dumps(tool_content(record), sort_keys=True)
-            tool_contents.setdefault(record.id, {})[blob] = record
-    tool_rename: list[dict[str, str]] = []
-    merged_tools: dict[str, ToolRecord] = {}
-    for store in stores:
-        renames: dict[str, str] = {}
-        for record in store.tools():
-            new_id = record.id
-            if len(tool_contents[record.id]) > 1:
-                new_id = f"{record.id}@{_digest(tool_content(record))}"
-            renames[record.id] = new_id
-            merged_tools[new_id] = replace(record, id=new_id)
-        tool_rename.append(renames)
-
-    def note_content(note: Note, renames: dict[str, str]) -> object:
-        return ["note", note.summary, note.credibility, [renames[t] for t in note.derived_from]]
-
-    note_contents: dict[str, set[str]] = {}
-    for idx, store in enumerate(stores):
-        for note in store.notes():
-            blob = json.dumps(note_content(note, tool_rename[idx]), sort_keys=True)
-            note_contents.setdefault(note.id, set()).add(blob)
-    note_rename: list[dict[str, str]] = []
-    merged_notes: dict[str, Note] = {}
-    for idx, store in enumerate(stores):
-        renames = {}
-        for note in store.notes():
-            content = note_content(note, tool_rename[idx])
-            new_id = note.id
-            if len(note_contents[note.id]) > 1:
-                new_id = f"{note.id}@{_digest(content)}"
-            renames[note.id] = new_id
-            merged_notes[new_id] = Note(new_id, note.summary, note.credibility,
-                                        tuple(tool_rename[idx][t] for t in note.derived_from))
-        note_rename.append(renames)
-
-    def fact_content(fact: Fact, renames: dict[str, str]) -> object:
-        # status/version excluded: the same fact at a later version is the
-        # same fact, and the merge should keep the newest view of it.
-        return ["fact", fact.category, fact.key, value_to_json(fact.value),
-                [renames[n] for n in fact.derived_from]]
-
-    fact_contents: dict[str, set[str]] = {}
-    for idx, store in enumerate(stores):
-        for fact in store.facts():
-            blob = json.dumps(fact_content(fact, note_rename[idx]), sort_keys=True)
-            fact_contents.setdefault(fact.id, set()).add(blob)
-    merged_facts: dict[str, Fact] = {}
-    for idx, store in enumerate(stores):
-        for fact in store.facts():
-            content = fact_content(fact, note_rename[idx])
-            new_id = fact.id
-            if len(fact_contents[fact.id]) > 1:
-                new_id = f"{fact.id}@{_digest(content)}"
-            candidate = replace(fact, id=new_id,
-                                derived_from=tuple(note_rename[idx][n] for n in fact.derived_from))
-            existing = merged_facts.get(new_id)
-            if existing is None or candidate.version > existing.version or (
-                candidate.version == existing.version and candidate.status < existing.status
-            ):
-                merged_facts[new_id] = candidate
+    tiers = [
+        [(index, _record(tool)) for index, store in enumerate(stores) for tool in store.tools()],
+        [(index, _record(note)) for index, store in enumerate(stores) for note in store.notes()],
+        [(index, _record(fact)) for index, store in enumerate(stores) for fact in store.facts()],
+    ]
+    # Bottom-up: notes refer to renamed tools, facts to renamed notes.
+    renames: dict[tuple[int, str], str] = {}
+    for tier in tiers:
+        renames = _rename_tier(tier, renames)
 
     merged = FactStore()
-    for tool_id in sorted(merged_tools):
-        merged.record_tool(merged_tools[tool_id])
-    for note_id in sorted(merged_notes):
-        merged._seed_note(merged_notes[note_id])
-    for fact_id in sorted(merged_facts):
-        merged._seed_fact(merged_facts[fact_id])
+    for tier in tiers:
+        chosen: dict[str, dict] = {}
+        for _, record in tier:
+            kept = chosen.get(record["id"])
+            if kept is None or _supersedes(record, kept):
+                chosen[record["id"]] = record
+        for record_id in sorted(chosen):
+            merged.load_record(chosen[record_id])
 
     conflicts: list[tuple[str, tuple[str, ...]]] = []
     by_key: dict[str, list[Fact]] = {}

@@ -221,3 +221,30 @@ def test_report_table_and_json_shapes():
     payload = report.to_json()
     assert payload["scores"]["mv"] == 1.0
     assert len(payload["scenarios"]) == 2
+
+
+def _all_failed(name):
+    return scenario_from_dict({
+        "query": "q",
+        "dag": {"steps": ["s1"], "edges": []},
+        "experts": [{"expert_id": f"e0{i}", "class": "conservative", "temperature": 0.1,
+                     "seed": i, "fail": True} for i in (1, 2)],
+        "oracle": {"answer": 5},
+    }, name=name)
+
+
+def test_all_experts_failed_scores_abstain_not_abort():
+    corpus = [_all_failed("a-failed"), *random_corpus(master_seed=3, size=2)[0]]
+    report = evaluate_methods(corpus, ["audit", "mv", "sv", "passn"])
+    assert report.scenario_names[0] == "a-failed"
+    assert {m: report.verdicts[m][0] for m in report.verdicts} == {
+        "audit": "abstain", "mv": "abstain", "sv": "abstain", "passn": "wrong"}
+    assert all(len(v) == 3 for v in report.verdicts.values())
+    ablation = run_ablation(corpus)
+    assert {label: v[0] for label, v in ablation.verdicts.items()} == {
+        row.label: "abstain" for row in DEFAULT_ABLATION_ROWS}
+
+
+def test_sv_requires_input():
+    with pytest.raises(InvalidConfigError):
+        simple_verification([])

@@ -140,6 +140,23 @@ def test_eval_corpus_with_a_bad_file_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_scores_a_scenario_where_every_expert_failed(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    _write_unanimous(corpus_dir / "a.json")
+    failed = json.loads((corpus_dir / "a.json").read_text())
+    for expert in failed["experts"]:
+        expert["fail"] = True
+        expert["traces"] = []
+    (corpus_dir / "b.json").write_text(json.dumps(failed), encoding="utf-8")
+    out = tmp_path / "report"
+    assert main(["eval", "--corpus", str(corpus_dir), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert {m: v[1] for m, v in report["verdicts"].items()} == {
+        "audit": "abstain", "mv": "abstain", "sv": "abstain", "passn": "wrong"}
+    assert report["scores"]["mv"] == 0.5
+
+
 def test_eval_unknown_method_exits_one(tmp_path):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()

@@ -128,3 +128,33 @@ def test_confidences_view_matches_steps():
     })
     assert output.confidences == {"s1": 0.75, "s2": 0.25}
     assert list(output.steps) == ["s1", "s2"]  # sorted at parse
+
+
+@pytest.mark.parametrize("value, message", [
+    ({"kind": "number"}, r"^missing field 'value'"),
+    ({"kind": "weird", "value": 1}, "unknown value kind"),
+    ({"kind": "composite", "items": 5}, "^malformed trace value"),
+    ({"kind": "quantity", "value": 3}, r"^missing field 'unit'"),
+])
+def test_bad_trace_value_is_schema_error(value, message):
+    with pytest.raises(SchemaError, match=message):
+        parse_expert_output("e01", _trace(value=value))
+    with pytest.raises(SchemaError, match=message):
+        parse_expert_output("e01", _trace(response=value))
+
+
+class _TwoExpertBackend:
+    """One expert returns an undecodable value; the other a good trace."""
+
+    def sample(self, config, query):
+        if config.expert_id == "e01":
+            return [_trace(value={"kind": "number"})]
+        return [_trace()]
+
+
+def test_collect_records_an_undecodable_value_as_that_experts_failure():
+    configs = [ExpertConfig("e01", CONSERVATIVE, 0.1, 1), ExpertConfig("e02", CONSERVATIVE, 0.1, 2)]
+    result = collect("q", configs, _TwoExpertBackend())
+    assert [o.expert_id for o in result.outputs] == ["e02"]
+    assert [f.expert_id for f in result.failures] == ["e01"]
+    assert result.failures[0].error.startswith("missing field 'value'")

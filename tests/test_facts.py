@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscheck.errors import BrokenChainError, DuplicateIdError, UnknownIdError
+from crosscheck.errors import BrokenChainError, DuplicateIdError, SchemaError, UnknownIdError
 from crosscheck.facts import (
     CONFLICT,
     CONSISTENT,
@@ -26,6 +28,7 @@ from crosscheck.facts import (
     default_summarizer,
     synchronize,
 )
+from crosscheck.scenario import SCHEMA_TEXT
 from crosscheck.values import format_literal, number, quantity, text
 
 from storegen import build_random_store
@@ -255,3 +258,48 @@ def test_reloaded_store_passes_soundness_replay():
     store = build_random_store(7, n_ops=40)
     reloaded = FactStore.from_lines(store.to_lines())
     assert reloaded.verify_promotion_soundness() == []
+
+
+_TOOL = {"kind": "tool", "id": "t1", "tool_name": "calc", "params": {}, "outcome": 1}
+_NOTE = {"kind": "note", "id": "n1", "summary": "1", "credibility": "high", "derived_from": ["t1"]}
+_FACT = {"kind": "fact", "id": "f1", "category": "retrieved", "key": "k", "value": 1,
+         "status": "verified", "version": 1, "derived_from": ["n1"]}
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"kind": "tool"}, r"missing field 'id'"),
+    ({**_TOOL, "id": ["t9"]}, r"field 'id'"),
+    ({**_TOOL, "params": 5}, r"field 'params'"),
+    ({**_TOOL, "outcome": {"kind": "number"}}, r"missing field 'value'"),
+    ({**_TOOL, "outcome": {"kind": "weird"}}, r"field 'outcome'.*unknown value kind"),
+    ({**_NOTE, "derived_from": 5}, r"field 'derived_from'"),
+    ({**_NOTE, "derived_from": [["t1"]]}, r"field 'derived_from'"),
+    ({**_FACT, "version": "x"}, r"field 'version'"),
+    ({**_FACT, "derived_from": 5}, r"field 'derived_from'"),
+    ({**_FACT, "value": {"kind": "composite", "items": 5}}, r"field 'value'"),
+    ({k: v for k, v in _FACT.items() if k != "key"}, r"missing field 'key'"),
+])
+def test_malformed_dump_record_is_schema_error(record, message):
+    lines = [json.dumps(r) for r in (_TOOL, _NOTE, record)]
+    with pytest.raises(SchemaError, match=message):
+        FactStore.from_lines(lines)
+
+
+def test_schema_text_lists_the_dumped_fields_in_order():
+    store = FactStore()
+    store.record_tool(_tool())
+    store.summarize_to_note(["t1"], note_id="n1")
+    store.promote_fact("n1", RETRIEVED, ConsistencyReport(CONSISTENT), "k", number(42), fact_id="f1")
+    emitted = {}
+    for line in store.to_lines():
+        record = json.loads(line)
+        emitted[record["kind"]] = list(record)
+    documented = {}
+    dump_section = SCHEMA_TEXT.split("facts store dump", 1)[1]
+    for line in dump_section.splitlines()[1:]:
+        names = re.findall(r'"([^"]*)"', line)
+        if names:
+            assert names[0] == "kind"
+            documented[names[1]] = ["kind"] + names[2:]
+    assert documented == emitted
+    assert list(documented) == ["tool", "note", "fact"]

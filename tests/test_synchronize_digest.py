@@ -9,7 +9,9 @@ conflict list, over three input families:
   verified fact downgraded (same fact ids, higher version);
 * hand-built stores whose tool ids collide with a different outcome,
   ``source_url`` or non-ASCII params, merged in both input orders. Random
-  stores never share a tool id, so only these cases rename tools.
+  stores never share a tool id, so only these cases rename tools;
+* one fact promoted under one id with different verdicts in two stores,
+  in both orders (equal versions, so the status decides which is kept).
 
 Any change to merged ids, dump bytes, oplog entries, versions or conflicts
 changes the digest.
@@ -21,12 +23,12 @@ import hashlib
 import json
 import random
 
-from crosscheck.facts import DERIVED, RETRIEVED, VERIFIED, ConsistencyReport, FactStore, ToolRecord, synchronize
+from crosscheck.facts import DERIVED, RETRIEVED, UNVERIFIED, VERIFIED, ConsistencyReport, FactStore, ToolRecord, synchronize
 from crosscheck.values import number, quantity, text
 
 from storegen import build_random_store
 
-SYNCHRONIZE_DIGEST = "3e1f5ff2f3da434e68c88848b4c220ce7d935335ece0446e4b278745d4e2d657"
+SYNCHRONIZE_DIGEST = "2a8152a57cc2d1b6755b2b28d8f44b42798ba13c4461c5f69c2fa94f39cc1182"
 
 
 def _random_sets():
@@ -80,10 +82,25 @@ def _tool_collisions():
     yield [base] + variants
 
 
+def _status_ties():
+    # One fact promoted under the same id by two stores, with different
+    # verdicts: same content and version, different status.
+    stores = []
+    for verdict in ("consistent", "unknown"):
+        store = _tool_store(number(42))
+        store.summarize_to_note(["t2"], note_id="n2")
+        store.promote_fact("n2", DERIVED, ConsistencyReport(verdict), "tie", number(2), fact_id="f3")
+        stores.append(store)
+    assert {store.get_fact("f3").status for store in stores} == {VERIFIED, UNVERIFIED}
+    yield stores
+    yield stores[::-1]
+
+
 def _cases():
     yield from _random_sets()
     yield from _self_merges()
     yield from _tool_collisions()
+    yield from _status_ties()
 
 
 def _merge_digest() -> tuple[str, int, int]:
