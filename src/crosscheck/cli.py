@@ -98,13 +98,15 @@ def _write_bundle(result: RunResult, out_dir: Path, abstained: bool) -> None:
         "verify_calls": result.verify_calls,
         "fallback_used": result.fallback_used,
     }
-    (out_dir / "answer.json").write_text(
-        json.dumps(answer_obj, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    (out_dir / "audit.log").write_text(result.audit_log.to_text(), encoding="utf-8")
-    (out_dir / "facts.jsonl").write_text(
-        "".join(line + "\n" for line in result.facts.to_lines()), encoding="utf-8"
-    )
+    # Encode every file before writing any, so a value JSON cannot carry
+    # (NaN, infinity) raises ValueError and leaves no partial bundle behind.
+    files = {
+        "answer.json": json.dumps(answer_obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n",
+        "audit.log": result.audit_log.to_text(),
+        "facts.jsonl": "".join(line + "\n" for line in result.facts.to_lines()),
+    }
+    for name, content in files.items():
+        (out_dir / name).write_text(content, encoding="utf-8")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -160,7 +162,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return 1
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "report.json").write_text(
-        json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+        json.dumps(report.to_json(), indent=2, ensure_ascii=False, allow_nan=False) + "\n", encoding="utf-8"
     )
     (args.out / "report.txt").write_text(report.to_table(), encoding="utf-8")
     print(report.to_table(), end="")

@@ -7,13 +7,15 @@ stable consensus; higher-temperature radical experts widen coverage and
 make disagreements informative. The mix is the caller's choice; scenario
 files carry their own expert configs.
 
-Backends return raw trace payloads (JSON-shaped dicts); this module is the
-schema boundary that turns them into validated :class:`ExpertOutput`
-tuples — intermediates with confidences, an overall analysis, and a final
-response. Scripted backends replay scenario-specified traces verbatim,
-which is what every test in this repository runs against. A minimal HTTP
-adapter for a chat-completion-style endpoint is provided for live use and
-is exercised nowhere in the test suite.
+Backends return validated :class:`ExpertOutput` tuples — intermediates
+with confidences, an overall analysis, and a final response. Each trace is
+parsed once, by :func:`parse_expert_output`, where its bytes enter the
+program: the scenario loader parses scripted traces when it reads the
+file, and :class:`ScriptedBackend` replays those outputs on every run,
+which is what every test in this repository runs against. The minimal
+HTTP adapter for a chat-completion-style endpoint parses its response
+content as it arrives; it is for live use and is tested only against a
+stubbed transport.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 from .errors import AllExpertsFailedError, BackendError, InvalidPlanError, ParseError, SchemaError
 from .plandag import StepResult
@@ -60,9 +62,13 @@ class ExpertConfig:
             raise InvalidPlanError(f"seed must be an integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpertOutput:
-    """One expert trace: intermediates, confidences, analysis, response."""
+    """One expert trace: intermediates, confidences, analysis, response.
+
+    A scenario's outputs are shared by every run of it, so nothing may
+    mutate one; ``restricted_to`` builds a new output instead.
+    """
 
     expert_id: str
     steps: dict[str, StepResult]
@@ -80,9 +86,12 @@ class ExpertOutput:
 
 
 class ExpertBackend(Protocol):
-    """Produces raw trace payloads for one expert config and query."""
+    """Produces the validated traces of one expert config for a query.
 
-    def sample(self, config: ExpertConfig, query: str) -> list[dict]: ...
+    Malformed content raises SchemaError, a transport problem BackendError.
+    """
+
+    def sample(self, config: ExpertConfig, query: str) -> list[ExpertOutput]: ...
 
 
 def parse_expert_output(expert_id: str, raw: dict) -> ExpertOutput:
@@ -134,11 +143,11 @@ def parse_expert_output(expert_id: str, raw: dict) -> ExpertOutput:
 
 
 def sample_traces(config: ExpertConfig, query: str, backend: ExpertBackend) -> list[ExpertOutput]:
-    """Draw this expert's candidate traces and validate each against the schema."""
-    raw_traces = backend.sample(config, query)
-    if not raw_traces:
+    """Draw this expert's candidate traces; a backend that returns none has failed."""
+    outputs = backend.sample(config, query)
+    if not outputs:
         raise BackendError(f"backend returned no traces for expert {config.expert_id!r}")
-    return [parse_expert_output(config.expert_id, raw) for raw in raw_traces]
+    return outputs
 
 
 @dataclass
@@ -176,17 +185,17 @@ def collect(query: str, configs: Sequence[ExpertConfig], backend: ExpertBackend)
 
 
 class ScriptedBackend:
-    """Replays scenario-specified traces verbatim; concurrent-safe and exact."""
+    """Replays outputs parsed in advance, unchanged; concurrent-safe and exact."""
 
-    def __init__(self, traces_by_expert: dict[str, list[dict]], failing: set[str] | None = None) -> None:
-        self._traces = traces_by_expert
+    def __init__(self, outputs_by_expert: Mapping[str, Sequence[ExpertOutput]], failing: set[str] | None = None) -> None:
+        self._outputs = outputs_by_expert
         self._failing = failing or set()
 
-    def sample(self, config: ExpertConfig, query: str) -> list[dict]:
+    def sample(self, config: ExpertConfig, query: str) -> list[ExpertOutput]:
         if config.expert_id in self._failing:
             raise BackendError(f"scripted failure for expert {config.expert_id!r}")
         try:
-            return self._traces[config.expert_id]
+            return list(self._outputs[config.expert_id])
         except KeyError:
             raise BackendError(f"no scripted traces for expert {config.expert_id!r}") from None
 
@@ -197,9 +206,9 @@ class HttpBackend:
     POSTs ``{model, messages, temperature, seed}`` to the endpoint named by
     ``CROSSCHECK_BACKEND_URL`` (bearer token from ``CROSSCHECK_BACKEND_TOKEN``)
     and expects the first choice's message content to be a JSON list of raw
-    trace payloads in the same shape scenario files use. Transport problems
-    surface as BackendError, malformed content as SchemaError. Live use
-    only; no acceptance path depends on it.
+    trace payloads in the same shape scenario files use, each parsed here.
+    Transport problems surface as BackendError, malformed content as
+    SchemaError. Live use only; no acceptance path depends on it.
     """
 
     def __init__(self, endpoint: str | None = None, token: str | None = None, model: str = "default", timeout: float = 60.0) -> None:
@@ -210,7 +219,7 @@ class HttpBackend:
         if not self.endpoint:
             raise BackendError(f"no endpoint configured; set {ENDPOINT_ENV}")
 
-    def sample(self, config: ExpertConfig, query: str) -> list[dict]:
+    def sample(self, config: ExpertConfig, query: str) -> list[ExpertOutput]:
         body = json.dumps({
             "model": self.model,
             "messages": [{"role": "user", "content": query}],
@@ -236,4 +245,4 @@ class HttpBackend:
             raise SchemaError(f"backend content is not JSON: {exc}") from exc
         if not isinstance(traces, list):
             raise SchemaError("backend content must be a JSON list of trace payloads")
-        return traces
+        return [parse_expert_output(config.expert_id, raw) for raw in traces]

@@ -363,12 +363,11 @@ class FactStore:
         at = "id"
         try:
             if kind == "tool":
-                tool_id, tool_name = obj["id"], obj["tool_name"]
+                tool_id, tool_name = _string_field(obj, "id"), _string_field(obj, "tool_name")
                 at = "params"
                 params = dict(obj.get("params", {}))
                 at = "outcome"
                 outcome = value_from_json(obj["outcome"])
-                at = "id"
                 self.record_tool(ToolRecord(
                     id=tool_id,
                     tool_name=tool_name,
@@ -388,8 +387,8 @@ class FactStore:
                 credibility = obj["credibility"]
                 if credibility not in CREDIBILITIES:
                     raise SchemaError(f"unknown credibility {credibility!r}")
-                at = "id"
-                note = Note(id=obj["id"], summary=obj["summary"], credibility=credibility, derived_from=derived)
+                note = Note(id=_string_field(obj, "id"), summary=_string_field(obj, "summary"),
+                            credibility=credibility, derived_from=derived)
                 if note.id in self._notes:
                     raise DuplicateIdError(f"note {note.id!r} already present")
                 self._notes[note.id] = note
@@ -412,9 +411,8 @@ class FactStore:
                 value = value_from_json(obj["value"])
                 at = "version"
                 version = int(obj.get("version", 1))
-                at = "id"
-                fact = Fact(id=obj["id"], category=category, key=obj["key"], value=value,
-                            status=status, version=version, derived_from=derived)
+                fact = Fact(id=_string_field(obj, "id"), category=category, key=_string_field(obj, "key"),
+                            value=value, status=status, version=version, derived_from=derived)
                 if fact.id in self._facts:
                     raise DuplicateIdError(f"fact {fact.id!r} already present")
                 self._facts[fact.id] = fact
@@ -435,6 +433,14 @@ class FactStore:
         while f"{prefix}{n:04d}" in table:
             n += 1
         return f"{prefix}{n:04d}"
+
+
+def _string_field(obj: dict, name: str) -> str:
+    """A field that must be text: ids and keys get sorted, and a number among strings breaks that."""
+    value = obj[name]
+    if not isinstance(value, str):
+        raise SchemaError(f"{obj['kind']} record field {name!r} must be a string, got {type(value).__name__}")
+    return value
 
 
 def _record(entry: ToolRecord | Note | Fact) -> dict:
@@ -470,7 +476,7 @@ def _record(entry: ToolRecord | Note | Fact) -> dict:
 
 
 def _dump_record(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
 
 
 # Not part of an entry's content: the id is what collides, and a fact at a

@@ -18,7 +18,7 @@ from .errors import CycleError, UnknownStepError
 from .values import Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepResult:
     """One step's outcome inside a single expert trace."""
 

@@ -8,18 +8,22 @@ per JSON file; a corpus is a directory of them, ordered by filename.
 
 Loading validates every cross-reference (trace steps, verdict-table keys,
 oracle keys, facts provenance) so a scenario that loads is a scenario
-that runs. ``load(save(load(path)))`` is structurally identical to
-``load(path)``.
+that runs. It is also the schema boundary for scripted traces: each one
+is parsed into an :class:`ExpertOutput` here, once, and every run replays
+those outputs through :class:`ScriptedBackend`. The traces as written are
+kept only to save the scenario again, byte for byte:
+``load(save(load(path)))`` is structurally identical to ``load(path)``.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .ensemble import CONSERVATIVE, ExpertConfig, ScriptedBackend, parse_expert_output
+from .ensemble import CONSERVATIVE, ExpertConfig, ExpertOutput, ScriptedBackend, parse_expert_output
 from .errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
 from .facts import FactStore, params_key
 from .plandag import PlanDag, build_plan
@@ -35,9 +39,23 @@ from .verifiers import (
 
 @dataclass(frozen=True)
 class ScriptedExpert:
+    """One scripted expert: its traces parsed at load, and their saved form.
+
+    ``outputs`` is what every run replays. The traces as written (shorthand
+    values, key order) matter only when the scenario is saved again, so
+    they are kept as one ``marshal`` blob, far smaller than the dicts it
+    encodes; it never leaves memory.
+    """
+
     config: ExpertConfig
-    raw_traces: tuple[dict, ...]
+    outputs: tuple[ExpertOutput, ...]
+    saved_traces: bytes
     fail: bool = False
+
+    @property
+    def raw_traces(self) -> tuple[dict, ...]:
+        """The traces as written, decoded afresh on every read."""
+        return marshal.loads(self.saved_traces)
 
 
 @dataclass(frozen=True)
@@ -65,7 +83,7 @@ class Scenario:
 
     def backend(self) -> ScriptedBackend:
         return ScriptedBackend(
-            {e.config.expert_id: list(e.raw_traces) for e in self.experts},
+            {e.config.expert_id: e.outputs for e in self.experts},
             failing={e.config.expert_id for e in self.experts if e.fail},
         )
 
@@ -145,12 +163,21 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             raw_traces = tuple(block.get("traces", []))
             if not raw_traces and not block.get("fail", False):
                 raise ValidationError(f"expert {expert_id!r} has no traces and is not marked failing")
+            outputs = []
             for t_idx, raw in enumerate(raw_traces):
                 at = (f"experts[{e_idx}].traces", t_idx)
-                for step in parse_expert_output(expert_id, raw).steps:
+                output = parse_expert_output(expert_id, raw)
+                for step in output.steps:
                     if step not in dag:
                         raise ValidationError(f"references unknown step {step!r}")
-            experts.append(ScriptedExpert(config=config, raw_traces=raw_traces, fail=bool(block.get("fail", False))))
+                outputs.append(output)
+            at = (f"experts[{e_idx}].traces", None)
+            try:
+                saved_traces = marshal.dumps(raw_traces)
+            except ValueError:
+                raise ValidationError("must hold plain JSON values only (no dict subclasses or objects)") from None
+            experts.append(ScriptedExpert(config=config, outputs=tuple(outputs), saved_traces=saved_traces,
+                                          fail=bool(block.get("fail", False))))
         if not experts:
             raise ValidationError("scenario needs at least one expert")
 
@@ -228,7 +255,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 "class": e.config.role,
                 "temperature": e.config.temperature,
                 "seed": e.config.seed,
-                "traces": [dict(raw) for raw in e.raw_traces],
+                "traces": list(e.raw_traces),
                 **({"fail": True} if e.fail else {}),
             }
             for e in scenario.experts
@@ -262,7 +289,7 @@ def load_scenario(path: str | Path) -> Scenario:
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
     path = Path(path)
     path.write_text(
-        json.dumps(scenario_to_dict(scenario), indent=2, ensure_ascii=False) + "\n",
+        json.dumps(scenario_to_dict(scenario), indent=2, ensure_ascii=False, allow_nan=False) + "\n",
         encoding="utf-8",
     )
 
@@ -323,12 +350,10 @@ facts store dump (line-delimited JSON; tools, then notes, then facts, by id)
 """
 
 
-def scenario_expert_outputs(scenario: Scenario) -> list:
-    """Parsed outputs for baseline methods that skip the pipeline entirely."""
-    outputs = []
+def scenario_expert_outputs(scenario: Scenario) -> list[ExpertOutput]:
+    """The outputs parsed at load, for baseline methods that skip the pipeline entirely."""
+    outputs: list[ExpertOutput] = []
     for expert in sorted(scenario.experts, key=lambda e: e.config.expert_id):
-        if expert.fail:
-            continue
-        for raw in expert.raw_traces:
-            outputs.append(parse_expert_output(expert.config.expert_id, raw))
+        if not expert.fail:
+            outputs.extend(expert.outputs)
     return outputs

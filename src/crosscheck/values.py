@@ -40,7 +40,7 @@ COMPOSITE = "composite"
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """A kind-tagged payload. Build through the constructor helpers below."""
 
@@ -49,6 +49,9 @@ class Value:
 
 
 def number(x: int | float) -> Value:
+    # Plain ints and finite floats, the common case, skip the checks below.
+    if type(x) is int or (type(x) is float and math.isfinite(x)):
+        return Value(NUMBER, x)
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ParseError(f"number payload must be int or float, got {type(x).__name__}")
     if isinstance(x, float) and not math.isfinite(x):
@@ -316,14 +319,6 @@ def value_to_json(v: Value) -> object:
 
 def value_from_json(obj: object) -> Value:
     """Decode the explicit form, accepting bare JSON scalars as shorthand."""
-    if isinstance(obj, bool):
-        return boolean(obj)
-    if isinstance(obj, (int, float)):
-        return number(obj)
-    if isinstance(obj, str):
-        return text(obj)
-    if isinstance(obj, list):
-        return composite(value_from_json(item) for item in obj)
     if isinstance(obj, dict):
         kind = obj.get("kind")
         if kind == NUMBER:
@@ -337,5 +332,12 @@ def value_from_json(obj: object) -> Value:
         if kind == COMPOSITE:
             return composite(value_from_json(item) for item in obj["items"])
         raise ParseError(f"unknown value kind {kind!r}")
+    if isinstance(obj, bool):
+        return boolean(obj)
+    if isinstance(obj, (int, float)):
+        return number(obj)
+    if isinstance(obj, str):
+        return text(obj)
+    if isinstance(obj, list):
+        return composite(value_from_json(item) for item in obj)
     raise ParseError(f"cannot decode value from {type(obj).__name__}")
-

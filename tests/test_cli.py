@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from crosscheck.cli import main
+from crosscheck.cli import _write_bundle, main
 from crosscheck.corpus import adversarial_corpus, write_corpus
-from crosscheck.scenario import save_scenario, scenario_from_dict
+from crosscheck.engine import EngineConfig, run_pipeline
+from crosscheck.scenario import load_scenario, save_scenario, scenario_from_dict
+from crosscheck.values import NUMBER, Value
 
 
 def _write_unanimous(path):
@@ -50,6 +52,15 @@ def test_run_unanimous_exits_zero(tmp_path, capsys):
     entries = [json.loads(line) for line in log_lines]
     assert all(e["stage"] != "audit" for e in entries)  # nothing contested, nothing audited
     assert (out / "facts.jsonl").exists()
+
+
+def test_bundle_refuses_a_non_finite_number(tmp_path):
+    result = run_pipeline(load_scenario(_write_unanimous(tmp_path / "u.json")), EngineConfig())
+    result.answer = Value(NUMBER, float("nan"))  # past the constructors, which reject it
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        _write_bundle(result, out, abstained=False)
+    assert list(out.iterdir()) == []  # nothing written, not even the files that would encode
 
 
 def test_run_infeasible_exits_two(tmp_path):

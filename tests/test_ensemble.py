@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import io
+import json
+import urllib.request
+
 import pytest
 
 from crosscheck.ensemble import (
     CONSERVATIVE,
     ExpertConfig,
+    ExpertOutput,
+    HttpBackend,
     ScriptedBackend,
     collect,
     parse_expert_output,
@@ -22,18 +28,31 @@ def _trace(value=42, confidence=0.9, response=42):
     }
 
 
+def _stub_http(monkeypatch, content_for):
+    """Answer every POST with ``content_for(request_body)`` as the first choice's content."""
+
+    def fake_urlopen(request, timeout=None):
+        content = content_for(json.loads(request.data.decode("utf-8")))
+        payload = {"choices": [{"message": {"content": json.dumps(content)}}]}
+        return io.BytesIO(json.dumps(payload).encode("utf-8"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    return HttpBackend(endpoint="http://backend.test/v1/chat")
+
+
 def test_scripted_passthrough():
     config = ExpertConfig("e01", CONSERVATIVE, 0.1, 7)
-    backend = ScriptedBackend({"e01": [_trace(), _trace(value=17, response=17)]})
+    scripted = [parse_expert_output("e01", _trace()), parse_expert_output("e01", _trace(value=17, response=17))]
+    backend = ScriptedBackend({"e01": scripted})
     outputs = sample_traces(config, "q", backend)
     assert len(outputs) == 2
     assert outputs[0].steps["s1"].value == number(42)
     assert outputs[1].response == number(17)
 
 
-def test_out_of_range_confidence_is_schema_error():
+def test_out_of_range_confidence_is_schema_error(monkeypatch):
     config = ExpertConfig("e01", CONSERVATIVE, 0.1, 7)
-    backend = ScriptedBackend({"e01": [_trace(confidence=1.3)]})
+    backend = _stub_http(monkeypatch, lambda body: [_trace(confidence=1.3)])
     with pytest.raises(SchemaError):
         sample_traces(config, "q", backend)
 
@@ -50,7 +69,7 @@ def test_missing_response_is_schema_error():
 
 def test_scripted_determinism():
     config = ExpertConfig("e01", CONSERVATIVE, 0.1, 7)
-    backend = ScriptedBackend({"e01": [_trace()]})
+    backend = ScriptedBackend({"e01": [parse_expert_output("e01", _trace())]})
     assert sample_traces(config, "q", backend) == sample_traces(config, "q", backend)
 
 
@@ -59,14 +78,15 @@ def _configs(*ids):
 
 
 def test_collect_orders_by_expert_id():
-    backend = ScriptedBackend({i: [_trace(response=n)] for n, i in enumerate(["e02", "e01", "e03"])})
+    backend = ScriptedBackend({i: [parse_expert_output(i, _trace(response=n))]
+                               for n, i in enumerate(["e02", "e01", "e03"])})
     result = collect("q", _configs("e02", "e01", "e03"), backend)
     assert [o.expert_id for o in result.outputs] == ["e01", "e02", "e03"]
     assert result.failures == []
 
 
 def test_collect_tolerates_partial_failure():
-    backend = ScriptedBackend({"e01": [_trace()], "e03": [_trace()]}, failing={"e02"})
+    backend = ScriptedBackend({i: [parse_expert_output(i, _trace())] for i in ("e01", "e03")}, failing={"e02"})
     result = collect("q", _configs("e01", "e02", "e03"), backend)
     assert [o.expert_id for o in result.outputs] == ["e01", "e03"]
     assert [f.expert_id for f in result.failures] == ["e02"]
@@ -144,12 +164,11 @@ def test_bad_trace_value_is_schema_error(value, message):
 
 
 class _TwoExpertBackend:
-    """One expert returns an undecodable value; the other a good trace."""
+    """One expert's content holds an undecodable value; the other's a good trace."""
 
     def sample(self, config, query):
-        if config.expert_id == "e01":
-            return [_trace(value={"kind": "number"})]
-        return [_trace()]
+        raw = _trace(value={"kind": "number"}) if config.expert_id == "e01" else _trace()
+        return [parse_expert_output(config.expert_id, raw)]
 
 
 def test_collect_records_an_undecodable_value_as_that_experts_failure():
@@ -158,3 +177,24 @@ def test_collect_records_an_undecodable_value_as_that_experts_failure():
     assert [o.expert_id for o in result.outputs] == ["e02"]
     assert [f.expert_id for f in result.failures] == ["e01"]
     assert result.failures[0].error.startswith("missing field 'value'")
+
+
+def test_http_backend_parses_its_content(monkeypatch):
+    configs = [ExpertConfig("e01", CONSERVATIVE, 0.1, 1), ExpertConfig("e02", CONSERVATIVE, 0.1, 2)]
+    good = _stub_http(monkeypatch, lambda body: [_trace(), _trace(value=17, response=17)])
+    outputs = good.sample(configs[0], "q")
+    assert [type(o) for o in outputs] == [ExpertOutput, ExpertOutput]
+    assert [o.expert_id for o in outputs] == ["e01", "e01"]
+    assert outputs[1].steps["s1"].value == number(17)
+
+    # The request carries the expert's seed; seed 1 gets an undecodable value.
+    mixed = _stub_http(monkeypatch, lambda body: [_trace(value={"kind": "number"}) if body["seed"] == 1 else _trace()])
+    with pytest.raises(SchemaError, match=r"^missing field 'value'"):
+        mixed.sample(configs[0], "q")
+    result = collect("q", configs, mixed)
+    assert [o.expert_id for o in result.outputs] == ["e02"]
+    assert [f.expert_id for f in result.failures] == ["e01"]
+
+    not_a_list = _stub_http(monkeypatch, lambda body: _trace())
+    with pytest.raises(SchemaError, match="must be a JSON list"):
+        not_a_list.sample(configs[0], "q")

@@ -285,6 +285,28 @@ def test_malformed_dump_record_is_schema_error(record, message):
         FactStore.from_lines(lines)
 
 
+@pytest.mark.parametrize("record, field", [
+    ({**_TOOL, "id": 5}, "id"),
+    ({**_TOOL, "id": "t2", "tool_name": 5}, "tool_name"),
+    ({**_NOTE, "id": 5}, "id"),
+    ({**_NOTE, "id": "n2", "summary": 5}, "summary"),
+    ({**_FACT, "id": 5}, "id"),
+    ({**_FACT, "id": "f2", "key": 5}, "key"),
+])
+def test_non_string_id_or_key_is_schema_error(record, field):
+    # Loaded, a number among string ids made every sorted listing raise TypeError.
+    lines = [json.dumps(r) for r in (_TOOL, _NOTE, _FACT, record)]
+    with pytest.raises(SchemaError, match=rf"field '{field}' must be a string, got int"):
+        FactStore.from_lines(lines)
+
+
+def test_dump_refuses_a_non_finite_number():
+    store = FactStore()
+    store.record_tool(_tool(params={"q": float("nan")}))
+    with pytest.raises(ValueError):
+        store.to_lines()
+
+
 def test_schema_text_lists_the_dumped_fields_in_order():
     store = FactStore()
     store.record_tool(_tool())

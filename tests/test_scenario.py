@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 
 import pytest
 
-from crosscheck.corpus import GeneratorParams, random_scenario
-from crosscheck.errors import ParseError, UnknownIdError, ValidationError
+from crosscheck import ensemble
+from crosscheck import scenario as scenario_mod
+from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus, random_scenario
+from crosscheck.engine import EngineConfig, run_pipeline
+from crosscheck.errors import NoFeasibleCandidateError, ParseError, UnknownIdError, ValidationError
 from crosscheck.scenario import (
     load_scenario,
     save_scenario,
+    scenario_expert_outputs,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -141,6 +146,11 @@ TOOL_RECORD = {"kind": "tool", "tool_name": "calc", "params": {}, "outcome": 1}
     (_constraint(id="c", check="kind", expect=None), "'expect'"),
     (_expert(traces=[{"steps": {"s1": {"value": {"kind": "number"}}}, "response": 1}]),
      r"experts\[0\]\.traces\[0\]: missing field 'value'"),
+    (_expert(traces=[OrderedDict(steps={}, response=1)]), r"experts\[0\]\.traces: must hold plain JSON"),
+    (_minimal(facts_seed=[{**TOOL_RECORD, "id": "a"}, {**TOOL_RECORD, "id": 5}]),
+     r"facts_seed\[1\]: tool record field 'id' must be a string"),
+    (_minimal(facts_seed=[{"kind": "fact", "id": "f1", "category": "given", "key": 3, "value": 1}]),
+     r"facts_seed\[0\]: fact record field 'key' must be a string"),
 ])
 def test_malformed_scenario_is_validation_error(obj, field):
     with pytest.raises(ValidationError, match=field):
@@ -190,3 +200,53 @@ def test_save_emits_explicit_value_forms(tmp_path):
     assert obj["experts"][0]["traces"][0]["response"] == 1  # raw traces kept verbatim
     reloaded = load_scenario(path)
     assert scenario_to_dict(reloaded)["experts"] == scenario_to_dict(scenario)["experts"]
+
+
+def test_save_refuses_a_non_finite_number(tmp_path):
+    scenario = scenario_from_dict(_minimal(), name="m")
+    scenario.tool_scripts["calc|{}"] = float("nan")
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError):
+        save_scenario(scenario, path)
+    assert not path.exists()
+
+
+def _log_text(scenario, config) -> str:
+    try:
+        return run_pipeline(scenario, config).audit_log.to_text()
+    except NoFeasibleCandidateError as exc:
+        return exc.result.audit_log.to_text()
+
+
+def _mixed_corpus():
+    desk, _ = random_corpus(3, 30, GeneratorParams(with_constraints=True, with_facts=True))
+    return [(s, EngineConfig()) for s in desk] + [(s, EngineConfig(theta=3)) for s in adversarial_corpus(5)]
+
+
+def test_runs_replay_the_outputs_parsed_at_load(monkeypatch):
+    parsed = []
+
+    def spy(expert_id, raw):
+        parsed.append(expert_id)
+        return real(expert_id, raw)
+
+    real = ensemble.parse_expert_output
+    monkeypatch.setattr(ensemble, "parse_expert_output", spy)
+    monkeypatch.setattr(scenario_mod, "parse_expert_output", spy)
+    scenario_from_dict(_minimal())
+    assert parsed == ["e01"]  # the spy sees the parse at load
+
+    runs = _mixed_corpus()
+    parsed.clear()
+    for scenario, config in runs:
+        _log_text(scenario, config)
+        scenario_expert_outputs(scenario)
+    assert parsed == []
+
+
+def test_one_scenario_object_runs_to_the_same_log_every_time():
+    # Runs share the scenario's parsed outputs; none may leave a mark on them.
+    for scenario, config in _mixed_corpus():
+        first = _log_text(scenario, config)
+        assert _log_text(scenario, config) == first
+        assert _log_text(scenario_from_dict(scenario_to_dict(scenario)), config) == first
