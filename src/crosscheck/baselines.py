@@ -7,8 +7,8 @@ pass@N (success if any candidate matches ground truth — the ceiling any
 selection method can reach over the same samples).
 
 Scores on synthetic corpora are ordinal comparisons between methods run
-on identical scenarios with identical seeds; they are not reproductions
-of any benchmark percentage.
+on identical scenarios; they are not reproductions of any benchmark
+percentage.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def pass_at_n(responses: Sequence[Value], oracle: Oracle) -> bool:
 
 @dataclass(frozen=True)
 class AblationConfig:
-    """Which subsystems a row enables. Auditing subsumes synthesis."""
+    """Which subsystems a row enables. Auditing subsumes synthesis; only auditing reads facts."""
 
     label: str
     facts: bool
@@ -75,18 +75,16 @@ class AblationConfig:
     audit: bool
 
     def __post_init__(self) -> None:
-        if self.audit and not self.synth:
+        if (self.facts and not self.audit) or (self.audit and not self.synth):
             raise InvalidConfigError(
-                f"row {self.label!r}: auditing subsumes synthesis; audit=on requires synth=on"
+                f"row {self.label!r}: facts=on requires audit=on, and audit=on requires synth=on"
             )
 
 
 DEFAULT_ABLATION_ROWS = (
     AblationConfig("baseline", facts=False, synth=False, audit=False),
     AblationConfig("synthesis", facts=False, synth=True, audit=False),
-    AblationConfig("facts", facts=True, synth=False, audit=False),
     AblationConfig("audited", facts=False, synth=True, audit=True),
-    AblationConfig("synthesis+facts", facts=True, synth=True, audit=False),
     AblationConfig("audited+facts", facts=True, synth=True, audit=True),
 )
 
@@ -191,7 +189,7 @@ def evaluate_methods(
         verify_calls=verify_calls,
         wall_time_s=wall,
         params={"theta": cfg.theta, "budget": cfg.budget, "gate_threshold": cfg.gate_threshold,
-                "weights": list(cfg.weights), "seed": cfg.seed},
+                "weights": list(cfg.weights)},
     )
 
 
@@ -200,12 +198,11 @@ def run_ablation(
     rows: Sequence[AblationConfig] = DEFAULT_ABLATION_ROWS,
     config: EngineConfig | None = None,
 ) -> EvalReport:
-    """Evaluate subsystem combinations on identical scenarios and seeds.
+    """Evaluate subsystem combinations on identical scenarios.
 
     Rows without auditing run one-pass synthesis (or, with synthesis off
     too, fall back to the lowest-id expert's response). The facts flag
-    gates whether the audited rows load the scenario's seeded facts; rows
-    without gating have nothing for it to bypass.
+    decides whether an audited row loads the scenario's seeded facts.
     """
     _require_oracles(corpus)
     cfg = config or EngineConfig()
@@ -236,6 +233,5 @@ def run_ablation(
         verdicts=verdicts,
         verify_calls=verify_calls,
         wall_time_s=wall,
-        params={"rows": [row.label for row in rows], "theta": cfg.theta,
-                "budget": cfg.budget, "seed": cfg.seed},
+        params={"rows": [row.label for row in rows], "theta": cfg.theta, "budget": cfg.budget},
     )

@@ -19,51 +19,59 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .baselines import METHODS, evaluate_methods
-from .engine import EngineConfig, RunResult, run_pipeline
+from .engine import (BUDGET_CAP, DEFAULT_GATE_THRESHOLD, DEFAULT_THETA, DEFAULT_WEIGHTS,
+                     EngineConfig, RunResult, run_pipeline)
 from .errors import CrosscheckError, NoFeasibleCandidateError
 from .scenario import SCHEMA_TEXT, load_corpus, load_scenario
 from .values import format_literal, value_to_json
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: exit code 2 means abstention."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crosscheck",
-        description="Conflict-aware verification of multi-expert reasoning traces.",
-    )
+    parser = _Parser(prog="crosscheck", description="Conflict-aware verification of multi-expert reasoning traces.")
     parser.add_argument("--version", action="version", version=f"crosscheck {__version__}")
     parser.add_argument(
         "--schema-dump", action="store_true",
         help="print the scenario/report file schemas and exit",
     )
+    engine_flags = argparse.ArgumentParser(add_help=False)
+    engine_flags.add_argument("--theta", type=int, default=DEFAULT_THETA,
+                              help=f"anchor quorum (default {DEFAULT_THETA})")
+    engine_flags.add_argument("--budget", type=int, default=None,
+                              help=f"max verify calls (default: conflict count, capped at {BUDGET_CAP})")
+    engine_flags.add_argument("--gate-threshold", type=float, default=DEFAULT_GATE_THRESHOLD,
+                              help="minimum surviving fraction for a trace to pass the gate")
     sub = parser.add_subparsers(dest="command")
 
-    run_p = sub.add_parser("run", help="verify one scenario and write the audit bundle")
+    run_p = sub.add_parser("run", parents=[engine_flags], help="verify one scenario and write the audit bundle")
     run_p.add_argument("--scenario", required=True, type=Path, help="scenario file (JSON)")
-    run_p.add_argument("--theta", type=int, default=2, help="anchor quorum (default 2)")
-    run_p.add_argument("--budget", type=int, default=None,
-                       help="max verify calls (default: conflict count, capped at 16)")
-    run_p.add_argument("--gate-threshold", type=float, default=0.5,
-                       help="minimum surviving fraction for a trace to pass the gate")
-    run_p.add_argument("--weights", type=str, default="0.5,0.3,0.2",
+    run_p.add_argument("--weights", type=str, default=",".join(map(str, DEFAULT_WEIGHTS)),
                        help="anchor,conflict,confidence score weights")
-    run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--no-facts", action="store_true",
                        help="skip facts seeding and facts-consistency gating")
     run_p.add_argument("--out", required=True, type=Path, help="output directory")
 
-    eval_p = sub.add_parser("eval", help="score methods over a corpus directory")
+    eval_p = sub.add_parser("eval", parents=[engine_flags], help="score methods over a corpus directory")
     eval_p.add_argument("--corpus", required=True, type=Path, help="directory of scenario files")
     eval_p.add_argument("--methods", type=str, default="audit,mv,sv,passn",
                         help=f"comma-separated subset of {{{','.join(METHODS)}}}")
-    eval_p.add_argument("--theta", type=int, default=2)
-    eval_p.add_argument("--budget", type=int, default=None)
-    eval_p.add_argument("--gate-threshold", type=float, default=0.5)
-    eval_p.add_argument("--seed", type=int, default=0)
     eval_p.add_argument("--out", required=True, type=Path, help="output directory")
     return parser
+
+
+def _engine_config(args: argparse.Namespace, **more) -> EngineConfig:
+    return EngineConfig(theta=args.theta, budget=args.budget, gate_threshold=args.gate_threshold, **more)
 
 
 def _parse_weights(raw: str) -> tuple[float, float, float]:
@@ -112,14 +120,7 @@ def _write_bundle(result: RunResult, out_dir: Path, abstained: bool) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
-        config = EngineConfig(
-            theta=args.theta,
-            budget=args.budget,
-            gate_threshold=args.gate_threshold,
-            weights=_parse_weights(args.weights),
-            seed=args.seed,
-            facts_enabled=not args.no_facts,
-        )
+        config = _engine_config(args, weights=_parse_weights(args.weights), facts_enabled=not args.no_facts)
     except (CrosscheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -150,13 +151,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return 1
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     try:
-        config = EngineConfig(
-            theta=args.theta,
-            budget=args.budget,
-            gate_threshold=args.gate_threshold,
-            seed=args.seed,
-        )
-        report = evaluate_methods(corpus, methods, config)
+        report = evaluate_methods(corpus, methods, _engine_config(args))
     except (CrosscheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -68,7 +68,6 @@ class EngineConfig:
     budget: int | None = None
     gate_threshold: float = DEFAULT_GATE_THRESHOLD
     weights: tuple[float, float, float] = DEFAULT_WEIGHTS
-    seed: int = 0
     facts_enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -555,7 +554,6 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             "budget": "auto" if cfg.budget is None else cfg.budget,
             "gate_threshold": cfg.gate_threshold,
             "weights": list(cfg.normalized_weights),
-            "seed": cfg.seed,
             "facts_enabled": cfg.facts_enabled,
             "query": scenario.query,
         },
@@ -594,7 +592,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     screening: list[ScreeningRecord] = []
     salvageable: list[tuple[int, ExpertOutput, GateResult]] = []
     for idx, output in enumerate(collected.outputs):
-        result = gate(output, scenario.query, gate_facts, scenario.constraints, scenario.dag, cfg.gate_threshold)
+        result = gate(output, gate_facts, scenario.constraints, scenario.dag, cfg.gate_threshold)
         if result.removed:
             log.append(
                 "prune",

@@ -108,6 +108,14 @@ class Scenario:
 _REJECTED = (CrosscheckError, KeyError, TypeError, AttributeError, ValueError)
 
 
+def _marshal(value: object) -> bytes:
+    """Plain JSON data as ``marshal`` bytes; loading them back gives a copy that shares nothing."""
+    try:
+        return marshal.dumps(value)
+    except ValueError:
+        raise ValidationError("must hold plain JSON values only (no dict subclasses or objects)") from None
+
+
 def _expect(value: object, kind: type):
     if not isinstance(value, kind):
         noun = "an object" if kind is dict else "a list"
@@ -139,9 +147,11 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         at = ("dag", None)
         dag = build_plan(steps, edges)
 
+        # Every mutable field the scenario keeps is a copy: what the caller
+        # does to ``obj`` after the load never reaches the scenario.
         at = ("constraints", None)
         constraints = []
-        for c_idx, spec in enumerate(_expect(obj.get("constraints", []), list)):
+        for c_idx, spec in enumerate(marshal.loads(_marshal(_expect(obj.get("constraints", []), list)))):
             at = ("constraints", c_idx)
             constraints.append(constraint_from_spec(spec))
 
@@ -172,11 +182,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
                         raise ValidationError(f"references unknown step {step!r}")
                 outputs.append(output)
             at = (f"experts[{e_idx}].traces", None)
-            try:
-                saved_traces = marshal.dumps(raw_traces)
-            except ValueError:
-                raise ValidationError("must hold plain JSON values only (no dict subclasses or objects)") from None
-            experts.append(ScriptedExpert(config=config, outputs=tuple(outputs), saved_traces=saved_traces,
+            experts.append(ScriptedExpert(config=config, outputs=tuple(outputs), saved_traces=_marshal(raw_traces),
                                           fail=bool(block.get("fail", False))))
         if not experts:
             raise ValidationError("scenario needs at least one expert")
@@ -192,7 +198,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
                 raise ValidationError(f"references unknown step {step!r}")
 
         at = ("tool_scripts", None)
-        tool_scripts = dict(_expect(obj.get("tool_scripts", {}), dict))
+        tool_scripts = marshal.loads(_marshal(_expect(obj.get("tool_scripts", {}), dict)))
         for key, outcome in sorted(tool_scripts.items()):
             at = ("tool_scripts", key)
             tool_name, sep, params_json = key.partition("|")
@@ -215,7 +221,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             oracle = Oracle(answer=answer, truth=truth)
 
         at = ("facts_seed", None)
-        facts_seed = tuple(_expect(obj.get("facts_seed", []), list))
+        facts_seed = marshal.loads(_marshal(tuple(_expect(obj.get("facts_seed", []), list))))
         probe = FactStore()
         for r_idx, record in enumerate(facts_seed):
             at = ("facts_seed", r_idx)

@@ -187,7 +187,6 @@ class GateResult:
 
 def gate(
     trace: "ExpertOutput",
-    query: str,
     facts: FactStore | None,
     constraints: Sequence[Constraint],
     dag: PlanDag,
@@ -201,7 +200,6 @@ def gate(
     stays. The trace as a whole is rejected iff its response is infeasible
     or the surviving fraction falls below ``threshold``.
     """
-    del query  # present for interface symmetry; the default gate is query-free
     failing = [
         step
         for step, result in trace.steps.items()

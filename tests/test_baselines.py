@@ -134,6 +134,18 @@ def test_audit_requires_synth():
         AblationConfig("broken", facts=False, synth=False, audit=True)
 
 
+@pytest.mark.parametrize("synth", [False, True])
+def test_facts_require_audit(synth):
+    # Facts reach a run only through the audited pipeline; such a row would
+    # repeat the row without facts.
+    with pytest.raises(InvalidConfigError):
+        AblationConfig("inert", facts=True, synth=synth, audit=False)
+
+
+def test_default_ablation_rows():
+    assert [row.label for row in DEFAULT_ABLATION_ROWS] == ["baseline", "synthesis", "audited", "audited+facts"]
+
+
 def test_adversarial_corpus_separates_methods():
     corpus = adversarial_corpus(size=8, master_seed=3)
     report = evaluate_methods(corpus, ["audit", "mv", "sv", "passn"],
@@ -221,6 +233,8 @@ def test_report_table_and_json_shapes():
     payload = report.to_json()
     assert payload["scores"]["mv"] == 1.0
     assert len(payload["scenarios"]) == 2
+    assert sorted(payload["params"]) == ["budget", "gate_threshold", "theta", "weights"]
+    assert sorted(run_ablation(_unanimous_corpus(2)).params) == ["budget", "rows", "theta"]
 
 
 def _all_failed(name):

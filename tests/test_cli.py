@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from crosscheck.cli import _write_bundle, main
+from crosscheck.cli import _engine_config, _parse_weights, _write_bundle, build_parser, main
 from crosscheck.corpus import adversarial_corpus, write_corpus
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.scenario import load_scenario, save_scenario, scenario_from_dict
@@ -78,7 +78,7 @@ def test_run_twice_is_byte_identical(tmp_path):
     write_corpus(adversarial_corpus(size=1, master_seed=9), corpus_dir)
     scenario_path = next(corpus_dir.glob("*.json"))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    flags = ["--theta", "3", "--budget", "2", "--seed", "4"]
+    flags = ["--theta", "3", "--budget", "2"]
     assert main(["run", "--scenario", str(scenario_path), "--out", str(out_a), *flags]) == 0
     assert main(["run", "--scenario", str(scenario_path), "--out", str(out_b), *flags]) == 0
     assert (out_a / "audit.log").read_bytes() == (out_b / "audit.log").read_bytes()
@@ -181,6 +181,39 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert "crosscheck" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["eval", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: crosscheck")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "x.json", "--out", "o", "--theta", "abc"],
+    ["run", "--scenario", "x.json", "--out", "o", "--seed", "4"],
+    ["eval", "--corpus", "c", "--out", "o", "--seed", "4"],
+    ["run", "--out", "o"],
+    ["verify"],
+])
+def test_usage_error_exits_one_not_the_abstention_code(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: crosscheck")
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
+
+
+def test_run_and_eval_flag_defaults_are_the_engine_defaults():
+    parser = build_parser()
+    run_args = parser.parse_args(["run", "--scenario", "x.json", "--out", "o"])
+    eval_args = parser.parse_args(["eval", "--corpus", "c", "--out", "o"])
+    assert _engine_config(run_args, weights=_parse_weights(run_args.weights)) == EngineConfig()
+    assert _engine_config(eval_args) == EngineConfig()
 
 
 def test_schema_dump(capsys):

@@ -250,3 +250,42 @@ def test_one_scenario_object_runs_to_the_same_log_every_time():
         first = _log_text(scenario, config)
         assert _log_text(scenario, config) == first
         assert _log_text(scenario_from_dict(scenario_to_dict(scenario)), config) == first
+
+
+def _tool_scenario():
+    """Two experts disagree at s1; the audit settles it by re-running the tool both cite."""
+    return {
+        "query": "q",
+        "dag": {"steps": ["s1", "s2"], "edges": [["s1", "s2"]]},
+        "constraints": [{"id": "r", "check": "range", "scope": "step", "step_pattern": "s*", "min": 0, "max": 100}],
+        "experts": [
+            {"expert_id": f"e0{i}", "class": "conservative", "temperature": 0.1, "seed": i,
+             "traces": [{"steps": {"s1": {"value": value, "confidence": 0.9, "provenance": ["t1"]},
+                                   "s2": {"value": value + 1, "confidence": 0.8}},
+                         "response": value + 1}]}
+            for i, value in ((1, 6), (2, 7))
+        ],
+        "tool_scripts": {'calc|{"expr":"2*3"}': {"kind": "number", "value": 6}},
+        "facts_seed": [{**TOOL_RECORD, "id": "t1", "params": {"expr": "2*3"},
+                        "outcome": {"kind": "number", "value": 6}}],
+        "oracle": {"answer": 7, "truth": {"s1": 6}},
+    }
+
+
+def _scramble(node):
+    """Empty every dict and list reachable from ``node``, innermost first."""
+    for child in list(node.values() if isinstance(node, dict) else node):
+        if isinstance(child, (dict, list)):
+            _scramble(child)
+    node.clear()
+
+
+def test_a_loaded_scenario_shares_nothing_with_the_callers_dict():
+    pristine = scenario_from_dict(_tool_scenario())
+    obj = _tool_scenario()
+    scenario = scenario_from_dict(obj)
+    _scramble(obj)
+    assert scenario_to_dict(scenario) == scenario_to_dict(pristine)
+    log = _log_text(scenario, EngineConfig())
+    assert log == _log_text(pristine, EngineConfig())
+    assert "tool:t1" in log  # the audit re-ran the scripted tool

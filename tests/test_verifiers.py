@@ -45,7 +45,7 @@ def _trace(values: dict[str, object], response: object, confidence: float = 0.8)
 
 def test_gate_vacuous_pass():
     trace = _trace({"s1": 1, "s2": 2, "s3": 3, "s4": 4}, 4)
-    result = gate(trace, "q", None, (), CHAIN, threshold=0.5)
+    result = gate(trace, None, (), CHAIN, threshold=0.5)
     assert not result.rejected
     assert result.score == 1.0
     assert result.trace.steps.keys() == trace.steps.keys()
@@ -56,7 +56,7 @@ def test_gate_rejects_infeasible_response():
         {"id": "resp-m", "check": "unit", "scope": "response", "unit": "m"}
     )
     trace = _trace({"s1": 1}, {"kind": "quantity", "value": 3.0, "unit": "ft"})
-    result = gate(trace, "q", None, (constraint,), CHAIN, threshold=0.0)
+    result = gate(trace, None, (constraint,), CHAIN, threshold=0.0)
     assert result.rejected
     assert not result.response_ok
 
@@ -65,7 +65,7 @@ def test_gate_excises_facts_conflict_and_dependents():
     facts = FactStore()
     facts.add_given("s2", number(99))
     trace = _trace({"s1": 1, "s2": 2, "s3": 3, "s4": 4}, 4)
-    result = gate(trace, "q", facts, (), CHAIN, threshold=0.2)
+    result = gate(trace, facts, (), CHAIN, threshold=0.2)
     assert not result.rejected
     assert result.failing == ("s2",)
     assert result.removed == ("s2", "s3", "s4")
@@ -77,14 +77,14 @@ def test_gate_threshold_rejects_thin_remainder():
     facts = FactStore()
     facts.add_given("s2", number(99))
     trace = _trace({"s1": 1, "s2": 2, "s3": 3, "s4": 4}, 4)
-    result = gate(trace, "q", facts, (), CHAIN, threshold=0.5)
+    result = gate(trace, facts, (), CHAIN, threshold=0.5)
     assert result.rejected
     assert result.response_ok  # rejected on score, not feasibility
 
 
 def test_gate_statement_free_trace_scores_one():
     trace = _trace({}, 42)
-    result = gate(trace, "q", None, (), CHAIN, threshold=0.9)
+    result = gate(trace, None, (), CHAIN, threshold=0.9)
     assert not result.rejected
     assert result.score == 1.0
 
@@ -270,13 +270,13 @@ def test_gate_partial_retention_matches_closure_oracle(case):
     for s in bad:
         facts.add_given(s, number(999))  # every trace value below conflicts with this
     trace = _trace({s: i for i, s in enumerate(steps)}, 0)
-    result = gate(trace, "q", facts, (), dag, threshold=0.0)
+    result = gate(trace, facts, (), dag, threshold=0.0)
     expected_removed = removal_oracle(steps, edges, bad)
     assert set(result.removed) == expected_removed & set(steps)
     assert set(result.failing) == set(bad)
     # monotonicity: re-gating the filtered remainder can only score higher
     if not result.rejected:
-        again = gate(result.trace, "q", facts, (), dag, threshold=0.0)
+        again = gate(result.trace, facts, (), dag, threshold=0.0)
         assert again.score >= result.score
         assert again.score == 1.0
 
@@ -309,8 +309,8 @@ def test_gate_with_empty_store_equals_gate_without_store(seed, with_facts_check)
     scenario, outputs = _corpus_cases(seed)
     constraints = scenario.constraints + ((FACTS_CHECK,) if with_facts_check else ())
     for output in outputs:
-        with_store = gate(output, scenario.query, FactStore(), constraints, scenario.dag, 0.5)
-        without = gate(output, scenario.query, None, constraints, scenario.dag, 0.5)
+        with_store = gate(output, FactStore(), constraints, scenario.dag, 0.5)
+        without = gate(output, None, constraints, scenario.dag, 0.5)
         assert with_store == without
 
 
@@ -341,7 +341,7 @@ def test_gate_asks_the_store_once_per_statement(seed, placement):
         facts.add_given(step, number(0))  # so that many statements conflict
     for output in outputs:
         facts.calls.clear()
-        result = gate(output, scenario.query, facts, constraints, scenario.dag, 0.5)
+        result = gate(output, facts, constraints, scenario.dag, 0.5)
         calls = list(facts.calls)
         assert result.failing == _reference_failing(output, facts, constraints)
         asked = [(step, format_literal(r.value)) for step, r in output.steps.items()]
