@@ -46,7 +46,7 @@ from .facts import ConsistencyReport, Fact, FactStore, Note, ToolRecord, synchro
 from .plandag import PlanDag, StepResult, build_plan
 from .scenario import Scenario, load_corpus, load_scenario, save_scenario
 from .values import Value, boolean, composite, number, quantity, text, values_equal
-from .verifiers import Constraint, GateResult, OperatorRegistry, Verdict, check_response, gate
+from .verifiers import Constraint, GateResult, OperatorRegistry, Verdict, check_response, gate, index_constraints
 
 __all__ = [
     "AblationConfig",
@@ -86,6 +86,7 @@ __all__ = [
     "conflicts",
     "evaluate_methods",
     "gate",
+    "index_constraints",
     "load_corpus",
     "load_scenario",
     "majority_vote",

@@ -21,6 +21,9 @@ Four stages turn a bundle of expert traces into one audited answer:
    statement, candidates are re-scored over their non-refuted statements
    only, which recovers the best recombination of valid micro-inferences.
 
+Anchoring, conflict detection, ranking and synthesis read one table that
+:func:`statements` builds per run, which sorts every statement into an
+exact value class, so values are compared per class, not per statement.
 Every decision lands in the audit log; identical inputs reproduce the log
 byte for byte.
 """
@@ -35,16 +38,18 @@ from .auditlog import AuditLog
 from .ensemble import CollectResult, ExpertOutput, collect
 from .errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
 from .facts import FactStore
-from .plandag import PlanDag, StepResult
-from .values import Value, format_literal, group_values, values_equal
+from .plandag import PlanDag
+from .values import Value, _exact_key, format_literal, group_values, values_equal
 from .verifiers import (
     INCONCLUSIVE,
     REFUTE,
     SUPPORT,
+    Constraint,
     GateResult,
     OperatorRegistry,
     VerifyContext,
     gate,
+    index_constraints,
 )
 
 if TYPE_CHECKING:
@@ -71,10 +76,11 @@ class EngineConfig:
     facts_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.theta < 2:
-            raise InvalidThetaError(f"anchor quorum must be >= 2, got {self.theta}")
-        if self.budget is not None and self.budget < 0:
-            raise InvalidConfigError("budget must be >= 0")
+        # Exact type checks: bool is an int subclass, but True is no quorum and no budget.
+        if type(self.theta) is not int or self.theta < 2:
+            raise InvalidThetaError(f"anchor quorum must be an int >= 2, got {self.theta!r}")
+        if self.budget is not None and (type(self.budget) is not int or self.budget < 0):
+            raise InvalidConfigError(f"budget must be None or an int >= 0, got {self.budget!r}")
         if not 0.0 <= self.gate_threshold <= 1.0:
             raise InvalidConfigError("gate_threshold must be in [0,1]")
         if len(self.weights) != 3 or not all(0 <= w < math.inf for w in self.weights):
@@ -90,33 +96,94 @@ class EngineConfig:
         return (self.weights[0] / total, self.weights[1] / total, self.weights[2] / total)
 
 
+class StepClasses:
+    """One step's asserted statements, sorted into exact value classes.
+
+    Per class id: ``reps`` holds the representative, which is the class's
+    first retained value, or its first asserted value when every member
+    was excised; ``holders`` the positions, in the table's ``retained``,
+    of the traces that asserted it; ``supporters`` its retained experts,
+    or None when it has none. ``confidences`` holds the retained
+    statements' confidences in trace order. ``groups`` holds the value
+    groups over the retained classes, each as its representative and its
+    sorted distinct supporters.
+    """
+
+    __slots__ = ("reps", "holders", "supporters", "confidences", "groups", "ids", "order")
+
+    def __init__(self) -> None:
+        self.reps: list[Value] = []
+        self.holders: list[list[int]] = []
+        self.supporters: list[set[str] | None] = []
+        self.confidences: list[float] = []
+        self.groups: list[tuple[Value, tuple[str, ...]]] = []
+        self.ids: dict[tuple, int] = {}  # exact key -> class id
+        self.order: list[int] = []  # retained class ids in order of first retained occurrence
+
+
 @dataclass(frozen=True)
-class Statement:
-    step: str
-    value: Value
-    expert_id: str
-    confidence: float
+class StatementTable:
+    """A run's statements, classified once for every statement stage.
+
+    ``steps`` maps each asserted step, in sorted order, to its
+    :class:`StepClasses`. ``len()`` counts the retained statements only.
+    """
+
+    retained: tuple[GatedTrace, ...]
+    steps: dict[str, StepClasses]
+
+    def __len__(self) -> int:
+        return sum(len(sc.confidences) for sc in self.steps.values())
 
 
-def statements(traces: Sequence[ExpertOutput]) -> list[Statement]:
-    """Flatten retained traces into the statement pool, one entry per intermediate."""
-    pool: list[Statement] = []
-    for trace in traces:
-        for step in sorted(trace.steps):
-            result = trace.steps[step]
-            pool.append(Statement(step, result.value, trace.expert_id, result.confidence))
-    return pool
+def statements(retained: Sequence[GatedTrace]) -> StatementTable:
+    """Classify every asserted statement of the retained traces in one pass.
 
-
-def group_by_step(pool: Sequence[Statement]) -> dict[str, list[Statement]]:
-    """Bucket the pool by step in one pass: steps in sorted order, pool order within a step."""
-    buckets: dict[str, list[Statement]] = {}
-    for s in pool:
-        buckets.setdefault(s.step, []).append(s)
-    return {step: buckets[step] for step in sorted(buckets)}
-
-
-StepBuckets = Mapping[str, Sequence[Statement]]
+    At each step, all values with one exact key (``values._exact_key``)
+    form a class, and a value without a key is a class of its own. Members
+    of a class are interchangeable under :func:`values_equal`, so a stage
+    can decide a class once and the answer holds for each member. That is
+    exact even though tolerance equality is not transitive. A class is
+    represented by its first retained value, because an excised twin
+    asserted earlier may print differently (``-0.0`` against ``0.0``).
+    Each step's retained classes are grouped once, in order of first
+    retained occurrence, which gives the groups that grouping the
+    retained statements one by one in trace order would give.
+    """
+    steps: dict[str, StepClasses] = {}
+    for i, gt in enumerate(retained):
+        kept = gt.trace.steps
+        expert_id = gt.trace.expert_id
+        for step, result in gt.asserted.steps.items():
+            sc = steps.get(step)
+            if sc is None:
+                sc = steps[step] = StepClasses()
+            value = result.value
+            key = _exact_key(value)
+            c = sc.ids.get(key) if key is not None else None
+            if c is None:
+                c = len(sc.reps)
+                sc.reps.append(value)
+                sc.holders.append([])
+                sc.supporters.append(None)
+                if key is not None:
+                    sc.ids[key] = c
+            sc.holders[c].append(i)
+            if step in kept:
+                supporters = sc.supporters[c]
+                if supporters is None:
+                    supporters = sc.supporters[c] = set()
+                    sc.reps[c] = value
+                    sc.order.append(c)
+                supporters.add(expert_id)
+                sc.confidences.append(result.confidence)
+    for sc in steps.values():
+        if sc.order:
+            sc.groups = [
+                (rep, tuple(sorted(set().union(*(sc.supporters[c] for c in members)))))
+                for rep, members in group_values((sc.reps[c], c) for c in sc.order)
+            ]
+    return StatementTable(tuple(retained), {step: steps[step] for step in sorted(steps)})
 
 
 @dataclass(frozen=True)
@@ -156,26 +223,22 @@ class AnchorSet:
         return step in self._anchors
 
 
-def anchor(buckets: StepBuckets, theta: int) -> tuple[AnchorSet, list[str]]:
+def anchor(table: StatementTable, theta: int) -> tuple[AnchorSet, list[str]]:
     """Promote statements with quorum support; report quorum ties as collisions.
 
     A (step, value) is promoted when at least ``theta`` distinct experts
     asserted an equal value there. If several values at one step reach
     quorum, the better-supported one wins; an exact tie anchors nothing
-    and leaves the step for the conflict set. ``buckets`` is the
-    statement pool as :func:`group_by_step` returns it.
+    and leaves the step for the conflict set. The values and their
+    supporters are the step's groups in ``table``, as :func:`statements`
+    built it.
     """
     if theta < 2:
         raise InvalidThetaError(f"anchor quorum must be >= 2, got {theta}")
     anchors = AnchorSet()
     collisions: list[str] = []
-    for step, bucket in buckets.items():
-        groups = group_values((s.value, s.expert_id) for s in bucket)
-        eligible = []
-        for value, expert_ids in groups:
-            supporters = tuple(sorted(set(expert_ids)))
-            if len(supporters) >= theta:
-                eligible.append(Anchor(step, value, supporters))
+    for step, sc in table.steps.items():
+        eligible = [Anchor(step, value, supporters) for value, supporters in sc.groups if len(supporters) >= theta]
         if not eligible:
             continue
         eligible.sort(key=lambda a: (-len(a.supporters), format_literal(a.value)))
@@ -242,43 +305,42 @@ class ConflictSet:
         return step in self._items
 
 
-def conflicts(buckets: StepBuckets, anchors: AnchorSet) -> ConflictSet:
+def conflicts(table: StatementTable, anchors: AnchorSet) -> ConflictSet:
     """Steps where two distinct experts assert unequal values, minus anchored steps.
 
     Anchored steps are excluded even when a minority dissents — quorum
     already settled them. Candidate values are ordered by supporter count
-    so the audit tries the strongest claim first. ``buckets`` is the
-    statement pool as :func:`group_by_step` returns it.
+    so the audit tries the strongest claim first. The candidates are the
+    step's groups in ``table``, as :func:`statements` built it.
     """
     out = ConflictSet()
-    for step, bucket in buckets.items():
-        if step in anchors:
+    for step, sc in table.steps.items():
+        groups = sc.groups
+        if step in anchors or len(groups) < 2:
             continue
-        groups = group_values((s.value, s.expert_id) for s in bucket)
         # A conflict needs experts i != j on unequal values; one expert
         # disagreeing with itself does not count. Once there are two value
         # groups, any two distinct experts at the step make such a pair.
-        if len(groups) < 2 or len({s.expert_id for s in bucket}) < 2:
+        if len({e for _, supporters in groups for e in supporters}) < 2:
             continue
-        candidates = [
-            Candidate(value, tuple(sorted(set(ids)))) for value, ids in groups
-        ]
+        candidates = [Candidate(value, supporters) for value, supporters in groups]
         candidates.sort(key=lambda c: (-len(c.supporters), c.supporters[0], format_literal(c.value)))
         out.add(ConflictItem(step=step, candidates=tuple(candidates)))
     return out
 
 
-def rank_conflicts(conflict_set: ConflictSet, dag: PlanDag, buckets: StepBuckets) -> list[str]:
+def rank_conflicts(conflict_set: ConflictSet, dag: PlanDag, table: StatementTable) -> list[str]:
     """Audit order: impact = (1 + |dependents|) * confidence spread, descending.
 
     A contested step that feeds many downstream steps and splits expert
     confidence wide is worth a verify call more than a contested leaf
-    everyone is equally unsure about. Ties fall back to step id.
-    ``buckets`` is the statement pool as :func:`group_by_step` returns it.
+    everyone is equally unsure about. Ties fall back to step id. The
+    spread is over the step's retained statements in ``table``.
     """
     spreads: dict[str, float] = {}
     for step in conflict_set.steps():
-        confs = [s.confidence for s in buckets.get(step, ())]
+        sc = table.steps.get(step)
+        confs = sc.confidences if sc is not None else ()
         spreads[step] = (max(confs) - min(confs)) if confs else 0.0
 
     def impact(step: str) -> float:
@@ -308,7 +370,7 @@ class GatedTrace:
     trace: ExpertOutput
     score: float
     trace_index: int  # position in the collected output stream
-    source: ExpertOutput | None = None  # pre-excision trace, when different
+    source: ExpertOutput | None = None  # pre-excision trace, when different; ``trace`` keeps some of its steps
 
     @property
     def expert_id(self) -> str:
@@ -369,11 +431,11 @@ def run_audit(
     anchors: AnchorSet,
     budget: AuditBudget,
     registry: OperatorRegistry,
-    retained: Sequence[GatedTrace],
+    table: StatementTable,
     facts: FactStore,
     records: dict,
     tool_runner,
-    constraints,
+    constraints: Mapping[str, Sequence[Constraint]],
     log: AuditLog,
 ) -> None:
     """Stage 3: spend the budget on ranked conflicts, strongest candidates first.
@@ -381,6 +443,7 @@ def run_audit(
     The budget is checked before every verify call, so the cap binds even
     mid-item; a partially examined item stays open. A supported value is
     promoted to the anchors immediately and later statements can lean on it.
+    ``constraints`` maps each step to its applicable step constraints.
     """
     for step in ranked:
         item = conflict_set.get(step)
@@ -395,7 +458,7 @@ def run_audit(
                 records=records,
                 tool_runner=tool_runner,
                 constraints=constraints,
-                provenance=_candidate_provenance(retained, step, candidate.value),
+                provenance=_candidate_provenance(table, step, candidate.value),
             )
             verdict = registry.verify(
                 (step, candidate.value),
@@ -436,17 +499,24 @@ def run_audit(
             break
 
 
-def _candidate_provenance(retained: Sequence[GatedTrace], step: str, value: Value) -> tuple[str, ...]:
+def _candidate_provenance(table: StatementTable, step: str, value: Value) -> tuple[str, ...]:
+    """The tool records behind every retained statement at ``step`` that equals ``value``."""
+    sc = table.steps.get(step)
+    if sc is None:
+        return ()
     ids: list[str] = []
-    for gt in retained:
-        result = gt.trace.steps.get(step)
-        if result is not None and values_equal(result.value, value):
-            ids.extend(result.provenance)
+    for rep, holders, supporters in zip(sc.reps, sc.holders, sc.supporters):
+        if supporters is None or not values_equal(rep, value):
+            continue
+        for i in holders:
+            result = table.retained[i].trace.steps.get(step)
+            if result is not None:
+                ids.extend(result.provenance)
     return tuple(sorted(set(ids)))
 
 
 def synthesize(
-    retained: Sequence[GatedTrace],
+    table: StatementTable,
     anchors: AnchorSet,
     conflict_set: ConflictSet,
     weights: tuple[float, float, float],
@@ -462,54 +532,65 @@ def synthesize(
     originally asserted — a claim the gate excised still counts against
     it. mean_confidence — the candidate's own average over its retained
     steps. Exact ties go to the lowest expert id.
+
+    The candidates are ``table.retained``. Each value class at a step with
+    an anchor or a resolution is compared with them once, and its answer
+    is credited to every candidate that asserted it, so the work follows
+    the classes that disagree rather than the statements.
     """
+    retained = table.retained
     if not retained:
         raise NoFeasibleCandidateError("no candidate response survived the gate")
     supported = conflict_set.supported_statements()
     refuted = conflict_set.refuted_statements()
-    anchor_items = anchors.items()
+    n_anchors = len(anchors)
 
-    def _without_refuted(steps: dict) -> dict:
-        return {
-            s: r
-            for s, r in steps.items()
-            if not any(s == rs and values_equal(r.value, rv) for rs, rv in refuted)
-        }
+    # Per step: the anchor value, the supported values and the refuted values.
+    targets: dict[str, tuple[Value | None, list[Value], list[Value]]] = {}
+    for a in anchors.items():
+        targets[a.step] = (a.value, [], [])
+    for step, value in supported:
+        targets.setdefault(step, (None, [], []))[1].append(value)
+    for step, value in refuted:
+        targets.setdefault(step, (None, [], []))[2].append(value)
+    # Per candidate, each asserted statement that contradicts an anchor,
+    # asserts a supported value or leans on refuted values:
+    # (step, contradicts, supported hits, refuted hits).
+    marks: list[list[tuple[str, bool, int, int]]] = [[] for _ in retained]
+    for step, (anchor_value, agree_with, refuted_at) in targets.items():
+        sc = table.steps.get(step)
+        if sc is None:
+            continue
+        for rep, holders in zip(sc.reps, sc.holders):
+            contra = anchor_value is not None and not values_equal(rep, anchor_value)
+            agree = sum(values_equal(rep, v) for v in agree_with) if agree_with else 0
+            lean = sum(values_equal(rep, v) for v in refuted_at) if refuted_at else 0
+            if contra or agree or lean:
+                for i in holders:
+                    marks[i].append((step, contra, agree, lean))
 
-    def score_one(gt: GatedTrace, exclude_refuted: bool) -> SynthesisScore:
-        asserted = dict(gt.asserted.steps)
-        surviving = dict(gt.trace.steps)
-        if exclude_refuted:
-            asserted = _without_refuted(asserted)
-            surviving = _without_refuted(surviving)
-        if not anchor_items:
-            anchor_support = 1.0
-        else:
-            consistent = sum(
-                1
-                for a in anchor_items
-                if a.step not in asserted or values_equal(asserted[a.step].value, a.value)
-            )
-            anchor_support = consistent / len(anchor_items)
+    order = sorted(range(len(retained)), key=lambda i: (retained[i].expert_id, retained[i].trace_index))
+    fallback = bool(refuted) and all(any(m[3] for m in marks[i]) for i in order)
+    if fallback and log is not None:
+        log.append("synthesize", "fallback", {"reason": "every candidate asserts a refuted statement"})
+    w_a, w_c, w_g = weights
+    best: tuple[GatedTrace, SynthesisScore] | None = None
+    for i in order:
+        gt = retained[i]
+        # The fallback re-scores each candidate without the statements that lean on a refuted value.
+        dropped = {m[0] for m in marks[i] if m[3]} if fallback else set()
+        counted = [m for m in marks[i] if m[0] not in dropped]
+        anchor_support = (n_anchors - sum(m[1] for m in counted)) / n_anchors if n_anchors else 1.0
         if not supported and not refuted:
             conflict_agreement = 0.5
         else:
-            agree_frac = _asserted_share(asserted, supported)
-            refute_frac = _asserted_share(asserted, refuted)
+            agree_frac = sum(m[2] for m in counted) / len(supported) if supported else 0.0
+            refute_frac = sum(m[3] for m in counted) / len(refuted) if refuted else 0.0
             conflict_agreement = min(1.0, max(0.0, (agree_frac - refute_frac + 1.0) / 2.0))
-        confidences = [r.confidence for r in surviving.values()]
+        confidences = [r.confidence for s, r in gt.trace.steps.items() if s not in dropped]
         mean_confidence = sum(confidences) / len(confidences) if confidences else 0.0
-        w_a, w_c, w_g = weights
         total = w_a * anchor_support + w_c * conflict_agreement + w_g * mean_confidence
-        return SynthesisScore(anchor_support, conflict_agreement, mean_confidence, total)
-
-    candidates = sorted(retained, key=lambda gt: (gt.expert_id, gt.trace_index))
-    fallback = bool(refuted) and all(_asserted_share(gt.asserted.steps, refuted) > 0 for gt in candidates)
-    if fallback and log is not None:
-        log.append("synthesize", "fallback", {"reason": "every candidate asserts a refuted statement"})
-    best: tuple[GatedTrace, SynthesisScore] | None = None
-    for gt in candidates:
-        score = score_one(gt, exclude_refuted=fallback)
+        score = SynthesisScore(anchor_support, conflict_agreement, mean_confidence, total)
         if log is not None:
             log.append(
                 "synthesize",
@@ -528,14 +609,6 @@ def synthesize(
             best = (gt, score)
     assert best is not None
     return best[0], best[1], fallback
-
-
-def _asserted_share(steps: Mapping[str, StepResult], statements: Sequence[tuple[str, Value]]) -> float:
-    """The share of ``statements`` that ``steps`` asserts with an equal value; 0.0 when there are none."""
-    if not statements:
-        return 0.0
-    hits = sum(1 for s, v in statements if s in steps and values_equal(steps[s].value, v))
-    return hits / len(statements)
 
 
 def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> RunResult:
@@ -588,11 +661,12 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     # A store without verified facts answers every consistency check
     # "unknown", which is exactly what the gate assumes with no store at all.
     gate_facts = facts if cfg.facts_enabled and facts.verified_facts() else None
+    constraints = index_constraints(scenario.constraints, scenario.dag)
     retained: list[GatedTrace] = []
     screening: list[ScreeningRecord] = []
     salvageable: list[tuple[int, ExpertOutput, GateResult]] = []
     for idx, output in enumerate(collected.outputs):
-        result = gate(output, gate_facts, scenario.constraints, scenario.dag, cfg.gate_threshold)
+        result = gate(output, gate_facts, constraints, scenario.dag, cfg.gate_threshold)
         if result.removed:
             log.append(
                 "prune",
@@ -640,11 +714,10 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             )
 
     retained.sort(key=lambda gt: (gt.expert_id, gt.trace_index))
-    pool = statements([gt.trace for gt in retained])
-    log.append("anchor", "statements", {"count": len(pool)})
+    table = statements(retained)
+    log.append("anchor", "statements", {"count": len(table)})
 
-    buckets = group_by_step(pool)
-    anchors, collisions = anchor(buckets, cfg.theta)
+    anchors, collisions = anchor(table, cfg.theta)
     for a in anchors.items():
         log.append(
             "anchor",
@@ -655,7 +728,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     for step in collisions:
         log.append("anchor", "collision", {"step": step}, (step,))
 
-    conflict_set = conflicts(buckets, anchors)
+    conflict_set = conflicts(table, anchors)
     for item in conflict_set.items():
         log.append(
             "audit",
@@ -665,16 +738,16 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             (item.step,),
         )
 
-    ranked = rank_conflicts(conflict_set, scenario.dag, buckets)
+    ranked = rank_conflicts(conflict_set, scenario.dag, table)
     b_max = cfg.budget if cfg.budget is not None else min(len(conflict_set), BUDGET_CAP)
     budget = AuditBudget(b_max=b_max)
     if ranked:
         log.append("audit", "plan", {"order": list(ranked), "budget": b_max})
         registry = scenario.registry()
         run_audit(
-            ranked, conflict_set, anchors, budget, registry, retained,
+            ranked, conflict_set, anchors, budget, registry, table,
             facts, {r.id: r for r in facts.tools()}, scenario.tool_runner(),
-            scenario.constraints, log,
+            constraints.steps, log,
         )
 
     partial = RunResult(
@@ -694,7 +767,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
         log.append("synthesize", "abstain", {"reason": "no feasible candidate"})
         raise NoFeasibleCandidateError("no feasible candidate response", result=partial)
 
-    winner, score, fallback = synthesize(retained, anchors, conflict_set, cfg.normalized_weights, log)
+    winner, score, fallback = synthesize(table, anchors, conflict_set, cfg.normalized_weights, log)
     log.append(
         "synthesize",
         "answer",

@@ -50,7 +50,7 @@ class AllExpertsFailedError(CrosscheckError):
 
 
 class InvalidThetaError(CrosscheckError):
-    """The anchor quorum is below the minimum of 2."""
+    """The anchor quorum is not an int of at least 2."""
 
 
 class NoFeasibleCandidateError(CrosscheckError):

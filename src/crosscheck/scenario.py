@@ -88,7 +88,7 @@ class Scenario:
         )
 
     def registry(self) -> OperatorRegistry:
-        return default_registry(self.constraints, self.verdict_table or None)
+        return default_registry(self.verdict_table or None)
 
     def tool_runner(self) -> Callable[[str, dict], Value]:
         scripts = {key: value_from_json(outcome) for key, outcome in self.tool_scripts.items()}

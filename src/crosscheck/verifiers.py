@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
-from .errors import DuplicateIdError, ParseError, UnknownIdError
+from .errors import DuplicateIdError, ParseError, UnknownIdError, UnknownStepError
 from .facts import CONFLICT, CONSISTENT, FactStore, ToolRecord
 from .plandag import PlanDag, removal_set
 from .values import (
@@ -165,6 +165,27 @@ def check_response(response: Value, constraints: Sequence[Constraint], facts: Fa
 
 
 @dataclass(frozen=True)
+class ConstraintIndex:
+    """A scenario's constraints, resolved against its DAG once per run.
+
+    ``steps`` maps every DAG step to the step-scope constraints that apply
+    to it, in their given order; ``response`` holds the response-scope
+    constraints. Build it with :func:`index_constraints`.
+    """
+
+    steps: Mapping[str, tuple[Constraint, ...]]
+    response: tuple[Constraint, ...]
+
+
+def index_constraints(constraints: Sequence[Constraint], dag: PlanDag) -> ConstraintIndex:
+    """Resolve which constraints apply where: one pattern match per (DAG step, constraint)."""
+    return ConstraintIndex(
+        steps={step: tuple(c for c in constraints if c.applies_to_step(step)) for step in dag.steps},
+        response=tuple(c for c in constraints if c.scope == RESPONSE_SCOPE),
+    )
+
+
+@dataclass(frozen=True)
 class GateResult:
     """Outcome of screening one trace.
 
@@ -188,7 +209,7 @@ class GateResult:
 def gate(
     trace: "ExpertOutput",
     facts: FactStore | None,
-    constraints: Sequence[Constraint],
+    constraints: ConstraintIndex,
     dag: PlanDag,
     threshold: float = 0.5,
 ) -> GateResult:
@@ -198,26 +219,32 @@ def gate(
     value or the facts store reports a conflict at its step key. Failing
     statements and their DAG dependents are excised; everything upstream
     stays. The trace as a whole is rejected iff its response is infeasible
-    or the surviving fraction falls below ``threshold``.
+    or the surviving fraction falls below ``threshold``. ``constraints`` is
+    :func:`index_constraints` over the same ``dag``; a trace step outside
+    the DAG raises UnknownStepError.
     """
-    failing = [
-        step
-        for step, result in trace.steps.items()
-        if not _statement_admissible(step, result.value, facts, constraints)
-    ]
+    failing = []
+    for step, result in trace.steps.items():
+        applicable = constraints.steps.get(step)
+        if applicable is None:
+            raise UnknownStepError(f"unknown step {step!r}")
+        # With no constraint and no store there is nothing to check.
+        if (applicable or facts is not None) and not _statement_admissible(step, result.value, facts, applicable):
+            failing.append(step)
     removed_all = removal_set(dag, failing)
     removed = tuple(sorted(s for s in trace.steps if s in removed_all))
-    keep = {s for s in trace.steps if s not in removed_all}
     total = len(trace.steps)
-    score = len(keep) / total if total else 1.0
-    response_ok = check_response(trace.response, constraints, facts)
+    score = (total - len(removed)) / total if total else 1.0
+    response_ok = check_response(trace.response, constraints.response, facts)
     if not response_ok or score < threshold:
         return GateResult(None, score, tuple(sorted(failing)), removed, response_ok)
-    return GateResult(trace.restricted_to(keep), score, tuple(sorted(failing)), removed, response_ok)
+    # Outputs are never mutated, so an untouched trace is retained as it is.
+    kept = trace.restricted_to({s for s in trace.steps if s not in removed_all}) if removed else trace
+    return GateResult(kept, score, tuple(sorted(failing)), removed, response_ok)
 
 
 def _statement_admissible(
-    step: str, value: Value, facts: FactStore | None, constraints: Sequence[Constraint]
+    step: str, value: Value, facts: FactStore | None, applicable: Sequence[Constraint]
 ) -> bool:
     """Every applicable step constraint holds and the facts report no conflict.
 
@@ -226,8 +253,8 @@ def _statement_admissible(
     call as the final facts check, so the store is asked at most once.
     """
     facts_checked = False
-    for c in constraints:
-        if not c.applies_to_step(step) or (facts_checked and c.kind == "consistency"):
+    for c in applicable:
+        if facts_checked and c.kind == "consistency":
             continue
         if not c.holds(value, facts, step):
             return False
@@ -251,17 +278,18 @@ class Verdict:
 class VerifyContext:
     """Everything an operator may consult, engine-agnostic.
 
-    ``anchors`` maps step -> already-trusted value; ``provenance`` carries
-    the tool record ids backing the statement under test; ``tool_runner``
-    re-executes a tool by (name, params) and raises UnknownIdError when the
-    invocation is not scripted.
+    ``anchors`` maps step -> already-trusted value; ``constraints`` maps
+    step -> its applicable step constraints, as in :class:`ConstraintIndex`;
+    ``provenance`` carries the tool record ids backing the statement under
+    test; ``tool_runner`` re-executes a tool by (name, params) and raises
+    UnknownIdError when the invocation is not scripted.
     """
 
     anchors: Mapping[str, Value] = field(default_factory=dict)
     facts: FactStore | None = None
     records: Mapping[str, ToolRecord] = field(default_factory=dict)
     tool_runner: Callable[[str, dict], Value] | None = None
-    constraints: Sequence[Constraint] = ()
+    constraints: Mapping[str, Sequence[Constraint]] = field(default_factory=dict)
     provenance: tuple[str, ...] = ()
 
 
@@ -328,17 +356,14 @@ class OperatorRegistry:
 
 
 class ConstraintCheckOperator:
-    """Refutes statements that violate an applicable step constraint."""
+    """Refutes statements that violate a step constraint the context applies to their step."""
 
     op_id = "constraints"
     scripted = False
 
-    def __init__(self, constraints: Sequence[Constraint]) -> None:
-        self._constraints = tuple(constraints)
-
     def examine(self, step: str, value: Value, ctx: VerifyContext) -> Verdict:
-        for c in self._constraints:
-            if c.applies_to_step(step) and not c.holds(value, ctx.facts, step):
+        for c in ctx.constraints.get(step, ()):
+            if not c.holds(value, ctx.facts, step):
                 return Verdict(REFUTE, (f"constraint:{c.id}",))
         return Verdict(INCONCLUSIVE, ())
 
@@ -424,13 +449,10 @@ class ScriptedTableOperator:
         return Verdict(INCONCLUSIVE, ())
 
 
-def default_registry(
-    constraints: Sequence[Constraint] = (),
-    verdict_table: Mapping[str, str] | None = None,
-) -> OperatorRegistry:
+def default_registry(verdict_table: Mapping[str, str] | None = None) -> OperatorRegistry:
     """The standard operator stack, cheapest first."""
     registry = OperatorRegistry()
-    registry.register(ConstraintCheckOperator(constraints))
+    registry.register(ConstraintCheckOperator())
     registry.register(AnchorConsistencyOperator())
     registry.register(FactsConsistencyOperator())
     registry.register(CrossExecutionOperator())

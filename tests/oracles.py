@@ -7,6 +7,7 @@ transcription of the synthesis formula. Keep these naive on purpose.
 """
 
 from itertools import permutations
+from typing import NamedTuple
 
 from crosscheck.values import format_literal, values_equal
 
@@ -44,6 +45,22 @@ def removal_oracle(steps, edges, violated):
         removed.add(v)
         removed |= dfs_reachable(edges, v)
     return removed
+
+
+class Stmt(NamedTuple):
+    step: str
+    value: object
+    expert_id: str
+    confidence: float
+
+
+def flat_pool(traces):
+    """Every intermediate of every trace as one flat statement list, steps sorted within a trace."""
+    return [
+        Stmt(step, trace.steps[step].value, trace.expert_id, trace.steps[step].confidence)
+        for trace in traces
+        for step in sorted(trace.steps)
+    ]
 
 
 def group_by_equality(pairs):

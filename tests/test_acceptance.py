@@ -14,14 +14,14 @@ import pytest
 
 from crosscheck.baselines import evaluate_methods, majority_vote, pass_at_n, simple_verification
 from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_scenario
-from crosscheck.engine import EngineConfig, run_pipeline, statements
+from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.errors import NoFeasibleCandidateError
 from crosscheck.facts import DERIVED, RETRIEVED, ToolRecord
 from crosscheck.scenario import scenario_expert_outputs
 from crosscheck.values import format_literal, values_equal
 from crosscheck.verifiers import RESPONSE_SCOPE
 
-from oracles import count_filter_anchors, dfs_reachable, pairwise_conflicts
+from oracles import count_filter_anchors, dfs_reachable, flat_pool, pairwise_conflicts
 from storegen import build_random_store
 
 N_MAIN = 1000
@@ -65,7 +65,7 @@ def test_criterion_02_anchor_oracle_equivalence(main_runs):
     runs, _ = main_runs
     mismatches = 0
     for _, config, result in runs:
-        pool = statements([gt.trace for gt in result.retained])
+        pool = flat_pool([gt.trace for gt in result.retained])
         expected = count_filter_anchors(pool, config.theta)
         # audited promotions extend the quorum anchors; compare the quorum part
         quorum_got = {
@@ -83,7 +83,7 @@ def test_criterion_03_conflict_oracle_equivalence(main_runs):
     runs, _ = main_runs
     mismatches = 0
     for _, config, result in runs:
-        pool = statements([gt.trace for gt in result.retained])
+        pool = flat_pool([gt.trace for gt in result.retained])
         oracle_anchors = set(count_filter_anchors(pool, config.theta))
         expected = pairwise_conflicts(pool, oracle_anchors)
         if set(result.conflicts.steps()) != expected:
@@ -128,7 +128,7 @@ def test_criterion_05_cost_locality():
     for seed in range(500):
         scenario = random_scenario(20_000 + seed)
         outputs = scenario_expert_outputs(scenario)
-        pool = statements(outputs)
+        pool = flat_pool(outputs)
         disagreeing = pairwise_conflicts(pool, set())
         k = len(disagreeing)
         max_candidates = 1

@@ -1,34 +1,35 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crosscheck import engine, facts, values, verifiers
 from crosscheck.auditlog import replay
 from crosscheck.baselines import majority_vote
-from crosscheck.corpus import adversarial_scenario, random_scenario
+from crosscheck.corpus import GeneratorParams, adversarial_scenario, random_scenario
 from crosscheck.engine import (
     AuditBudget,
     EngineConfig,
     GatedTrace,
-    Statement,
     anchor,
     conflicts,
-    group_by_step,
     rank_conflicts,
     run_audit,
     run_pipeline,
     statements,
     synthesize,
 )
-from crosscheck.ensemble import parse_expert_output
+from crosscheck.ensemble import ExpertOutput, parse_expert_output
 from crosscheck.errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
 from crosscheck.facts import FactStore
-from crosscheck.plandag import build_plan
+from crosscheck.plandag import StepResult, build_plan
 from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict
 from crosscheck.values import format_literal, number, statement_key, values_equal
-from crosscheck.verifiers import OperatorRegistry, ScriptedTableOperator
+from crosscheck.verifiers import Constraint, OperatorRegistry, ScriptedTableOperator
 
-from oracles import count_filter_anchors, pairwise_conflicts, synthesis_score
+from oracles import Stmt, count_filter_anchors, flat_pool, pairwise_conflicts, synthesis_score
 
 
 def _output(expert_id, values, response, confidence=0.8):
@@ -40,7 +41,18 @@ def _output(expert_id, values, response, confidence=0.8):
 
 
 def _stmt(step, value, expert, confidence=0.8):
-    return Statement(step, number(value) if isinstance(value, (int, float)) else value, expert, confidence)
+    return Stmt(step, number(value) if isinstance(value, (int, float)) else value, expert, confidence)
+
+
+def _gated(outputs):
+    return [GatedTrace(output, 1.0, i) for i, output in enumerate(outputs)]
+
+
+def _table(pool):
+    """The engine's table over a statement list: one single-step trace per statement, in pool order."""
+    return statements(_gated(
+        ExpertOutput(s.expert_id, {s.step: StepResult(s.step, s.value, s.confidence)}, "t", s.value) for s in pool
+    ))
 
 
 # --- statements ---------------------------------------------------------------
@@ -48,14 +60,14 @@ def _stmt(step, value, expert, confidence=0.8):
 def test_statements_counts_duplicates():
     a = _output("e01", {"s1": 1, "s2": 2, "s3": 3}, 3)
     b = _output("e02", {"s1": 1, "s2": 2, "s3": 3}, 3)
-    pool = statements([a, b])
+    pool = statements(_gated([a, b]))
     assert len(pool) == 6
-    distinct = {(s.step, format_literal(s.value)) for s in pool}
+    distinct = {(step, format_literal(value)) for step, sc in pool.steps.items() for value in sc.reps}
     assert len(distinct) == 3
 
 
 def test_statements_empty():
-    assert statements([]) == []
+    assert len(statements([])) == 0 and statements([]).steps == {}
 
 
 @given(st.integers(0, 10**6))
@@ -63,7 +75,7 @@ def test_statements_empty():
 def test_statements_cardinality_oracle(seed):
     scenario = random_scenario(seed)
     outputs = [parse_expert_output(e.config.expert_id, e.raw_traces[0]) for e in scenario.experts]
-    pool = statements(outputs)
+    pool = statements(_gated(outputs))
     assert len(pool) == sum(len(o.steps) for o in outputs)
 
 
@@ -71,7 +83,7 @@ def test_statements_cardinality_oracle(seed):
 
 def test_anchor_quorum_met():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e2"), _stmt("s", 17, "e3")]
-    anchors, collisions = anchor(group_by_step(pool), theta=2)
+    anchors, collisions = anchor(_table(pool), theta=2)
     assert collisions == []
     assert anchors.steps() == ("s",)
     assert values_equal(anchors.get("s").value, number(42))
@@ -80,28 +92,28 @@ def test_anchor_quorum_met():
 
 def test_anchor_quorum_unmet():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e2"), _stmt("s", 17, "e3")]
-    anchors, _ = anchor(group_by_step(pool), theta=3)
+    anchors, _ = anchor(_table(pool), theta=3)
     assert len(anchors) == 0
 
 
 def test_anchor_theta_below_two_rejected():
     with pytest.raises(InvalidThetaError):
-        anchor(group_by_step([]), theta=1)
+        anchor(_table([]), theta=1)
 
 
 def test_anchor_collision_tie_goes_to_conflicts():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e2"), _stmt("s", 17, "e3"), _stmt("s", 17, "e4")]
-    anchors, collisions = anchor(group_by_step(pool), theta=2)
+    anchors, collisions = anchor(_table(pool), theta=2)
     assert len(anchors) == 0
     assert collisions == ["s"]
-    conflict_set = conflicts(group_by_step(pool), anchors)
+    conflict_set = conflicts(_table(pool), anchors)
     assert conflict_set.steps() == ("s",)
 
 
 def test_anchor_collision_majority_wins():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e2"), _stmt("s", 42, "e5"),
             _stmt("s", 17, "e3"), _stmt("s", 17, "e4")]
-    anchors, collisions = anchor(group_by_step(pool), theta=2)
+    anchors, collisions = anchor(_table(pool), theta=2)
     assert collisions == []
     assert values_equal(anchors.get("s").value, number(42))
 
@@ -109,7 +121,7 @@ def test_anchor_collision_majority_wins():
 def test_anchor_counts_distinct_experts_not_traces():
     # one expert asserting twice does not reach a quorum of two
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e1")]
-    anchors, _ = anchor(group_by_step(pool), theta=2)
+    anchors, _ = anchor(_table(pool), theta=2)
     assert len(anchors) == 0
 
 
@@ -118,8 +130,8 @@ def test_anchor_counts_distinct_experts_not_traces():
 def test_anchor_matches_count_filter_oracle(seed):
     scenario = random_scenario(seed)
     outputs = [parse_expert_output(e.config.expert_id, e.raw_traces[0]) for e in scenario.experts]
-    pool = statements(outputs)
-    anchors, _ = anchor(group_by_step(pool), theta=2)
+    pool = flat_pool(outputs)
+    anchors, _ = anchor(statements(_gated(outputs)), theta=2)
     got = {a.step: format_literal(a.value) for a in anchors.items()}
     assert got == count_filter_anchors(pool, 2)
 
@@ -128,14 +140,14 @@ def test_anchor_matches_count_filter_oracle(seed):
 
 def test_conflicts_empty_on_unanimity():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e2")]
-    anchors, _ = anchor(group_by_step(pool), theta=2)
-    assert len(conflicts(group_by_step(pool), anchors)) == 0
+    anchors, _ = anchor(_table(pool), theta=2)
+    assert len(conflicts(_table(pool), anchors)) == 0
 
 
 def test_conflicts_below_quorum():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 17, "e2")]
-    anchors, _ = anchor(group_by_step(pool), theta=2)
-    conflict_set = conflicts(group_by_step(pool), anchors)
+    anchors, _ = anchor(_table(pool), theta=2)
+    conflict_set = conflicts(_table(pool), anchors)
     item = conflict_set.get("s")
     assert len(item.candidates) == 2
     literals = {format_literal(c.value) for c in item.candidates}
@@ -144,15 +156,15 @@ def test_conflicts_below_quorum():
 
 def test_anchored_step_excluded_despite_dissent():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 42, "e2"), _stmt("s", 17, "e3")]
-    anchors, _ = anchor(group_by_step(pool), theta=2)
+    anchors, _ = anchor(_table(pool), theta=2)
     assert "s" in anchors
-    assert len(conflicts(group_by_step(pool), anchors)) == 0
+    assert len(conflicts(_table(pool), anchors)) == 0
 
 
 def test_single_expert_disagreeing_with_itself_is_no_conflict():
     pool = [_stmt("s", 42, "e1"), _stmt("s", 17, "e1")]
-    anchors, _ = anchor(group_by_step(pool), theta=2)
-    assert len(conflicts(group_by_step(pool), anchors)) == 0
+    anchors, _ = anchor(_table(pool), theta=2)
+    assert len(conflicts(_table(pool), anchors)) == 0
 
 
 @given(st.integers(0, 10**6))
@@ -160,9 +172,10 @@ def test_single_expert_disagreeing_with_itself_is_no_conflict():
 def test_conflicts_match_pairwise_oracle(seed):
     scenario = random_scenario(seed)
     outputs = [parse_expert_output(e.config.expert_id, e.raw_traces[0]) for e in scenario.experts]
-    pool = statements(outputs)
-    anchors, _ = anchor(group_by_step(pool), theta=2)
-    conflict_set = conflicts(group_by_step(pool), anchors)
+    pool = flat_pool(outputs)
+    table = statements(_gated(outputs))
+    anchors, _ = anchor(table, theta=2)
+    conflict_set = conflicts(table, anchors)
     assert set(conflict_set.steps()) == pairwise_conflicts(pool, set(anchors.steps()))
 
 
@@ -170,10 +183,10 @@ def test_conflicts_match_pairwise_oracle(seed):
 
 def test_rank_singleton():
     pool = [_stmt("s", 1, "e1", 0.9), _stmt("s", 2, "e2", 0.2)]
-    anchors, _ = anchor(group_by_step(pool), theta=2)
-    conflict_set = conflicts(group_by_step(pool), anchors)
+    anchors, _ = anchor(_table(pool), theta=2)
+    conflict_set = conflicts(_table(pool), anchors)
     dag = build_plan(["s"], [])
-    assert rank_conflicts(conflict_set, dag, group_by_step(pool)) == ["s"]
+    assert rank_conflicts(conflict_set, dag, _table(pool)) == ["s"]
 
 
 def test_rank_prefers_root_with_dependents():
@@ -182,10 +195,10 @@ def test_rank_prefers_root_with_dependents():
     pool = []
     for step in ("root", "sink"):
         pool += [_stmt(step, 1, "e1", 0.9), _stmt(step, 2, "e2", 0.5)]
-    anchors, _ = anchor(group_by_step(pool), theta=2)
-    conflict_set = conflicts(group_by_step(pool), anchors)
+    anchors, _ = anchor(_table(pool), theta=2)
+    conflict_set = conflicts(_table(pool), anchors)
     # equal spreads (0.4); root has 3 dependents, sink none
-    assert rank_conflicts(conflict_set, dag, group_by_step(pool)) == ["root", "sink"]
+    assert rank_conflicts(conflict_set, dag, _table(pool)) == ["root", "sink"]
 
 
 def test_rank_ties_break_by_step_id():
@@ -193,9 +206,9 @@ def test_rank_ties_break_by_step_id():
     pool = []
     for step in ("c", "a", "b"):
         pool += [_stmt(step, 1, "e1", 0.7), _stmt(step, 2, "e2", 0.3)]
-    anchors, _ = anchor(group_by_step(pool), theta=2)
-    conflict_set = conflicts(group_by_step(pool), anchors)
-    assert rank_conflicts(conflict_set, dag, group_by_step(pool)) == ["a", "b", "c"]
+    anchors, _ = anchor(_table(pool), theta=2)
+    conflict_set = conflicts(_table(pool), anchors)
+    assert rank_conflicts(conflict_set, dag, _table(pool)) == ["a", "b", "c"]
 
 
 # --- auditing -------------------------------------------------------------------
@@ -206,9 +219,9 @@ def _audit_fixture(n_steps, table, b_max):
     pool = []
     for step in steps:
         pool += [_stmt(step, 1, "e1", 0.9), _stmt(step, 2, "e2", 0.5)]
-    anchors, _ = anchor(group_by_step(pool), theta=2)
-    conflict_set = conflicts(group_by_step(pool), anchors)
-    ranked = rank_conflicts(conflict_set, dag, group_by_step(pool))
+    anchors, _ = anchor(_table(pool), theta=2)
+    conflict_set = conflicts(_table(pool), anchors)
+    ranked = rank_conflicts(conflict_set, dag, _table(pool))
     registry = OperatorRegistry().register(ScriptedTableOperator(table))
     budget = AuditBudget(b_max=b_max)
     from crosscheck.auditlog import AuditLog
@@ -216,7 +229,7 @@ def _audit_fixture(n_steps, table, b_max):
     log = AuditLog()
     for item in conflict_set.items():
         log.append("audit", "conflict", {"step": item.step})
-    run_audit(ranked, conflict_set, anchors, budget, registry, [], FactStore(), {}, None, (), log)
+    run_audit(ranked, conflict_set, anchors, budget, registry, _table(pool), FactStore(), {}, None, {}, log)
     return anchors, conflict_set, budget, log
 
 
@@ -241,8 +254,8 @@ def test_minority_value_wins_after_majority_refuted():
     steps = ["s"]
     dag = build_plan(steps, [])
     pool = [_stmt("s", 7, "e1", 0.6), _stmt("s", 9, "e2", 0.9), _stmt("s", 9, "e3", 0.9)]
-    anchors, _ = anchor(group_by_step(pool), theta=3)
-    conflict_set = conflicts(group_by_step(pool), anchors)
+    anchors, _ = anchor(_table(pool), theta=3)
+    conflict_set = conflicts(_table(pool), anchors)
     item = conflict_set.get("s")
     assert [format_literal(c.value) for c in item.candidates] == ["num:9", "num:7"]
     table = {statement_key("s", number(9)): "refute", statement_key("s", number(7)): "support"}
@@ -250,7 +263,7 @@ def test_minority_value_wins_after_majority_refuted():
     budget = AuditBudget(b_max=2)
     from crosscheck.auditlog import AuditLog
 
-    run_audit(["s"], conflict_set, anchors, budget, registry, [], FactStore(), {}, None, (), AuditLog())
+    run_audit(["s"], conflict_set, anchors, budget, registry, _table(pool), FactStore(), {}, None, {}, AuditLog())
     assert budget.consumed == 2
     assert values_equal(anchors.get("s").value, number(7))
     assert item.state == "supported"
@@ -284,7 +297,7 @@ def test_synthesize_single_expert_degenerate():
 
     trace = _output("e01", {"s1": 5}, 5, confidence=0.7)
     winner, score, fallback = synthesize(
-        [GatedTrace(trace, 1.0, 0)], AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2)
+        statements([GatedTrace(trace, 1.0, 0)]), AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2)
     )
     assert winner.expert_id == "e01"
     assert score.anchor_support == 1.0  # vacuous with no anchors
@@ -302,7 +315,7 @@ def test_synthesize_anchor_dominance():
     agree = _output("e01", {"s0": 1, "s1": 2, "s2": 3}, 3, confidence=0.5)
     dissent = _output("e02", {"s0": 1, "s1": 9, "s2": 9}, 9, confidence=0.5)
     winner, score, _ = synthesize(
-        [GatedTrace(agree, 1.0, 0), GatedTrace(dissent, 1.0, 1)],
+        statements([GatedTrace(agree, 1.0, 0), GatedTrace(dissent, 1.0, 1)]),
         anchors, ConflictSet(), (0.5, 0.3, 0.2),
     )
     assert winner.expert_id == "e01"
@@ -313,7 +326,7 @@ def test_synthesize_raises_without_candidates():
     from crosscheck.engine import AnchorSet, ConflictSet
 
     with pytest.raises(NoFeasibleCandidateError):
-        synthesize([], AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2))
+        synthesize(statements([]), AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2))
 
 
 def test_synthesize_tie_breaks_to_lowest_expert_id():
@@ -322,7 +335,7 @@ def test_synthesize_tie_breaks_to_lowest_expert_id():
     a = _output("e02", {"s1": 5}, 5, confidence=0.6)
     b = _output("e01", {"s1": 7}, 7, confidence=0.6)
     winner, _, _ = synthesize(
-        [GatedTrace(a, 1.0, 1), GatedTrace(b, 1.0, 0)],
+        statements([GatedTrace(a, 1.0, 1), GatedTrace(b, 1.0, 0)]),
         AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2),
     )
     assert winner.expert_id == "e01"
@@ -563,3 +576,63 @@ def test_synthesis_matches_direct_formula_oracle(seed):
 def test_config_rejects_non_finite_weights(weights):
     with pytest.raises(InvalidConfigError):
         EngineConfig(weights=weights)
+
+
+@pytest.mark.parametrize("theta", [2.5, 3.0, float("nan"), float("inf"), True, "3"])
+def test_config_rejects_a_theta_that_is_not_an_int(theta):
+    with pytest.raises(InvalidThetaError):
+        EngineConfig(theta=theta)
+
+
+@pytest.mark.parametrize("budget", [1.5, 0.5, 2.0, float("nan"), float("inf"), True, False, -1])
+def test_config_rejects_a_budget_that_is_not_a_nonnegative_int(budget):
+    with pytest.raises(InvalidConfigError):
+        EngineConfig(theta=3, budget=budget)
+
+
+def test_config_budget_caps_verify_calls_at_its_int_value():
+    scenario = adversarial_scenario(3)
+    for budget in (0, 1, 2):
+        result = run_pipeline(scenario, EngineConfig(theta=3, budget=budget))
+        plan = [e.payload for e in result.audit_log.stage_entries("audit") if e.event == "plan"]
+        assert plan and plan[0]["budget"] == budget
+        assert result.verify_calls <= budget
+        result.audit_log.to_text()
+
+
+# --- scaling guards ---------------------------------------------------------------
+
+def test_statement_stages_compare_classes_not_statements(monkeypatch):
+    # 57 experts x 31 steps: the shape the `wide` benchmark is made of.
+    params = GeneratorParams(max_experts=64, max_steps=64, agreement=0.5, distractors=4, edge_prob=0.1,
+                             with_constraints=True)
+    scenario = random_scenario(3, params)
+    equal_calls = [0]
+    real_equal = values.values_equal
+
+    def counting_equal(a, b):
+        equal_calls[0] += 1
+        return real_equal(a, b)
+
+    for module in (engine, values, verifiers, facts):
+        monkeypatch.setattr(module, "values_equal", counting_equal)
+    applied = Counter()
+    real_applies = Constraint.applies_to_step
+
+    def counting_applies(self, step):
+        applied[(step, self.id)] += 1
+        return real_applies(self, step)
+
+    monkeypatch.setattr(Constraint, "applies_to_step", counting_applies)
+    table_sizes = []
+    real_statements = engine.statements
+    monkeypatch.setattr(engine, "statements", lambda retained: table_sizes.append(len(real_statements(retained)))
+                        or real_statements(retained))
+
+    result = run_pipeline(scenario)
+    retained = sum(len(gt.trace.steps) for gt in result.retained)
+    assert retained > 1000 and len(scenario.constraints) > 0
+    assert equal_calls[0] < retained / 2
+    assert set(applied) <= {(step, c.id) for step in scenario.dag.steps for c in scenario.constraints}
+    assert max(applied.values()) == 1
+    assert table_sizes == [retained]

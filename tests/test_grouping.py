@@ -1,27 +1,35 @@
-"""Memoized grouping and the step-bucketed engine stages against naive scans.
+"""Memoized grouping and the classified statement table against naive scans.
 
 ``group_values`` memoizes exact twins, and ``anchor``/``conflicts``/
-``rank_conflicts`` read the pool bucketed by step. Both must give exactly
-what the plain scans give: the same groups in the same order with the same
-first-seen representatives, and the same anchors, collisions, conflict
-items and audit order.
+``rank_conflicts``/``synthesize`` read one table that classifies each
+statement once per run. Both must give exactly what the plain scans give:
+the same groups in the same order with the same first-seen
+representatives, and the same anchors, collisions, conflict items, audit
+order, provenance and synthesis scores.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from crosscheck.auditlog import AuditLog
 from crosscheck.engine import (
     Anchor,
+    AuditBudget,
     Candidate,
     ConflictItem,
-    Statement,
+    GatedTrace,
+    _candidate_provenance,
     anchor,
     conflicts,
-    group_by_step,
     rank_conflicts,
+    run_audit,
+    statements,
+    synthesize,
 )
-from crosscheck.plandag import build_plan
+from crosscheck.ensemble import ExpertOutput
+from crosscheck.facts import FactStore
+from crosscheck.plandag import StepResult, build_plan
 from crosscheck.values import (
     COMPOSITE,
     NUMBER,
@@ -35,9 +43,11 @@ from crosscheck.values import (
     number,
     quantity,
     text,
+    values_equal,
 )
+from crosscheck.verifiers import INCONCLUSIVE, REFUTE, SUPPORT, OperatorRegistry, Verdict
 
-from oracles import group_by_equality
+from oracles import flat_pool, group_by_equality, synthesis_score
 
 # An int above 2**53 and a float of equal value: equal as Python numbers, yet
 # numbers_close(BIG, TWIN_INT) is False while numbers_close(BIG, TWIN_FLOAT)
@@ -118,19 +128,49 @@ def test_payloads_without_an_exact_key_take_the_scan():
     _assert_matches_scan([Value(NUMBER, True), Value(NUMBER, 1), Value(TEXT, "x"), Value(TEXT, "x")])
 
 
-# --- engine stages against steps x pool scans ---------------------------------
+# --- the statement table against flat-pool scans ---------------------------------
 
 STEPS = ("a", "b", "c", "d", "e")
 EXPERTS = ("e1", "e2", "e3", "e4", "e5")
 DAG = build_plan(list(STEPS), [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "e")])
+WEIGHTS = (0.5, 0.3, 0.2)
+NAN = Value(NUMBER, float("nan"))  # no exact key: a class of its own each time
 
-statements_st = st.builds(
-    Statement,
-    st.sampled_from(STEPS),
-    st.one_of(st.sampled_from((1, 1.0, 2, 1e9, 1e9 + 1, 1e9 + 2)).map(number), st.sampled_from(WORDS).map(text)),
-    st.sampled_from(EXPERTS),
-    st.sampled_from((0.1, 0.5, 0.9, 1.0)),
+statement_values = st.one_of(
+    st.sampled_from((0, 0.0, -0.0, 1, 1.0, 2, 1e9, 1e9 + 1, 1e9 + 2, BIG, TWIN_INT, TWIN_FLOAT)).map(number),
+    st.sampled_from(WORDS).map(text),
+    st.just(NAN),
+    st.sampled_from((
+        composite([composite([number(1), text("a")]), quantity(2, "m")]),
+        composite([composite([number(1.0), text(" A")]), quantity(2.0, "m")]),
+        composite([number(1e9), number(1e9 + 2)]),
+    )),
 )
+
+
+def _gated(expert_id, index, asserted, kept=None, confidence=None):
+    """A retained trace: ``asserted`` is {step: value}; steps outside ``kept`` were excised."""
+    confidence = confidence or {}
+    steps = {
+        step: StepResult(step, value, confidence.get(step, 0.8), (f"t{index}{step}",))
+        for step, value in asserted.items()
+    }
+    source = ExpertOutput(expert_id, steps, "t", number(0))
+    if kept is None or set(kept) == set(steps):
+        return GatedTrace(source, 1.0, index)
+    return GatedTrace(source.restricted_to(set(kept)), 1.0, index, source)
+
+
+@st.composite
+def retained_traces(draw):
+    traces = []
+    for index in range(draw(st.integers(0, 8))):
+        steps = draw(st.lists(st.sampled_from(STEPS), unique=True, max_size=5))
+        asserted = {step: draw(statement_values) for step in steps}
+        confidence = {step: draw(st.sampled_from((0.1, 0.5, 0.9, 1.0))) for step in steps}
+        kept = draw(st.sets(st.sampled_from(steps))) if steps and draw(st.booleans()) else None
+        traces.append(_gated(draw(st.sampled_from(EXPERTS)), index, asserted, kept, confidence))
+    return traces
 
 
 def _step_groups(pool, step):
@@ -180,27 +220,176 @@ def _reference_rank(steps, pool):
     return sorted(steps, key=lambda s: (-impact(s), s))
 
 
+def _reference_provenance(traces, step, value):
+    ids = set()
+    for gt in traces:
+        result = gt.trace.steps.get(step)
+        if result is not None and values_equal(result.value, value):
+            ids.update(result.provenance)
+    return tuple(sorted(ids))
+
+
+def _reference_scores(traces, anchors, conflict_set):
+    """(fallback, [(expert, trace, total)]) by the direct formula over every asserted statement."""
+    anchored = {a.step: a.value for a in anchors.items()}
+    supported = conflict_set.supported_statements()
+    refuted = conflict_set.refuted_statements()
+
+    def leans_on_refuted(step, value):
+        return any(step == rs and values_equal(value, rv) for rs, rv in refuted)
+
+    candidates = sorted(traces, key=lambda gt: (gt.expert_id, gt.trace_index))
+    fallback = bool(refuted) and all(
+        any(leans_on_refuted(s, r.value) for s, r in gt.asserted.steps.items()) for gt in candidates
+    )
+    scores = []
+    for gt in candidates:
+        asserted = {s: (r.value, r.confidence) for s, r in gt.asserted.steps.items()}
+        surviving = {s: (r.value, r.confidence) for s, r in gt.trace.steps.items()}
+        if fallback:
+            asserted = {s: vc for s, vc in asserted.items() if not leans_on_refuted(s, vc[0])}
+            surviving = {s: vc for s, vc in surviving.items() if not leans_on_refuted(s, vc[0])}
+        total = synthesis_score(asserted, surviving, anchored, supported, refuted, WEIGHTS)
+        scores.append((gt.expert_id, gt.trace_index, total))
+    return fallback, scores
+
+
+class _ScriptedVerdicts:
+    """Hands out verdicts in the order the audit asks, inconclusive once they run out."""
+
+    op_id = "script"
+    scripted = True
+
+    def __init__(self, verdicts):
+        self._verdicts = iter(verdicts)
+
+    def examine(self, step, value, ctx):
+        return Verdict(next(self._verdicts, INCONCLUSIVE))
+
+
 def _literals(objs):
     # Structural equality takes 1 == 1.0; the literal form tells them apart.
     return [format_literal(o.value) for o in objs]
 
 
-@given(st.lists(statements_st, max_size=40), st.integers(2, 3))
-@settings(max_examples=200, deadline=None)
-def test_bucketed_stages_match_steps_times_pool_scans(pool, theta):
-    buckets = group_by_step(pool)
-    assert list(buckets) == sorted({s.step for s in pool})
-    assert [s for bucket in buckets.values() for s in bucket] == sorted(pool, key=lambda s: s.step)
+def _assert_table_matches_oracles(traces, theta, verdicts=()):
+    pool = flat_pool([gt.trace for gt in traces])
+    table = statements(traces)
+    assert len(table) == len(pool)
+    assert list(table.steps) == sorted({s for gt in traces for s in gt.asserted.steps})
+    for step, sc in table.steps.items():
+        assert sc.confidences == [s.confidence for s in pool if s.step == step]
 
     ref_anchors, ref_collisions = _reference_anchor(pool, theta)
-    anchors, collisions = anchor(buckets, theta)
+    anchors, collisions = anchor(table, theta)
     assert list(anchors.items()) == ref_anchors
     assert _literals(anchors.items()) == _literals(ref_anchors)
     assert collisions == ref_collisions
 
-    conflict_set = conflicts(buckets, anchors)
+    conflict_set = conflicts(table, anchors)
     ref_items = _reference_conflicts(pool, set(anchors.steps()))
     assert list(conflict_set.items()) == ref_items
     assert [_literals(i.candidates) for i in conflict_set.items()] == [_literals(i.candidates) for i in ref_items]
 
-    assert rank_conflicts(conflict_set, DAG, buckets) == _reference_rank(conflict_set.steps(), pool)
+    ranked = rank_conflicts(conflict_set, DAG, table)
+    assert ranked == _reference_rank(conflict_set.steps(), pool)
+    for item in conflict_set.items():
+        for candidate in item.candidates:
+            assert _candidate_provenance(table, item.step, candidate.value) == _reference_provenance(
+                traces, item.step, candidate.value
+            )
+
+    registry = OperatorRegistry().register(_ScriptedVerdicts(verdicts))
+    run_audit(ranked, conflict_set, anchors, AuditBudget(b_max=100), registry, table, FactStore(), {}, None, {},
+              AuditLog())
+    if not traces:
+        return anchors
+    log = AuditLog()
+    winner, score, fallback = synthesize(table, anchors, conflict_set, WEIGHTS, log)
+    ref_fallback, ref_scores = _reference_scores(traces, anchors, conflict_set)
+    got = [(e.payload["expert"], e.payload["trace"], e.payload["total"]) for e in log if e.event == "score"]
+    assert fallback == ref_fallback
+    assert got == ref_scores
+    best = max(ref_scores, key=lambda t: t[2])  # max keeps the first of equal totals
+    assert (winner.expert_id, winner.trace_index, score.total) == best
+    return anchors
+
+
+@given(retained_traces(), st.integers(2, 3), st.lists(st.sampled_from((SUPPORT, REFUTE, INCONCLUSIVE)), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_bucketed_stages_match_steps_times_pool_scans(traces, theta, verdicts):
+    _assert_table_matches_oracles(traces, theta, verdicts)
+
+
+def test_tolerance_chain_decides_each_class_against_the_anchor():
+    # Groups in first retained order: {1e9, 1e9+1} and {1e9+2}. The second
+    # anchors, and e3's 1e9+1 equals it although it sits in the other group.
+    traces = [
+        _gated("e1", 0, {"a": number(1e9)}),
+        _gated("e2", 1, {"a": number(1e9 + 2)}),
+        _gated("e3", 2, {"a": number(1e9 + 1)}),
+        _gated("e4", 3, {"a": number(1e9 + 2)}),
+        _gated("e5", 4, {"a": number(1e9 + 2)}),
+    ]
+    anchors = _assert_table_matches_oracles(traces, 2)
+    assert _literals(anchors.items()) == ["num:1000000002.0"]
+
+
+def test_table_int_float_twins_at_the_edge():
+    traces = [
+        _gated("e1", 0, {"a": number(BIG), "b": number(TWIN_FLOAT)}),
+        _gated("e2", 1, {"a": number(TWIN_INT), "b": number(BIG)}),
+        _gated("e3", 2, {"a": number(TWIN_FLOAT), "b": number(TWIN_INT)}),
+        _gated("e4", 3, {"a": number(TWIN_INT), "b": number(TWIN_FLOAT)}),
+    ]
+    _assert_table_matches_oracles(traces, 2, [REFUTE, SUPPORT])
+
+
+def test_excised_negative_zero_does_not_represent_the_retained_zero():
+    traces = [
+        _gated("e1", 0, {"a": number(-0.0), "b": number(1)}, kept=["b"]),
+        _gated("e2", 1, {"a": number(0.0), "b": number(1)}),
+        _gated("e3", 2, {"a": number(0.0), "b": number(2)}),
+    ]
+    anchors = _assert_table_matches_oracles(traces, 2)
+    assert anchors.get("a") is not None and format_literal(anchors.get("a").value) == "num:0.0"
+
+
+def test_excised_statement_within_tolerance_of_an_anchor():
+    # e1's excised 1e9+1 agrees with the anchor 1e9, and e4's excised 5e9 contradicts it.
+    traces = [
+        _gated("e1", 0, {"a": number(1e9 + 1), "b": number(7)}, kept=["b"]),
+        _gated("e2", 1, {"a": number(1e9), "b": number(8)}),
+        _gated("e3", 2, {"a": number(1e9), "b": number(9)}),
+        _gated("e4", 3, {"a": number(5e9), "b": number(9)}, kept=["b"]),
+    ]
+    _assert_table_matches_oracles(traces, 2, [REFUTE, SUPPORT])
+    for verdicts in ([REFUTE, REFUTE, REFUTE], [SUPPORT], [INCONCLUSIVE, REFUTE]):
+        _assert_table_matches_oracles(traces, 2, verdicts)
+
+
+def test_keyless_values_are_classes_of_their_own():
+    traces = [
+        _gated("e1", 0, {"a": NAN, "b": number(1)}),
+        _gated("e2", 1, {"a": NAN, "b": number(1)}),
+        _gated("e3", 2, {"a": number(1), "b": NAN}),
+        _gated("e4", 3, {"a": Value(QUANTITY, [3.0, "m"]), "b": Value(COMPOSITE, [number(1)])}),
+    ]
+    table = statements(traces)
+    assert len(table.steps["a"].reps) == 4  # two NaNs, 1 and the unhashable quantity
+    _assert_table_matches_oracles(traces, 2, [REFUTE, REFUTE, SUPPORT])
+
+
+def test_table_nested_composites():
+    left = composite([composite([number(1), text("a")]), quantity(2, "m")])
+    right = composite([composite([number(1.0), text(" A")]), quantity(2.0, "m")])
+    other = composite([composite([number(2), text("a")]), quantity(2, "m")])
+    traces = [
+        _gated("e1", 0, {"a": left}),
+        _gated("e2", 1, {"a": right, "b": other}, kept=["a"]),
+        _gated("e3", 2, {"a": other, "b": left}),
+        _gated("e4", 3, {"a": other, "b": right}),
+    ]
+    table = statements(traces)
+    assert len(table.steps["a"].reps) == 3 and len(table.steps["a"].groups) == 2
+    _assert_table_matches_oracles(traces, 2, [REFUTE, REFUTE])
