@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import OrderedDict
 
@@ -289,3 +290,34 @@ def test_a_loaded_scenario_shares_nothing_with_the_callers_dict():
     log = _log_text(scenario, EngineConfig())
     assert log == _log_text(pristine, EngineConfig())
     assert "tool:t1" in log  # the audit re-ran the scripted tool
+
+
+def _tool_variants():
+    """``_tool_scenario`` and two variants: the script contradicts e01, and the
+    scripts cover only a second tool, which e02 cites and a note summarizes."""
+    base = _tool_scenario()
+    contradicting = _tool_scenario()
+    contradicting["tool_scripts"] = {'calc|{"expr":"2*3"}': 7}
+    second_tool = _tool_scenario()
+    second_tool["experts"][1]["traces"][0]["steps"]["s1"]["provenance"] = ["t2", "t1"]
+    second_tool["tool_scripts"] = {'calc|{"expr":"3+4"}': {"kind": "number", "value": 7.0}}
+    second_tool["facts_seed"] += [
+        {**TOOL_RECORD, "id": "t2", "params": {"expr": "3+4"}, "outcome": 7,
+         "source_url": "https://example.org/calc", "retrieved_at": "2024-01-01T00:00:00Z"},
+        {"kind": "note", "id": "n1", "summary": "seven", "credibility": "medium", "derived_from": ["t2"]},
+        {"kind": "fact", "id": "f1", "category": "derived", "key": "s2", "value": 8, "derived_from": ["n1"]},
+    ]
+    return [base, contradicting, second_tool]
+
+
+# sha256 over the audit logs of every ``_tool_variants`` scenario under each config,
+# in order. The golden corpora never reach cross-execution; these runs do.
+TOOL_LOGS_SHA256 = "6644ffad0d4b16b15eb7e6f76dd9c5bdb7b61a2b604bb08a6c4b86b388db68b9"
+
+
+def test_cross_execution_logs_are_pinned():
+    digest = hashlib.sha256()
+    for obj in _tool_variants():
+        for config in (EngineConfig(), EngineConfig(theta=3, budget=1), EngineConfig(facts_enabled=False)):
+            digest.update(_log_text(scenario_from_dict(obj), config).encode("utf-8"))
+    assert digest.hexdigest() == TOOL_LOGS_SHA256

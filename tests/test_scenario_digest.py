@@ -46,6 +46,32 @@ def _hand_written() -> dict:
     }
 
 
+def _hand_written_store() -> dict:
+    """Shorthand store records with optional fields left out, a tool key with
+    spaces, and verdict keys that differ only within the numeric tolerance."""
+    return {
+        "name": "hand-written-store",
+        "query": "q",
+        "dag": {"steps": ["s1", "s2"], "edges": [["s1", "s2"]]},
+        "constraints": [{"id": "r", "check": "range", "min": 0}],
+        "experts": [
+            {"expert_id": "e01", "class": "conservative", "temperature": 0.1, "seed": 1,
+             "traces": [{"steps": {"s1": {"value": 1.0, "provenance": ["t1"]}}, "response": 1}]},
+        ],
+        "verdict_table": {"s1|num:1": "refute", "s1|num:1.0": "support", "s2|txt:\"ok\"": "inconclusive"},
+        "tool_scripts": {'calc|{"x": 1, "a": "b"}': 1.0, "echo|{}": {"kind": "text", "value": "ok"}},
+        "oracle": {"answer": {"kind": "number", "value": 1}, "truth": {"s1": {"kind": "number", "value": 1}}},
+        "facts_seed": [
+            {"kind": "tool", "id": "t1", "tool_name": "calc", "params": {"x": 1, "a": "b"}, "outcome": 1},
+            {"id": "t2", "kind": "tool", "tool_name": "echo", "outcome": "ok", "source_url": None},
+            {"kind": "note", "id": "n1", "summary": "one", "credibility": "high", "derived_from": ["t1", "t2"]},
+            {"kind": "fact", "id": "f1", "category": "derived", "key": "s1", "value": 1.0,
+             "derived_from": ["n1"]},
+            {"kind": "fact", "id": "f0", "category": "given", "key": "s2", "value": "ok", "status": "verified"},
+        ],
+    }
+
+
 def _canonical(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
@@ -65,7 +91,7 @@ def test_saved_scenarios_match_pinned_digest():
 
 
 def test_hand_written_scenario_saves_as_written():
-    obj = _hand_written()
-    saved = scenario_to_dict(scenario_from_dict(obj))
-    # Key order too: the saved file lists fields as the scenario carried them.
-    assert json.dumps(saved, ensure_ascii=False) == json.dumps(obj, ensure_ascii=False)
+    for obj in (_hand_written(), _hand_written_store()):
+        saved = scenario_to_dict(scenario_from_dict(obj))
+        # Key order too: the saved file lists fields as the scenario carried them.
+        assert json.dumps(saved, ensure_ascii=False) == json.dumps(obj, ensure_ascii=False)
