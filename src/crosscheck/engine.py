@@ -81,12 +81,16 @@ class EngineConfig:
             raise InvalidThetaError(f"anchor quorum must be an int >= 2, got {self.theta!r}")
         if self.budget is not None and (type(self.budget) is not int or self.budget < 0):
             raise InvalidConfigError(f"budget must be None or an int >= 0, got {self.budget!r}")
-        if not 0.0 <= self.gate_threshold <= 1.0:
-            raise InvalidConfigError("gate_threshold must be in [0,1]")
-        if len(self.weights) != 3 or not all(0 <= w < math.inf for w in self.weights):
-            raise InvalidConfigError("weights must be three finite nonnegative reals")
+        if not _is_real(self.gate_threshold) or not 0.0 <= self.gate_threshold <= 1.0:
+            raise InvalidConfigError(f"gate_threshold must be a real in [0,1], got {self.gate_threshold!r}")
+        # A tuple, so that the frozen config stays hashable.
+        if (type(self.weights) is not tuple or len(self.weights) != 3
+                or not all(_is_real(w) and 0 <= w < math.inf for w in self.weights)):
+            raise InvalidConfigError(f"weights must be a tuple of three finite nonnegative reals, got {self.weights!r}")
         if not 0 < sum(self.weights) < math.inf:
             raise InvalidConfigError("weights must not all be zero, and their sum must be finite")
+        if type(self.facts_enabled) is not bool:
+            raise InvalidConfigError(f"facts_enabled must be a bool, got {self.facts_enabled!r}")
 
     @property
     def normalized_weights(self) -> tuple[float, float, float]:
@@ -94,6 +98,10 @@ class EngineConfig:
         # argmax; normalizing here makes that exact rather than approximate.
         total = sum(self.weights)
         return (self.weights[0] / total, self.weights[1] / total, self.weights[2] / total)
+
+
+def _is_real(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 class StepClasses:
@@ -634,8 +642,8 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
 
     facts = FactStore()
     if cfg.facts_enabled and scenario.facts_seed:
-        for record in scenario.facts_seed:
-            facts.load_record(record)
+        for entry in scenario.facts_seed:
+            facts.insert(entry)
         log.append(
             "facts",
             "seeded",

@@ -58,13 +58,17 @@ class ToolRecord:
     source_url: str | None = None
     retrieved_at: str | None = None
 
-    def params_key(self) -> str:
-        return params_key(self.tool_name, self.params)
-
 
 def params_key(tool_name: str, params: dict[str, object]) -> str:
-    """Deterministic lookup key for a tool invocation: name + canonical params JSON."""
-    return f"{tool_name}|{json.dumps(params, sort_keys=True, separators=(',', ':'), ensure_ascii=False)}"
+    """Deterministic lookup key for a tool invocation: name + canonical params JSON.
+
+    ``params`` must be a JSON object whose numbers are all finite; anything
+    else raises TypeError or ValueError.
+    """
+    if not isinstance(params, dict):
+        raise TypeError(f"params must be an object, got {type(params).__name__}")
+    canonical = json.dumps(params, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+    return f"{tool_name}|{canonical}"
 
 
 @dataclass(frozen=True)
@@ -351,78 +355,23 @@ class FactStore:
         return store
 
     def load_record(self, obj: dict) -> None:
-        """Insert one dump record as given; dumps, scenario seeds and merges all load this way.
+        """Insert one dump record as given; dumps and merges all load this way."""
+        self.insert(decode_record(obj))
 
-        A missing or malformed field raises SchemaError naming it. ``at``
-        marks the field being converted by plain assignment, so a valid
-        record pays nothing for the boundary.
-        """
-        if not isinstance(obj, dict):
-            raise SchemaError(f"store record must be an object, got {type(obj).__name__}")
-        kind = obj.get("kind")
-        at = "id"
-        try:
-            if kind == "tool":
-                tool_id, tool_name = _string_field(obj, "id"), _string_field(obj, "tool_name")
-                at = "params"
-                params = dict(obj.get("params", {}))
-                at = "outcome"
-                outcome = value_from_json(obj["outcome"])
-                self.record_tool(ToolRecord(
-                    id=tool_id,
-                    tool_name=tool_name,
-                    params=params,
-                    outcome=outcome,
-                    source_url=obj.get("source_url"),
-                    retrieved_at=obj.get("retrieved_at"),
-                ))
-                return
-            if kind == "note":
-                at = "derived_from"
-                derived = tuple(obj["derived_from"])
-                if not derived:
-                    raise SchemaError(f"note {obj.get('id')!r} has empty provenance")
-                for tool_id in derived:
-                    self.get_tool(tool_id)
-                credibility = obj["credibility"]
-                if credibility not in CREDIBILITIES:
-                    raise SchemaError(f"unknown credibility {credibility!r}")
-                note = Note(id=_string_field(obj, "id"), summary=_string_field(obj, "summary"),
-                            credibility=credibility, derived_from=derived)
-                if note.id in self._notes:
-                    raise DuplicateIdError(f"note {note.id!r} already present")
-                self._notes[note.id] = note
-                self._bump("note", note.id)
-                return
-            if kind == "fact":
-                category = obj["category"]
-                status = obj.get("status", UNVERIFIED)
-                if category not in CATEGORIES:
-                    raise SchemaError(f"unknown fact category {category!r}")
-                if status not in STATUSES:
-                    raise SchemaError(f"unknown fact status {status!r}")
-                at = "derived_from"
-                derived = tuple(obj.get("derived_from", ()))
-                if category in (RETRIEVED, DERIVED) and not derived:
-                    raise SchemaError(f"{category} fact {obj.get('id')!r} needs note provenance")
-                for note_id in derived:
-                    self.get_note(note_id)
-                at = "value"
-                value = value_from_json(obj["value"])
-                at = "version"
-                version = int(obj.get("version", 1))
-                fact = Fact(id=_string_field(obj, "id"), category=category, key=_string_field(obj, "key"),
-                            value=value, status=status, version=version, derived_from=derived)
-                if fact.id in self._facts:
-                    raise DuplicateIdError(f"fact {fact.id!r} already present")
-                self._facts[fact.id] = fact
-                self._bump("seed_fact", fact.id, fact.status)
-                return
-        except KeyError as exc:
-            raise SchemaError(f"{kind} record missing field {exc}") from exc
-        except (TypeError, ValueError, ParseError) as exc:
-            raise SchemaError(f"{kind} record field {at!r}: {exc}") from exc
-        raise SchemaError(f"unknown record kind {kind!r}")
+    def insert(self, entry: ToolRecord | Note | Fact) -> None:
+        """Add a decoded entry as given, once everything it derives from is present."""
+        if isinstance(entry, ToolRecord):
+            self.record_tool(entry)
+        elif isinstance(entry, Note):
+            for tool_id in entry.derived_from:
+                self.get_tool(tool_id)
+            self._notes[self._fresh_id("note", entry.id, self._notes)] = entry
+            self._bump("note", entry.id)
+        else:
+            for note_id in entry.derived_from:
+                self.get_note(note_id)
+            self._facts[self._fresh_id("fact", entry.id, self._facts)] = entry
+            self._bump("seed_fact", entry.id, entry.status)
 
     def _fresh_id(self, prefix: str, requested: str | None, table: dict) -> str:
         if requested is not None:
@@ -441,6 +390,83 @@ def _string_field(obj: dict, name: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(f"{obj['kind']} record field {name!r} must be a string, got {type(value).__name__}")
     return value
+
+
+def decode_record(obj: dict) -> ToolRecord | Note | Fact:
+    """One dump record as a frozen entry for :meth:`FactStore.insert`.
+
+    A missing or malformed field raises SchemaError naming it. ``at``
+    marks the field being converted by plain assignment, so a valid
+    record pays nothing for the boundary.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"store record must be an object, got {type(obj).__name__}")
+    kind = obj.get("kind")
+    at = "id"
+    try:
+        if kind == "tool":
+            tool_id, tool_name = _string_field(obj, "id"), _string_field(obj, "tool_name")
+            at = "params"
+            params = obj.get("params", {})
+            params_key(tool_name, params)
+            at = "outcome"
+            outcome = value_from_json(obj["outcome"])
+            return ToolRecord(
+                id=tool_id,
+                tool_name=tool_name,
+                params=params,
+                outcome=outcome,
+                source_url=_optional_string_field(obj, "source_url"),
+                retrieved_at=_optional_string_field(obj, "retrieved_at"),
+            )
+        if kind == "note":
+            at = "derived_from"
+            derived = _ids_field(obj)
+            if not derived:
+                raise SchemaError(f"note {obj.get('id')!r} has empty provenance")
+            credibility = obj["credibility"]
+            if credibility not in CREDIBILITIES:
+                raise SchemaError(f"unknown credibility {credibility!r}")
+            return Note(id=_string_field(obj, "id"), summary=_string_field(obj, "summary"),
+                        credibility=credibility, derived_from=derived)
+        if kind == "fact":
+            category = obj["category"]
+            status = obj.get("status", UNVERIFIED)
+            if category not in CATEGORIES:
+                raise SchemaError(f"unknown fact category {category!r}")
+            if status not in STATUSES:
+                raise SchemaError(f"unknown fact status {status!r}")
+            at = "derived_from"
+            derived = _ids_field(obj) if "derived_from" in obj else ()
+            if category in (RETRIEVED, DERIVED) and not derived:
+                raise SchemaError(f"{category} fact {obj.get('id')!r} needs note provenance")
+            at = "value"
+            value = value_from_json(obj["value"])
+            at = "version"
+            version = obj.get("version", 1)
+            if type(version) is not int or version < 1:
+                raise TypeError(f"must be an int >= 1, got {version!r}")
+            return Fact(id=_string_field(obj, "id"), category=category, key=_string_field(obj, "key"),
+                        value=value, status=status, version=version, derived_from=derived)
+    except KeyError as exc:
+        raise SchemaError(f"{kind} record missing field {exc}") from exc
+    except (TypeError, ValueError, ParseError) as exc:
+        raise SchemaError(f"{kind} record field {at!r}: {exc}") from exc
+    raise SchemaError(f"unknown record kind {kind!r}")
+
+
+def _optional_string_field(obj: dict, name: str) -> str | None:
+    value = obj.get(name)
+    if value is not None and not isinstance(value, str):
+        raise SchemaError(f"{obj['kind']} record field {name!r} must be a string or null, got {type(value).__name__}")
+    return value
+
+
+def _ids_field(obj: dict) -> tuple[str, ...]:
+    ids = obj["derived_from"]
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise TypeError(f"must be a list of ids, got {ids!r}")
+    return tuple(ids)
 
 
 def _record(entry: ToolRecord | Note | Fact) -> dict:

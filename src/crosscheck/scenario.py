@@ -8,10 +8,15 @@ per JSON file; a corpus is a directory of them, ordered by filename.
 
 Loading validates every cross-reference (trace steps, verdict-table keys,
 oracle keys, facts provenance) so a scenario that loads is a scenario
-that runs. It is also the schema boundary for scripted traces: each one
-is parsed into an :class:`ExpertOutput` here, once, and every run replays
-those outputs through :class:`ScriptedBackend`. The traces as written are
-kept only to save the scenario again, byte for byte:
+that runs. It is also the one decode boundary: each field is decoded
+here, once, and runs read only what it yields. Traces become
+:class:`ExpertOutput` objects that every run replays through
+:class:`ScriptedBackend`; the verdict table becomes the scripted
+operator's entries; tool scripts are keyed by the canonical invocation
+key (:func:`facts.params_key`), so a key's spacing and params order do
+not matter, but two keys naming one invocation are rejected; seed
+records become frozen store entries. The fields as written are kept, as
+``marshal`` blobs, only to save the scenario again, byte for byte:
 ``load(save(load(path)))`` is structurally identical to ``load(path)``.
 """
 
@@ -19,22 +24,18 @@ from __future__ import annotations
 
 import json
 import marshal
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable
 
 from .ensemble import CONSERVATIVE, ExpertConfig, ExpertOutput, ScriptedBackend, parse_expert_output
 from .errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
-from .facts import FactStore, params_key
+from .facts import Fact, FactStore, Note, ToolRecord, decode_record, params_key
 from .plandag import PlanDag, build_plan
 from .values import Value, parse_statement_key, value_from_json, value_to_json
-from .verifiers import (
-    Constraint,
-    OperatorRegistry,
-    VERDICTS,
-    constraint_from_spec,
-    default_registry,
-)
+from .verifiers import VERDICTS, Constraint, OperatorRegistry, constraint_from_spec, default_registry
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,13 @@ class Scenario:
     query: str
     dag: PlanDag
     experts: tuple[ScriptedExpert, ...]
-    constraints: tuple[Constraint, ...] = ()
-    verdict_table: dict[str, str] = field(default_factory=dict)
-    tool_scripts: dict[str, object] = field(default_factory=dict)
-    oracle: Oracle | None = None
-    facts_seed: tuple[dict, ...] = ()
-    name: str = ""
+    constraints: tuple[Constraint, ...]
+    verdicts: tuple[tuple[str, Value, str], ...]
+    tool_outcomes: MappingProxyType[str, Value]
+    oracle: Oracle | None
+    facts_seed: tuple[ToolRecord | Note | Fact, ...]
+    saved_fields: bytes
+    name: str
 
     def expert_configs(self) -> list[ExpertConfig]:
         return [e.config for e in self.experts]
@@ -88,15 +90,14 @@ class Scenario:
         )
 
     def registry(self) -> OperatorRegistry:
-        return default_registry(self.verdict_table or None)
+        # An empty table registers no scripted operator: it could only cost an invocation.
+        return default_registry(self.verdicts or None)
 
     def tool_runner(self) -> Callable[[str, dict], Value]:
-        scripts = {key: value_from_json(outcome) for key, outcome in self.tool_scripts.items()}
-
         def run_tool(tool_name: str, params: dict) -> Value:
             key = params_key(tool_name, params)
             try:
-                return scripts[key]
+                return self.tool_outcomes[key]
             except KeyError:
                 raise UnknownIdError(f"no scripted outcome for {key!r}") from None
 
@@ -147,11 +148,10 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         at = ("dag", None)
         dag = build_plan(steps, edges)
 
-        # Every mutable field the scenario keeps is a copy: what the caller
-        # does to ``obj`` after the load never reaches the scenario.
         at = ("constraints", None)
+        specs = _expect(obj.get("constraints", []), list)
         constraints = []
-        for c_idx, spec in enumerate(marshal.loads(_marshal(_expect(obj.get("constraints", []), list)))):
+        for c_idx, spec in enumerate(specs):
             at = ("constraints", c_idx)
             constraints.append(constraint_from_spec(spec))
 
@@ -188,24 +188,31 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             raise ValidationError("scenario needs at least one expert")
 
         at = ("verdict_table", None)
-        verdict_table = dict(_expect(obj.get("verdict_table", {}), dict))
+        verdict_table = _expect(obj.get("verdict_table", {}), dict)
+        verdicts = []
         for key, verdict in sorted(verdict_table.items()):
             at = ("verdict_table", key)
             if verdict not in VERDICTS:
                 raise ValidationError(f"unknown verdict {verdict!r}")
-            step, _ = parse_statement_key(key)
+            step, value = parse_statement_key(key)
             if step not in dag:
                 raise ValidationError(f"references unknown step {step!r}")
+            # Many keys, few steps and verdicts: share one string per step and per verdict.
+            verdicts.append((sys.intern(step), value, VERDICTS[VERDICTS.index(verdict)]))
 
         at = ("tool_scripts", None)
-        tool_scripts = marshal.loads(_marshal(_expect(obj.get("tool_scripts", {}), dict)))
+        tool_scripts = _expect(obj.get("tool_scripts", {}), dict)
+        tool_outcomes: dict[str, Value] = {}
         for key, outcome in sorted(tool_scripts.items()):
             at = ("tool_scripts", key)
             tool_name, sep, params_json = key.partition("|")
             if not sep or not tool_name:
                 raise ValidationError("key must look like 'tool|{params-json}'")
-            json.loads(params_json)
-            value_from_json(outcome)
+            # Runs look outcomes up by the canonical key, whatever spacing or key order the file uses.
+            canonical = params_key(tool_name, json.loads(params_json))
+            if canonical in tool_outcomes:
+                raise ValidationError(f"names the invocation {canonical!r} a second time")
+            tool_outcomes[canonical] = value_from_json(outcome)
 
         at = ("oracle", None)
         oracle = None
@@ -221,11 +228,17 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             oracle = Oracle(answer=answer, truth=truth)
 
         at = ("facts_seed", None)
-        facts_seed = marshal.loads(_marshal(tuple(_expect(obj.get("facts_seed", []), list))))
-        probe = FactStore()
-        for r_idx, record in enumerate(facts_seed):
+        seed_records = _expect(obj.get("facts_seed", []), list)
+        at = ("constraints, verdict_table, tool_scripts and facts_seed", None)
+        saved_fields = _marshal({"constraints": specs, "verdict_table": verdict_table,
+                                 "tool_scripts": tool_scripts, "facts_seed": seed_records})
+        facts_seed = []
+        probe = FactStore()  # checks that every id a record derives from is seeded before it
+        # Decoded from the saved copy, the entries share no dict with ``obj``.
+        for r_idx, record in enumerate(marshal.loads(saved_fields)["facts_seed"]):
             at = ("facts_seed", r_idx)
-            probe.load_record(record)
+            facts_seed.append(decode_record(record))
+            probe.insert(facts_seed[-1])
     except _REJECTED as exc:
         where, index = at
         if index is not None:
@@ -238,15 +251,17 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         dag=dag,
         experts=tuple(experts),
         constraints=tuple(constraints),
-        verdict_table=verdict_table,
-        tool_scripts=tool_scripts,
+        verdicts=tuple(verdicts),
+        tool_outcomes=MappingProxyType(tool_outcomes),
         oracle=oracle,
-        facts_seed=facts_seed,
+        facts_seed=tuple(facts_seed),
+        saved_fields=saved_fields,
         name=name or str(obj.get("name", "")),
     )
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    saved = marshal.loads(scenario.saved_fields)
     obj: dict = {
         "name": scenario.name,
         "query": scenario.query,
@@ -254,7 +269,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "steps": list(scenario.dag.steps),
             "edges": [list(edge) for edge in scenario.dag.edges],
         },
-        "constraints": [c.spec for c in scenario.constraints if c.spec is not None],
+        "constraints": saved["constraints"],
         "experts": [
             {
                 "expert_id": e.config.expert_id,
@@ -266,16 +281,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             }
             for e in scenario.experts
         ],
-        "verdict_table": {k: scenario.verdict_table[k] for k in sorted(scenario.verdict_table)},
-        "tool_scripts": {k: scenario.tool_scripts[k] for k in sorted(scenario.tool_scripts)},
+        "verdict_table": {k: saved["verdict_table"][k] for k in sorted(saved["verdict_table"])},
+        "tool_scripts": {k: saved["tool_scripts"][k] for k in sorted(saved["tool_scripts"])},
     }
     if scenario.oracle is not None:
         obj["oracle"] = {
             "answer": value_to_json(scenario.oracle.answer),
             "truth": {s: value_to_json(v) for s, v in sorted(scenario.oracle.truth.items())},
         }
-    if scenario.facts_seed:
-        obj["facts_seed"] = [dict(r) for r in scenario.facts_seed]
+    if saved["facts_seed"]:
+        obj["facts_seed"] = saved["facts_seed"]
     return obj
 
 
@@ -330,7 +345,10 @@ scenario file (JSON, one scenario per file)
                                  "analysis": str, "response": V}],
                      "fail": bool?}
   verdict_table   {"<step>|<value-literal>": "support"|"refute"|"inconclusive"}
-  tool_scripts    {"<tool>|<canonical-params-json>": V}
+  tool_scripts    {"<tool>|<params-json-object>": V}
+                  params numbers must be finite; a key is read as its canonical
+                  form (sorted keys, no spaces), and two keys naming one
+                  invocation are rejected
   oracle          {"answer": V, "truth": {step-id: V}} or absent
   facts_seed      list of store records, the same line format the store dumps:
                     {"kind": "tool"|"note"|"fact", ...}

@@ -33,7 +33,6 @@ from .values import (
     TEXT,
     Value,
     statement_key,
-    parse_statement_key,
     values_comparable,
     values_equal,
 )
@@ -67,7 +66,6 @@ class Constraint:
     description: str = ""
     step_pattern: str | None = None
     predicate: Callable[[Value], bool] | None = None
-    spec: dict | None = None
 
     def applies_to_step(self, step: str) -> bool:
         return self.scope == STEP_SCOPE and fnmatchcase(step, self.step_pattern or "*")
@@ -100,7 +98,6 @@ def constraint_from_spec(obj: dict) -> Constraint:
         scope=scope,
         description=obj.get("description", ""),
         step_pattern=_spec_text(obj, "step_pattern") if obj.get("step_pattern") is not None else None,
-        spec=obj,
     )
     if check == "range":
         lo = _spec_bound(obj, "min", float("-inf"))
@@ -428,19 +425,16 @@ class CrossExecutionOperator:
 
 
 class ScriptedTableOperator:
-    """Verdicts looked up from a scenario-supplied table; desk-scale oracle."""
+    """Verdicts looked up from a scenario-supplied table; desk-scale oracle.
+
+    ``entries`` are the table's ``(step, value, verdict)`` by sorted key; the first match decides.
+    """
 
     op_id = "scripted"
     scripted = True
 
-    def __init__(self, table: Mapping[str, str]) -> None:
-        self._entries: list[tuple[str, Value, str]] = []
-        for key in sorted(table):
-            verdict = table[key]
-            if verdict not in VERDICTS:
-                raise ParseError(f"verdict table maps {key!r} to unknown verdict {verdict!r}")
-            step, value = parse_statement_key(key)
-            self._entries.append((step, value, verdict))
+    def __init__(self, entries: Sequence[tuple[str, Value, str]]) -> None:
+        self._entries = entries
 
     def examine(self, step: str, value: Value, ctx: VerifyContext) -> Verdict:
         for entry_step, entry_value, verdict in self._entries:
@@ -449,13 +443,13 @@ class ScriptedTableOperator:
         return Verdict(INCONCLUSIVE, ())
 
 
-def default_registry(verdict_table: Mapping[str, str] | None = None) -> OperatorRegistry:
+def default_registry(verdicts: Sequence[tuple[str, Value, str]] | None = None) -> OperatorRegistry:
     """The standard operator stack, cheapest first."""
     registry = OperatorRegistry()
     registry.register(ConstraintCheckOperator())
     registry.register(AnchorConsistencyOperator())
     registry.register(FactsConsistencyOperator())
     registry.register(CrossExecutionOperator())
-    if verdict_table is not None:
-        registry.register(ScriptedTableOperator(verdict_table))
+    if verdicts is not None:
+        registry.register(ScriptedTableOperator(verdicts))
     return registry

@@ -26,7 +26,7 @@ from crosscheck.errors import InvalidConfigError, InvalidThetaError, NoFeasibleC
 from crosscheck.facts import FactStore
 from crosscheck.plandag import StepResult, build_plan
 from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict
-from crosscheck.values import format_literal, number, statement_key, values_equal
+from crosscheck.values import format_literal, number, parse_statement_key, statement_key, values_equal
 from crosscheck.verifiers import Constraint, OperatorRegistry, ScriptedTableOperator
 
 from oracles import Stmt, count_filter_anchors, flat_pool, pairwise_conflicts, synthesis_score
@@ -213,6 +213,11 @@ def test_rank_ties_break_by_step_id():
 
 # --- auditing -------------------------------------------------------------------
 
+def _scripted(table):
+    """The scripted operator over a ``{statement key: verdict}`` table, decoded as loading does."""
+    return ScriptedTableOperator([(*parse_statement_key(key), table[key]) for key in sorted(table)])
+
+
 def _audit_fixture(n_steps, table, b_max):
     steps = [f"s{i:02d}" for i in range(n_steps)]
     dag = build_plan(steps, [])
@@ -222,7 +227,7 @@ def _audit_fixture(n_steps, table, b_max):
     anchors, _ = anchor(_table(pool), theta=2)
     conflict_set = conflicts(_table(pool), anchors)
     ranked = rank_conflicts(conflict_set, dag, _table(pool))
-    registry = OperatorRegistry().register(ScriptedTableOperator(table))
+    registry = OperatorRegistry().register(_scripted(table))
     budget = AuditBudget(b_max=b_max)
     from crosscheck.auditlog import AuditLog
 
@@ -259,7 +264,7 @@ def test_minority_value_wins_after_majority_refuted():
     item = conflict_set.get("s")
     assert [format_literal(c.value) for c in item.candidates] == ["num:9", "num:7"]
     table = {statement_key("s", number(9)): "refute", statement_key("s", number(7)): "support"}
-    registry = OperatorRegistry().register(ScriptedTableOperator(table))
+    registry = OperatorRegistry().register(_scripted(table))
     budget = AuditBudget(b_max=2)
     from crosscheck.auditlog import AuditLog
 
@@ -588,6 +593,38 @@ def test_config_rejects_a_theta_that_is_not_an_int(theta):
 def test_config_rejects_a_budget_that_is_not_a_nonnegative_int(budget):
     with pytest.raises(InvalidConfigError):
         EngineConfig(theta=3, budget=budget)
+
+
+@pytest.mark.parametrize("threshold", [True, False, "0.5", None, float("nan"), 1.5, -0.1])
+def test_config_rejects_a_gate_threshold_that_is_not_a_real_in_range(threshold):
+    with pytest.raises(InvalidConfigError, match="gate_threshold"):
+        EngineConfig(gate_threshold=threshold)
+
+
+@pytest.mark.parametrize("weights", [
+    (True, 0.3, 0.2),
+    [0.5, 0.3, 0.2],  # a list would make the frozen config unhashable
+    ("a", 0.3, 0.2),
+    (0.5, None, 0.2),
+    (0.5, 0.3),
+    "abc",
+])
+def test_config_rejects_weights_that_are_not_three_reals(weights):
+    with pytest.raises(InvalidConfigError, match="weights"):
+        EngineConfig(weights=weights)
+
+
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_config_rejects_a_facts_enabled_that_is_not_a_bool(flag):
+    with pytest.raises(InvalidConfigError, match="facts_enabled"):
+        EngineConfig(facts_enabled=flag)
+
+
+def test_config_accepts_int_settings_and_logs_them_as_given():
+    config = EngineConfig(gate_threshold=1, weights=(1, 0, 0), facts_enabled=False)
+    assert hash(config) == hash(EngineConfig(gate_threshold=1, weights=(1, 0, 0), facts_enabled=False))
+    payload = run_pipeline(adversarial_scenario(3), config).audit_log.stage_entries("ensemble")[0].payload
+    assert (payload["gate_threshold"], payload["weights"], payload["facts_enabled"]) == (1, [1.0, 0.0, 0.0], False)
 
 
 def test_config_budget_caps_verify_calls_at_its_int_value():

@@ -278,6 +278,16 @@ _FACT = {"kind": "fact", "id": "f1", "category": "retrieved", "key": "k", "value
     ({**_FACT, "derived_from": 5}, r"field 'derived_from'"),
     ({**_FACT, "value": {"kind": "composite", "items": 5}}, r"field 'value'"),
     ({k: v for k, v in _FACT.items() if k != "key"}, r"missing field 'key'"),
+    ({**_FACT, "version": "3"}, r"field 'version': must be an int >= 1"),
+    ({**_FACT, "version": 2.9}, r"field 'version': must be an int >= 1"),
+    ({**_FACT, "version": True}, r"field 'version': must be an int >= 1"),
+    ({**_FACT, "version": 0}, r"field 'version': must be an int >= 1"),
+    ({**_FACT, "version": -4}, r"field 'version': must be an int >= 1"),
+    ({**_TOOL, "params": [["x", 1]]}, r"field 'params': params must be an object"),
+    ({**_TOOL, "params": {"x": float("nan")}}, r"field 'params': Out of range float"),
+    ({**_TOOL, "params": {"x": [float("-inf")]}}, r"field 'params': Out of range float"),
+    ({**_TOOL, "source_url": 5}, r"field 'source_url' must be a string or null"),
+    ({**_TOOL, "retrieved_at": ["2024"]}, r"field 'retrieved_at' must be a string or null"),
 ])
 def test_malformed_dump_record_is_schema_error(record, message):
     lines = [json.dumps(r) for r in (_TOOL, _NOTE, record)]

@@ -2,23 +2,27 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from types import ModuleType
 
 import pytest
 
+import crosscheck
 from crosscheck import ensemble
 from crosscheck import scenario as scenario_mod
 from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus, random_scenario
 from crosscheck.engine import EngineConfig, run_pipeline
+from crosscheck.facts import FactStore
 from crosscheck.errors import NoFeasibleCandidateError, ParseError, UnknownIdError, ValidationError
 from crosscheck.scenario import (
+    Oracle,
     load_scenario,
     save_scenario,
     scenario_expert_outputs,
     scenario_from_dict,
     scenario_to_dict,
 )
-from crosscheck.values import number, values_equal
+from crosscheck.values import Value, number, values_equal
 
 
 def _minimal(**overrides):
@@ -152,6 +156,18 @@ TOOL_RECORD = {"kind": "tool", "tool_name": "calc", "params": {}, "outcome": 1}
      r"facts_seed\[1\]: tool record field 'id' must be a string"),
     (_minimal(facts_seed=[{"kind": "fact", "id": "f1", "category": "given", "key": 3, "value": 1}]),
      r"facts_seed\[0\]: fact record field 'key' must be a string"),
+    # Runs look scripts up by the canonical key of an object's params: these could never match.
+    (_minimal(tool_scripts={"calc|[1]": 1}), r"tool_scripts\['calc\|\[1\]'\]: params must be an object"),
+    (_minimal(tool_scripts={"calc|3": 1}), r"tool_scripts\['calc\|3'\]: params must be an object"),
+    (_minimal(tool_scripts={'calc|{"x": NaN}': 1}), r"tool_scripts\['calc\|\{\"x\": NaN\}'\]: Out of range"),
+    (_minimal(tool_scripts={'calc|{"x": 1, "y": 2}': 1, 'calc|{"y":2,"x":1}': 2}),
+     r"""tool_scripts\['calc\|\{"y":2,"x":1\}'\]: names the invocation 'calc\|\{"x":1,"y":2\}' a second time"""),
+    (_minimal(facts_seed=[{**TOOL_RECORD, "id": "t1", "params": {"x": float("nan")}}]),
+     r"facts_seed\[0\]: tool record field 'params'"),
+    (_minimal(facts_seed=[{**TOOL_RECORD, "id": "t1", "source_url": 5}]),
+     r"facts_seed\[0\]: tool record field 'source_url' must be a string or null"),
+    (_minimal(facts_seed=[{"kind": "fact", "id": "f1", "category": "given", "key": "s1", "value": 1, "version": "3"}]),
+     r"facts_seed\[0\]: fact record field 'version': must be an int >= 1"),
 ])
 def test_malformed_scenario_is_validation_error(obj, field):
     with pytest.raises(ValidationError, match=field):
@@ -165,6 +181,15 @@ def test_tool_runner_resolves_scripts():
     assert values_equal(runner("calc", {"expr": "6*7"}), number(42))
     with pytest.raises(UnknownIdError):
         runner("calc", {"expr": "1+1"})
+
+
+def test_a_tool_key_names_its_invocation_however_it_is_spaced():
+    canonical = _log_text(scenario_from_dict(_tool_scenario()), EngineConfig())
+    assert "tool:t1" in canonical
+    for key in ('calc|{"expr": "2*3"}', 'calc| { "expr" : "2*3" } '):
+        obj = _tool_scenario()
+        obj["tool_scripts"] = {key: 6}
+        assert _log_text(scenario_from_dict(obj), EngineConfig()) == canonical
 
 
 def test_bad_json_reports_position(tmp_path):
@@ -205,7 +230,7 @@ def test_save_emits_explicit_value_forms(tmp_path):
 
 def test_save_refuses_a_non_finite_number(tmp_path):
     scenario = scenario_from_dict(_minimal(), name="m")
-    scenario.tool_scripts["calc|{}"] = float("nan")
+    scenario.oracle = Oracle(Value("number", float("nan")))  # no decoder makes one; build it directly
     path = tmp_path / "m.json"
     with pytest.raises(ValueError):
         save_scenario(scenario, path)
@@ -243,6 +268,33 @@ def test_runs_replay_the_outputs_parsed_at_load(monkeypatch):
         _log_text(scenario, config)
         scenario_expert_outputs(scenario)
     assert parsed == []
+
+
+def test_runs_read_the_fields_decoded_at_load(monkeypatch):
+    calls = Counter()
+
+    def spy(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("value_from_json", "parse_statement_key"):
+        for module in vars(crosscheck).values():
+            if isinstance(module, ModuleType) and hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    monkeypatch.setattr(FactStore, "load_record", spy("load_record", FactStore.load_record))
+    tool_scenario = scenario_from_dict(_tool_scenario())
+    scenario_from_dict(_minimal(verdict_table={"s1|num:1": "support"}))
+    FactStore.from_lines(['{"kind": "tool", "id": "t1", "tool_name": "calc", "outcome": 1}'])
+    assert all(calls[name] for name in ("value_from_json", "parse_statement_key", "load_record"))
+
+    runs = _mixed_corpus() + [(tool_scenario, EngineConfig())]
+    calls.clear()
+    for scenario, config in runs:
+        _log_text(scenario, config)
+    assert "tool:t1" in _log_text(tool_scenario, EngineConfig())
+    assert calls == Counter()
 
 
 def test_one_scenario_object_runs_to_the_same_log_every_time():

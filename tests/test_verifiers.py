@@ -11,7 +11,7 @@ from crosscheck.errors import DuplicateIdError
 from crosscheck.facts import CONFLICT, FactStore, ToolRecord
 from crosscheck.plandag import build_plan
 from crosscheck.scenario import scenario_expert_outputs
-from crosscheck.values import format_literal, number, quantity, statement_key, text
+from crosscheck.values import format_literal, number, quantity, text
 from crosscheck.verifiers import (
     INCONCLUSIVE,
     REFUTE,
@@ -127,7 +127,7 @@ def test_check_response_matches_conjunction_oracle(seed):
 
 def test_verify_scripted_refute_cost_one():
     registry = OperatorRegistry().register(
-        ScriptedTableOperator({statement_key("s1", number(5)): "refute"})
+        ScriptedTableOperator([("s1", number(5), "refute")])
     )
     verdict = registry.verify(("s1", number(5)), VerifyContext())
     assert verdict.value == REFUTE
@@ -165,7 +165,7 @@ def test_verify_cross_execution_support_and_refute():
 
 
 def test_registry_order_is_part_of_the_contract():
-    table = ScriptedTableOperator({statement_key("s1", number(5)): "refute"})
+    table = ScriptedTableOperator([("s1", number(5), "refute")])
     anchors_first = OperatorRegistry().register(AnchorConsistencyOperator()).register(table)
     table_first = OperatorRegistry().register(table).register(AnchorConsistencyOperator())
     ctx = VerifyContext(anchors={"s1": number(5)})
@@ -196,7 +196,7 @@ def test_crashing_operator_treated_as_inconclusive():
 
     errors = []
     registry = OperatorRegistry().register(Crasher()).register(
-        ScriptedTableOperator({statement_key("s1", number(1)): "support"})
+        ScriptedTableOperator([("s1", number(1), "support")])
     )
     verdict = registry.verify(("s1", number(1)), VerifyContext(),
                               on_error=lambda op, msg: errors.append((op, msg)))
@@ -337,8 +337,8 @@ def test_gate_asks_the_store_once_per_statement(seed, placement):
         "twice": (FACTS_CHECK,) + scenario.constraints + (FACTS_CHECK,),
     }[placement]
     facts = SpyFactStore()
-    for record in scenario.facts_seed:
-        facts.load_record(record)
+    for entry in scenario.facts_seed:
+        facts.insert(entry)
     for step in scenario.dag.steps[::2]:
         facts.add_given(step, number(0))  # so that many statements conflict
     for output in outputs:
