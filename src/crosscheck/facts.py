@@ -414,7 +414,7 @@ def decode_record(obj: dict) -> ToolRecord | Note | Fact:
             return ToolRecord(
                 id=tool_id,
                 tool_name=tool_name,
-                params=params,
+                params=dict(params),
                 outcome=outcome,
                 source_url=_optional_string_field(obj, "source_url"),
                 retrieved_at=_optional_string_field(obj, "retrieved_at"),

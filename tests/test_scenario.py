@@ -168,6 +168,8 @@ TOOL_RECORD = {"kind": "tool", "tool_name": "calc", "params": {}, "outcome": 1}
      r"facts_seed\[0\]: tool record field 'source_url' must be a string or null"),
     (_minimal(facts_seed=[{"kind": "fact", "id": "f1", "category": "given", "key": "s1", "value": 1, "version": "3"}]),
      r"facts_seed\[0\]: fact record field 'version': must be an int >= 1"),
+    (_minimal(verdict_table=OrderedDict({"s1|num:1": "refute"})),
+     r"constraints, verdict_table, tool_scripts and facts_seed: must hold plain JSON"),
 ])
 def test_malformed_scenario_is_validation_error(obj, field):
     with pytest.raises(ValidationError, match=field):
