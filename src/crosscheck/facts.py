@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -407,14 +408,14 @@ def decode_record(obj: dict) -> ToolRecord | Note | Fact:
         if kind == "tool":
             tool_id, tool_name = _string_field(obj, "id"), _string_field(obj, "tool_name")
             at = "params"
-            params = obj.get("params", {})
+            params = marshal.loads(marshal.dumps(obj.get("params", {})))  # a copy that shares nothing
             params_key(tool_name, params)
             at = "outcome"
             outcome = value_from_json(obj["outcome"])
             return ToolRecord(
                 id=tool_id,
                 tool_name=tool_name,
-                params=dict(params),
+                params=params,
                 outcome=outcome,
                 source_url=_optional_string_field(obj, "source_url"),
                 retrieved_at=_optional_string_field(obj, "retrieved_at"),

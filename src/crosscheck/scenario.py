@@ -234,8 +234,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
                                  "tool_scripts": tool_scripts, "facts_seed": seed_records})
         facts_seed = []
         probe = FactStore()  # checks that every id a record derives from is seeded before it
-        # Decoded from the saved copy, the entries share no dict with ``obj``.
-        for r_idx, record in enumerate(marshal.loads(saved_fields)["facts_seed"]):
+        for r_idx, record in enumerate(seed_records):
             at = ("facts_seed", r_idx)
             facts_seed.append(decode_record(record))
             probe.insert(facts_seed[-1])
