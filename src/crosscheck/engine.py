@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .auditlog import AuditLog
 from .ensemble import CollectResult, ExpertOutput, collect
@@ -44,7 +44,6 @@ from .verifiers import (
     INCONCLUSIVE,
     REFUTE,
     SUPPORT,
-    Constraint,
     GateResult,
     OperatorRegistry,
     VerifyContext,
@@ -443,7 +442,6 @@ def run_audit(
     facts: FactStore,
     records: dict,
     tool_runner,
-    constraints: Mapping[str, Sequence[Constraint]],
     log: AuditLog,
 ) -> None:
     """Stage 3: spend the budget on ranked conflicts, strongest candidates first.
@@ -451,7 +449,6 @@ def run_audit(
     The budget is checked before every verify call, so the cap binds even
     mid-item; a partially examined item stays open. A supported value is
     promoted to the anchors immediately and later statements can lean on it.
-    ``constraints`` maps each step to its applicable step constraints.
     """
     for step in ranked:
         item = conflict_set.get(step)
@@ -465,7 +462,6 @@ def run_audit(
                 facts=facts,
                 records=records,
                 tool_runner=tool_runner,
-                constraints=constraints,
                 provenance=_candidate_provenance(table, step, candidate.value),
             )
             verdict = registry.verify(
@@ -486,6 +482,7 @@ def run_audit(
                     "value": literal,
                     "verdict": verdict.value,
                     "cost": verdict.cost,
+                    "operator": verdict.operator,
                     "evidence": list(verdict.evidence),
                     "budget_used": used,
                 },
@@ -754,8 +751,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
         registry = scenario.registry()
         run_audit(
             ranked, conflict_set, anchors, budget, registry, table,
-            facts, {r.id: r for r in facts.tools()}, scenario.tool_runner(),
-            constraints.steps, log,
+            facts, {r.id: r for r in facts.tools()}, scenario.tool_runner(), log,
         )
 
     partial = RunResult(

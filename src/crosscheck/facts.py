@@ -407,6 +407,8 @@ def decode_record(obj: dict) -> ToolRecord | Note | Fact:
     try:
         if kind == "tool":
             tool_id, tool_name = _string_field(obj, "id"), _string_field(obj, "tool_name")
+            if "|" in tool_name:  # no tool_scripts key could name the invocation
+                raise SchemaError(f"tool record field 'tool_name' must not contain '|', got {tool_name!r}")
             at = "params"
             params = marshal.loads(marshal.dumps(obj.get("params", {})))  # a copy that shares nothing
             params_key(tool_name, params)

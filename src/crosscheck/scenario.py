@@ -351,6 +351,7 @@ scenario file (JSON, one scenario per file)
   oracle          {"answer": V, "truth": {step-id: V}} or absent
   facts_seed      list of store records, the same line format the store dumps:
                     {"kind": "tool"|"note"|"fact", ...}
+                  a tool record's tool_name holds no '|', so a tool_scripts key can name it
 
 values V are JSON scalars/lists (shorthand) or explicit objects
   {"kind": "number", "value": 42}

@@ -8,12 +8,13 @@ DAG dependents (the preceding valid segments survive), and a trace is
 dropped outright when its final response is infeasible or too little of
 it remains.
 
-Verify operators are the per-statement falsifiers used during conflict
-auditing. They run in registration order — cheap checks first — until one
-commits to support or refute; a full pass with no commitment is
-inconclusive. Operators are pure with respect to their inputs, and every
-non-scripted decision must cite evidence (``tool:``/``fact:``/``anchor:``/
-``constraint:`` ids) so verdicts stay auditable.
+The gate is the only place that decides admissibility: every value the
+audit sees already passed it. Verify operators are the per-statement
+falsifiers used during conflict auditing. They run in registration order
+— cheap checks first — until one commits to support or refute; a full
+pass with no commitment is inconclusive. Operators are pure with respect
+to their inputs, and every non-scripted decision must cite evidence
+(``anchor:``/``fact:``/``tool:`` ids) so verdicts stay auditable.
 """
 
 from __future__ import annotations
@@ -165,8 +166,10 @@ def check_response(response: Value, constraints: Sequence[Constraint], facts: Fa
 class ConstraintIndex:
     """A scenario's constraints, resolved against its DAG once per run.
 
-    ``steps`` maps every DAG step to the step-scope constraints that apply
-    to it, in their given order; ``response`` holds the response-scope
+    ``steps`` maps every DAG step to the step-scope predicate constraints
+    that apply to it, in their given order. A step-scope ``facts``
+    constraint is not listed there: it would ask the store what the gate
+    asks at every step anyway. ``response`` holds the response-scope
     constraints. Build it with :func:`index_constraints`.
     """
 
@@ -175,9 +178,10 @@ class ConstraintIndex:
 
 
 def index_constraints(constraints: Sequence[Constraint], dag: PlanDag) -> ConstraintIndex:
-    """Resolve which constraints apply where: one pattern match per (DAG step, constraint)."""
+    """Resolve which constraints apply where: one pattern match per (DAG step, predicate constraint)."""
+    predicates = [c for c in constraints if c.predicate is not None]
     return ConstraintIndex(
-        steps={step: tuple(c for c in constraints if c.applies_to_step(step)) for step in dag.steps},
+        steps={step: tuple(c for c in predicates if c.applies_to_step(step)) for step in dag.steps},
         response=tuple(c for c in constraints if c.scope == RESPONSE_SCOPE),
     )
 
@@ -212,7 +216,7 @@ def gate(
 ) -> GateResult:
     """Screen a trace against constraints and verified facts.
 
-    A statement fails when any applicable step-scope constraint rejects its
+    A statement fails when any applicable step predicate rejects its
     value or the facts store reports a conflict at its step key. Failing
     statements and their DAG dependents are excised; everything upstream
     stays. The trace as a whole is rejected iff its response is infeasible
@@ -243,22 +247,11 @@ def gate(
 def _statement_admissible(
     step: str, value: Value, facts: FactStore | None, applicable: Sequence[Constraint]
 ) -> bool:
-    """Every applicable step constraint holds and the facts report no conflict.
-
-    Constraints run in order and stop at the first failure. Every
-    consistency constraint makes the same ``check_consistency((step, value))``
-    call as the final facts check, so the store is asked at most once.
-    """
-    facts_checked = False
+    """Every applicable step predicate holds and the store (if any) reports no conflict."""
     for c in applicable:
-        if facts_checked and c.kind == "consistency":
-            continue
         if not c.holds(value, facts, step):
             return False
-        facts_checked = facts_checked or c.kind == "consistency"
-    if facts is None or facts_checked:
-        return True
-    return facts.check_consistency((step, value)).verdict != CONFLICT
+    return facts is None or facts.check_consistency((step, value)).verdict != CONFLICT
 
 
 # --- verify operators ---------------------------------------------------------
@@ -266,27 +259,30 @@ def _statement_admissible(
 
 @dataclass(frozen=True)
 class Verdict:
+    """An operator's decision. :meth:`OperatorRegistry.verify` sets ``cost``
+    to the number of operators it invoked and ``operator`` to the id of the
+    one that committed (None when none did)."""
+
     value: str
     evidence: tuple[str, ...] = ()
     cost: int = 1
+    operator: str | None = None
 
 
 @dataclass
 class VerifyContext:
     """Everything an operator may consult, engine-agnostic.
 
-    ``anchors`` maps step -> already-trusted value; ``constraints`` maps
-    step -> its applicable step constraints, as in :class:`ConstraintIndex`;
-    ``provenance`` carries the tool record ids backing the statement under
-    test; ``tool_runner`` re-executes a tool by (name, params) and raises
-    UnknownIdError when the invocation is not scripted.
+    ``anchors`` maps step -> already-trusted value; ``provenance`` carries
+    the tool record ids backing the statement under test; ``tool_runner``
+    re-executes a tool by (name, params) and raises UnknownIdError when the
+    invocation is not scripted.
     """
 
     anchors: Mapping[str, Value] = field(default_factory=dict)
     facts: FactStore | None = None
     records: Mapping[str, ToolRecord] = field(default_factory=dict)
     tool_runner: Callable[[str, dict], Value] | None = None
-    constraints: Mapping[str, Sequence[Constraint]] = field(default_factory=dict)
     provenance: tuple[str, ...] = ()
 
 
@@ -348,21 +344,8 @@ class OperatorRegistry:
                 if on_error is not None:
                     on_error(op.op_id, "discarded evidence-free verdict")
                 continue
-            return replace(verdict, cost=invoked)
+            return replace(verdict, cost=invoked, operator=op.op_id)
         return Verdict(INCONCLUSIVE, (), invoked)
-
-
-class ConstraintCheckOperator:
-    """Refutes statements that violate a step constraint the context applies to their step."""
-
-    op_id = "constraints"
-    scripted = False
-
-    def examine(self, step: str, value: Value, ctx: VerifyContext) -> Verdict:
-        for c in ctx.constraints.get(step, ()):
-            if not c.holds(value, ctx.facts, step):
-                return Verdict(REFUTE, (f"constraint:{c.id}",))
-        return Verdict(INCONCLUSIVE, ())
 
 
 class AnchorConsistencyOperator:
@@ -444,9 +427,13 @@ class ScriptedTableOperator:
 
 
 def default_registry(verdicts: Sequence[tuple[str, Value, str]] | None = None) -> OperatorRegistry:
-    """The standard operator stack, cheapest first."""
+    """The standard operator stack, cheapest first: anchors, facts, cross-exec, then scripted.
+
+    The scripted operator is registered only when ``verdicts`` is not None.
+    No operator re-checks the step constraints: the gate has already
+    applied them to every value the audit sees.
+    """
     registry = OperatorRegistry()
-    registry.register(ConstraintCheckOperator())
     registry.register(AnchorConsistencyOperator())
     registry.register(FactsConsistencyOperator())
     registry.register(CrossExecutionOperator())

@@ -234,7 +234,7 @@ def _audit_fixture(n_steps, table, b_max):
     log = AuditLog()
     for item in conflict_set.items():
         log.append("audit", "conflict", {"step": item.step})
-    run_audit(ranked, conflict_set, anchors, budget, registry, _table(pool), FactStore(), {}, None, {}, log)
+    run_audit(ranked, conflict_set, anchors, budget, registry, _table(pool), FactStore(), {}, None, log)
     return anchors, conflict_set, budget, log
 
 
@@ -268,7 +268,7 @@ def test_minority_value_wins_after_majority_refuted():
     budget = AuditBudget(b_max=2)
     from crosscheck.auditlog import AuditLog
 
-    run_audit(["s"], conflict_set, anchors, budget, registry, _table(pool), FactStore(), {}, None, {}, AuditLog())
+    run_audit(["s"], conflict_set, anchors, budget, registry, _table(pool), FactStore(), {}, None, AuditLog())
     assert budget.consumed == 2
     assert values_equal(anchors.get("s").value, number(7))
     assert item.state == "supported"

@@ -288,6 +288,7 @@ _FACT = {"kind": "fact", "id": "f1", "category": "retrieved", "key": "k", "value
     ({**_TOOL, "params": {"x": [float("-inf")]}}, r"field 'params': Out of range float"),
     ({**_TOOL, "source_url": 5}, r"field 'source_url' must be a string or null"),
     ({**_TOOL, "retrieved_at": ["2024"]}, r"field 'retrieved_at' must be a string or null"),
+    ({**_TOOL, "id": "t2", "tool_name": "a|b"}, r"tool record field 'tool_name' must not contain '\|'"),
 ])
 def test_malformed_dump_record_is_schema_error(record, message):
     lines = [json.dumps(r) for r in (_TOOL, _NOTE, record)]

@@ -7,7 +7,9 @@ feed one sha256, in order. A change that moves this digest changes what
 ``audit.log`` records, and has to say so.
 
 The same corpora also show that every ``EngineConfig`` field acts: for
-each one, two values lead some scenario to a different log.
+each one, two values lead some scenario to a different log. And they show
+that the audit only examines values the gate admitted, which is why no
+verify operator re-checks the constraints.
 """
 
 import dataclasses
@@ -18,9 +20,11 @@ import pytest
 from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.errors import NoFeasibleCandidateError
+from crosscheck.scenario import scenario_from_dict
+from crosscheck.values import parse_literal, values_equal
 
 GOLDEN_LOGS = 550
-GOLDEN_SHA256 = "9025a6e91ca7eaa1ed7f82c564f5224f41ce1d010dbdbe1a2f30dc5fe54f7004"
+GOLDEN_SHA256 = "afe52ee44dc29f79c3aaf48cbe4f8f6fd93b8e2cba7bf19197ce1e0a186feeb8"
 
 # Two values of each field, to be told apart by some golden scenario's log.
 SETTINGS = {
@@ -38,11 +42,16 @@ def _golden_runs():
     return [(s, EngineConfig()) for s in desk] + [(s, EngineConfig(theta=3)) for s in adversarial_corpus()]
 
 
-def _log_text(scenario, config) -> str:
+def _run(scenario, config):
+    """The run's result, or the partial result of an abstention."""
     try:
-        return run_pipeline(scenario, config).audit_log.to_text()
+        return run_pipeline(scenario, config)
     except NoFeasibleCandidateError as exc:
-        return exc.result.audit_log.to_text()
+        return exc.result
+
+
+def _log_text(scenario, config) -> str:
+    return _run(scenario, config).audit_log.to_text()
 
 
 def test_audit_logs_match_golden_digest():
@@ -68,3 +77,43 @@ def test_every_engine_setting_changes_some_audit_log(name):
         if logs[0] != logs[1]:
             return
     pytest.fail(f"EngineConfig.{name} = {first!r} and {second!r} give identical logs on every golden scenario")
+
+
+def _facts_guarded_scenario():
+    """A verified fact at s1 cuts e02's and e03's values there; a range cuts e03's s2.
+
+    Uncut, s1 would be a three-way conflict and s2 would offer 500 to the audit.
+    """
+    return scenario_from_dict({
+        "query": "q",
+        "dag": {"steps": ["s1", "s2"], "edges": []},
+        "constraints": [{"id": "facts", "check": "facts", "step_pattern": "*"},
+                        {"id": "band", "check": "range", "step_pattern": "s2", "min": 0, "max": 100}],
+        "experts": [
+            {"expert_id": f"e0{i}", "class": "conservative", "temperature": 0.1, "seed": i,
+             "traces": [{"steps": {"s1": {"value": s1, "confidence": 0.9}, "s2": {"value": s2, "confidence": 0.8}},
+                         "response": s2}]}
+            for i, s1, s2 in ((1, 6, 10), (2, 7, 11), (3, 8, 500))
+        ],
+        "verdict_table": {"s2|num:11": "refute"},
+        "facts_seed": [{"kind": "fact", "id": "f1", "category": "given", "key": "s1", "value": 6,
+                        "status": "verified"}],
+    })
+
+
+def test_the_audit_sees_only_values_the_gate_admits():
+    guarded = _facts_guarded_scenario()
+    runs = _golden_runs() + [(guarded, EngineConfig(budget=4)), (guarded, EngineConfig(budget=4, facts_enabled=False))]
+    examined = 0
+    for scenario, config in runs:
+        result = _run(scenario, config)
+        verified = result.facts.verified_facts()
+        for entry in result.audit_log.stage_entries("audit"):
+            if entry.event != "verify":
+                continue
+            step, value = entry.payload["step"], parse_literal(entry.payload["value"])
+            assert all(c.holds(value, None, step) for c in scenario.constraints
+                       if c.predicate is not None and c.applies_to_step(step)), (scenario.name, step, value)
+            assert all(values_equal(f.value, value) for f in verified if f.key == step), (scenario.name, step, value)
+            examined += 1
+    assert examined > 200

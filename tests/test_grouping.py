@@ -300,8 +300,7 @@ def _assert_table_matches_oracles(traces, theta, verdicts=()):
             )
 
     registry = OperatorRegistry().register(_ScriptedVerdicts(verdicts))
-    run_audit(ranked, conflict_set, anchors, AuditBudget(b_max=100), registry, table, FactStore(), {}, None, {},
-              AuditLog())
+    run_audit(ranked, conflict_set, anchors, AuditBudget(b_max=100), registry, table, FactStore(), {}, None, AuditLog())
     if not traces:
         return anchors
     log = AuditLog()

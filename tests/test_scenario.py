@@ -170,6 +170,9 @@ TOOL_RECORD = {"kind": "tool", "tool_name": "calc", "params": {}, "outcome": 1}
      r"facts_seed\[0\]: fact record field 'version': must be an int >= 1"),
     (_minimal(verdict_table=OrderedDict({"s1|num:1": "refute"})),
      r"constraints, verdict_table, tool_scripts and facts_seed: must hold plain JSON"),
+    # A tool_scripts key splits at its first '|', so it could never name this tool.
+    (_minimal(facts_seed=[{**TOOL_RECORD, "id": "t1", "tool_name": "a|b"}]),
+     r"facts_seed\[0\]: tool record field 'tool_name' must not contain '\|'"),
 ])
 def test_malformed_scenario_is_validation_error(obj, field):
     with pytest.raises(ValidationError, match=field):
@@ -366,7 +369,7 @@ def _tool_variants():
 
 # sha256 over the audit logs of every ``_tool_variants`` scenario under each config,
 # in order. The golden corpora never reach cross-execution; these runs do.
-TOOL_LOGS_SHA256 = "6644ffad0d4b16b15eb7e6f76dd9c5bdb7b61a2b604bb08a6c4b86b388db68b9"
+TOOL_LOGS_SHA256 = "2d64add281503342273855f6e3a44be24da67ddc7ee8ec6b03895246e7401a72"
 
 
 def test_cross_execution_logs_are_pinned():

@@ -17,7 +17,6 @@ from crosscheck.verifiers import (
     REFUTE,
     SUPPORT,
     AnchorConsistencyOperator,
-    ConstraintCheckOperator,
     CrossExecutionOperator,
     FactsConsistencyOperator,
     OperatorRegistry,
@@ -233,20 +232,9 @@ def test_facts_operator_decides_from_store():
     assert registry.verify(("s9", number(1)), ctx).value == INCONCLUSIVE
 
 
-def test_constraint_operator_refutes_violations():
-    constraint = constraint_from_spec(
-        {"id": "band", "check": "range", "scope": "step", "step_pattern": "s1", "min": 0, "max": 10}
-    )
-    registry = OperatorRegistry().register(ConstraintCheckOperator())
-    ctx = VerifyContext(constraints=index_constraints((constraint,), build_plan(["s1", "s2"], [])).steps)
-    assert registry.verify(("s1", number(50)), ctx).value == REFUTE
-    assert registry.verify(("s1", number(5)), ctx).value == INCONCLUSIVE
-    assert registry.verify(("s2", number(50)), ctx).value == INCONCLUSIVE
-
-
 def test_default_registry_order():
     registry = default_registry({})
-    assert registry.order == ("constraints", "anchors", "facts", "cross-exec", "scripted")
+    assert registry.order == ("anchors", "facts", "cross-exec", "scripted")
 
 
 @st.composite
@@ -346,9 +334,9 @@ def test_gate_asks_the_store_once_per_statement(seed, placement):
         result = gate(output, facts, index_constraints(constraints, scenario.dag), scenario.dag, 0.5)
         calls = list(facts.calls)
         assert result.failing == _reference_failing(output, facts, constraints)
-        asked = [(step, format_literal(r.value)) for step, r in output.steps.items()]
-        if placement == "last":
-            # A statement that fails an earlier constraint never reaches the store.
-            assert calls == [s for s in asked if s in calls]
-        else:
-            assert calls == asked
+        # Only a statement whose step predicates all hold reaches the store, wherever the facts checks stand.
+        assert calls == [
+            (step, format_literal(r.value))
+            for step, r in output.steps.items()
+            if all(c.holds(r.value, None, step) for c in scenario.constraints if c.applies_to_step(step))
+        ]
