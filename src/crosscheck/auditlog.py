@@ -53,15 +53,19 @@ class AuditLogEntry:
         except json.JSONDecodeError as exc:
             raise ParseError(f"audit log line {lineno}: {exc}") from exc
         try:
-            return cls(
-                seq=obj["seq"],
-                stage=obj["stage"],
-                event=obj["event"],
-                payload=obj["payload"],
-                parent_refs=tuple(obj.get("parent_refs", ())),
-            )
+            seq, stage, event, payload = obj["seq"], obj["stage"], obj["event"], obj["payload"]
+            parent_refs = obj.get("parent_refs", [])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"audit log line {lineno} missing field: {exc}") from exc
+        if isinstance(seq, bool) or not isinstance(seq, int):
+            raise ParseError(f"audit log line {lineno}: seq must be an integer, got {seq!r}")
+        if not isinstance(stage, str) or not isinstance(event, str):
+            raise ParseError(f"audit log line {lineno}: stage and event must be strings")
+        if not isinstance(payload, dict):
+            raise ParseError(f"audit log line {lineno}: payload must be an object, got {payload!r}")
+        if not isinstance(parent_refs, list) or not all(isinstance(r, str) for r in parent_refs):
+            raise ParseError(f"audit log line {lineno}: parent_refs must be a list of strings, got {parent_refs!r}")
+        return cls(seq, stage, event, payload, tuple(parent_refs))
 
 
 class AuditLog:
@@ -131,8 +135,8 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
     """Re-derive the anchor/conflict state machine from an audit log.
 
     Checks the structural invariants a trustworthy log must satisfy:
-    strictly increasing seq, known stages, anchors only ever added,
-    verify events confined to registered conflicts, budget counter
+    strictly increasing seq, known stages, string step names, anchors only
+    ever added, verify events confined to open conflicts, budget counter
     moving one step per verify call, and anchored steps leaving the open
     set. Violations are collected, not raised — a replay is a report.
     """
@@ -146,33 +150,34 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
             state.violations.append(f"seq {entry.seq}: unknown stage {entry.stage!r}")
             continue
         payload = entry.payload
+        step = payload.get("step", "")
+        if not isinstance(step, str):
+            state.violations.append(f"seq {entry.seq}: step {step!r} is not a string")
+            continue
         if entry.stage == "anchor" and entry.event == "promote":
-            step = payload.get("step", "")
             if step in state.anchors:
                 state.violations.append(f"seq {entry.seq}: step {step!r} anchored twice")
             state.anchors[step] = payload.get("value", "")
         elif entry.stage == "audit" and entry.event == "conflict":
-            step = payload.get("step", "")
             if step in state.anchors:
                 state.violations.append(f"seq {entry.seq}: conflict registered at anchored step {step!r}")
             state.conflict_states[step] = "open"
         elif entry.stage == "audit" and entry.event == "verify":
-            step = payload.get("step", "")
             state.verify_calls += 1
             if step not in state.conflict_states:
                 state.violations.append(f"seq {entry.seq}: verify at unregistered step {step!r}")
+            elif state.conflict_states[step] != "open":
+                state.violations.append(f"seq {entry.seq}: verify at non-open conflict {step!r}")
             if payload.get("budget_used") != state.verify_calls:
                 state.violations.append(
                     f"seq {entry.seq}: budget counter {payload.get('budget_used')} != {state.verify_calls}"
                 )
         elif entry.stage == "audit" and entry.event == "promote":
-            step = payload.get("step", "")
             if state.conflict_states.get(step) != "open":
                 state.violations.append(f"seq {entry.seq}: promoted non-open conflict {step!r}")
             state.anchors[step] = payload.get("value", "")
             state.conflict_states[step] = "supported"
         elif entry.stage == "audit" and entry.event == "resolve":
-            step = payload.get("step", "")
             outcome = payload.get("state", "")
             if state.conflict_states.get(step) != "open":
                 state.violations.append(f"seq {entry.seq}: resolved non-open conflict {step!r}")

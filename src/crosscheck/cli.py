@@ -124,17 +124,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (CrosscheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    abstained = False
     try:
         result = run_pipeline(scenario, config)
     except NoFeasibleCandidateError as exc:
-        if isinstance(exc.result, RunResult):
-            _write_bundle(exc.result, args.out, abstained=True)
-        print("abstained: no feasible candidate response", file=sys.stderr)
-        return 2
+        result, abstained = exc.result, True
     except CrosscheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_bundle(result, args.out, abstained=False)
+    if isinstance(result, RunResult):
+        try:
+            _write_bundle(result, args.out, abstained)
+        except OSError as exc:  # e.g. --out names an existing file
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    if abstained:
+        print("abstained: no feasible candidate response", file=sys.stderr)
+        return 2
     print(f"answer: {format_literal(result.answer)} (expert {result.winner_expert}, "
           f"score {result.score.total:.4f}, {result.verify_calls} verify calls)")
     return 0
@@ -155,11 +161,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except (CrosscheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "report.json").write_text(
-        json.dumps(report.to_json(), indent=2, ensure_ascii=False, allow_nan=False) + "\n", encoding="utf-8"
-    )
-    (args.out / "report.txt").write_text(report.to_table(), encoding="utf-8")
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / "report.json").write_text(
+            json.dumps(report.to_json(), indent=2, ensure_ascii=False, allow_nan=False) + "\n", encoding="utf-8"
+        )
+        (args.out / "report.txt").write_text(report.to_table(), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(report.to_table(), end="")
     return 0
 

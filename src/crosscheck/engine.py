@@ -220,9 +220,6 @@ class AnchorSet:
     def items(self) -> tuple[Anchor, ...]:
         return tuple(self._anchors[s] for s in sorted(self._anchors))
 
-    def value_map(self) -> dict[str, Value]:
-        return {s: a.value for s, a in sorted(self._anchors.items())}
-
     def __len__(self) -> int:
         return len(self._anchors)
 
@@ -440,7 +437,6 @@ def run_audit(
     registry: OperatorRegistry,
     table: StatementTable,
     facts: FactStore,
-    records: dict,
     tool_runner,
     log: AuditLog,
 ) -> None:
@@ -448,7 +444,8 @@ def run_audit(
 
     The budget is checked before every verify call, so the cap binds even
     mid-item; a partially examined item stays open. A supported value is
-    promoted to the anchors immediately and later statements can lean on it.
+    promoted to the anchors, where synthesis scores candidates against it.
+    ``facts`` is the run's store; cross-execution finds its tool records there.
     """
     for step in ranked:
         item = conflict_set.get(step)
@@ -458,9 +455,7 @@ def run_audit(
                 ran_out = True
                 break
             ctx = VerifyContext(
-                anchors=anchors.value_map(),
                 facts=facts,
-                records=records,
                 tool_runner=tool_runner,
                 provenance=_candidate_provenance(table, step, candidate.value),
             )
@@ -751,7 +746,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
         registry = scenario.registry()
         run_audit(
             ranked, conflict_set, anchors, budget, registry, table,
-            facts, {r.id: r for r in facts.tools()}, scenario.tool_runner(), log,
+            facts, scenario.tool_runner(), log,
         )
 
     partial = RunResult(

@@ -14,26 +14,25 @@ falsifiers used during conflict auditing. They run in registration order
 — cheap checks first — until one commits to support or refute; a full
 pass with no commitment is inconclusive. Operators are pure with respect
 to their inputs, and every non-scripted decision must cite evidence
-(``anchor:``/``fact:``/``tool:`` ids) so verdicts stay auditable.
+(``fact:``/``tool:`` ids) so verdicts stay auditable.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .errors import DuplicateIdError, ParseError, UnknownIdError, UnknownStepError
-from .facts import CONFLICT, CONSISTENT, FactStore, ToolRecord
+from .facts import CONFLICT, CONSISTENT, FactStore
 from .plandag import PlanDag, removal_set
 from .values import (
     NUMBER,
     QUANTITY,
     TEXT,
     Value,
-    statement_key,
     values_comparable,
     values_equal,
 )
@@ -273,15 +272,13 @@ class Verdict:
 class VerifyContext:
     """Everything an operator may consult, engine-agnostic.
 
-    ``anchors`` maps step -> already-trusted value; ``provenance`` carries
-    the tool record ids backing the statement under test; ``tool_runner``
-    re-executes a tool by (name, params) and raises UnknownIdError when the
-    invocation is not scripted.
+    ``facts`` is the run's store, which also holds the tool records;
+    ``provenance`` carries the tool record ids backing the statement under
+    test; ``tool_runner`` re-executes a tool by (name, params) and raises
+    UnknownIdError when the invocation is not scripted.
     """
 
-    anchors: Mapping[str, Value] = field(default_factory=dict)
     facts: FactStore | None = None
-    records: Mapping[str, ToolRecord] = field(default_factory=dict)
     tool_runner: Callable[[str, dict], Value] | None = None
     provenance: tuple[str, ...] = ()
 
@@ -348,19 +345,6 @@ class OperatorRegistry:
         return Verdict(INCONCLUSIVE, (), invoked)
 
 
-class AnchorConsistencyOperator:
-    """Supports a statement that matches an existing anchor; never vetoes."""
-
-    op_id = "anchors"
-    scripted = False
-
-    def examine(self, step: str, value: Value, ctx: VerifyContext) -> Verdict:
-        anchored = ctx.anchors.get(step)
-        if anchored is not None and values_equal(anchored, value):
-            return Verdict(SUPPORT, (f"anchor:{statement_key(step, anchored)}",))
-        return Verdict(INCONCLUSIVE, ())
-
-
 class FactsConsistencyOperator:
     """Decides from the verified facts: agreement supports, conflict refutes."""
 
@@ -390,13 +374,11 @@ class CrossExecutionOperator:
     scripted = False
 
     def examine(self, step: str, value: Value, ctx: VerifyContext) -> Verdict:
-        if ctx.tool_runner is None:
+        if ctx.tool_runner is None or ctx.facts is None:
             return Verdict(INCONCLUSIVE, ())
         for record_id in ctx.provenance:
-            record = ctx.records.get(record_id)
-            if record is None:
-                continue
             try:
+                record = ctx.facts.get_tool(record_id)
                 outcome = ctx.tool_runner(record.tool_name, record.params)
             except UnknownIdError:
                 continue
@@ -427,14 +409,14 @@ class ScriptedTableOperator:
 
 
 def default_registry(verdicts: Sequence[tuple[str, Value, str]] | None = None) -> OperatorRegistry:
-    """The standard operator stack, cheapest first: anchors, facts, cross-exec, then scripted.
+    """The standard operator stack, cheapest first: facts, cross-exec, then scripted.
 
     The scripted operator is registered only when ``verdicts`` is not None.
-    No operator re-checks the step constraints: the gate has already
-    applied them to every value the audit sees.
+    No operator re-checks the step constraints, since the gate has already
+    applied them to every value the audit sees, and none consults the
+    anchors, since the audit only examines steps that no anchor settles.
     """
     registry = OperatorRegistry()
-    registry.register(AnchorConsistencyOperator())
     registry.register(FactsConsistencyOperator())
     registry.register(CrossExecutionOperator())
     if verdicts is not None:

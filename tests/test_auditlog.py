@@ -53,10 +53,24 @@ def test_payload_keys_are_sorted_in_serialized_form():
 
 
 def test_malformed_line_is_parse_error():
-    with pytest.raises(ParseError):
-        AuditLog.from_lines(["{not json"])
-    with pytest.raises(ParseError):
-        AuditLog.from_lines(['{"seq": 1}'])
+    fields = '"stage":"gate","event":"accept","payload":{},"parent_refs":[]'
+    AuditLog.from_lines(['{"seq":1,' + fields + '}'])  # the well-formed line the cases below break
+    for line in [
+        "{not json",
+        '{"seq": 1}',
+        "[]",
+        '"seq"',
+        '{"seq":1,' + fields.replace('"payload":{}', '"payload":[]') + '}',
+        '{"seq":"a",' + fields + '}',
+        '{"seq":true,' + fields + '}',
+        '{"seq":1.0,' + fields + '}',
+        '{"seq":1,' + fields.replace('"gate"', '7') + '}',
+        '{"seq":1,' + fields.replace('"accept"', 'null') + '}',
+        '{"seq":1,' + fields.replace('"parent_refs":[]', '"parent_refs":"ab"') + '}',
+        '{"seq":1,' + fields.replace('"parent_refs":[]', '"parent_refs":[1]') + '}',
+    ]:
+        with pytest.raises(ParseError):
+            AuditLog.from_lines([line])
 
 
 def test_replay_reconstructs_state():
@@ -100,3 +114,27 @@ def test_replay_flags_non_increasing_seq():
     ]
     state = replay(entries)
     assert any("not increasing" in v for v in state.violations)
+
+
+def test_replay_flags_verify_after_the_conflict_closed():
+    # conflict -> verify -> promote -> verify at the same step: the second
+    # verify examines a conflict that the first one already settled.
+    log = _sample_log()
+    log.append("audit", "verify", {"step": "s2", "value": "num:3", "verdict": "refute",
+                                   "cost": 1, "evidence": [], "budget_used": 2})
+    state = replay(log.entries)
+    assert any("non-open conflict" in v for v in state.violations)
+    resolved = AuditLog()
+    resolved.append("audit", "conflict", {"step": "s1"})
+    resolved.append("audit", "resolve", {"step": "s1", "state": "inconclusive"})
+    resolved.append("audit", "verify", {"step": "s1", "value": "num:1", "verdict": "refute",
+                                        "cost": 1, "evidence": [], "budget_used": 1})
+    assert any("non-open conflict" in v for v in replay(resolved.entries).violations)
+
+
+@pytest.mark.parametrize("event", ["promote", "conflict", "verify", "resolve"])
+def test_replay_flags_a_non_string_step(event):
+    stage = "anchor" if event == "promote" else "audit"
+    line = AuditLogEntry(1, stage, event, {"step": ["x"], "state": "refuted", "budget_used": 1}).to_line()
+    state = replay(AuditLog.from_lines([line]))
+    assert any("not a string" in v for v in state.violations)

@@ -63,6 +63,29 @@ def test_bundle_refuses_a_non_finite_number(tmp_path):
     assert list(out.iterdir()) == []  # nothing written, not even the files that would encode
 
 
+@pytest.mark.parametrize("scenario_file", [_write_unanimous, _write_infeasible])
+def test_run_out_naming_a_file_exits_one(tmp_path, capsys, scenario_file):
+    scenario = scenario_file(tmp_path / "s.json")
+    out = tmp_path / "taken"
+    out.write_text("x")
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out.read_text() == "x"
+
+
+def test_eval_out_naming_a_file_exits_one(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    _write_unanimous(corpus_dir / "u.json")
+    out = tmp_path / "taken"
+    out.write_text("x")
+    assert main(["eval", "--corpus", str(corpus_dir), "--methods", "mv", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out.read_text() == "x"
+
+
 def test_run_infeasible_exits_two(tmp_path):
     scenario = _write_infeasible(tmp_path / "i.json")
     out = tmp_path / "out"

@@ -234,7 +234,7 @@ def _audit_fixture(n_steps, table, b_max):
     log = AuditLog()
     for item in conflict_set.items():
         log.append("audit", "conflict", {"step": item.step})
-    run_audit(ranked, conflict_set, anchors, budget, registry, _table(pool), FactStore(), {}, None, log)
+    run_audit(ranked, conflict_set, anchors, budget, registry, _table(pool), FactStore(), None, log)
     return anchors, conflict_set, budget, log
 
 
@@ -268,7 +268,7 @@ def test_minority_value_wins_after_majority_refuted():
     budget = AuditBudget(b_max=2)
     from crosscheck.auditlog import AuditLog
 
-    run_audit(["s"], conflict_set, anchors, budget, registry, _table(pool), FactStore(), {}, None, AuditLog())
+    run_audit(["s"], conflict_set, anchors, budget, registry, _table(pool), FactStore(), None, AuditLog())
     assert budget.consumed == 2
     assert values_equal(anchors.get("s").value, number(7))
     assert item.state == "supported"
@@ -386,6 +386,28 @@ def test_adversarial_majority_is_overturned():
     responses = [o.response for o in scenario_expert_outputs(scenario)]
     assert not values_equal(majority_vote(responses), scenario.oracle.answer)
     assert result.verify_calls == 2
+
+
+def test_facts_operator_decides_at_the_tolerance_edge():
+    # Both values lie within tolerance of the verified fact, so the gate keeps
+    # both, but not of each other, so s1 is a conflict that the facts settle.
+    obj = {
+        "query": "q",
+        "dag": {"steps": ["s1"], "edges": []},
+        "experts": [
+            {"expert_id": f"e0{i}", "class": "conservative", "temperature": 0.1, "seed": i,
+             "traces": [{"steps": {"s1": {"value": value, "confidence": 0.9}}, "response": value}]}
+            for i, value in ((1, 1_000_000_000), (2, 1_000_000_002))
+        ],
+        "facts_seed": [{"kind": "fact", "id": "f1", "category": "given", "key": "s1",
+                        "value": 1_000_000_001, "status": "verified"}],
+    }
+    result = run_pipeline(scenario_from_dict(obj, name="tolerance-edge"))
+    verifies = [e.payload for e in result.audit_log.stage_entries("audit") if e.event == "verify"]
+    assert [(v["verdict"], v["operator"], v["evidence"], v["cost"]) for v in verifies] == [
+        ("support", "facts", ["fact:f1"], 1)
+    ]
+    assert replay(result.audit_log).ok
 
 
 def test_fallback_rescores_over_non_refuted():

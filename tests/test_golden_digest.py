@@ -9,7 +9,7 @@ feed one sha256, in order. A change that moves this digest changes what
 The same corpora also show that every ``EngineConfig`` field acts: for
 each one, two values lead some scenario to a different log. And they show
 that the audit only examines values the gate admitted, which is why no
-verify operator re-checks the constraints.
+verify operator re-checks the constraints, and every log replays clean.
 """
 
 import dataclasses
@@ -17,6 +17,7 @@ import hashlib
 
 import pytest
 
+from crosscheck.auditlog import AuditLog, replay
 from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.errors import NoFeasibleCandidateError
@@ -24,7 +25,7 @@ from crosscheck.scenario import scenario_from_dict
 from crosscheck.values import parse_literal, values_equal
 
 GOLDEN_LOGS = 550
-GOLDEN_SHA256 = "afe52ee44dc29f79c3aaf48cbe4f8f6fd93b8e2cba7bf19197ce1e0a186feeb8"
+GOLDEN_SHA256 = "40cb116fb209c1dd63722d5f6a8225e9fe30a529d28a14c75df17262fda6ce52"
 
 # Two values of each field, to be told apart by some golden scenario's log.
 SETTINGS = {
@@ -61,6 +62,12 @@ def test_audit_logs_match_golden_digest():
         digest.update(_log_text(scenario, config).encode("utf-8"))
     assert len(runs) == GOLDEN_LOGS
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_every_golden_log_replays_clean():
+    for scenario, config in _golden_runs():
+        state = replay(AuditLog.from_lines(_log_text(scenario, config).splitlines()))
+        assert state.ok, (scenario.name, state.violations)
 
 
 def test_every_engine_config_field_has_two_settings():

@@ -10,6 +10,7 @@ import pytest
 import crosscheck
 from crosscheck import ensemble
 from crosscheck import scenario as scenario_mod
+from crosscheck.auditlog import AuditLog, replay
 from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus, random_scenario
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.facts import FactStore
@@ -369,12 +370,22 @@ def _tool_variants():
 
 # sha256 over the audit logs of every ``_tool_variants`` scenario under each config,
 # in order. The golden corpora never reach cross-execution; these runs do.
-TOOL_LOGS_SHA256 = "2d64add281503342273855f6e3a44be24da67ddc7ee8ec6b03895246e7401a72"
+TOOL_LOGS_SHA256 = "12bd20461fc3492b367dd6721769834208b4706728ed33a9929efa91eb20450f"
+
+
+TOOL_CONFIGS = (EngineConfig(), EngineConfig(theta=3, budget=1), EngineConfig(facts_enabled=False))
 
 
 def test_cross_execution_logs_are_pinned():
     digest = hashlib.sha256()
     for obj in _tool_variants():
-        for config in (EngineConfig(), EngineConfig(theta=3, budget=1), EngineConfig(facts_enabled=False)):
+        for config in TOOL_CONFIGS:
             digest.update(_log_text(scenario_from_dict(obj), config).encode("utf-8"))
     assert digest.hexdigest() == TOOL_LOGS_SHA256
+
+
+def test_cross_execution_logs_replay_clean():
+    for obj in _tool_variants():
+        for config in TOOL_CONFIGS:
+            state = replay(AuditLog.from_lines(_log_text(scenario_from_dict(obj), config).splitlines()))
+            assert state.ok, state.violations

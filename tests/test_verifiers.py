@@ -16,7 +16,6 @@ from crosscheck.verifiers import (
     INCONCLUSIVE,
     REFUTE,
     SUPPORT,
-    AnchorConsistencyOperator,
     CrossExecutionOperator,
     FactsConsistencyOperator,
     OperatorRegistry,
@@ -135,16 +134,6 @@ def test_verify_scripted_refute_cost_one():
     assert registry.verify(("s1", number(5)), VerifyContext()) == verdict
 
 
-def test_verify_anchor_echo_supports():
-    registry = OperatorRegistry().register(AnchorConsistencyOperator())
-    ctx = VerifyContext(anchors={"s1": number(42)})
-    verdict = registry.verify(("s1", number(42.0)), ctx)
-    assert verdict.value == SUPPORT
-    assert verdict.evidence and verdict.evidence[0].startswith("anchor:")
-    # disagreement with an anchor does not veto
-    assert registry.verify(("s1", number(7)), ctx).value == INCONCLUSIVE
-
-
 def test_verify_cross_execution_support_and_refute():
     store = FactStore()
     store.record_tool(ToolRecord("t1", "calc", {"expr": "6*7"}, number(42)))
@@ -155,28 +144,34 @@ def test_verify_cross_execution_support_and_refute():
         return number(42)
 
     registry = OperatorRegistry().register(CrossExecutionOperator())
-    ctx = VerifyContext(records={"t1": store.get_tool("t1")}, tool_runner=runner, provenance=("t1",))
+    ctx = VerifyContext(facts=store, tool_runner=runner, provenance=("t1",))
     verdict = registry.verify(("s1", number(42)), ctx)
     assert verdict.value == SUPPORT
     assert verdict.evidence == ("tool:t1",)
     assert runner_calls == [("calc", {"expr": "6*7"})]
     assert registry.verify(("s1", number(41)), ctx).value == REFUTE
+    # a provenance id the store does not hold is skipped, not an error
+    unknown = VerifyContext(facts=store, tool_runner=runner, provenance=("t9",))
+    assert registry.verify(("s1", number(42)), unknown).value == INCONCLUSIVE
+    assert len(runner_calls) == 2
 
 
 def test_registry_order_is_part_of_the_contract():
+    store = FactStore()
+    store.add_given("s1", number(5))
     table = ScriptedTableOperator([("s1", number(5), "refute")])
-    anchors_first = OperatorRegistry().register(AnchorConsistencyOperator()).register(table)
-    table_first = OperatorRegistry().register(table).register(AnchorConsistencyOperator())
-    ctx = VerifyContext(anchors={"s1": number(5)})
-    assert anchors_first.order == ("anchors", "scripted")
-    assert anchors_first.verify(("s1", number(5)), ctx).value == SUPPORT
+    facts_first = OperatorRegistry().register(FactsConsistencyOperator()).register(table)
+    table_first = OperatorRegistry().register(table).register(FactsConsistencyOperator())
+    ctx = VerifyContext(facts=store)
+    assert facts_first.order == ("facts", "scripted")
+    assert facts_first.verify(("s1", number(5)), ctx).value == SUPPORT
     assert table_first.verify(("s1", number(5)), ctx).value == REFUTE
 
 
 def test_duplicate_operator_rejected():
-    registry = OperatorRegistry().register(AnchorConsistencyOperator())
+    registry = OperatorRegistry().register(FactsConsistencyOperator())
     with pytest.raises(DuplicateIdError):
-        registry.register(AnchorConsistencyOperator())
+        registry.register(FactsConsistencyOperator())
 
 
 def test_empty_registry_is_inconclusive_and_free():
@@ -234,7 +229,7 @@ def test_facts_operator_decides_from_store():
 
 def test_default_registry_order():
     registry = default_registry({})
-    assert registry.order == ("anchors", "facts", "cross-exec", "scripted")
+    assert registry.order == ("facts", "cross-exec", "scripted")
 
 
 @st.composite
