@@ -2,10 +2,16 @@
 
 Each entry is one JSON object per line with fields in fixed order
 (``seq``, ``stage``, ``event``, ``payload``, ``parent_refs``); payload keys
-are emitted sorted and numbers use shortest round-trip formatting, so two
-runs over identical inputs serialize to identical bytes. The log contains
-no wall-clock timestamps by design — time would be the only source of
-nondeterminism in an otherwise pure pipeline.
+are emitted sorted at every level and numbers use shortest round-trip
+formatting, so two runs over identical inputs serialize to identical
+bytes. NaN and infinities raise ``ValueError`` rather than reach the text.
+The log contains no wall-clock timestamps by design — time would be the
+only source of nondeterminism in an otherwise pure pipeline.
+
+One payload encoder serves every line. It is chosen once, at import: the
+C encoder from ``json``'s accelerator when the interpreter has it, else
+``json.JSONEncoder.encode`` with the same settings. Both write the same
+bytes, and the fixed frame around the payload is shared.
 
 ``replay`` walks a recorded log and independently reconstructs the
 anchor/conflict evolution, flagging any entry the state machine cannot
@@ -17,15 +23,33 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from json.encoder import c_make_encoder, encode_basestring
+from typing import Callable, Iterable, Iterator
 
 from .errors import ParseError
 
 STAGES = ("gate", "prune", "anchor", "audit", "synthesize", "ensemble", "facts")
 
-# One shared encoder; allow_nan=False raises ValueError instead of writing
-# a bare NaN or Infinity token, which is not JSON.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+# allow_nan=False raises ValueError instead of writing a bare NaN or
+# Infinity token, which is not JSON.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False, sort_keys=True)
+
+
+def _payload_encoder() -> Callable[[dict], str]:
+    """``_ENCODER.encode`` without the encoder it builds on every call.
+
+    ``JSONEncoder.encode`` makes a new C encoder per object. This one is
+    made once; ``markers=None`` skips the circular-reference check, which
+    no payload needs: the engine builds each one fresh and ``from_line``
+    gets its payloads from ``json.loads``.
+    """
+    if c_make_encoder is None:
+        return _ENCODER.encode
+    encode = c_make_encoder(None, _ENCODER.default, encode_basestring, None, ":", ",", True, False, False)
+    return lambda payload: "".join(encode(payload, 0))
+
+
+_encode_payload = _payload_encoder()
 
 
 @dataclass(frozen=True)
@@ -37,14 +61,11 @@ class AuditLogEntry:
     parent_refs: tuple[str, ...] = ()
 
     def to_line(self) -> str:
-        obj = {
-            "seq": self.seq,
-            "stage": self.stage,
-            "event": self.event,
-            "payload": {k: self.payload[k] for k in sorted(self.payload)},
-            "parent_refs": list(self.parent_refs),
-        }
-        return _ENCODER.encode(obj)
+        return (
+            f'{{"seq":{self.seq:d},"stage":{encode_basestring(self.stage)},'
+            f'"event":{encode_basestring(self.event)},"payload":{_encode_payload(self.payload)},'
+            f'"parent_refs":[{",".join(map(encode_basestring, self.parent_refs))}]}}'
+        )
 
     @classmethod
     def from_line(cls, line: str, lineno: int = 0) -> "AuditLogEntry":
@@ -104,7 +125,9 @@ class AuditLog:
         return [e.to_line() for e in self._entries]
 
     def to_text(self) -> str:
-        return "".join(line + "\n" for line in self.to_lines())
+        lines = self.to_lines()
+        lines.append("")
+        return "\n".join(lines)
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "AuditLog":
@@ -136,12 +159,18 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
 
     Checks the structural invariants a trustworthy log must satisfy:
     strictly increasing seq, known stages, string step names, anchors only
-    ever added, verify events confined to open conflicts, budget counter
-    moving one step per verify call, and anchored steps leaving the open
-    set. Violations are collected, not raised — a replay is a report.
+    ever added, verify events confined to open conflicts, an integer budget
+    counter moving one step per verify call, and anchored steps leaving the
+    open set. Verify events also follow the one audit plan: each comes
+    after it, at a step of its order, never back to an earlier step than
+    the verify before, and no more of them than its budget. Violations are
+    collected, not raised — a replay is a report.
     """
     state = ReplayState()
     last_seq = 0
+    plan_rank: dict[str, int] | None = None  # step -> position in the plan's order, once planned
+    plan_budget = 0
+    last_rank = -1
     for entry in entries:
         if entry.seq <= last_seq:
             state.violations.append(f"seq {entry.seq} not increasing after {last_seq}")
@@ -162,15 +191,36 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
             if step in state.anchors:
                 state.violations.append(f"seq {entry.seq}: conflict registered at anchored step {step!r}")
             state.conflict_states[step] = "open"
+        elif entry.stage == "audit" and entry.event == "plan":
+            order, budget = payload.get("order"), payload.get("budget")
+            if plan_rank is not None:
+                state.violations.append(f"seq {entry.seq}: audit planned twice")
+            if not isinstance(order, list) or not all(isinstance(s, str) for s in order) or type(budget) is not int:
+                state.violations.append(f"seq {entry.seq}: malformed plan order {order!r} or budget {budget!r}")
+                order, budget = [], 0
+            plan_rank = {s: i for i, s in enumerate(order)}
+            plan_budget = budget
         elif entry.stage == "audit" and entry.event == "verify":
             state.verify_calls += 1
             if step not in state.conflict_states:
                 state.violations.append(f"seq {entry.seq}: verify at unregistered step {step!r}")
             elif state.conflict_states[step] != "open":
                 state.violations.append(f"seq {entry.seq}: verify at non-open conflict {step!r}")
-            if payload.get("budget_used") != state.verify_calls:
+            used = payload.get("budget_used")
+            if type(used) is not int or used != state.verify_calls:
+                state.violations.append(f"seq {entry.seq}: budget counter {used!r} is not {state.verify_calls}")
+            if plan_rank is None:
+                state.violations.append(f"seq {entry.seq}: verify before the audit plan")
+                continue
+            if step not in plan_rank:
+                state.violations.append(f"seq {entry.seq}: verify at step {step!r} outside the plan order")
+            elif plan_rank[step] < last_rank:
+                state.violations.append(f"seq {entry.seq}: verify goes back to step {step!r} in the plan order")
+            else:
+                last_rank = plan_rank[step]
+            if state.verify_calls > plan_budget:
                 state.violations.append(
-                    f"seq {entry.seq}: budget counter {payload.get('budget_used')} != {state.verify_calls}"
+                    f"seq {entry.seq}: verify call {state.verify_calls} over the planned budget {plan_budget}"
                 )
         elif entry.stage == "audit" and entry.event == "promote":
             if state.conflict_states.get(step) != "open":

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Iterable, TypeVar
 
 from .errors import ParseError
@@ -212,12 +213,12 @@ def format_literal(v: Value) -> str:
     if v.kind == NUMBER:
         return f"num:{_format_number(v.payload)}"  # type: ignore[arg-type]
     if v.kind == TEXT:
-        return f"txt:{json.dumps(v.payload, ensure_ascii=False)}"
+        return f"txt:{encode_basestring(v.payload)}"
     if v.kind == BOOLEAN:
         return "bool:true" if v.payload else "bool:false"
     if v.kind == QUANTITY:
         magnitude, unit = v.payload  # type: ignore[misc]
-        return f"qty:{_format_number(magnitude)}:{json.dumps(unit, ensure_ascii=False)}"
+        return f"qty:{_format_number(magnitude)}:{encode_basestring(unit)}"
     inner = ",".join(format_literal(item) for item in v.payload)  # type: ignore[union-attr]
     return f"list:[{inner}]"
 

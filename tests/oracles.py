@@ -2,10 +2,12 @@
 
 Everything here recomputes results the slow, obvious way: permutation
 enumeration for topological order, DFS for reachability, explicit count
-filters and all-pairs comparisons for anchors and conflicts, and a direct
-transcription of the synthesis formula. Keep these naive on purpose.
+filters and all-pairs comparisons for anchors and conflicts, a direct
+transcription of the synthesis formula, and one general-purpose JSON
+encoder over a whole audit line. Keep these naive on purpose.
 """
 
+import json
 from itertools import permutations
 from typing import NamedTuple
 
@@ -167,3 +169,15 @@ def modal_value(responses):
         if best is None or key > best[0]:
             best = (key, rep)
     return best[1]
+
+
+def reference_line(entry):
+    """An audit line as one ``JSONEncoder`` writes the whole frame, payload keys sorted."""
+    encoder = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+    return encoder.encode({
+        "seq": entry.seq,
+        "stage": entry.stage,
+        "event": entry.event,
+        "payload": {k: entry.payload[k] for k in sorted(entry.payload)},
+        "parent_refs": list(entry.parent_refs),
+    })

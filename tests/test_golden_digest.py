@@ -6,6 +6,10 @@ abstention contributes the log of its partial result. All 550 log texts
 feed one sha256, in order. A change that moves this digest changes what
 ``audit.log`` records, and has to say so.
 
+The first eight scenarios of the bench's ``wide`` shape (up to 64 experts
+by 64 steps) get a digest of their own, and every line of all these logs
+equals the one a general-purpose ``JSONEncoder`` writes for it.
+
 The same corpora also show that every ``EngineConfig`` field acts: for
 each one, two values lead some scenario to a different log. And they show
 that the audit only examines values the gate admitted, which is why no
@@ -13,19 +17,27 @@ verify operator re-checks the constraints, and every log replays clean.
 """
 
 import dataclasses
+import functools
 import hashlib
 
 import pytest
 
 from crosscheck.auditlog import AuditLog, replay
-from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus
+from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus, random_scenario
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.errors import NoFeasibleCandidateError
 from crosscheck.scenario import scenario_from_dict
 from crosscheck.values import parse_literal, values_equal
+from oracles import reference_line
 
 GOLDEN_LOGS = 550
 GOLDEN_SHA256 = "40cb116fb209c1dd63722d5f6a8225e9fe30a529d28a14c75df17262fda6ce52"
+
+# The bench's ``wide`` generator settings; seeds from 10_000 on.
+WIDE_PARAMS = GeneratorParams(max_experts=64, max_steps=64, agreement=0.5, distractors=4,
+                              edge_prob=0.1, with_constraints=True)
+WIDE_LOGS = 8
+WIDE_SHA256 = "4e201d1107e11e62c4f4aa75ad7a1960c9333b88028f9ed71a0dbdca55be75d9"
 
 # Two values of each field, to be told apart by some golden scenario's log.
 SETTINGS = {
@@ -41,6 +53,11 @@ def _golden_runs():
     """(scenario, config) in digest order."""
     desk, _ = random_corpus(1, 500, GeneratorParams(with_constraints=True, with_facts=True))
     return [(s, EngineConfig()) for s in desk] + [(s, EngineConfig(theta=3)) for s in adversarial_corpus()]
+
+
+def _wide_runs():
+    """(scenario, config) in digest order."""
+    return [(random_scenario(10_000 + i, WIDE_PARAMS), EngineConfig()) for i in range(WIDE_LOGS)]
 
 
 def _run(scenario, config):
@@ -62,6 +79,24 @@ def test_audit_logs_match_golden_digest():
         digest.update(_log_text(scenario, config).encode("utf-8"))
     assert len(runs) == GOLDEN_LOGS
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_wide_audit_logs_match_digest():
+    digest = hashlib.sha256()
+    for scenario, config in _wide_runs():
+        digest.update(_log_text(scenario, config).encode("utf-8"))
+    assert digest.hexdigest() == WIDE_SHA256
+
+
+@functools.cache
+def _pinned_entries():
+    return tuple(entry for scenario, config in _golden_runs() + _wide_runs()
+                 for entry in _run(scenario, config).audit_log)
+
+
+def test_every_pinned_line_matches_the_reference_encoder(json_path):
+    mismatch = next((e for e in _pinned_entries() if e.to_line() != reference_line(e)), None)
+    assert mismatch is None, mismatch
 
 
 def test_every_golden_log_replays_clean():

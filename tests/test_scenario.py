@@ -24,6 +24,7 @@ from crosscheck.scenario import (
     scenario_to_dict,
 )
 from crosscheck.values import Value, number, values_equal
+from oracles import reference_line
 
 
 def _minimal(**overrides):
@@ -243,11 +244,16 @@ def test_save_refuses_a_non_finite_number(tmp_path):
     assert not path.exists()
 
 
-def _log_text(scenario, config) -> str:
+def _result(scenario, config):
+    """The run's result, or the partial result of an abstention."""
     try:
-        return run_pipeline(scenario, config).audit_log.to_text()
+        return run_pipeline(scenario, config)
     except NoFeasibleCandidateError as exc:
-        return exc.result.audit_log.to_text()
+        return exc.result
+
+
+def _log_text(scenario, config) -> str:
+    return _result(scenario, config).audit_log.to_text()
 
 
 def _mixed_corpus():
@@ -382,6 +388,13 @@ def test_cross_execution_logs_are_pinned():
         for config in TOOL_CONFIGS:
             digest.update(_log_text(scenario_from_dict(obj), config).encode("utf-8"))
     assert digest.hexdigest() == TOOL_LOGS_SHA256
+
+
+def test_cross_execution_lines_match_the_reference_encoder(json_path):
+    for obj in _tool_variants():
+        for config in TOOL_CONFIGS:
+            for entry in _result(scenario_from_dict(obj), config).audit_log:
+                assert entry.to_line() == reference_line(entry)
 
 
 def test_cross_execution_logs_replay_clean():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -78,6 +80,12 @@ def test_literal_round_trip(v):
     assert values_equal(parse_literal(format_literal(v)), v)
     # round-tripping is also structurally exact, not just canonical
     assert parse_literal(format_literal(v)) == v
+
+
+@given(st.text(), st.text().filter(str.strip), st.integers(-10**6, 10**6))
+def test_text_and_unit_literals_are_json_strings(s, unit, magnitude):
+    assert format_literal(text(s)) == f"txt:{json.dumps(s, ensure_ascii=False)}"
+    assert format_literal(quantity(magnitude, unit)) == f"qty:{magnitude}:{json.dumps(unit.strip(), ensure_ascii=False)}"
 
 
 @given(_value)
