@@ -42,7 +42,7 @@ from .ensemble import (
     sample_traces,
 )
 from .errors import CrosscheckError
-from .facts import ConsistencyReport, Fact, FactStore, Note, ToolRecord, synchronize
+from .facts import ConsistencyReport, Fact, FactStore, Note, ToolRecord
 from .plandag import PlanDag, StepResult, build_plan
 from .scenario import Scenario, load_corpus, load_scenario, save_scenario
 from .values import Value, boolean, composite, number, quantity, text, values_equal
@@ -101,7 +101,6 @@ __all__ = [
     "save_scenario",
     "simple_verification",
     "statements",
-    "synchronize",
     "synthesize",
     "text",
     "values_equal",

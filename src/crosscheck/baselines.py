@@ -151,9 +151,13 @@ def evaluate_methods(
 ) -> EvalReport:
     """Run the selected methods over a corpus and score each against the oracle."""
     _require_oracles(corpus)
-    for method in methods:
+    if not methods:
+        raise InvalidConfigError(f"no methods given; choose from {METHODS}")
+    for i, method in enumerate(methods):
         if method not in METHODS:
             raise InvalidConfigError(f"unknown method {method!r}; choose from {METHODS}")
+        if method in methods[:i]:
+            raise InvalidConfigError(f"method {method!r} given twice")
     cfg = config or EngineConfig()
     ordered = sorted(corpus, key=lambda s: s.name)
     verdicts: dict[str, list[str]] = {m: [] for m in methods}

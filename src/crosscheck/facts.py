@@ -11,23 +11,22 @@ keeps downstream reasoning grounded.
 Facts fall into four categories: ``given`` (task premises, born verified),
 ``retrieved`` and ``derived`` (must trace back to tool records through
 notes), and ``assumption`` (born unverified). The store is append-only:
-versions strictly increase, nothing is ever deleted, and every mutation is
-journaled so promotion soundness can be re-checked after the fact.
+versions strictly increase, nothing is ever deleted or changed, and every
+mutation is journaled so promotion soundness can be re-checked after the
+fact.
 
-Concurrency contract: single writer, any number of readers. ``synchronize``
-treats its inputs as immutable snapshots and builds a fresh merged store.
+Concurrency contract: single writer, any number of readers.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import marshal
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .errors import BrokenChainError, DuplicateIdError, ParseError, SchemaError, UnknownIdError
-from .values import Value, format_literal, group_values, value_from_json, value_to_json, values_comparable, values_equal
+from .values import Value, format_literal, value_from_json, value_to_json, values_comparable, values_equal
 
 GIVEN = "given"
 RETRIEVED = "retrieved"
@@ -101,9 +100,6 @@ class ConsistencyReport:
             raise ValueError("verdict=conflict iff conflicting_fact_ids nonempty")
 
 
-Summarizer = Callable[[Sequence[ToolRecord]], tuple[str, str]]
-
-
 def default_summarizer(records: Sequence[ToolRecord]) -> tuple[str, str]:
     """Summarize outcomes and judge credibility from their mutual agreement.
 
@@ -134,16 +130,11 @@ class FactStore:
         self._tools: dict[str, ToolRecord] = {}
         self._notes: dict[str, Note] = {}
         self._facts: dict[str, Fact] = {}
-        self._version = 0
         self.oplog: list[tuple[str, ...]] = []
 
     @property
     def version(self) -> int:
-        return self._version
-
-    def _bump(self, *op: str) -> None:
-        self._version += 1
-        self.oplog.append(op)
+        return len(self.oplog)
 
     # -- tool tier ----------------------------------------------------------
 
@@ -151,7 +142,7 @@ class FactStore:
         if record.id in self._tools:
             raise DuplicateIdError(f"tool record {record.id!r} already present")
         self._tools[record.id] = record
-        self._bump("tool", record.id)
+        self.oplog.append(("tool", record.id))
         return record.id
 
     def get_tool(self, tool_id: str) -> ToolRecord:
@@ -165,18 +156,10 @@ class FactStore:
 
     # -- notes tier ----------------------------------------------------------
 
-    def summarize_to_note(
-        self,
-        tool_ids: Sequence[str],
-        summarizer: Summarizer = default_summarizer,
-        note_id: str | None = None,
-    ) -> Note:
+    def summarize_to_note(self, tool_ids: Sequence[str], note_id: str | None = None) -> Note:
         if not tool_ids:
             raise UnknownIdError("a note needs at least one tool record (empty provenance forbidden)")
-        records = [self.get_tool(i) for i in tool_ids]
-        summary, credibility = summarizer(records)
-        if credibility not in CREDIBILITIES:
-            raise SchemaError(f"summarizer returned unknown credibility {credibility!r}")
+        summary, credibility = default_summarizer([self.get_tool(i) for i in tool_ids])
         note = Note(
             id=self._fresh_id("note", note_id, self._notes),
             summary=summary,
@@ -184,7 +167,7 @@ class FactStore:
             derived_from=tuple(tool_ids),
         )
         self._notes[note.id] = note
-        self._bump("note", note.id)
+        self.oplog.append(("note", note.id))
         return note
 
     def get_note(self, note_id: str) -> Note:
@@ -225,7 +208,7 @@ class FactStore:
             derived_from=(note_id,),
         )
         self._facts[fact.id] = fact
-        self._bump("promote", fact.id, validation.verdict, note.credibility, fact.status)
+        self.oplog.append(("promote", fact.id, validation.verdict, note.credibility, fact.status))
         return fact
 
     def add_given(self, key: str, value: Value, fact_id: str | None = None) -> Fact:
@@ -244,7 +227,7 @@ class FactStore:
             status=status,
         )
         self._facts[fact.id] = fact
-        self._bump(category, fact.id, status)
+        self.oplog.append((category, fact.id, status))
         return fact
 
     def get_fact(self, fact_id: str) -> Fact:
@@ -258,14 +241,6 @@ class FactStore:
 
     def verified_facts(self) -> tuple[Fact, ...]:
         return tuple(f for f in self.facts() if f.status == VERIFIED)
-
-    def downgrade(self, fact_id: str, reason: str) -> Fact:
-        """Flip a fact to unverified (merge divergence, refuting audit)."""
-        fact = self.get_fact(fact_id)
-        updated = replace(fact, status=UNVERIFIED, version=fact.version + 1)
-        self._facts[fact_id] = updated
-        self._bump("downgrade", fact_id, reason)
-        return updated
 
     # -- consistency & provenance --------------------------------------------
 
@@ -308,7 +283,7 @@ class FactStore:
 
         Seeded facts (loaded from a dump or a scenario) are axiomatic and
         exempt; everything else must have earned ``verified`` through a
-        consistent report and non-low credibility, minus later downgrades.
+        consistent report and non-low credibility.
         """
         expected: dict[str, str] = {}
         for op in self.oplog:
@@ -321,8 +296,6 @@ class FactStore:
                 expected[fact_id] = status
             elif kind in (GIVEN, ASSUMPTION, "seed_fact"):
                 expected[op[1]] = op[2]
-            elif kind == "downgrade":
-                expected[op[1]] = UNVERIFIED
         violations = []
         for fact_id, status in expected.items():
             actual = self._facts.get(fact_id)
@@ -356,7 +329,7 @@ class FactStore:
         return store
 
     def load_record(self, obj: dict) -> None:
-        """Insert one dump record as given; dumps and merges all load this way."""
+        """Insert one dump record as given; dumps and scenario seeds load this way."""
         self.insert(decode_record(obj))
 
     def insert(self, entry: ToolRecord | Note | Fact) -> None:
@@ -367,12 +340,12 @@ class FactStore:
             for tool_id in entry.derived_from:
                 self.get_tool(tool_id)
             self._notes[self._fresh_id("note", entry.id, self._notes)] = entry
-            self._bump("note", entry.id)
+            self.oplog.append(("note", entry.id))
         else:
             for note_id in entry.derived_from:
                 self.get_note(note_id)
             self._facts[self._fresh_id("fact", entry.id, self._facts)] = entry
-            self._bump("seed_fact", entry.id, entry.status)
+            self.oplog.append(("seed_fact", entry.id, entry.status))
 
     def _fresh_id(self, prefix: str, requested: str | None, table: dict) -> str:
         if requested is not None:
@@ -506,94 +479,3 @@ def _record(entry: ToolRecord | Note | Fact) -> dict:
 
 def _dump_record(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
-
-
-# Not part of an entry's content: the id is what collides, and a fact at a
-# later version (a downgrade) is the same fact.
-_NOT_CONTENT = ("id", "status", "version")
-
-
-def _rename_tier(tier: list[tuple[int, dict]], below: dict[tuple[int, str], str]) -> dict[tuple[int, str], str]:
-    """Give one tier's ``(store index, dump record)`` pairs their merged ids, in place.
-
-    References are first rewritten with ``below``, the renames of the tier
-    underneath. Then an id whose content differs between stores becomes
-    ``id@digest`` wherever it occurs; identical content keeps its id.
-    Returns the renames, keyed by store index and old id.
-    """
-    contents: dict[str, set[str]] = {}
-    blobs = []
-    for store_index, record in tier:
-        if "derived_from" in record:
-            record["derived_from"] = [below[store_index, ref] for ref in record["derived_from"]]
-        content = [value for field, value in record.items() if field not in _NOT_CONTENT]
-        blob = json.dumps(content, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        contents.setdefault(record["id"], set()).add(blob)
-        blobs.append(blob)
-    renames = {}
-    for (store_index, record), blob in zip(tier, blobs):
-        new_id = record["id"]
-        if len(contents[new_id]) > 1:
-            new_id = f"{new_id}@{hashlib.sha256(blob.encode('utf-8')).hexdigest()[:8]}"
-        renames[store_index, record["id"]] = new_id
-        record["id"] = new_id
-    return renames
-
-
-def _supersedes(record: dict, kept: dict) -> bool:
-    """Of two records with one merged id, and so one content, the higher
-    version wins, then the lower status. Tools and notes have neither."""
-    if record.get("version") != kept.get("version"):
-        return record["version"] > kept["version"]
-    return record.get("status", "") < kept.get("status", "")
-
-
-def synchronize(stores: Sequence[FactStore]) -> tuple[FactStore, list[tuple[str, tuple[str, ...]]]]:
-    """Merge store snapshots; report verified-fact divergence instead of resolving it.
-
-    Ids are only unique within one store, so colliding ids with different
-    content are renamed with a content digest (``id@a1b2c3d4``) and their
-    in-store references rewritten — both sides survive the merge, which is
-    what lets divergence be reported at all. Identical content dedupes;
-    for facts, identity ignores status/version so the highest version (a
-    later downgrade) wins. Same-key verified facts holding unequal values
-    are all downgraded to unverified in the merged store and surfaced as
-    ``(key, literals)`` conflicts — arbitration is the auditor's job, not
-    the merge's. Everything is content-driven, so input order never
-    changes the resulting verified-fact set.
-    """
-    tiers = [
-        [(index, _record(tool)) for index, store in enumerate(stores) for tool in store.tools()],
-        [(index, _record(note)) for index, store in enumerate(stores) for note in store.notes()],
-        [(index, _record(fact)) for index, store in enumerate(stores) for fact in store.facts()],
-    ]
-    # Bottom-up: notes refer to renamed tools, facts to renamed notes.
-    renames: dict[tuple[int, str], str] = {}
-    for tier in tiers:
-        renames = _rename_tier(tier, renames)
-
-    merged = FactStore()
-    for tier in tiers:
-        chosen: dict[str, dict] = {}
-        for _, record in tier:
-            kept = chosen.get(record["id"])
-            if kept is None or _supersedes(record, kept):
-                chosen[record["id"]] = record
-        for record_id in sorted(chosen):
-            merged.load_record(chosen[record_id])
-
-    conflicts: list[tuple[str, tuple[str, ...]]] = []
-    by_key: dict[str, list[Fact]] = {}
-    for fact in merged.verified_facts():
-        by_key.setdefault(fact.key, []).append(fact)
-    for key in sorted(by_key):
-        group = sorted(by_key[key], key=lambda f: f.id)
-        distinct = group_values((f.value, f.id) for f in group)
-        if len(distinct) > 1:
-            literals = tuple(sorted(format_literal(rep) for rep, _ in distinct))
-            conflicts.append((key, literals))
-            for fact in group:
-                merged.downgrade(fact.id, f"merge divergence at {key!r}")
-
-    merged._version = max([s.version for s in stores], default=0) + 1
-    return merged, conflicts

@@ -117,10 +117,12 @@ def _marshal(value: object) -> bytes:
         raise ValidationError("must hold plain JSON values only (no dict subclasses or objects)") from None
 
 
+_NOUNS = {dict: "an object", list: "a list", str: "a string"}
+
+
 def _expect(value: object, kind: type):
     if not isinstance(value, kind):
-        noun = "an object" if kind is dict else "a list"
-        raise TypeError(f"must be {noun}, got {type(value).__name__}")
+        raise TypeError(f"must be {_NOUNS[kind]}, got {type(value).__name__}")
     return value
 
 
@@ -136,15 +138,23 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
     """
     if not isinstance(obj, dict):
         raise ParseError("scenario must be a JSON object")
-    at: tuple = ("dag", None)
+    at: tuple = ("query", None)
     try:
+        query = _expect(obj.get("query", ""), str)
+        at = ("name", None)
+        saved_name = _expect(obj.get("name", ""), str)
+        at = ("dag", None)
         dag_obj = _expect(obj["dag"], dict)
-        steps = dag_obj.get("steps", [])
+        steps = _expect(dag_obj.get("steps", []), list)
         for step in steps:
             if not isinstance(step, str) or "|" in step:
                 raise ValidationError(f"step ids must be strings without '|', got {step!r}")
         at = ("dag.edges", None)
-        edges = [tuple(edge) for edge in dag_obj.get("edges", [])]
+        edges = []
+        for edge in _expect(dag_obj.get("edges", []), list):
+            if not isinstance(edge, list) or len(edge) != 2 or not all(isinstance(step, str) for step in edge):
+                raise ValidationError(f"an edge must be a list of two step ids, got {edge!r}")
+            edges.append(tuple(edge))
         at = ("dag", None)
         dag = build_plan(steps, edges)
 
@@ -170,8 +180,11 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             if expert_id in seen_ids:
                 raise ValidationError(f"duplicate expert_id {expert_id!r}")
             seen_ids.add(expert_id)
+            fail = block.get("fail", False)
+            if type(fail) is not bool:
+                raise ValidationError(f"'fail' must be a bool, got {fail!r}")
             raw_traces = tuple(block.get("traces", []))
-            if not raw_traces and not block.get("fail", False):
+            if not raw_traces and not fail:
                 raise ValidationError(f"expert {expert_id!r} has no traces and is not marked failing")
             outputs = []
             for t_idx, raw in enumerate(raw_traces):
@@ -183,7 +196,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
                 outputs.append(output)
             at = (f"experts[{e_idx}].traces", None)
             experts.append(ScriptedExpert(config=config, outputs=tuple(outputs), saved_traces=_marshal(raw_traces),
-                                          fail=bool(block.get("fail", False))))
+                                          fail=fail))
         if not experts:
             raise ValidationError("scenario needs at least one expert")
 
@@ -246,7 +259,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         raise ValidationError(f"{where}: {detail}") from exc
 
     return Scenario(
-        query=str(obj.get("query", "")),
+        query=query,
         dag=dag,
         experts=tuple(experts),
         constraints=tuple(constraints),
@@ -255,7 +268,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         oracle=oracle,
         facts_seed=tuple(facts_seed),
         saved_fields=saved_fields,
-        name=name or str(obj.get("name", "")),
+        name=name or saved_name,
     )
 
 

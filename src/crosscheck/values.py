@@ -175,29 +175,15 @@ def group_values(items: Iterable[tuple[Value, _T]]) -> list[tuple[Value, list[_T
     neighbours are equal but the ends are not, so the result depends on
     which value stands for a group, and grouping cannot be done by hashing
     canonical forms.
-
-    What can be hashed is exact identity. A memo maps each value's
-    :func:`_exact_key` to the group it joined, and an exact twin of an
-    earlier value joins that group without the scan over representatives.
-    The scan would pick the same group: the twin equals the same
-    representatives as its first occurrence. Values without a key always
-    take the scan.
     """
     groups: list[tuple[Value, list[_T]]] = []
-    memo: dict[tuple, list[_T]] = {}
     for value, tag in items:
-        key = _exact_key(value)
-        tags = memo.get(key) if key is not None else None
-        if tags is None:
-            for rep, rep_tags in groups:
-                if values_equal(rep, value):
-                    tags = rep_tags
-                    break
-            else:
-                tags = []
-                groups.append((value, tags))
-            if key is not None:
-                memo[key] = tags
+        for rep, tags in groups:
+            if values_equal(rep, value):
+                break
+        else:
+            tags = []
+            groups.append((value, tags))
         tags.append(tag)
     return groups
 

@@ -219,6 +219,13 @@ def test_unknown_method_rejected():
         evaluate_methods(_unanimous_corpus(1), ["voting"])
 
 
+@pytest.mark.parametrize("methods", [[], ["passn", "passn"], ["mv", "passn", "mv"]])
+def test_empty_or_repeated_methods_rejected(methods):
+    # A repeated method was scored twice: passn read 2.0 and the table 8/4.
+    with pytest.raises(InvalidConfigError):
+        evaluate_methods(adversarial_corpus(4), methods)
+
+
 def test_missing_oracle_rejected():
     scenario = _unanimous_corpus(1)[0]
     scenario.oracle = None

@@ -199,6 +199,18 @@ def test_eval_unknown_method_exits_one(tmp_path):
                  "--out", str(tmp_path / "r")]) == 1
 
 
+@pytest.mark.parametrize("methods, message", [("passn,passn", "given twice"), (",", "no methods given")])
+def test_eval_repeated_or_empty_methods_exits_one(tmp_path, capsys, methods, message):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    _write_unanimous(corpus_dir / "u.json")
+    out = tmp_path / "r"
+    assert main(["eval", "--corpus", str(corpus_dir), "--methods", methods, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

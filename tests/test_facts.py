@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import re
@@ -16,6 +17,7 @@ from crosscheck.facts import (
     HIGH,
     LOW,
     MEDIUM,
+    REFUTED,
     RETRIEVED,
     UNKNOWN,
     UNVERIFIED,
@@ -26,7 +28,6 @@ from crosscheck.facts import (
     Note,
     ToolRecord,
     default_summarizer,
-    synchronize,
 )
 from crosscheck.scenario import SCHEMA_TEXT
 from crosscheck.values import format_literal, number, quantity, text
@@ -103,6 +104,10 @@ def test_agreeing_outcomes_are_high():
     assert credibility == HIGH
 
 
+# Beside an outcome of 1: equal is high, a number against text is medium, 2 is low.
+_SECOND_OUTCOME = {HIGH: number(1), MEDIUM: text("one"), LOW: number(2)}
+
+
 @pytest.mark.parametrize(
     "credibility,verdict",
     list(itertools.product((HIGH, MEDIUM, LOW), (CONSISTENT, CONFLICT, UNKNOWN))),
@@ -110,8 +115,10 @@ def test_agreeing_outcomes_are_high():
 def test_promotion_rule_table(credibility, verdict):
     # verified iff verdict=consistent and credibility != low; exhaustive 3x3
     store = FactStore()
-    store.record_tool(_tool())
-    note = store.summarize_to_note(["t1"], summarizer=lambda recs: ("s", credibility))
+    store.record_tool(_tool("t1", number(1)))
+    store.record_tool(_tool("t2", _SECOND_OUTCOME[credibility]))
+    note = store.summarize_to_note(["t1", "t2"])
+    assert note.credibility == credibility
     report = ConsistencyReport(verdict, ("fx",) if verdict == CONFLICT else ())
     fact = store.promote_fact(note.id, RETRIEVED, report, "k", number(1))
     expected = VERIFIED if (verdict == CONSISTENT and credibility != LOW) else UNVERIFIED
@@ -196,54 +203,44 @@ def test_versions_strictly_increase(seed):
         seen.append(store.version)
 
 
-def test_synchronize_disjoint_union():
-    a, b = FactStore(), FactStore()
-    a.add_given("k1", number(1))
-    b.add_given("k2", number(2))
-    merged, conflicts = synchronize([a, b])
-    assert conflicts == []
-    assert {f.key for f in merged.verified_facts()} == {"k1", "k2"}
-    assert merged.version == max(a.version, b.version) + 1
+def _promoted_store():
+    store = FactStore()
+    store.record_tool(_tool())
+    note = store.summarize_to_note(["t1"], note_id="n1")
+    store.promote_fact(note.id, RETRIEVED, ConsistencyReport(CONSISTENT), "k", number(42), fact_id="f1")
+    store.add_given("g", number(7), fact_id="g1")
+    assert store.verify_promotion_soundness() == []
+    return store
 
 
-def test_synchronize_idempotent_agreement():
-    a, b = FactStore(), FactStore()
-    a.add_given("k", number(42), fact_id="f1")
-    b.add_given("k", number(42), fact_id="f1")
-    merged, conflicts = synchronize([a, b])
-    assert conflicts == []
-    assert len(merged.verified_facts()) == 1
+def test_soundness_reports_a_promotion_against_the_rule():
+    store = _promoted_store()
+    store.oplog.append(("promote", "f2", CONSISTENT, LOW, VERIFIED))
+    assert store.verify_promotion_soundness() == [
+        "promotion of f2 recorded status verified, rules say unverified"]
 
 
-def test_synchronize_reports_and_downgrades_divergence():
-    a, b = FactStore(), FactStore()
-    a.add_given("k", number(42), fact_id="fa")
-    b.add_given("k", number(17), fact_id="fb")
-    merged, conflicts = synchronize([a, b])
-    assert conflicts == [("k", ("num:17", "num:42"))]
-    assert merged.verified_facts() == ()
-    statuses = {f.id: f.status for f in merged.facts()}
-    assert statuses == {"fa": UNVERIFIED, "fb": UNVERIFIED}  # retained, not dropped
+def test_soundness_reports_a_status_changed_after_its_journal_entry():
+    store = _promoted_store()
+    store._facts["f1"] = dataclasses.replace(store.get_fact("f1"), status=UNVERIFIED)
+    store._facts["g1"] = dataclasses.replace(store.get_fact("g1"), status=REFUTED)
+    assert store.verify_promotion_soundness() == [
+        "fact f1 has status unverified, journal implies verified",
+        "fact g1 has status refuted, journal implies verified",
+    ]
 
 
-@given(st.integers(0, 5_000), st.integers(0, 5_000))
-@settings(max_examples=25, deadline=None)
-def test_synchronize_commutative_and_idempotent(seed_a, seed_b):
-    a = build_random_store(seed_a, n_ops=30)
-    b = build_random_store(seed_b, n_ops=30)
+def test_soundness_reports_a_fact_without_a_journal_entry():
+    store = _promoted_store()
+    store._facts["f9"] = Fact("f9", GIVEN, "k", number(1), VERIFIED)
+    assert store.verify_promotion_soundness() == ["fact f9 present without any journal entry"]
 
-    def verified_set(store):
-        return {(f.key, format_literal(f.value)) for f in store.verified_facts()}
 
-    ab, conflicts_ab = synchronize([a, b])
-    ba, conflicts_ba = synchronize([b, a])
-    assert verified_set(ab) == verified_set(ba)
-    assert sorted(conflicts_ab) == sorted(conflicts_ba)
-    # merging a store with itself adds nothing beyond merging it alone
-    aa, conflicts_aa = synchronize([a, a])
-    only_a, conflicts_a = synchronize([a])
-    assert verified_set(aa) == verified_set(only_a)
-    assert sorted(conflicts_aa) == sorted(conflicts_a)
+def test_soundness_reports_a_journaled_fact_that_is_missing():
+    store = _promoted_store()
+    del store._facts["f1"]
+    assert store.verify_promotion_soundness() == [
+        "journaled fact f1 missing from store (deletion is forbidden)"]
 
 
 def test_store_serialization_round_trip():

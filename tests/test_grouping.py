@@ -1,11 +1,12 @@
-"""Memoized grouping and the classified statement table against naive scans.
+"""Grouping and the classified statement table against naive scans.
 
-``group_values`` memoizes exact twins, and ``anchor``/``conflicts``/
-``rank_conflicts``/``synthesize`` read one table that classifies each
-statement once per run. Both must give exactly what the plain scans give:
-the same groups in the same order with the same first-seen
-representatives, and the same anchors, collisions, conflict items, audit
-order, provenance and synthesis scores.
+``group_values`` groups by canonical equality under a tolerance that is
+not transitive, and ``anchor``/``conflicts``/``rank_conflicts``/
+``synthesize`` read one table that classifies each statement once per run
+by exact key. Both must give exactly what the plain scans give: the same
+groups in the same order with the same first-seen representatives, and
+the same anchors, collisions, conflict items, audit order, provenance and
+synthesis scores.
 """
 
 from __future__ import annotations

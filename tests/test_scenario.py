@@ -175,6 +175,20 @@ TOOL_RECORD = {"kind": "tool", "tool_name": "calc", "params": {}, "outcome": 1}
     # A tool_scripts key splits at its first '|', so it could never name this tool.
     (_minimal(facts_seed=[{**TOOL_RECORD, "id": "t1", "tool_name": "a|b"}]),
      r"facts_seed\[0\]: tool record field 'tool_name' must not contain '\|'"),
+    # Each of these once loaded coerced: "ab" and {"a": 1, "b": 2} as the edge a->b,
+    # "false" as a failing expert, null as the query "None", ["x"] as the name "['x']".
+    (_dag(["a", "b"], ["ab"]), r"dag\.edges: an edge must be a list of two step ids, got 'ab'"),
+    (_dag(["a", "b"], [{"a": 1, "b": 2}]), r"dag\.edges: an edge must be a list of two step ids"),
+    (_dag(["a", "b"], [("a", "b")]), r"dag\.edges: an edge must be a list of two step ids"),
+    (_dag(["a", "b", "c"], [["a", "b", "c"]]), r"dag\.edges: an edge must be a list of two step ids"),
+    (_dag(["a", "b"], [["a", 2]]), r"dag\.edges: an edge must be a list of two step ids"),
+    (_dag(["a", "b"], "ab"), r"dag\.edges: must be a list, got str"),
+    (_dag("ab", []), r"dag: must be a list, got str"),
+    (_expert(fail="false"), r"experts\[0\]: 'fail' must be a bool, got 'false'"),
+    (_expert(fail=1), r"experts\[0\]: 'fail' must be a bool, got 1"),
+    (_minimal(query=None), r"query: must be a string, got NoneType"),
+    (_minimal(query=7), r"query: must be a string, got int"),
+    (_minimal(name=["x"]), r"name: must be a string, got list"),
 ])
 def test_malformed_scenario_is_validation_error(obj, field):
     with pytest.raises(ValidationError, match=field):

@@ -34,7 +34,68 @@ def test_every_trace_hook_resolves_and_is_removed(capsys):
     assert left == []
 
 
+# Written out so that adding or removing a public name is a visible diff.
+PUBLIC_NAMES = [
+    "AblationConfig",
+    "AnchorSet",
+    "AuditBudget",
+    "AuditLog",
+    "AuditLogEntry",
+    "ConflictSet",
+    "ConsistencyReport",
+    "Constraint",
+    "CrosscheckError",
+    "EngineConfig",
+    "EvalReport",
+    "ExpertConfig",
+    "ExpertOutput",
+    "Fact",
+    "FactStore",
+    "GateResult",
+    "HttpBackend",
+    "Note",
+    "OperatorRegistry",
+    "PlanDag",
+    "RunResult",
+    "Scenario",
+    "ScriptedBackend",
+    "StepResult",
+    "SynthesisScore",
+    "ToolRecord",
+    "Value",
+    "Verdict",
+    "anchor",
+    "boolean",
+    "build_plan",
+    "check_response",
+    "collect",
+    "composite",
+    "conflicts",
+    "evaluate_methods",
+    "gate",
+    "index_constraints",
+    "load_corpus",
+    "load_scenario",
+    "majority_vote",
+    "number",
+    "pass_at_n",
+    "quantity",
+    "rank_conflicts",
+    "replay",
+    "run_ablation",
+    "run_pipeline",
+    "sample_traces",
+    "save_scenario",
+    "simple_verification",
+    "statements",
+    "synthesize",
+    "text",
+    "values_equal",
+]
+
+
 def test_public_names_resolve_and_stay_sorted():
     for name in crosscheck.__all__:
         assert hasattr(crosscheck, name), name
     assert list(crosscheck.__all__) == sorted(crosscheck.__all__)
+    assert list(crosscheck.__all__) == PUBLIC_NAMES
