@@ -209,9 +209,15 @@ def run_ablation(
     decides whether an audited row loads the scenario's seeded facts.
     """
     _require_oracles(corpus)
+    if not rows:
+        raise InvalidConfigError("no ablation rows given")
+    labels = [row.label for row in rows]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise InvalidConfigError(f"ablation row {label!r} given twice")
     cfg = config or EngineConfig()
     ordered = sorted(corpus, key=lambda s: s.name)
-    verdicts: dict[str, list[str]] = {row.label: [] for row in rows}
+    verdicts: dict[str, list[str]] = {label: [] for label in labels}
     verify_calls: dict[str, list[int]] = {}
     started = time.perf_counter()
     for scenario in ordered:
@@ -237,5 +243,5 @@ def run_ablation(
         verdicts=verdicts,
         verify_calls=verify_calls,
         wall_time_s=wall,
-        params={"rows": [row.label for row in rows], "theta": cfg.theta, "budget": cfg.budget},
+        params={"rows": labels, "theta": cfg.theta, "budget": cfg.budget},
     )

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 from .auditlog import AuditLog
 from .ensemble import CollectResult, ExpertOutput, collect
 from .errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
-from .facts import FactStore
+from .facts import Fact, FactStore, Note, ToolRecord
 from .plandag import PlanDag
 from .values import Value, _exact_key, format_literal, group_values, values_equal
 from .verifiers import (
@@ -636,14 +636,12 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     if cfg.facts_enabled and scenario.facts_seed:
         for entry in scenario.facts_seed:
             facts.insert(entry)
+        # The store held nothing before, so it holds each seed entry once.
+        kinds = [type(entry) for entry in scenario.facts_seed]
         log.append(
             "facts",
             "seeded",
-            {
-                "tools": len(facts.tools()),
-                "notes": len(facts.notes()),
-                "facts": len(facts.facts()),
-            },
+            {"tools": kinds.count(ToolRecord), "notes": kinds.count(Note), "facts": kinds.count(Fact)},
         )
 
     collected: CollectResult = collect(scenario.query, scenario.expert_configs(), scenario.backend())
@@ -658,15 +656,13 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             (output.expert_id,),
         )
 
-    # A store without verified facts answers every consistency check
-    # "unknown", which is exactly what the gate assumes with no store at all.
-    gate_facts = facts if cfg.facts_enabled and facts.verified_facts() else None
-    constraints = index_constraints(scenario.constraints, scenario.dag)
+    # The store does not change until the audit, so the gate reads its verified facts once, here.
+    constraints = index_constraints(scenario.constraints, scenario.dag, facts if cfg.facts_enabled else None)
     retained: list[GatedTrace] = []
     screening: list[ScreeningRecord] = []
     salvageable: list[tuple[int, ExpertOutput, GateResult]] = []
     for idx, output in enumerate(collected.outputs):
-        result = gate(output, gate_facts, constraints, scenario.dag, cfg.gate_threshold)
+        result = gate(output, constraints, scenario.dag, cfg.gate_threshold)
         if result.removed:
             log.append(
                 "prune",

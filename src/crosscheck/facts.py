@@ -100,6 +100,14 @@ class ConsistencyReport:
             raise ValueError("verdict=conflict iff conflicting_fact_ids nonempty")
 
 
+def conflicting_fact_ids(same_key: Iterable[Fact], value: Value) -> tuple[str, ...]:
+    """The conflict rule: the ids of the same-key verified facts whose value is unequal to ``value``.
+
+    A candidate conflicts with the verified facts iff this is nonempty.
+    """
+    return tuple(f.id for f in same_key if not values_equal(f.value, value))
+
+
 def default_summarizer(records: Sequence[ToolRecord]) -> tuple[str, str]:
     """Summarize outcomes and judge credibility from their mutual agreement.
 
@@ -242,6 +250,13 @@ class FactStore:
     def verified_facts(self) -> tuple[Fact, ...]:
         return tuple(f for f in self.facts() if f.status == VERIFIED)
 
+    def verified_by_key(self) -> dict[str, tuple[Fact, ...]]:
+        """The verified facts grouped by key, ids ascending within each key; one listing of the store."""
+        grouped: dict[str, list[Fact]] = {}
+        for f in self.verified_facts():
+            grouped.setdefault(f.key, []).append(f)
+        return {key: tuple(same_key) for key, same_key in grouped.items()}
+
     # -- consistency & provenance --------------------------------------------
 
     def check_consistency(self, candidate: tuple[str, Value]) -> ConsistencyReport:
@@ -253,7 +268,7 @@ class FactStore:
         """
         key, value = candidate
         same_key = [f for f in self.verified_facts() if f.key == key]
-        clashing = tuple(f.id for f in same_key if not values_equal(f.value, value))
+        clashing = conflicting_fact_ids(same_key, value)
         if clashing:
             return ConsistencyReport(CONFLICT, clashing)
         if same_key:
@@ -286,17 +301,17 @@ class FactStore:
         consistent report and non-low credibility.
         """
         expected: dict[str, str] = {}
+        violations = []
         for op in self.oplog:
             kind = op[0]
             if kind == "promote":
                 _, fact_id, verdict, credibility, status = op
                 should = VERIFIED if (verdict == CONSISTENT and credibility != LOW) else UNVERIFIED
                 if status != should:
-                    return [f"promotion of {fact_id} recorded status {status}, rules say {should}"]
+                    violations.append(f"promotion of {fact_id} recorded status {status}, rules say {should}")
                 expected[fact_id] = status
             elif kind in (GIVEN, ASSUMPTION, "seed_fact"):
                 expected[op[1]] = op[2]
-        violations = []
         for fact_id, status in expected.items():
             actual = self._facts.get(fact_id)
             if actual is None:

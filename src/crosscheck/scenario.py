@@ -35,7 +35,7 @@ from .errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
 from .facts import Fact, FactStore, Note, ToolRecord, decode_record, params_key
 from .plandag import PlanDag, build_plan
 from .values import Value, parse_statement_key, value_from_json, value_to_json
-from .verifiers import VERDICTS, Constraint, OperatorRegistry, constraint_from_spec, default_registry
+from .verifiers import RESPONSE_KEY, VERDICTS, Constraint, OperatorRegistry, constraint_from_spec, default_registry
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,8 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         for step in steps:
             if not isinstance(step, str) or "|" in step:
                 raise ValidationError(f"step ids must be strings without '|', got {step!r}")
+            if step == RESPONSE_KEY:  # its facts would also gate every final answer
+                raise ValidationError(f"step id {step!r} is reserved for the response's facts")
         at = ("dag.edges", None)
         edges = []
         for edge in _expect(dag_obj.get("edges", []), list):
@@ -341,7 +343,8 @@ scenario file (JSON, one scenario per file)
   name            optional string; defaults to the filename stem
   query           string
   dag             {"steps": [step-id...], "edges": [[dep, dependent]...]}
-                  step ids are unique strings without '|'; graph must be acyclic
+                  step ids are unique strings without '|', and not "response"
+                  (the facts key of the final answer); graph must be acyclic
   constraints     list of constraint specs:
                     {"id": str, "check": "range",  "scope": "step"|"response",
                      "step_pattern": glob?, "min": num?, "max": num?}

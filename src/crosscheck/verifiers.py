@@ -26,7 +26,7 @@ from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .errors import DuplicateIdError, ParseError, UnknownIdError, UnknownStepError
-from .facts import CONFLICT, CONSISTENT, FactStore
+from .facts import CONFLICT, CONSISTENT, Fact, FactStore, conflicting_fact_ids
 from .plandag import PlanDag, removal_set
 from .values import (
     NUMBER,
@@ -57,7 +57,8 @@ class Constraint:
     """A deterministic, side-effect-free admissibility rule.
 
     ``predicate`` is None only for ``consistency`` constraints, which are
-    evaluated against the facts store instead of a pure function.
+    evaluated against the verified facts at the value's key instead of a
+    pure function.
     """
 
     id: str
@@ -70,11 +71,10 @@ class Constraint:
     def applies_to_step(self, step: str) -> bool:
         return self.scope == STEP_SCOPE and fnmatchcase(step, self.step_pattern or "*")
 
-    def holds(self, value: Value, facts: FactStore | None, key: str) -> bool:
+    def holds(self, value: Value, verified: Sequence[Fact] = ()) -> bool:
+        """``verified`` holds the verified facts at the value's key; only a consistency constraint reads them."""
         if self.kind == "consistency":
-            if facts is None:
-                return True
-            return facts.check_consistency((key, value)).verdict != CONFLICT
+            return not conflicting_fact_ids(verified, value)
         assert self.predicate is not None
         return bool(self.predicate(value))
 
@@ -152,10 +152,13 @@ def _spec_bound(obj: dict, name: str, default: float) -> int | float:
     return value
 
 
-def check_response(response: Value, constraints: Sequence[Constraint], facts: FactStore | None = None) -> bool:
-    """Admissibility of a candidate response: all response-scope constraints hold."""
+def check_response(response: Value, constraints: Sequence[Constraint], verified: Sequence[Fact] = ()) -> bool:
+    """Admissibility of a candidate response: all response-scope constraints hold.
+
+    ``verified`` holds the verified facts at :data:`RESPONSE_KEY`.
+    """
     return all(
-        c.holds(response, facts, RESPONSE_KEY)
+        c.holds(response, verified)
         for c in constraints
         if c.scope == RESPONSE_SCOPE
     )
@@ -163,25 +166,38 @@ def check_response(response: Value, constraints: Sequence[Constraint], facts: Fa
 
 @dataclass(frozen=True)
 class ConstraintIndex:
-    """A scenario's constraints, resolved against its DAG once per run.
+    """A scenario's constraints and verified facts, resolved against its DAG once per run.
 
     ``steps`` maps every DAG step to the step-scope predicate constraints
     that apply to it, in their given order. A step-scope ``facts``
-    constraint is not listed there: it would ask the store what the gate
-    asks at every step anyway. ``response`` holds the response-scope
-    constraints. Build it with :func:`index_constraints`.
+    constraint is not listed there: the gate checks every statement
+    against the verified facts at its step anyway. ``response`` holds the
+    response-scope constraints. ``facts`` maps each DAG step that has
+    verified facts, and :data:`RESPONSE_KEY` if it has any, to those
+    facts, ids ascending; a key without verified facts is absent. Build it
+    with :func:`index_constraints`.
     """
 
     steps: Mapping[str, tuple[Constraint, ...]]
     response: tuple[Constraint, ...]
+    facts: Mapping[str, tuple[Fact, ...]]
 
 
-def index_constraints(constraints: Sequence[Constraint], dag: PlanDag) -> ConstraintIndex:
-    """Resolve which constraints apply where: one pattern match per (DAG step, predicate constraint)."""
+def index_constraints(
+    constraints: Sequence[Constraint], dag: PlanDag, facts: FactStore | None = None
+) -> ConstraintIndex:
+    """Resolve which constraints apply where, and which verified facts speak to each step.
+
+    One pattern match per (DAG step, predicate constraint), and one listing
+    of ``facts``; with no store there are no verified facts. The store
+    must not change while the index is in use.
+    """
     predicates = [c for c in constraints if c.predicate is not None]
+    by_key = facts.verified_by_key() if facts is not None else {}
     return ConstraintIndex(
         steps={step: tuple(c for c in predicates if c.applies_to_step(step)) for step in dag.steps},
         response=tuple(c for c in constraints if c.scope == RESPONSE_SCOPE),
+        facts={key: by_key[key] for key in (*dag.steps, RESPONSE_KEY) if key in by_key},
     )
 
 
@@ -208,7 +224,6 @@ class GateResult:
 
 def gate(
     trace: "ExpertOutput",
-    facts: FactStore | None,
     constraints: ConstraintIndex,
     dag: PlanDag,
     threshold: float = 0.5,
@@ -216,26 +231,30 @@ def gate(
     """Screen a trace against constraints and verified facts.
 
     A statement fails when any applicable step predicate rejects its
-    value or the facts store reports a conflict at its step key. Failing
+    value or a verified fact at its step holds an unequal value (the
+    conflict rule of :func:`facts.conflicting_fact_ids`). Failing
     statements and their DAG dependents are excised; everything upstream
     stays. The trace as a whole is rejected iff its response is infeasible
     or the surviving fraction falls below ``threshold``. ``constraints`` is
-    :func:`index_constraints` over the same ``dag``; a trace step outside
-    the DAG raises UnknownStepError.
+    :func:`index_constraints` over the same ``dag``, and the gate reads
+    the verified facts only from it; a trace step outside the DAG raises
+    UnknownStepError.
     """
+    known = constraints.facts
     failing = []
     for step, result in trace.steps.items():
         applicable = constraints.steps.get(step)
         if applicable is None:
             raise UnknownStepError(f"unknown step {step!r}")
-        # With no constraint and no store there is nothing to check.
-        if (applicable or facts is not None) and not _statement_admissible(step, result.value, facts, applicable):
+        verified = known.get(step, ())
+        # With no constraint and no verified fact at the step there is nothing to check.
+        if (applicable or verified) and not _statement_admissible(result.value, applicable, verified):
             failing.append(step)
     removed_all = removal_set(dag, failing)
     removed = tuple(sorted(s for s in trace.steps if s in removed_all))
     total = len(trace.steps)
     score = (total - len(removed)) / total if total else 1.0
-    response_ok = check_response(trace.response, constraints.response, facts)
+    response_ok = check_response(trace.response, constraints.response, known.get(RESPONSE_KEY, ()))
     if not response_ok or score < threshold:
         return GateResult(None, score, tuple(sorted(failing)), removed, response_ok)
     # Outputs are never mutated, so an untouched trace is retained as it is.
@@ -244,13 +263,13 @@ def gate(
 
 
 def _statement_admissible(
-    step: str, value: Value, facts: FactStore | None, applicable: Sequence[Constraint]
+    value: Value, applicable: Sequence[Constraint], verified: Sequence[Fact]
 ) -> bool:
-    """Every applicable step predicate holds and the store (if any) reports no conflict."""
+    """Every applicable step predicate holds and no verified fact at the step conflicts."""
     for c in applicable:
-        if not c.holds(value, facts, step):
+        if not c.holds(value):
             return False
-    return facts is None or facts.check_consistency((step, value)).verdict != CONFLICT
+    return not verified or not conflicting_fact_ids(verified, value)
 
 
 # --- verify operators ---------------------------------------------------------

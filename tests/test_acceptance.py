@@ -19,7 +19,7 @@ from crosscheck.errors import NoFeasibleCandidateError
 from crosscheck.facts import DERIVED, RETRIEVED, ToolRecord
 from crosscheck.scenario import scenario_expert_outputs
 from crosscheck.values import format_literal, values_equal
-from crosscheck.verifiers import RESPONSE_SCOPE
+from crosscheck.verifiers import RESPONSE_KEY, RESPONSE_SCOPE
 
 from oracles import count_filter_anchors, dfs_reachable, flat_pool, pairwise_conflicts
 from storegen import build_random_store
@@ -103,8 +103,9 @@ def test_criterion_04_gate_soundness():
             result = exc.result
         checked += 1
         response_constraints = [c for c in scenario.constraints if c.scope == RESPONSE_SCOPE]
+        at_response = [f for f in result.facts.verified_facts() if f.key == RESPONSE_KEY]
         for gt in result.retained:
-            if not all(c.holds(gt.trace.response, result.facts, "response")
+            if not all(c.holds(gt.trace.response, at_response)
                        for c in response_constraints):
                 bad_responses += 1
         edges = list(scenario.dag.edges)

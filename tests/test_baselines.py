@@ -226,6 +226,18 @@ def test_empty_or_repeated_methods_rejected(methods):
         evaluate_methods(adversarial_corpus(4), methods)
 
 
+@pytest.mark.parametrize("rows", [
+    [],
+    [DEFAULT_ABLATION_ROWS[0]] * 2,
+    [DEFAULT_ABLATION_ROWS[1], DEFAULT_ABLATION_ROWS[0],
+     AblationConfig("synthesis", facts=False, synth=True, audit=True)],
+])
+def test_empty_or_repeated_ablation_rows_rejected(rows):
+    # A repeated row was scored twice: baseline read 2.0 and the table 8/4; no rows gave an empty report.
+    with pytest.raises(InvalidConfigError):
+        run_ablation(adversarial_corpus(4), rows)
+
+
 def test_missing_oracle_rejected():
     scenario = _unanimous_corpus(1)[0]
     scenario.oracle = None

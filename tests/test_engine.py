@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from crosscheck import engine, facts, values, verifiers
 from crosscheck.auditlog import replay
 from crosscheck.baselines import majority_vote
-from crosscheck.corpus import GeneratorParams, adversarial_scenario, random_scenario
+from crosscheck.corpus import GeneratorParams, adversarial_scenario, random_corpus, random_scenario
 from crosscheck.engine import (
     AuditBudget,
     EngineConfig,
@@ -695,3 +695,50 @@ def test_statement_stages_compare_classes_not_statements(monkeypatch):
     assert set(applied) <= {(step, c.id) for step in scenario.dag.steps for c in scenario.constraints}
     assert max(applied.values()) == 1
     assert table_sizes == [retained]
+
+
+def test_a_run_lists_its_verified_facts_once_and_checks_them_only_in_the_audit(monkeypatch):
+    """The gate reads the store through one listing, however many statements the run has.
+
+    ``check_consistency`` is called only by the audit's facts operator, once per
+    verify call (it is registered first), and that operator's own listings are
+    the audit's, so they are counted apart.
+    """
+    in_audit = [False]
+    listed_outside_audit, checks = [], []
+    real_listing, real_check = FactStore.verified_facts, FactStore.check_consistency
+    real_examine = verifiers.FactsConsistencyOperator.examine
+
+    def listing(self):
+        if not in_audit[0]:
+            listed_outside_audit.append(self)
+        return real_listing(self)
+
+    def check(self, candidate):
+        checks.append(in_audit[0])
+        return real_check(self, candidate)
+
+    def examine(self, step, value, ctx):
+        in_audit[0] = True
+        try:
+            return real_examine(self, step, value, ctx)
+        finally:
+            in_audit[0] = False
+
+    monkeypatch.setattr(FactStore, "verified_facts", listing)
+    monkeypatch.setattr(FactStore, "check_consistency", check)
+    monkeypatch.setattr(verifiers.FactsConsistencyOperator, "examine", examine)
+    corpus, _ = random_corpus(1, 50, GeneratorParams(with_constraints=True, with_facts=True))
+    seen_statements, seen_checks = set(), 0
+    for scenario in corpus:
+        listed_outside_audit.clear()
+        checks.clear()
+        try:
+            result = run_pipeline(scenario)
+        except NoFeasibleCandidateError as exc:
+            result = exc.result
+        assert listed_outside_audit == [result.facts], scenario.name
+        assert all(checks) and len(checks) == result.verify_calls, scenario.name
+        seen_statements.add(sum(len(o.steps) for o in scenario_expert_outputs(scenario)))
+        seen_checks += len(checks)
+    assert max(seen_statements) >= 30 and seen_checks > 0

@@ -213,11 +213,27 @@ def _promoted_store():
     return store
 
 
+def _promote_against_the_rule(store):
+    """A fact f2 promoted to verified from a low-credibility note, journaled as it is stored."""
+    store._facts["f2"] = Fact("f2", RETRIEVED, "k2", number(1), VERIFIED, derived_from=("n1",))
+    store.oplog.append(("promote", "f2", CONSISTENT, LOW, VERIFIED))
+
+
 def test_soundness_reports_a_promotion_against_the_rule():
     store = _promoted_store()
-    store.oplog.append(("promote", "f2", CONSISTENT, LOW, VERIFIED))
+    _promote_against_the_rule(store)
     assert store.verify_promotion_soundness() == [
         "promotion of f2 recorded status verified, rules say unverified"]
+
+
+def test_soundness_reports_every_violation_after_a_promotion_against_the_rule():
+    store = _promoted_store()
+    _promote_against_the_rule(store)
+    del store._facts["g1"]
+    assert store.verify_promotion_soundness() == [
+        "promotion of f2 recorded status verified, rules say unverified",
+        "journaled fact g1 missing from store (deletion is forbidden)",
+    ]
 
 
 def test_soundness_reports_a_status_changed_after_its_journal_entry():

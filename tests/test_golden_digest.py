@@ -154,7 +154,7 @@ def test_the_audit_sees_only_values_the_gate_admits():
             if entry.event != "verify":
                 continue
             step, value = entry.payload["step"], parse_literal(entry.payload["value"])
-            assert all(c.holds(value, None, step) for c in scenario.constraints
+            assert all(c.holds(value) for c in scenario.constraints
                        if c.predicate is not None and c.applies_to_step(step)), (scenario.name, step, value)
             assert all(values_equal(f.value, value) for f in verified if f.key == step), (scenario.name, step, value)
             examined += 1

@@ -47,6 +47,15 @@ def test_minimal_scenario_loads():
     assert scenario.dag.steps == ("s1",)
 
 
+def test_a_step_named_like_the_response_facts_key_is_rejected():
+    # A given fact seeded for such a step would also gate every final answer.
+    obj = _minimal(dag={"steps": ["s1", "response"], "edges": [["s1", "response"]]},
+                   facts_seed=[{"kind": "fact", "id": "f1", "category": "given", "key": "response",
+                                "value": 1, "status": "verified"}])
+    with pytest.raises(ValidationError, match="'response'"):
+        scenario_from_dict(obj)
+
+
 def test_verdict_table_unknown_step_is_named():
     obj = _minimal(verdict_table={"s9|num:1": "refute"})
     with pytest.raises(ValidationError, match="s9"):

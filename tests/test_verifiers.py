@@ -11,10 +11,12 @@ from crosscheck.errors import DuplicateIdError
 from crosscheck.facts import CONFLICT, FactStore, ToolRecord
 from crosscheck.plandag import build_plan
 from crosscheck.scenario import scenario_expert_outputs
-from crosscheck.values import format_literal, number, quantity, text
+from crosscheck.values import number, quantity, text
 from crosscheck.verifiers import (
     INCONCLUSIVE,
     REFUTE,
+    RESPONSE_KEY,
+    RESPONSE_SCOPE,
     SUPPORT,
     CrossExecutionOperator,
     FactsConsistencyOperator,
@@ -44,7 +46,7 @@ def _trace(values: dict[str, object], response: object, confidence: float = 0.8)
 
 def test_gate_vacuous_pass():
     trace = _trace({"s1": 1, "s2": 2, "s3": 3, "s4": 4}, 4)
-    result = gate(trace, None, index_constraints((), CHAIN), CHAIN, threshold=0.5)
+    result = gate(trace, index_constraints((), CHAIN), CHAIN, threshold=0.5)
     assert not result.rejected
     assert result.score == 1.0
     assert result.trace.steps.keys() == trace.steps.keys()
@@ -55,7 +57,7 @@ def test_gate_rejects_infeasible_response():
         {"id": "resp-m", "check": "unit", "scope": "response", "unit": "m"}
     )
     trace = _trace({"s1": 1}, {"kind": "quantity", "value": 3.0, "unit": "ft"})
-    result = gate(trace, None, index_constraints((constraint,), CHAIN), CHAIN, threshold=0.0)
+    result = gate(trace, index_constraints((constraint,), CHAIN), CHAIN, threshold=0.0)
     assert result.rejected
     assert not result.response_ok
 
@@ -64,7 +66,7 @@ def test_gate_excises_facts_conflict_and_dependents():
     facts = FactStore()
     facts.add_given("s2", number(99))
     trace = _trace({"s1": 1, "s2": 2, "s3": 3, "s4": 4}, 4)
-    result = gate(trace, facts, index_constraints((), CHAIN), CHAIN, threshold=0.2)
+    result = gate(trace, index_constraints((), CHAIN, facts), CHAIN, threshold=0.2)
     assert not result.rejected
     assert result.failing == ("s2",)
     assert result.removed == ("s2", "s3", "s4")
@@ -76,14 +78,14 @@ def test_gate_threshold_rejects_thin_remainder():
     facts = FactStore()
     facts.add_given("s2", number(99))
     trace = _trace({"s1": 1, "s2": 2, "s3": 3, "s4": 4}, 4)
-    result = gate(trace, facts, index_constraints((), CHAIN), CHAIN, threshold=0.5)
+    result = gate(trace, index_constraints((), CHAIN, facts), CHAIN, threshold=0.5)
     assert result.rejected
     assert result.response_ok  # rejected on score, not feasibility
 
 
 def test_gate_statement_free_trace_scores_one():
     trace = _trace({}, 42)
-    result = gate(trace, None, index_constraints((), CHAIN), CHAIN, threshold=0.9)
+    result = gate(trace, index_constraints((), CHAIN), CHAIN, threshold=0.9)
     assert not result.rejected
     assert result.score == 1.0
 
@@ -119,7 +121,7 @@ def test_check_response_matches_conjunction_oracle(seed):
                           "unit": rng.choice(["m", "s"])})
     constraints = tuple(constraint_from_spec(s) for s in specs)
     response = number(rng.randint(-60, 60)) if rng.random() < 0.8 else text("x")
-    predicates = [lambda v, c=c: c.holds(v, None, "response") for c in constraints]
+    predicates = [lambda v, c=c: c.holds(v) for c in constraints]
     assert check_response(response, constraints) == conjunction(response, predicates)
 
 
@@ -255,13 +257,13 @@ def test_gate_partial_retention_matches_closure_oracle(case):
     for s in bad:
         facts.add_given(s, number(999))  # every trace value below conflicts with this
     trace = _trace({s: i for i, s in enumerate(steps)}, 0)
-    result = gate(trace, facts, index_constraints((), dag), dag, threshold=0.0)
+    result = gate(trace, index_constraints((), dag, facts), dag, threshold=0.0)
     expected_removed = removal_oracle(steps, edges, bad)
     assert set(result.removed) == expected_removed & set(steps)
     assert set(result.failing) == set(bad)
     # monotonicity: re-gating the filtered remainder can only score higher
     if not result.rejected:
-        again = gate(result.trace, facts, index_constraints((), dag), dag, threshold=0.0)
+        again = gate(result.trace, index_constraints((), dag, facts), dag, threshold=0.0)
         assert again.score >= result.score
         assert again.score == 1.0
 
@@ -269,18 +271,27 @@ def test_gate_partial_retention_matches_closure_oracle(case):
 # --- the gate and the facts store ------------------------------------------------
 
 class SpyFactStore(FactStore):
-    """Records every consistency check as (key, value literal)."""
+    """Records the name of every public method called on it, nested calls included."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.calls: list[tuple[str, str]] = []
+        self.calls: list[str] = []
 
-    def check_consistency(self, candidate):
-        self.calls.append((candidate[0], format_literal(candidate[1])))
-        return super().check_consistency(candidate)
+    def __getattribute__(self, name):
+        attr = super().__getattribute__(name)
+        if name.startswith("_") or name == "calls" or not callable(attr):
+            return attr
+        calls = super().__getattribute__("calls")
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return attr(*args, **kwargs)
+
+        return recorded
 
 
 FACTS_CHECK = constraint_from_spec({"id": "facts", "check": "facts", "step_pattern": "*"})
+RESPONSE_FACTS_CHECK = constraint_from_spec({"id": "response-facts", "check": "facts", "scope": "response"})
 
 
 def _corpus_cases(seed):
@@ -290,20 +301,28 @@ def _corpus_cases(seed):
 
 @given(st.integers(0, 10**6), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_gate_with_empty_store_equals_gate_without_store(seed, with_facts_check):
+def test_index_over_empty_store_equals_index_over_none(seed, with_facts_check):
     scenario, outputs = _corpus_cases(seed)
-    constraints = scenario.constraints + ((FACTS_CHECK,) if with_facts_check else ())
+    constraints = scenario.constraints + ((FACTS_CHECK, RESPONSE_FACTS_CHECK) if with_facts_check else ())
+    over_empty = index_constraints(constraints, scenario.dag, FactStore())
+    over_none = index_constraints(constraints, scenario.dag, None)
+    assert over_empty == over_none
     for output in outputs:
-        with_store = gate(output, FactStore(), index_constraints(constraints, scenario.dag), scenario.dag, 0.5)
-        without = gate(output, None, index_constraints(constraints, scenario.dag), scenario.dag, 0.5)
-        assert with_store == without
+        assert gate(output, over_empty, scenario.dag, 0.5) == gate(output, over_none, scenario.dag, 0.5)
+
+
+def _holds_by_store(constraint, value, facts, key):
+    """A constraint asked the plain way: a consistency constraint asks the store."""
+    if constraint.kind == "consistency":
+        return facts.check_consistency((key, value)).verdict != CONFLICT
+    return constraint.holds(value)
 
 
 def _reference_failing(trace, facts, constraints):
-    """The gate's rule asked the plain way: every constraint, then the store."""
+    """The gate's rule asked the plain way: every constraint, then the store, statement by statement."""
     failing = []
     for step, result in trace.steps.items():
-        ok = all(c.holds(result.value, facts, step) for c in constraints if c.applies_to_step(step))
+        ok = all(_holds_by_store(c, result.value, facts, step) for c in constraints if c.applies_to_step(step))
         ok = ok and facts.check_consistency((step, result.value)).verdict != CONFLICT
         if not ok:
             failing.append(step)
@@ -312,26 +331,34 @@ def _reference_failing(trace, facts, constraints):
 
 @given(st.integers(0, 10**6), st.sampled_from(["first", "last", "twice"]))
 @settings(max_examples=40, deadline=None)
-def test_gate_asks_the_store_once_per_statement(seed, placement):
+def test_index_lists_the_store_once_and_the_gate_never_asks_it(seed, placement):
     scenario, outputs = _corpus_cases(seed)
     constraints = {
         "first": (FACTS_CHECK,) + scenario.constraints,
         "last": scenario.constraints + (FACTS_CHECK,),
         "twice": (FACTS_CHECK,) + scenario.constraints + (FACTS_CHECK,),
-    }[placement]
+    }[placement] + (RESPONSE_FACTS_CHECK,)
     facts = SpyFactStore()
     for entry in scenario.facts_seed:
         facts.insert(entry)
     for step in scenario.dag.steps[::2]:
         facts.add_given(step, number(0))  # so that many statements conflict
+    facts.add_given(RESPONSE_KEY, number(0))  # and many responses
+    facts.calls.clear()
+    index = index_constraints(constraints, scenario.dag, facts)
+    # One sorted listing of the store, and no consistency check.
+    assert [name for name in facts.calls if name in ("facts", "tools", "notes")] == ["facts"]
+    assert "check_consistency" not in facts.calls
     for output in outputs:
         facts.calls.clear()
-        result = gate(output, facts, index_constraints(constraints, scenario.dag), scenario.dag, 0.5)
-        calls = list(facts.calls)
+        result = gate(output, index, scenario.dag, 0.5)
+        assert facts.calls == []
         assert result.failing == _reference_failing(output, facts, constraints)
-        # Only a statement whose step predicates all hold reaches the store, wherever the facts checks stand.
-        assert calls == [
-            (step, format_literal(r.value))
-            for step, r in output.steps.items()
-            if all(c.holds(r.value, None, step) for c in scenario.constraints if c.applies_to_step(step))
-        ]
+        assert result.response_ok == all(
+            _holds_by_store(c, output.response, facts, RESPONSE_KEY) for c in constraints if c.scope == RESPONSE_SCOPE
+        )
+    wanted = set(scenario.dag.steps) | {RESPONSE_KEY}
+    assert index.facts == {
+        key: tuple(f for f in facts.verified_facts() if f.key == key)
+        for key in sorted({f.key for f in facts.verified_facts()} & wanted)
+    }
