@@ -71,7 +71,7 @@ class AuditLogEntry:
     def from_line(cls, line: str, lineno: int = 0) -> "AuditLogEntry":
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal longer than int() converts
             raise ParseError(f"audit log line {lineno}: {exc}") from exc
         try:
             seq, stage, event, payload = obj["seq"], obj["stage"], obj["event"], obj["payload"]

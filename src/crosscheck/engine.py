@@ -46,7 +46,6 @@ from .verifiers import (
     SUPPORT,
     GateResult,
     OperatorRegistry,
-    VerifyContext,
     gate,
     index_constraints,
 )
@@ -436,8 +435,6 @@ def run_audit(
     budget: AuditBudget,
     registry: OperatorRegistry,
     table: StatementTable,
-    facts: FactStore,
-    tool_runner,
     log: AuditLog,
 ) -> None:
     """Stage 3: spend the budget on ranked conflicts, strongest candidates first.
@@ -445,7 +442,8 @@ def run_audit(
     The budget is checked before every verify call, so the cap binds even
     mid-item; a partially examined item stays open. A supported value is
     promoted to the anchors, where synthesis scores candidates against it.
-    ``facts`` is the run's store; cross-execution finds its tool records there.
+    ``registry`` was built for this run (:meth:`Scenario.registry`), so a
+    verify call passes only the statement and its provenance ids.
     """
     for step in ranked:
         item = conflict_set.get(step)
@@ -454,14 +452,9 @@ def run_audit(
             if budget.exhausted:
                 ran_out = True
                 break
-            ctx = VerifyContext(
-                facts=facts,
-                tool_runner=tool_runner,
-                provenance=_candidate_provenance(table, step, candidate.value),
-            )
             verdict = registry.verify(
                 (step, candidate.value),
-                ctx,
+                _candidate_provenance(table, step, candidate.value),
                 on_error=lambda op_id, msg: log.append(
                     "audit", "operator_error", {"operator": op_id, "error": msg}, (step,)
                 ),
@@ -656,7 +649,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             (output.expert_id,),
         )
 
-    # The store does not change until the audit, so the gate reads its verified facts once, here.
+    # After seeding, a run never writes to its store: the gate and the audit read its verified facts once, here.
     constraints = index_constraints(scenario.constraints, scenario.dag, facts if cfg.facts_enabled else None)
     retained: list[GatedTrace] = []
     screening: list[ScreeningRecord] = []
@@ -739,11 +732,8 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     budget = AuditBudget(b_max=b_max)
     if ranked:
         log.append("audit", "plan", {"order": list(ranked), "budget": b_max})
-        registry = scenario.registry()
-        run_audit(
-            ranked, conflict_set, anchors, budget, registry, table,
-            facts, scenario.tool_runner(), log,
-        )
+        registry = scenario.registry(constraints.facts, facts)
+        run_audit(ranked, conflict_set, anchors, budget, registry, table, log)
 
     partial = RunResult(
         answer=None,

@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 from .ensemble import CONSERVATIVE, ExpertConfig, ExpertOutput, ScriptedBackend, parse_expert_output
 from .errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
@@ -89,9 +89,10 @@ class Scenario:
             failing={e.config.expert_id for e in self.experts if e.fail},
         )
 
-    def registry(self) -> OperatorRegistry:
+    def registry(self, verified: Mapping[str, Sequence[Fact]], facts: FactStore) -> OperatorRegistry:
+        """This run's operators, over the verified facts the gate read and the run's store (for tool records)."""
         # An empty table registers no scripted operator: it could only cost an invocation.
-        return default_registry(self.verdicts or None)
+        return default_registry(verified, facts, self.tool_runner(), self.verdicts or None)
 
     def tool_runner(self) -> Callable[[str, dict], Value]:
         def run_tool(tool_name: str, params: dict) -> Value:
@@ -312,12 +313,14 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read scenario {path}: {exc}") from exc
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer literal longer than int() converts
+        raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(obj, name=path.stem)
 
 
@@ -375,6 +378,8 @@ values V are JSON scalars/lists (shorthand) or explicit objects
   {"kind": "boolean", "value": true}
   {"kind": "quantity", "value": 3.5, "unit": "m"}
   {"kind": "composite", "items": [V...]}
+  numbers (and quantity magnitudes) are finite, and an integer lies within
+  float range (|x| <= 1.7976931348623157e308)
 
 value literals (verdict-table keys, audit-log payloads)
   num:42   txt:"s"   bool:true   qty:3.5:"m"   list:[num:1,num:2]

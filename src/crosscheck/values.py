@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Iterable, TypeVar
@@ -31,6 +32,7 @@ from .errors import ParseError
 
 ABS_TOL = 1e-9
 REL_TOL = 1e-9
+_FLOAT_MAX = sys.float_info.max
 
 NUMBER = "number"
 TEXT = "text"
@@ -50,13 +52,16 @@ class Value:
 
 
 def number(x: int | float) -> Value:
-    # Plain ints and finite floats, the common case, skip the checks below.
-    if type(x) is int or (type(x) is float and math.isfinite(x)):
+    """A number value; an int must lie within float range, since the tolerance rule multiplies it by a float."""
+    # Plain ints in float range and finite floats, the common case, skip the checks below.
+    if (type(x) is int and -_FLOAT_MAX <= x <= _FLOAT_MAX) or (type(x) is float and math.isfinite(x)):
         return Value(NUMBER, x)
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ParseError(f"number payload must be int or float, got {type(x).__name__}")
     if isinstance(x, float) and not math.isfinite(x):
         raise ParseError(f"number payload must be finite, got {x!r}")
+    if abs(x) > _FLOAT_MAX:
+        raise ParseError(f"number payload must lie within float range, got an int of {x.bit_length()} bits")
     return Value(NUMBER, x)
 
 

@@ -12,8 +12,10 @@ The gate is the only place that decides admissibility: every value the
 audit sees already passed it. Verify operators are the per-statement
 falsifiers used during conflict auditing. They run in registration order
 — cheap checks first — until one commits to support or refute; a full
-pass with no commitment is inconclusive. Operators are pure with respect
-to their inputs, and every non-scripted decision must cite evidence
+pass with no commitment is inconclusive. Each operator is built once per
+run with the evidence it decides from; the facts operator decides from
+the verified facts the gate read. Operators are pure with respect to
+their inputs, and every non-scripted decision must cite evidence
 (``fact:``/``tool:`` ids) so verdicts stay auditable.
 """
 
@@ -26,7 +28,7 @@ from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .errors import DuplicateIdError, ParseError, UnknownIdError, UnknownStepError
-from .facts import CONFLICT, CONSISTENT, Fact, FactStore, conflicting_fact_ids
+from .facts import Fact, FactStore, conflicting_fact_ids
 from .plandag import PlanDag, removal_set
 from .values import (
     NUMBER,
@@ -56,15 +58,13 @@ RESPONSE_KEY = "response"
 class Constraint:
     """A deterministic, side-effect-free admissibility rule.
 
-    ``predicate`` is None only for ``consistency`` constraints, which are
-    evaluated against the verified facts at the value's key instead of a
-    pure function.
+    ``predicate`` is None exactly for a consistency (``facts``)
+    constraint, which is evaluated against the verified facts at the
+    value's key instead of a pure function.
     """
 
     id: str
-    kind: str  # schema | unit | invariant | consistency
     scope: str  # step | response
-    description: str = ""
     step_pattern: str | None = None
     predicate: Callable[[Value], bool] | None = None
 
@@ -73,9 +73,8 @@ class Constraint:
 
     def holds(self, value: Value, verified: Sequence[Fact] = ()) -> bool:
         """``verified`` holds the verified facts at the value's key; only a consistency constraint reads them."""
-        if self.kind == "consistency":
+        if self.predicate is None:
             return not conflicting_fact_ids(verified, value)
-        assert self.predicate is not None
         return bool(self.predicate(value))
 
 
@@ -96,7 +95,6 @@ def constraint_from_spec(obj: dict) -> Constraint:
     common = dict(
         id=_spec_text(obj, "id"),
         scope=scope,
-        description=obj.get("description", ""),
         step_pattern=_spec_text(obj, "step_pattern") if obj.get("step_pattern") is not None else None,
     )
     if check == "range":
@@ -110,29 +108,27 @@ def constraint_from_spec(obj: dict) -> Constraint:
                 return lo <= v.payload[0] <= hi  # type: ignore[index]
             return False
 
-        return Constraint(kind="invariant", predicate=in_range, **common)
+        return Constraint(predicate=in_range, **common)
     if check == "regex":
         try:
             pattern = re.compile(_spec_text(obj, "pattern"))
         except re.error as exc:
             raise ParseError(f"constraint 'pattern' does not compile: {exc}") from exc
         return Constraint(
-            kind="schema",
             predicate=lambda v, rx=pattern: v.kind == TEXT and rx.fullmatch(v.payload) is not None,  # type: ignore[arg-type]
             **common,
         )
     if check == "kind":
         expected = _spec_text(obj, "expect")
-        return Constraint(kind="schema", predicate=lambda v, k=expected: v.kind == k, **common)
+        return Constraint(predicate=lambda v, k=expected: v.kind == k, **common)
     if check == "unit":
         unit = _spec_text(obj, "unit")
         return Constraint(
-            kind="unit",
             predicate=lambda v, u=unit: v.kind == QUANTITY and v.payload[1] == u,  # type: ignore[index]
             **common,
         )
     if check == "facts":
-        return Constraint(kind="consistency", predicate=None, **common)
+        return Constraint(**common)
     raise ParseError(f"unknown constraint check {check!r}")
 
 
@@ -174,8 +170,9 @@ class ConstraintIndex:
     against the verified facts at its step anyway. ``response`` holds the
     response-scope constraints. ``facts`` maps each DAG step that has
     verified facts, and :data:`RESPONSE_KEY` if it has any, to those
-    facts, ids ascending; a key without verified facts is absent. Build it
-    with :func:`index_constraints`.
+    facts, ids ascending; a key without verified facts is absent, and the
+    audit's facts operator decides from the same mapping. Build it with
+    :func:`index_constraints`.
     """
 
     steps: Mapping[str, tuple[Constraint, ...]]
@@ -287,26 +284,11 @@ class Verdict:
     operator: str | None = None
 
 
-@dataclass
-class VerifyContext:
-    """Everything an operator may consult, engine-agnostic.
-
-    ``facts`` is the run's store, which also holds the tool records;
-    ``provenance`` carries the tool record ids backing the statement under
-    test; ``tool_runner`` re-executes a tool by (name, params) and raises
-    UnknownIdError when the invocation is not scripted.
-    """
-
-    facts: FactStore | None = None
-    tool_runner: Callable[[str, dict], Value] | None = None
-    provenance: tuple[str, ...] = ()
-
-
 class VerifyOperator(Protocol):
     op_id: str
     scripted: bool
 
-    def examine(self, step: str, value: Value, ctx: VerifyContext) -> Verdict: ...
+    def examine(self, step: str, value: Value, provenance: tuple[str, ...]) -> Verdict: ...
 
 
 class OperatorRegistry:
@@ -335,12 +317,13 @@ class OperatorRegistry:
     def verify(
         self,
         statement: tuple[str, Value],
-        ctx: VerifyContext,
+        provenance: tuple[str, ...],
         on_error: Callable[[str, str], None] | None = None,
     ) -> Verdict:
         """Apply operators in order until one commits; cost counts invocations.
 
-        A crashing operator is reported through ``on_error`` and treated as
+        ``provenance`` holds the tool record ids backing the statement. A
+        crashing operator is reported through ``on_error`` and treated as
         inconclusive, as is any non-scripted commitment that arrives without
         evidence (verdicts must be auditable).
         """
@@ -349,7 +332,7 @@ class OperatorRegistry:
         for op in self._ops:
             invoked += 1
             try:
-                verdict = op.examine(step, value, ctx)
+                verdict = op.examine(step, value, provenance)
             except Exception as exc:  # operator crash is data, not fatal
                 if on_error is not None:
                     on_error(op.op_id, f"{type(exc).__name__}: {exc}")
@@ -365,40 +348,48 @@ class OperatorRegistry:
 
 
 class FactsConsistencyOperator:
-    """Decides from the verified facts: agreement supports, conflict refutes."""
+    """Decides from the verified facts at the statement's step: a conflict refutes, agreement supports.
+
+    ``verified`` maps a key to its verified facts, ids ascending, as
+    :attr:`ConstraintIndex.facts` holds them.
+    """
 
     op_id = "facts"
     scripted = False
 
-    def examine(self, step: str, value: Value, ctx: VerifyContext) -> Verdict:
-        if ctx.facts is None:
+    def __init__(self, verified: Mapping[str, Sequence[Fact]]) -> None:
+        self._verified = verified
+
+    def examine(self, step: str, value: Value, provenance: tuple[str, ...]) -> Verdict:
+        same_key = self._verified.get(step, ())
+        if not same_key:
             return Verdict(INCONCLUSIVE, ())
-        report = ctx.facts.check_consistency((step, value))
-        if report.verdict == CONFLICT:
-            return Verdict(REFUTE, tuple(f"fact:{i}" for i in report.conflicting_fact_ids))
-        if report.verdict == CONSISTENT:
-            agreeing = tuple(
-                f"fact:{f.id}"
-                for f in ctx.facts.verified_facts()
-                if f.key == step and values_equal(f.value, value)
-            )
-            return Verdict(SUPPORT, agreeing)
-        return Verdict(INCONCLUSIVE, ())
+        clashing = conflicting_fact_ids(same_key, value)
+        if clashing:
+            return Verdict(REFUTE, tuple(f"fact:{i}" for i in clashing))
+        return Verdict(SUPPORT, tuple(f"fact:{f.id}" for f in same_key))
 
 
 class CrossExecutionOperator:
-    """Re-runs the statement's provenance tools and compares outcomes."""
+    """Re-runs the statement's provenance tools and compares outcomes.
+
+    ``facts`` holds the tool records; ``tool_runner`` re-executes a tool by
+    (name, params) and raises UnknownIdError when the invocation is not
+    scripted.
+    """
 
     op_id = "cross-exec"
     scripted = False
 
-    def examine(self, step: str, value: Value, ctx: VerifyContext) -> Verdict:
-        if ctx.tool_runner is None or ctx.facts is None:
-            return Verdict(INCONCLUSIVE, ())
-        for record_id in ctx.provenance:
+    def __init__(self, facts: FactStore, tool_runner: Callable[[str, dict], Value]) -> None:
+        self._facts = facts
+        self._tool_runner = tool_runner
+
+    def examine(self, step: str, value: Value, provenance: tuple[str, ...]) -> Verdict:
+        for record_id in provenance:
             try:
-                record = ctx.facts.get_tool(record_id)
-                outcome = ctx.tool_runner(record.tool_name, record.params)
+                record = self._facts.get_tool(record_id)
+                outcome = self._tool_runner(record.tool_name, record.params)
             except UnknownIdError:
                 continue
             if values_equal(outcome, value):
@@ -420,24 +411,33 @@ class ScriptedTableOperator:
     def __init__(self, entries: Sequence[tuple[str, Value, str]]) -> None:
         self._entries = entries
 
-    def examine(self, step: str, value: Value, ctx: VerifyContext) -> Verdict:
+    def examine(self, step: str, value: Value, provenance: tuple[str, ...]) -> Verdict:
         for entry_step, entry_value, verdict in self._entries:
             if entry_step == step and values_equal(entry_value, value):
                 return Verdict(verdict, ())
         return Verdict(INCONCLUSIVE, ())
 
 
-def default_registry(verdicts: Sequence[tuple[str, Value, str]] | None = None) -> OperatorRegistry:
+def default_registry(
+    verified: Mapping[str, Sequence[Fact]],
+    facts: FactStore,
+    tool_runner: Callable[[str, dict], Value],
+    verdicts: Sequence[tuple[str, Value, str]] | None = None,
+) -> OperatorRegistry:
     """The standard operator stack, cheapest first: facts, cross-exec, then scripted.
 
+    Each operator is built once per run with the evidence it decides from:
+    the facts operator with ``verified``, the per-key verified facts the
+    gate read (:attr:`ConstraintIndex.facts`), and cross-execution with the
+    run's store, for its tool records, and the scenario's ``tool_runner``.
     The scripted operator is registered only when ``verdicts`` is not None.
     No operator re-checks the step constraints, since the gate has already
     applied them to every value the audit sees, and none consults the
     anchors, since the audit only examines steps that no anchor settles.
     """
     registry = OperatorRegistry()
-    registry.register(FactsConsistencyOperator())
-    registry.register(CrossExecutionOperator())
+    registry.register(FactsConsistencyOperator(verified))
+    registry.register(CrossExecutionOperator(facts, tool_runner))
     if verdicts is not None:
         registry.register(ScriptedTableOperator(verdicts))
     return registry

@@ -128,6 +128,13 @@ def test_malformed_line_is_parse_error():
             AuditLog.from_lines([line])
 
 
+def test_an_integer_literal_too_long_to_convert_is_parse_error():
+    # json.loads raises a plain ValueError here, not a JSONDecodeError.
+    line = '{"seq":' + "1" * 5000 + ',"stage":"gate","event":"accept","payload":{},"parent_refs":[]}'
+    with pytest.raises(ParseError, match="audit log line 1"):
+        AuditLog.from_lines([line])
+
+
 def test_replay_reconstructs_state():
     state = replay(_sample_log().entries)
     assert state.ok, state.violations

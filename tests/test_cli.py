@@ -174,6 +174,19 @@ def test_eval_corpus_with_a_bad_file_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_corpus_with_an_integer_literal_too_long_to_convert_exits_one(tmp_path, capsys):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError; eval used to crash on it.
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    text = (_write_unanimous(corpus_dir / "a.json")).read_text(encoding="utf-8")
+    (corpus_dir / "b.json").write_text(text.replace('"seed": 1', '"seed": ' + "1" * 5000), encoding="utf-8")
+    assert main(["eval", "--corpus", str(corpus_dir), "--methods", "mv",
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "b.json" in err
+    assert "Traceback" not in err
+
+
 def test_eval_scores_a_scenario_where_every_expert_failed(tmp_path):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()

@@ -234,7 +234,7 @@ def _audit_fixture(n_steps, table, b_max):
     log = AuditLog()
     for item in conflict_set.items():
         log.append("audit", "conflict", {"step": item.step})
-    run_audit(ranked, conflict_set, anchors, budget, registry, _table(pool), FactStore(), None, log)
+    run_audit(ranked, conflict_set, anchors, budget, registry, _table(pool), log)
     return anchors, conflict_set, budget, log
 
 
@@ -268,7 +268,7 @@ def test_minority_value_wins_after_majority_refuted():
     budget = AuditBudget(b_max=2)
     from crosscheck.auditlog import AuditLog
 
-    run_audit(["s"], conflict_set, anchors, budget, registry, _table(pool), FactStore(), None, AuditLog())
+    run_audit(["s"], conflict_set, anchors, budget, registry, _table(pool), AuditLog())
     assert budget.consumed == 2
     assert values_equal(anchors.get("s").value, number(7))
     assert item.state == "supported"
@@ -698,47 +698,34 @@ def test_statement_stages_compare_classes_not_statements(monkeypatch):
 
 
 def test_a_run_lists_its_verified_facts_once_and_checks_them_only_in_the_audit(monkeypatch):
-    """The gate reads the store through one listing, however many statements the run has.
+    """A run reads its store's verified facts through one listing, however many statements it has.
 
-    ``check_consistency`` is called only by the audit's facts operator, once per
-    verify call (it is registered first), and that operator's own listings are
-    the audit's, so they are counted apart.
+    The gate and the audit's facts operator both decide from that listing,
+    so no run calls ``check_consistency``; the corpus still makes verify calls.
     """
-    in_audit = [False]
-    listed_outside_audit, checks = [], []
+    listed, checks = [], []
     real_listing, real_check = FactStore.verified_facts, FactStore.check_consistency
-    real_examine = verifiers.FactsConsistencyOperator.examine
 
     def listing(self):
-        if not in_audit[0]:
-            listed_outside_audit.append(self)
+        listed.append(self)
         return real_listing(self)
 
     def check(self, candidate):
-        checks.append(in_audit[0])
+        checks.append(candidate)
         return real_check(self, candidate)
-
-    def examine(self, step, value, ctx):
-        in_audit[0] = True
-        try:
-            return real_examine(self, step, value, ctx)
-        finally:
-            in_audit[0] = False
 
     monkeypatch.setattr(FactStore, "verified_facts", listing)
     monkeypatch.setattr(FactStore, "check_consistency", check)
-    monkeypatch.setattr(verifiers.FactsConsistencyOperator, "examine", examine)
     corpus, _ = random_corpus(1, 50, GeneratorParams(with_constraints=True, with_facts=True))
-    seen_statements, seen_checks = set(), 0
+    seen_statements, seen_verify_calls = set(), 0
     for scenario in corpus:
-        listed_outside_audit.clear()
-        checks.clear()
+        listed.clear()
         try:
             result = run_pipeline(scenario)
         except NoFeasibleCandidateError as exc:
             result = exc.result
-        assert listed_outside_audit == [result.facts], scenario.name
-        assert all(checks) and len(checks) == result.verify_calls, scenario.name
+        assert listed == [result.facts], scenario.name
         seen_statements.add(sum(len(o.steps) for o in scenario_expert_outputs(scenario)))
-        seen_checks += len(checks)
-    assert max(seen_statements) >= 30 and seen_checks > 0
+        seen_verify_calls += result.verify_calls
+    assert checks == []
+    assert max(seen_statements) >= 30 and seen_verify_calls > 0

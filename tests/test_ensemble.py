@@ -104,6 +104,24 @@ def test_unscripted_expert_is_backend_error():
         sample_traces(ExpertConfig("e09", CONSERVATIVE, 0.1, 0), "q", backend)
 
 
+@pytest.mark.parametrize("content", ['[{"steps": {}, "response": ' + "1" * 5000 + '}]', 5],
+                         ids=["integer-too-long-to-convert", "not-a-string"])
+def test_http_content_that_json_cannot_read_fails_only_that_expert(monkeypatch, content):
+    # Each once escaped collect as a plain ValueError or TypeError.
+    def fake_urlopen(request, timeout=None):
+        seed = json.loads(request.data.decode("utf-8"))["seed"]
+        message = {"content": content if seed == 1 else json.dumps([_trace()])}
+        return io.BytesIO(json.dumps({"choices": [{"message": message}]}).encode("utf-8"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    backend = HttpBackend(endpoint="http://backend.test/v1/chat")
+    configs = [ExpertConfig("e01", CONSERVATIVE, 0.1, 1), ExpertConfig("e02", CONSERVATIVE, 0.1, 2)]
+    result = collect("q", configs, backend)
+    assert [o.expert_id for o in result.outputs] == ["e02"]
+    assert [f.expert_id for f in result.failures] == ["e01"]
+    assert "backend content is not JSON" in result.failures[0].error
+
+
 def test_http_backend_maps_content_and_errors(monkeypatch):
     import io
     import json as _json

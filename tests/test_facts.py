@@ -302,11 +302,21 @@ _FACT = {"kind": "fact", "id": "f1", "category": "retrieved", "key": "k", "value
     ({**_TOOL, "source_url": 5}, r"field 'source_url' must be a string or null"),
     ({**_TOOL, "retrieved_at": ["2024"]}, r"field 'retrieved_at' must be a string or null"),
     ({**_TOOL, "id": "t2", "tool_name": "a|b"}, r"tool record field 'tool_name' must not contain '\|'"),
+    ({**_FACT, "value": 10**400}, r"field 'value': number payload must lie within float range"),
+    ({**_TOOL, "id": "t2", "outcome": {"kind": "quantity", "value": -(10**400), "unit": "m"}},
+     r"field 'outcome': number payload must lie within float range"),
 ])
 def test_malformed_dump_record_is_schema_error(record, message):
     lines = [json.dumps(r) for r in (_TOOL, _NOTE, record)]
     with pytest.raises(SchemaError, match=message):
         FactStore.from_lines(lines)
+
+
+def test_an_integer_literal_too_long_to_convert_is_schema_error():
+    # json.loads raises a plain ValueError here, not a JSONDecodeError.
+    line = json.dumps(_FACT).replace('"value": 1', '"value": ' + "1" * 5000)
+    with pytest.raises(SchemaError, match="bad store record on line 3"):
+        FactStore.from_lines([json.dumps(_TOOL), json.dumps(_NOTE), line])
 
 
 @pytest.mark.parametrize("record, field", [

@@ -29,7 +29,6 @@ from crosscheck.engine import (
     synthesize,
 )
 from crosscheck.ensemble import ExpertOutput
-from crosscheck.facts import FactStore
 from crosscheck.plandag import StepResult, build_plan
 from crosscheck.values import (
     COMPOSITE,
@@ -264,7 +263,7 @@ class _ScriptedVerdicts:
     def __init__(self, verdicts):
         self._verdicts = iter(verdicts)
 
-    def examine(self, step, value, ctx):
+    def examine(self, step, value, provenance):
         return Verdict(next(self._verdicts, INCONCLUSIVE))
 
 
@@ -301,7 +300,7 @@ def _assert_table_matches_oracles(traces, theta, verdicts=()):
             )
 
     registry = OperatorRegistry().register(_ScriptedVerdicts(verdicts))
-    run_audit(ranked, conflict_set, anchors, AuditBudget(b_max=100), registry, table, FactStore(), None, AuditLog())
+    run_audit(ranked, conflict_set, anchors, AuditBudget(b_max=100), registry, table, AuditLog())
     if not traces:
         return anchors
     log = AuditLog()

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections import Counter, OrderedDict
 from types import ModuleType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crosscheck
 from crosscheck import ensemble
@@ -14,7 +16,7 @@ from crosscheck.auditlog import AuditLog, replay
 from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus, random_scenario
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.facts import FactStore
-from crosscheck.errors import NoFeasibleCandidateError, ParseError, UnknownIdError, ValidationError
+from crosscheck.errors import CrosscheckError, NoFeasibleCandidateError, ParseError, UnknownIdError, ValidationError
 from crosscheck.scenario import (
     Oracle,
     load_scenario,
@@ -24,6 +26,7 @@ from crosscheck.scenario import (
     scenario_to_dict,
 )
 from crosscheck.values import Value, number, values_equal
+from crosscheck.verifiers import VERDICTS
 from oracles import reference_line
 
 
@@ -229,9 +232,114 @@ def test_bad_json_reports_position(tmp_path):
         load_scenario(path)
 
 
+def test_an_integer_literal_too_long_to_convert_is_parse_error(tmp_path):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError.
+    path = tmp_path / "long.json"
+    path.write_text('{"query": "q", "dag": {"steps": [' + "1" * 5000 + ']}}', encoding="utf-8")
+    with pytest.raises(ParseError, match=r"long\.json: Exceeds the limit"):
+        load_scenario(path)
+
+
+def _two_experts(first, second, **overrides):
+    """Two experts asserting ``first`` and ``second`` at step s1 and answering 1."""
+    return _minimal(experts=[
+        {"expert_id": f"e0{i}", "traces": [{"steps": {"s1": {"value": v, "confidence": 0.9}}, "response": 1}]}
+        for i, v in ((1, first), (2, second))
+    ], **overrides)
+
+
+# Each of these loaded, then raised OverflowError from the tolerance rule mid-run.
+@pytest.mark.parametrize("obj", [
+    _two_experts(10**400, 10**400 + 1),
+    _two_experts({"kind": "quantity", "value": 10**400, "unit": "m"},
+                 {"kind": "quantity", "value": 10**400 + 1, "unit": "m"}),
+    _two_experts(10**400, 10**400, facts_seed=[{"kind": "fact", "id": "f1", "category": "given", "key": "s1",
+                                                 "value": 1.5, "status": "verified"}]),
+], ids=["numbers", "quantities", "against-a-given-fact"])
+def test_an_int_beyond_float_range_is_rejected_at_load(obj):
+    with pytest.raises(ValidationError, match="within float range"):
+        scenario_from_dict(obj)
+
+
+def test_the_largest_int_in_float_range_loads_and_runs():
+    big = int(sys.float_info.max)
+    given_max = [{"kind": "fact", "id": "f1", "category": "given", "key": "s1", "value": sys.float_info.max,
+                  "status": "verified"}]
+    gated = _two_experts(big, -big, facts_seed=given_max)  # the gate excises -big, which conflicts
+    audited = _two_experts(big, -big, verdict_table={f"s1|num:{big}": "refute"})
+    for obj, answer_from in ((gated, "e01"), (audited, "e02")):
+        result = run_pipeline(scenario_from_dict(obj))
+        assert result.winner_expert == answer_from
+        state = replay(AuditLog.from_lines(result.audit_log.to_lines()))
+        assert state.ok, state.violations
+
+
+_FLOAT_MAX = sys.float_info.max
+_HOSTILE_NUMBERS = [
+    _FLOAT_MAX, -_FLOAT_MAX, int(_FLOAT_MAX), -int(_FLOAT_MAX), int(_FLOAT_MAX) + 1, -int(_FLOAT_MAX) - 1, 10**400,
+    5e-324, -5e-324, -0.0, 0, 10**9, 10**9 + 1, 10**9 + 2, 1e-9, 2e-9,
+    73786976294838212674, 73786976221051232256, 73786976221051232256.0, float("inf"), float("nan"),
+]
+_hostile_values = st.one_of(
+    st.sampled_from(_HOSTILE_NUMBERS),
+    st.sampled_from(_HOSTILE_NUMBERS).map(lambda x: {"kind": "quantity", "value": x, "unit": "m"}),
+)
+
+
+@st.composite
+def hostile_scenarios(draw):
+    """A small scenario whose step values, responses, given facts, range bounds and verdict keys are hostile numbers."""
+    steps = [f"s{i}" for i in range(1, draw(st.integers(1, 3)) + 1)]
+    experts = [
+        {"expert_id": f"e{i:02d}",
+         "traces": [{"steps": {step: {"value": draw(_hostile_values), "confidence": 0.9}
+                               for step in steps if draw(st.booleans())},
+                     "response": draw(_hostile_values)}]}
+        for i in range(1, draw(st.integers(1, 4)) + 1)
+    ]
+    obj = _minimal(dag={"steps": steps, "edges": [[a, b] for a, b in zip(steps, steps[1:])]}, experts=experts)
+    obj["facts_seed"] = [{"kind": "fact", "id": f"f{i}", "category": "given", "key": draw(st.sampled_from(steps)),
+                          "value": draw(_hostile_values), "status": "verified"}
+                         for i in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        bound = draw(st.sampled_from([x for x in _HOSTILE_NUMBERS if x == x]))
+        obj["constraints"] = [{"id": "range", "check": "range", draw(st.sampled_from(["min", "max"])): bound}]
+    obj["verdict_table"] = {f"{draw(st.sampled_from(steps))}|num:{x!r}": draw(st.sampled_from(VERDICTS))
+                            for x in draw(st.lists(st.sampled_from(_HOSTILE_NUMBERS), max_size=2))}
+    return obj
+
+
+def _refuse(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+@given(hostile_scenarios(), st.integers(1, 3), st.sampled_from([None, 1]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_hostile_numbers_raise_a_typed_error_or_run_to_a_clean_log(obj, theta, budget, facts_enabled):
+    try:
+        scenario = scenario_from_dict(obj)
+        result = run_pipeline(scenario, EngineConfig(theta=theta, budget=budget, facts_enabled=facts_enabled))
+    except NoFeasibleCandidateError as exc:
+        result = exc.result
+    except CrosscheckError:
+        return
+    lines = result.audit_log.to_text().splitlines()
+    for line in lines:
+        json.loads(line, parse_constant=_refuse)  # strict JSON: no NaN or Infinity
+    state = replay(AuditLog.from_lines(lines))
+    assert state.ok, state.violations
+
+
 def test_missing_file_is_parse_error(tmp_path):
     with pytest.raises(ParseError):
         load_scenario(tmp_path / "absent.json")
+
+
+def test_a_file_that_is_not_utf8_is_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"query": "\xff"}')
+    with pytest.raises(ParseError, match=r"cannot read scenario .*latin1\.json"):
+        load_scenario(path)
 
 
 @pytest.mark.parametrize("seed", [3, 17, 91])

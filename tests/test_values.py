@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +62,27 @@ def test_number_rejects_nan_and_bool():
         number(float("nan"))
     with pytest.raises(ParseError):
         number(True)
+
+
+@pytest.mark.parametrize("x", [10**400, -(10**400), int(sys.float_info.max) + 1], ids=["1e400", "-1e400", "max+1"])
+def test_an_int_beyond_float_range_is_rejected(x):
+    # The tolerance rule multiplies an int by a float, which raised OverflowError mid-run.
+    with pytest.raises(ParseError, match="within float range"):
+        number(x)
+    with pytest.raises(ParseError, match="within float range"):
+        quantity(x, "m")
+
+
+def test_a_num_literal_beyond_float_range_is_rejected():
+    with pytest.raises(ParseError):
+        parse_literal("num:1" + "0" * 400)
+
+
+def test_the_largest_int_in_float_range_is_a_number():
+    big = int(sys.float_info.max)
+    assert values_equal(number(big), number(sys.float_info.max))
+    assert not values_equal(number(big), number(-big))
+    assert parse_literal(f"num:{big}") == number(big)
 
 
 _scalar = st.one_of(

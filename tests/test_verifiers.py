@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from crosscheck.corpus import GeneratorParams, random_scenario
 from crosscheck.ensemble import parse_expert_output
 from crosscheck.errors import DuplicateIdError
-from crosscheck.facts import CONFLICT, FactStore, ToolRecord
+from crosscheck.facts import CONFLICT, CONSISTENT, FactStore, ToolRecord
 from crosscheck.plandag import build_plan
 from crosscheck.scenario import scenario_expert_outputs
-from crosscheck.values import number, quantity, text
+from crosscheck.values import number, quantity, text, values_equal
 from crosscheck.verifiers import (
     INCONCLUSIVE,
     REFUTE,
@@ -23,7 +23,6 @@ from crosscheck.verifiers import (
     OperatorRegistry,
     ScriptedTableOperator,
     Verdict,
-    VerifyContext,
     check_response,
     constraint_from_spec,
     default_registry,
@@ -129,11 +128,11 @@ def test_verify_scripted_refute_cost_one():
     registry = OperatorRegistry().register(
         ScriptedTableOperator([("s1", number(5), "refute")])
     )
-    verdict = registry.verify(("s1", number(5)), VerifyContext())
+    verdict = registry.verify(("s1", number(5)), ())
     assert verdict.value == REFUTE
     assert verdict.cost == 1
     # fixed registry + scripted operators: identical inputs, identical verdicts
-    assert registry.verify(("s1", number(5)), VerifyContext()) == verdict
+    assert registry.verify(("s1", number(5)), ()) == verdict
 
 
 def test_verify_cross_execution_support_and_refute():
@@ -145,16 +144,14 @@ def test_verify_cross_execution_support_and_refute():
         runner_calls.append((tool_name, params))
         return number(42)
 
-    registry = OperatorRegistry().register(CrossExecutionOperator())
-    ctx = VerifyContext(facts=store, tool_runner=runner, provenance=("t1",))
-    verdict = registry.verify(("s1", number(42)), ctx)
+    registry = OperatorRegistry().register(CrossExecutionOperator(store, runner))
+    verdict = registry.verify(("s1", number(42)), ("t1",))
     assert verdict.value == SUPPORT
     assert verdict.evidence == ("tool:t1",)
     assert runner_calls == [("calc", {"expr": "6*7"})]
-    assert registry.verify(("s1", number(41)), ctx).value == REFUTE
+    assert registry.verify(("s1", number(41)), ("t1",)).value == REFUTE
     # a provenance id the store does not hold is skipped, not an error
-    unknown = VerifyContext(facts=store, tool_runner=runner, provenance=("t9",))
-    assert registry.verify(("s1", number(42)), unknown).value == INCONCLUSIVE
+    assert registry.verify(("s1", number(42)), ("t9",)).value == INCONCLUSIVE
     assert len(runner_calls) == 2
 
 
@@ -162,22 +159,22 @@ def test_registry_order_is_part_of_the_contract():
     store = FactStore()
     store.add_given("s1", number(5))
     table = ScriptedTableOperator([("s1", number(5), "refute")])
-    facts_first = OperatorRegistry().register(FactsConsistencyOperator()).register(table)
-    table_first = OperatorRegistry().register(table).register(FactsConsistencyOperator())
-    ctx = VerifyContext(facts=store)
+    verified = store.verified_by_key()
+    facts_first = OperatorRegistry().register(FactsConsistencyOperator(verified)).register(table)
+    table_first = OperatorRegistry().register(table).register(FactsConsistencyOperator(verified))
     assert facts_first.order == ("facts", "scripted")
-    assert facts_first.verify(("s1", number(5)), ctx).value == SUPPORT
-    assert table_first.verify(("s1", number(5)), ctx).value == REFUTE
+    assert facts_first.verify(("s1", number(5)), ()).value == SUPPORT
+    assert table_first.verify(("s1", number(5)), ()).value == REFUTE
 
 
 def test_duplicate_operator_rejected():
-    registry = OperatorRegistry().register(FactsConsistencyOperator())
+    registry = OperatorRegistry().register(FactsConsistencyOperator({}))
     with pytest.raises(DuplicateIdError):
-        registry.register(FactsConsistencyOperator())
+        registry.register(FactsConsistencyOperator({}))
 
 
 def test_empty_registry_is_inconclusive_and_free():
-    verdict = OperatorRegistry().verify(("s1", number(1)), VerifyContext())
+    verdict = OperatorRegistry().verify(("s1", number(1)), ())
     assert verdict.value == INCONCLUSIVE
     assert verdict.cost == 0
 
@@ -187,14 +184,14 @@ def test_crashing_operator_treated_as_inconclusive():
         op_id = "crasher"
         scripted = False
 
-        def examine(self, step, value, ctx):
+        def examine(self, step, value, provenance):
             raise RuntimeError("boom")
 
     errors = []
     registry = OperatorRegistry().register(Crasher()).register(
         ScriptedTableOperator([("s1", number(1), "support")])
     )
-    verdict = registry.verify(("s1", number(1)), VerifyContext(),
+    verdict = registry.verify(("s1", number(1)), (),
                               on_error=lambda op, msg: errors.append((op, msg)))
     assert verdict.value == SUPPORT
     assert verdict.cost == 2
@@ -206,12 +203,12 @@ def test_evidence_free_commitment_is_discarded():
         op_id = "overconfident"
         scripted = False
 
-        def examine(self, step, value, ctx):
+        def examine(self, step, value, provenance):
             return Verdict(SUPPORT, ())
 
     errors = []
     registry = OperatorRegistry().register(Overconfident())
-    verdict = registry.verify(("s1", number(1)), VerifyContext(),
+    verdict = registry.verify(("s1", number(1)), (),
                               on_error=lambda op, msg: errors.append(op))
     assert verdict.value == INCONCLUSIVE
     assert errors == ["overconfident"]
@@ -220,17 +217,55 @@ def test_evidence_free_commitment_is_discarded():
 def test_facts_operator_decides_from_store():
     store = FactStore()
     store.add_given("s1", number(42))
-    registry = OperatorRegistry().register(FactsConsistencyOperator())
-    ctx = VerifyContext(facts=store)
-    support = registry.verify(("s1", number(42)), ctx)
+    registry = OperatorRegistry().register(FactsConsistencyOperator(store.verified_by_key()))
+    support = registry.verify(("s1", number(42)), ())
     assert support.value == SUPPORT and support.evidence
-    refute = registry.verify(("s1", number(17)), ctx)
+    refute = registry.verify(("s1", number(17)), ())
     assert refute.value == REFUTE and refute.evidence
-    assert registry.verify(("s9", number(1)), ctx).value == INCONCLUSIVE
+    assert registry.verify(("s9", number(1)), ()).value == INCONCLUSIVE
+
+
+# Tolerance-edge values: a chain whose neighbours are equal but whose ends are not,
+# int/float twins, signed zeros, the smallest subnormal, and text that folds together.
+_EDGE_VALUES = st.sampled_from([
+    number(10**9), number(10**9 + 1), number(10**9 + 2), number(1e9 + 1),
+    number(73786976294838212674), number(73786976221051232256), number(73786976221051232256.0),
+    number(0), number(0.0), number(-0.0), number(5e-324), number(1e-9), number(2e-9),
+    quantity(10**9, "m"), quantity(10**9 + 2, "m"), quantity(10**9, "s"), text("Paris"), text(" paris"),
+])
+
+
+@st.composite
+def fact_stores(draw):
+    """A store of given (verified) and assumption (unverified) facts at a few keys, ids in shuffled order."""
+    entries = draw(st.lists(st.tuples(st.booleans(), st.sampled_from(["s1", "s2"]), _EDGE_VALUES), max_size=8))
+    ids = draw(st.permutations([f"f{i}" for i in range(len(entries))]))
+    store = FactStore()
+    for fact_id, (given_fact, key, value) in zip(ids, entries):
+        (store.add_given if given_fact else store.add_assumption)(key, value, fact_id)
+    return store
+
+
+def _reference_facts_verdict(store, step, value):
+    """The facts operator asking the store: ``check_consistency``, then the agreeing ids from a second listing."""
+    report = store.check_consistency((step, value))
+    if report.verdict == CONFLICT:
+        return Verdict(REFUTE, tuple(f"fact:{i}" for i in report.conflicting_fact_ids))
+    if report.verdict == CONSISTENT:
+        agreeing = [f for f in store.verified_facts() if f.key == step and values_equal(f.value, value)]
+        return Verdict(SUPPORT, tuple(f"fact:{f.id}" for f in agreeing))
+    return Verdict(INCONCLUSIVE, ())
+
+
+@given(fact_stores(), st.sampled_from(["s1", "s2", "s3"]), _EDGE_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_facts_operator_over_the_verified_facts_matches_asking_the_store(store, step, value):
+    operator = FactsConsistencyOperator(store.verified_by_key())
+    assert operator.examine(step, value, ()) == _reference_facts_verdict(store, step, value)
 
 
 def test_default_registry_order():
-    registry = default_registry({})
+    registry = default_registry({}, FactStore(), lambda tool_name, params: number(0), ())
     assert registry.order == ("facts", "cross-exec", "scripted")
 
 
@@ -313,7 +348,7 @@ def test_index_over_empty_store_equals_index_over_none(seed, with_facts_check):
 
 def _holds_by_store(constraint, value, facts, key):
     """A constraint asked the plain way: a consistency constraint asks the store."""
-    if constraint.kind == "consistency":
+    if constraint.predicate is None:
         return facts.check_consistency((key, value)).verdict != CONFLICT
     return constraint.holds(value)
 
