@@ -71,7 +71,7 @@ class AuditLogEntry:
     def from_line(cls, line: str, lineno: int = 0) -> "AuditLogEntry":
         try:
             obj = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer literal longer than int() converts
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, an overlong integer literal, deep nesting
             raise ParseError(f"audit log line {lineno}: {exc}") from exc
         try:
             seq, stage, event, payload = obj["seq"], obj["stage"], obj["event"], obj["payload"]
@@ -163,18 +163,30 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
     counter moving one step per verify call, and anchored steps leaving the
     open set. Verify events also follow the one audit plan: each comes
     after it, at a step of its order, never back to an earlier step than
-    the verify before, and no more of them than its budget. Violations are
-    collected, not raised — a replay is a report.
+    the verify before, and no more of them than its budget. Each decision
+    follows from its verdicts: a verify examines its conflict's next
+    untried candidate, a promote follows a ``support`` verdict for its
+    value, and a resolve is ``refuted`` exactly when every verdict at its
+    step refuted. Nothing follows the final ``synthesize/answer`` or
+    ``synthesize/abstain``. Violations are collected, not raised — a
+    replay is a report.
     """
     state = ReplayState()
     last_seq = 0
     plan_rank: dict[str, int] | None = None  # step -> position in the plan's order, once planned
     plan_budget = 0
     last_rank = -1
+    candidates: dict[str, list[str]] = {}  # step -> its conflict's candidate literals
+    verdicts: dict[str, list[tuple[object, object]]] = {}  # step -> (value, verdict) per verify, in order
+    final: AuditLogEntry | None = None
     for entry in entries:
         if entry.seq <= last_seq:
             state.violations.append(f"seq {entry.seq} not increasing after {last_seq}")
         last_seq = entry.seq
+        if final is not None:
+            state.violations.append(f"seq {entry.seq}: event after the final {final.stage}/{final.event}")
+        if entry.stage == "synthesize" and entry.event in ("answer", "abstain"):
+            final = entry
         if entry.stage not in STAGES:
             state.violations.append(f"seq {entry.seq}: unknown stage {entry.stage!r}")
             continue
@@ -190,6 +202,12 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
         elif entry.stage == "audit" and entry.event == "conflict":
             if step in state.anchors:
                 state.violations.append(f"seq {entry.seq}: conflict registered at anchored step {step!r}")
+            listed = payload.get("candidates")
+            if not isinstance(listed, list) or not all(isinstance(c, str) for c in listed):
+                state.violations.append(f"seq {entry.seq}: malformed candidates {listed!r} at {step!r}")
+                listed = []
+            candidates[step] = listed
+            verdicts[step] = []
             state.conflict_states[step] = "open"
         elif entry.stage == "audit" and entry.event == "plan":
             order, budget = payload.get("order"), payload.get("budget")
@@ -206,6 +224,12 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
                 state.violations.append(f"seq {entry.seq}: verify at unregistered step {step!r}")
             elif state.conflict_states[step] != "open":
                 state.violations.append(f"seq {entry.seq}: verify at non-open conflict {step!r}")
+            value = payload.get("value")
+            tried = verdicts.setdefault(step, [])
+            untried = candidates.get(step, [])[len(tried):]
+            if not untried or value != untried[0]:
+                state.violations.append(f"seq {entry.seq}: verify of {value!r} at {step!r} is not its next candidate")
+            tried.append((value, payload.get("verdict")))
             used = payload.get("budget_used")
             if type(used) is not int or used != state.verify_calls:
                 state.violations.append(f"seq {entry.seq}: budget counter {used!r} is not {state.verify_calls}")
@@ -225,6 +249,8 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
         elif entry.stage == "audit" and entry.event == "promote":
             if state.conflict_states.get(step) != "open":
                 state.violations.append(f"seq {entry.seq}: promoted non-open conflict {step!r}")
+            if verdicts.get(step, [])[-1:] != [(payload.get("value"), "support")]:
+                state.violations.append(f"seq {entry.seq}: promote at {step!r} without a support verdict for its value")
             state.anchors[step] = payload.get("value", "")
             state.conflict_states[step] = "supported"
         elif entry.stage == "audit" and entry.event == "resolve":
@@ -233,6 +259,11 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
                 state.violations.append(f"seq {entry.seq}: resolved non-open conflict {step!r}")
             if outcome not in ("refuted", "inconclusive"):
                 state.violations.append(f"seq {entry.seq}: bad resolve state {outcome!r}")
+            else:
+                seen = [verdict for _, verdict in verdicts.get(step, [])]
+                expected = "refuted" if seen and all(v == "refute" for v in seen) else "inconclusive"
+                if outcome != expected:
+                    state.violations.append(f"seq {entry.seq}: resolve {outcome!r} at {step!r} after verdicts {seen!r}")
             state.conflict_states[step] = outcome
     overlap = set(state.anchors) & {s for s, st in state.conflict_states.items() if st == "open"}
     for step in sorted(overlap):

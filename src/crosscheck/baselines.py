@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .engine import EngineConfig, run_pipeline
 from .ensemble import ExpertOutput
-from .errors import AllExpertsFailedError, InvalidConfigError, NoFeasibleCandidateError
+from .errors import AllExpertsFailedError, InvalidConfigError
 from .scenario import Oracle, Scenario, scenario_expert_outputs
 from .values import Value, group_values, values_equal
 
@@ -136,12 +136,9 @@ def _require_oracles(corpus: Sequence[Scenario]) -> None:
 def _pipeline_answer(scenario: Scenario, config: EngineConfig) -> tuple[Value | None, int]:
     try:
         result = run_pipeline(scenario, config)
-        return result.answer, result.verify_calls
-    except NoFeasibleCandidateError as exc:
-        calls = exc.result.verify_calls if exc.result is not None else 0  # type: ignore[union-attr]
-        return None, calls
     except AllExpertsFailedError:
         return None, 0
+    return result.answer, result.verify_calls
 
 
 def evaluate_methods(

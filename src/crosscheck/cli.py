@@ -8,7 +8,9 @@ synthesized answer with its score, anchors, and conflict states),
 over a corpus directory and writes ``report.json`` / ``report.txt``.
 
 Exit codes are a total function of the outcome: 0 answer produced,
-2 abstention (nothing feasible survived), 1 any error. Environment
+2 abstention (nothing feasible survived), 1 any error. An abstention is a
+run result like an answer, so it writes the same three artifacts, with
+``"abstained": true`` and a null answer in ``answer.json``. Environment
 variables configure only the optional live backend; every hermetic run is
 driven entirely by flags and files.
 """
@@ -25,7 +27,7 @@ from . import __version__
 from .baselines import METHODS, evaluate_methods
 from .engine import (BUDGET_CAP, DEFAULT_GATE_THRESHOLD, DEFAULT_THETA, DEFAULT_WEIGHTS,
                      EngineConfig, RunResult, run_pipeline)
-from .errors import CrosscheckError, NoFeasibleCandidateError
+from .errors import CrosscheckError
 from .scenario import SCHEMA_TEXT, load_corpus, load_scenario
 from .values import format_literal, value_to_json
 
@@ -81,10 +83,10 @@ def _parse_weights(raw: str) -> tuple[float, float, float]:
     return (float(parts[0]), float(parts[1]), float(parts[2]))
 
 
-def _write_bundle(result: RunResult, out_dir: Path, abstained: bool) -> None:
+def _write_bundle(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     answer_obj = {
-        "abstained": abstained,
+        "abstained": result.abstained,
         "answer": None if result.answer is None else value_to_json(result.answer),
         "answer_literal": None if result.answer is None else format_literal(result.answer),
         "expert": result.winner_expert,
@@ -124,21 +126,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (CrosscheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    abstained = False
     try:
         result = run_pipeline(scenario, config)
-    except NoFeasibleCandidateError as exc:
-        result, abstained = exc.result, True
     except CrosscheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if isinstance(result, RunResult):
-        try:
-            _write_bundle(result, args.out, abstained)
-        except OSError as exc:  # e.g. --out names an existing file
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    if abstained:
+    try:
+        _write_bundle(result, args.out)
+    except OSError as exc:  # e.g. --out names an existing file
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if result.abstained:
         print("abstained: no feasible candidate response", file=sys.stderr)
         return 2
     print(f"answer: {format_literal(result.answer)} (expert {result.winner_expert}, "

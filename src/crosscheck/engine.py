@@ -408,7 +408,11 @@ class SynthesisScore:
 
 @dataclass
 class RunResult:
-    """Everything a run produced; enough to re-audit it from scratch."""
+    """Everything a run produced; enough to re-audit it from scratch.
+
+    An abstention is a result too: ``answer``, ``winner_expert`` and
+    ``score`` are None, and the log ends in ``synthesize/abstain``.
+    """
 
     answer: Value | None
     winner_expert: str | None
@@ -607,8 +611,9 @@ def synthesize(
 def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> RunResult:
     """Execute all four stages over a scenario and return the full bundle.
 
-    Raises AllExpertsFailedError if nobody answers, NoFeasibleCandidateError
-    (with the partial result attached) when nothing survives pruning.
+    When nothing survives pruning the run abstains: the log ends in
+    ``synthesize/abstain`` and the result has no answer, winner or score.
+    Raises AllExpertsFailedError if nobody answers.
     """
     cfg = config or EngineConfig()
     log = AuditLog()
@@ -735,10 +740,23 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
         registry = scenario.registry(constraints.facts, facts)
         run_audit(ranked, conflict_set, anchors, budget, registry, table, log)
 
-    partial = RunResult(
-        answer=None,
-        winner_expert=None,
-        score=None,
+    answer = winner_expert = score = None
+    fallback = False
+    if retained:
+        winner, score, fallback = synthesize(table, anchors, conflict_set, cfg.normalized_weights, log)
+        answer, winner_expert = winner.trace.response, winner.expert_id
+        log.append(
+            "synthesize",
+            "answer",
+            {"expert": winner_expert, "response": format_literal(answer), "total": score.total},
+            (winner_expert,),
+        )
+    else:
+        log.append("synthesize", "abstain", {"reason": "no feasible candidate"})
+    return RunResult(
+        answer=answer,
+        winner_expert=winner_expert,
+        score=score,
         anchors=anchors,
         conflicts=conflict_set,
         retained=tuple(retained),
@@ -747,21 +765,5 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
         verify_calls=budget.consumed,
         facts=facts,
         config=cfg,
+        fallback_used=fallback,
     )
-    if not retained:
-        log.append("synthesize", "abstain", {"reason": "no feasible candidate"})
-        raise NoFeasibleCandidateError("no feasible candidate response", result=partial)
-
-    winner, score, fallback = synthesize(table, anchors, conflict_set, cfg.normalized_weights, log)
-    log.append(
-        "synthesize",
-        "answer",
-        {"expert": winner.expert_id, "response": format_literal(winner.trace.response),
-         "total": score.total},
-        (winner.expert_id,),
-    )
-    partial.answer = winner.trace.response
-    partial.winner_expert = winner.expert_id
-    partial.score = score
-    partial.fallback_used = fallback
-    return partial

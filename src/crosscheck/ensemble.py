@@ -233,7 +233,7 @@ class HttpBackend:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:  # ValueError: undecodable bytes or JSON
+        except (urllib.error.URLError, OSError, ValueError, RecursionError) as exc:  # undecodable bytes or JSON
             raise BackendError(f"backend transport failure: {exc}") from exc
         try:
             content = payload["choices"][0]["message"]["content"]
@@ -241,7 +241,7 @@ class HttpBackend:
             raise SchemaError(f"backend response missing choices[0].message.content: {exc}") from exc
         try:
             traces = json.loads(content)
-        except (TypeError, ValueError) as exc:  # not a string, not JSON, or an int longer than int() converts
+        except (TypeError, ValueError, RecursionError) as exc:  # not a string, not JSON, an overlong int, deep nesting
             raise SchemaError(f"backend content is not JSON: {exc}") from exc
         if not isinstance(traces, list):
             raise SchemaError("backend content must be a JSON list of trace payloads")

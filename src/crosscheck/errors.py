@@ -2,8 +2,9 @@
 
 Every error raised deliberately by crosscheck derives from ``CrosscheckError``
 so callers can catch the whole family at the CLI boundary. Rejections that
-are ordinary outcomes (a gated-out trace, an exhausted audit budget) are
-*results*, not exceptions, and never appear here.
+are ordinary outcomes (a gated-out trace, an exhausted audit budget, a run
+that abstains because no candidate survived) are *results*, not
+exceptions, and never appear here.
 """
 
 from __future__ import annotations
@@ -54,15 +55,11 @@ class InvalidThetaError(CrosscheckError):
 
 
 class NoFeasibleCandidateError(CrosscheckError):
-    """No candidate response survives the constraint set; the run abstains.
+    """Synthesis was asked to choose among no candidates.
 
-    Carries the partial run result (audit log included) so the harness can
-    still persist what happened before the abstention.
+    ``run_pipeline`` never raises it: a run with no feasible candidate
+    abstains and returns its result.
     """
-
-    def __init__(self, message: str, result: object | None = None) -> None:
-        super().__init__(message)
-        self.result = result
 
 
 class InvalidConfigError(CrosscheckError):

@@ -338,7 +338,7 @@ class FactStore:
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer literal longer than int() converts
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError, an overlong integer literal, deep nesting
                 raise SchemaError(f"bad store record on line {lineno}: {exc}") from exc
             store.load_record(obj)
         return store

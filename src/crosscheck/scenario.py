@@ -105,9 +105,10 @@ class Scenario:
         return run_tool
 
 
-# What reading untrusted input raises when a key is missing or a value has
-# the wrong type, plus the typed errors the builders raise themselves.
-_REJECTED = (CrosscheckError, KeyError, TypeError, AttributeError, ValueError)
+# What reading untrusted input raises when a key is missing, a value has
+# the wrong type or JSON nests too deep to decode, plus the typed errors
+# the builders raise themselves.
+_REJECTED = (CrosscheckError, KeyError, TypeError, AttributeError, ValueError, RecursionError)
 
 
 def _marshal(value: object) -> bytes:
@@ -319,7 +320,7 @@ def load_scenario(path: str | Path) -> Scenario:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # e.g. an integer literal longer than int() converts
+    except (ValueError, RecursionError) as exc:  # an integer literal longer than int() converts, or deep nesting
         raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(obj, name=path.stem)
 
@@ -380,6 +381,7 @@ values V are JSON scalars/lists (shorthand) or explicit objects
   {"kind": "composite", "items": [V...]}
   numbers (and quantity magnitudes) are finite, and an integer lies within
   float range (|x| <= 1.7976931348623157e308)
+  composites nest at most 64 deep, in values and in literals alike
 
 value literals (verdict-table keys, audit-log payloads)
   num:42   txt:"s"   bool:true   qty:3.5:"m"   list:[num:1,num:2]

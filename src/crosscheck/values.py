@@ -32,6 +32,10 @@ from .errors import ParseError
 
 ABS_TOL = 1e-9
 REL_TOL = 1e-9
+# The most composites a decoded value may nest, one inside the next. A
+# deeper one is a ParseError: every stage recurses once per level, so an
+# unbounded depth ends in RecursionError somewhere in a run.
+MAX_NESTING = 64
 _FLOAT_MAX = sys.float_info.max
 
 NUMBER = "number"
@@ -220,11 +224,16 @@ _JSON = json.JSONDecoder()
 def _decode_json_at(s: str, pos: int) -> tuple[object, int]:
     try:
         return _JSON.raw_decode(s, pos)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad literal payload at offset {pos} in {s!r}") from exc
 
 
-def _parse_literal_at(s: str, pos: int) -> tuple[Value, int]:
+def _too_deep(depth: int) -> None:
+    if depth >= MAX_NESTING:
+        raise ParseError(f"composite values nest more than {MAX_NESTING} levels deep")
+
+
+def _parse_literal_at(s: str, pos: int, depth: int) -> tuple[Value, int]:
     for prefix in ("num:", "txt:", "bool:", "qty:", "list:["):
         if s.startswith(prefix, pos):
             break
@@ -257,11 +266,12 @@ def _parse_literal_at(s: str, pos: int) -> tuple[Value, int]:
             raise ParseError(f"qty unit is not a JSON string in {s!r}")
         return quantity(magnitude, unit), end
     # list:[
+    _too_deep(depth)
     items: list[Value] = []
     if s.startswith("]", pos):
         return composite(items), pos + 1
     while True:
-        item, pos = _parse_literal_at(s, pos)
+        item, pos = _parse_literal_at(s, pos, depth + 1)
         items.append(item)
         if s.startswith(",", pos):
             pos += 1
@@ -272,7 +282,7 @@ def _parse_literal_at(s: str, pos: int) -> tuple[Value, int]:
 
 
 def parse_literal(s: str) -> Value:
-    value, end = _parse_literal_at(s, 0)
+    value, end = _parse_literal_at(s, 0, 0)
     if end != len(s):
         raise ParseError(f"trailing characters after literal in {s!r}")
     return value
@@ -311,6 +321,10 @@ def value_to_json(v: Value) -> object:
 
 def value_from_json(obj: object) -> Value:
     """Decode the explicit form, accepting bare JSON scalars as shorthand."""
+    return _value_from_json(obj, 0)
+
+
+def _value_from_json(obj: object, depth: int) -> Value:
     if isinstance(obj, dict):
         kind = obj.get("kind")
         if kind == NUMBER:
@@ -322,7 +336,8 @@ def value_from_json(obj: object) -> Value:
         if kind == QUANTITY:
             return quantity(obj["value"], obj["unit"])
         if kind == COMPOSITE:
-            return composite(value_from_json(item) for item in obj["items"])
+            _too_deep(depth)
+            return composite(_value_from_json(item, depth + 1) for item in obj["items"])
         raise ParseError(f"unknown value kind {kind!r}")
     if isinstance(obj, bool):
         return boolean(obj)
@@ -331,5 +346,6 @@ def value_from_json(obj: object) -> Value:
     if isinstance(obj, str):
         return text(obj)
     if isinstance(obj, list):
-        return composite(value_from_json(item) for item in obj)
+        _too_deep(depth)
+        return composite(_value_from_json(item, depth + 1) for item in obj)
     raise ParseError(f"cannot decode value from {type(obj).__name__}")

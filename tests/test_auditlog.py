@@ -222,8 +222,8 @@ def test_replay_flags_verify_outside_the_plan_order():
 def test_replay_flags_verify_going_back_in_the_plan_order():
     def backtracking_log(order):
         log = AuditLog()
-        log.append("audit", "conflict", {"step": "s1"})
-        log.append("audit", "conflict", {"step": "s2"})
+        log.append("audit", "conflict", {"step": "s1", "candidates": ["num:1", "num:2"]})
+        log.append("audit", "conflict", {"step": "s2", "candidates": ["num:1", "num:2"]})
         log.append("audit", "plan", {"order": order, "budget": 2})
         log.append("audit", "verify", {"step": "s2", "value": "num:1", "verdict": "refute",
                                        "cost": 1, "evidence": [], "budget_used": 1})
@@ -251,9 +251,85 @@ def test_replay_flags_a_malformed_plan(plan):
 def test_replay_flags_a_second_plan():
     # A second plan could raise the budget the first one set.
     log = AuditLog()
-    log.append("audit", "conflict", {"step": "s1"})
+    log.append("audit", "conflict", {"step": "s1", "candidates": ["num:1", "num:2"]})
     for budget in (0, 1):
         log.append("audit", "plan", {"order": ["s1"], "budget": budget})
     log.append("audit", "verify", {"step": "s1", "value": "num:1", "verdict": "refute",
                                    "cost": 1, "evidence": [], "budget_used": 1})
     assert _violations(log.to_text()) == ["seq 3: audit planned twice"]
+
+
+def _verify(step, value, verdict, used):
+    return {"step": step, "value": value, "verdict": verdict, "cost": 1, "evidence": [], "budget_used": used}
+
+
+def test_replay_flags_a_promote_without_a_verify():
+    text = "\n".join(line for line in _sample_log().to_lines() if '"event":"verify"' not in line)
+    assert any("without a support verdict" in v for v in _violations(text))
+
+
+@pytest.mark.parametrize("verdict", ["refute", "inconclusive"])
+def test_replay_flags_a_promote_after_a_verdict_other_than_support(verdict):
+    text = _sample_log().to_text().replace('"verdict":"support"', f'"verdict":"{verdict}"')
+    assert _violations(text) == ["seq 7: promote at 's2' without a support verdict for its value"]
+
+
+def test_replay_flags_a_promote_of_another_value_than_the_supported_one():
+    text = _sample_log().to_text().replace('"event":"promote","payload":{"step":"s2","value":"num:2"}',
+                                           '"event":"promote","payload":{"step":"s2","value":"num:3"}')
+    assert _violations(text) == ["seq 7: promote at 's2' without a support verdict for its value"]
+
+
+@pytest.mark.parametrize("verdicts, state, flagged", [
+    (["inconclusive", "inconclusive"], "refuted", True),
+    (["refute", "inconclusive"], "refuted", True),
+    (["refute", "refute"], "inconclusive", True),
+    (["refute", "refute"], "refuted", False),
+    (["refute", "inconclusive"], "inconclusive", False),
+])
+def test_replay_flags_a_resolve_that_does_not_follow_from_its_verdicts(verdicts, state, flagged):
+    log = AuditLog()
+    log.append("audit", "conflict", {"step": "s1", "candidates": ["num:1", "num:2"]})
+    log.append("audit", "plan", {"order": ["s1"], "budget": 2})
+    for used, (value, verdict) in enumerate(zip(["num:1", "num:2"], verdicts), start=1):
+        log.append("audit", "verify", _verify("s1", value, verdict, used))
+    log.append("audit", "resolve", {"step": "s1", "state": state})
+    expected = [f"seq 5: resolve {state!r} at 's1' after verdicts {verdicts!r}"] if flagged else []
+    assert _violations(log.to_text()) == expected
+
+
+@pytest.mark.parametrize("value", ["num:4", "num:3"], ids=["not-a-candidate", "out-of-candidate-order"])
+def test_replay_flags_a_verify_that_is_not_its_conflicts_next_candidate(value):
+    text = _sample_log().to_text().replace('"value":"num:2","verdict"', f'"value":"{value}","verdict"')
+    assert f"seq 6: verify of {value!r} at 's2' is not its next candidate" in _violations(text)
+
+
+def test_replay_flags_a_verify_past_the_last_candidate():
+    log = AuditLog()
+    log.append("audit", "conflict", {"step": "s1", "candidates": ["num:1", "num:2"]})
+    log.append("audit", "plan", {"order": ["s1"], "budget": 3})
+    for used, value in enumerate(["num:1", "num:2", "num:1"], start=1):
+        log.append("audit", "verify", _verify("s1", value, "inconclusive", used))
+    assert _violations(log.to_text()) == ["seq 5: verify of 'num:1' at 's1' is not its next candidate"]
+
+
+@pytest.mark.parametrize("candidates", ['"candidates":"num:2"', '"candidates":[2,3]', '"other":[]'])
+def test_replay_flags_a_conflict_without_a_list_of_candidate_literals(candidates):
+    text = _sample_log().to_text().replace('"candidates":["num:2","num:3"]', candidates)
+    assert candidates in text
+    assert any("malformed candidates" in v for v in _violations(text))
+
+
+@pytest.mark.parametrize("final", ["answer", "abstain"])
+def test_replay_flags_any_event_after_the_final_answer_or_abstention(final):
+    log = _sample_log()
+    if final == "abstain":
+        log = AuditLog.from_lines(log.to_lines()[:-1])
+        log.append("synthesize", "abstain", {"reason": "no feasible candidate"})
+    assert _violations(log.to_text()) == []
+    log.append("synthesize", "score", {"expert": "e02", "total": 1.0})
+    log.append("synthesize", final, {})
+    assert _violations(log.to_text()) == [
+        f"seq 9: event after the final synthesize/{final}",
+        f"seq 10: event after the final synthesize/{final}",
+    ]

@@ -59,7 +59,7 @@ def test_bundle_refuses_a_non_finite_number(tmp_path):
     result.answer = Value(NUMBER, float("nan"))  # past the constructors, which reject it
     out = tmp_path / "out"
     with pytest.raises(ValueError):
-        _write_bundle(result, out, abstained=False)
+        _write_bundle(result, out)
     assert list(out.iterdir()) == []  # nothing written, not even the files that would encode
 
 

@@ -441,13 +441,37 @@ def test_infeasible_everything_abstains_with_partial_result():
              "traces": [{"steps": {"s1": {"value": 1, "confidence": 0.9}}, "response": 1}]},
         ],
     }
-    with pytest.raises(NoFeasibleCandidateError) as excinfo:
-        run_pipeline(scenario_from_dict(obj, name="infeasible"))
-    partial = excinfo.value.result
+    partial = run_pipeline(scenario_from_dict(obj, name="infeasible"))
     assert partial is not None
     assert partial.answer is None
     assert len(partial.audit_log) > 0
     assert partial.screening[0].reason == "infeasible-response"
+    assert partial.abstained
+    assert replay(partial.audit_log).ok
+    last = partial.audit_log.entries[-1]
+    assert (last.stage, last.event) == ("synthesize", "abstain")
+
+
+def test_a_run_abstains_exactly_when_its_log_ends_in_an_abstention():
+    infeasible = scenario_from_dict({
+        "query": "q",
+        "dag": {"steps": ["s1"], "edges": []},
+        "constraints": [{"id": "resp", "check": "kind", "scope": "response", "expect": "text"}],
+        "experts": [
+            {"expert_id": f"e0{i}", "class": "conservative", "temperature": 0.1, "seed": i,
+             "traces": [{"steps": {"s1": {"value": i, "confidence": 0.9}}, "response": i}]}
+            for i in (1, 2)
+        ],
+    }, name="infeasible")
+    corpus, _ = random_corpus(3, 30, GeneratorParams(with_constraints=True, with_facts=True))
+    outcomes = Counter()
+    for scenario in [infeasible, *corpus]:
+        result = run_pipeline(scenario)
+        last = result.audit_log.entries[-1]
+        assert result.abstained == ((last.stage, last.event) == ("synthesize", "abstain")), scenario.name
+        assert result.abstained == (result.answer is None and result.winner_expert is None and result.score is None)
+        outcomes[result.abstained] += 1
+    assert outcomes[True] == 1 and outcomes[False] == 30
 
 
 def test_backtrack_salvages_low_scoring_traces():
@@ -720,10 +744,7 @@ def test_a_run_lists_its_verified_facts_once_and_checks_them_only_in_the_audit(m
     seen_statements, seen_verify_calls = set(), 0
     for scenario in corpus:
         listed.clear()
-        try:
-            result = run_pipeline(scenario)
-        except NoFeasibleCandidateError as exc:
-            result = exc.result
+        result = run_pipeline(scenario)
         assert listed == [result.facts], scenario.name
         seen_statements.add(sum(len(o.steps) for o in scenario_expert_outputs(scenario)))
         seen_verify_calls += result.verify_calls

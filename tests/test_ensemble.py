@@ -104,8 +104,8 @@ def test_unscripted_expert_is_backend_error():
         sample_traces(ExpertConfig("e09", CONSERVATIVE, 0.1, 0), "q", backend)
 
 
-@pytest.mark.parametrize("content", ['[{"steps": {}, "response": ' + "1" * 5000 + '}]', 5],
-                         ids=["integer-too-long-to-convert", "not-a-string"])
+@pytest.mark.parametrize("content", ['[{"steps": {}, "response": ' + "1" * 5000 + '}]', 5, "[" * 100_000],
+                         ids=["integer-too-long-to-convert", "not-a-string", "nested-deeper-than-json-decodes"])
 def test_http_content_that_json_cannot_read_fails_only_that_expert(monkeypatch, content):
     # Each once escaped collect as a plain ValueError or TypeError.
     def fake_urlopen(request, timeout=None):

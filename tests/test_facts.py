@@ -305,6 +305,7 @@ _FACT = {"kind": "fact", "id": "f1", "category": "retrieved", "key": "k", "value
     ({**_FACT, "value": 10**400}, r"field 'value': number payload must lie within float range"),
     ({**_TOOL, "id": "t2", "outcome": {"kind": "quantity", "value": -(10**400), "unit": "m"}},
      r"field 'outcome': number payload must lie within float range"),
+    ({**_FACT, "value": json.loads("[" * 65 + "1" + "]" * 65)}, r"field 'value': composite values nest more than 64"),
 ])
 def test_malformed_dump_record_is_schema_error(record, message):
     lines = [json.dumps(r) for r in (_TOOL, _NOTE, record)]

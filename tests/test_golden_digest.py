@@ -25,7 +25,6 @@ import pytest
 from crosscheck.auditlog import AuditLog, replay
 from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus, random_scenario
 from crosscheck.engine import EngineConfig, run_pipeline
-from crosscheck.errors import NoFeasibleCandidateError
 from crosscheck.scenario import scenario_from_dict
 from crosscheck.values import parse_literal, values_equal
 from oracles import reference_line
@@ -60,16 +59,8 @@ def _wide_runs():
     return [(random_scenario(10_000 + i, WIDE_PARAMS), EngineConfig()) for i in range(WIDE_LOGS)]
 
 
-def _run(scenario, config):
-    """The run's result, or the partial result of an abstention."""
-    try:
-        return run_pipeline(scenario, config)
-    except NoFeasibleCandidateError as exc:
-        return exc.result
-
-
 def _log_text(scenario, config) -> str:
-    return _run(scenario, config).audit_log.to_text()
+    return run_pipeline(scenario, config).audit_log.to_text()
 
 
 def test_audit_logs_match_golden_digest():
@@ -91,7 +82,7 @@ def test_wide_audit_logs_match_digest():
 @functools.cache
 def _pinned_entries():
     return tuple(entry for scenario, config in _golden_runs() + _wide_runs()
-                 for entry in _run(scenario, config).audit_log)
+                 for entry in run_pipeline(scenario, config).audit_log)
 
 
 def test_every_pinned_line_matches_the_reference_encoder(json_path):
@@ -148,7 +139,7 @@ def test_the_audit_sees_only_values_the_gate_admits():
     runs = _golden_runs() + [(guarded, EngineConfig(budget=4)), (guarded, EngineConfig(budget=4, facts_enabled=False))]
     examined = 0
     for scenario, config in runs:
-        result = _run(scenario, config)
+        result = run_pipeline(scenario, config)
         verified = result.facts.verified_facts()
         for entry in result.audit_log.stage_entries("audit"):
             if entry.event != "verify":

@@ -16,7 +16,7 @@ from crosscheck.auditlog import AuditLog, replay
 from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus, random_scenario
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.facts import FactStore
-from crosscheck.errors import CrosscheckError, NoFeasibleCandidateError, ParseError, UnknownIdError, ValidationError
+from crosscheck.errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
 from crosscheck.scenario import (
     Oracle,
     load_scenario,
@@ -319,8 +319,6 @@ def test_hostile_numbers_raise_a_typed_error_or_run_to_a_clean_log(obj, theta, b
     try:
         scenario = scenario_from_dict(obj)
         result = run_pipeline(scenario, EngineConfig(theta=theta, budget=budget, facts_enabled=facts_enabled))
-    except NoFeasibleCandidateError as exc:
-        result = exc.result
     except CrosscheckError:
         return
     lines = result.audit_log.to_text().splitlines()
@@ -375,16 +373,8 @@ def test_save_refuses_a_non_finite_number(tmp_path):
     assert not path.exists()
 
 
-def _result(scenario, config):
-    """The run's result, or the partial result of an abstention."""
-    try:
-        return run_pipeline(scenario, config)
-    except NoFeasibleCandidateError as exc:
-        return exc.result
-
-
 def _log_text(scenario, config) -> str:
-    return _result(scenario, config).audit_log.to_text()
+    return run_pipeline(scenario, config).audit_log.to_text()
 
 
 def _mixed_corpus():
@@ -524,7 +514,7 @@ def test_cross_execution_logs_are_pinned():
 def test_cross_execution_lines_match_the_reference_encoder(json_path):
     for obj in _tool_variants():
         for config in TOOL_CONFIGS:
-            for entry in _result(scenario_from_dict(obj), config).audit_log:
+            for entry in run_pipeline(scenario_from_dict(obj), config).audit_log:
                 assert entry.to_line() == reference_line(entry)
 
 
