@@ -22,8 +22,11 @@ Four stages turn a bundle of expert traces into one audited answer:
    only, which recovers the best recombination of valid micro-inferences.
 
 Anchoring, conflict detection, ranking and synthesis read one table that
-:func:`statements` builds per run, which sorts every statement into an
-exact value class, so values are compared per class, not per statement.
+:func:`statements` builds per run, which sorts every statement into a
+class by its value object, so values are compared per class, not per
+statement. The scenario loader shares one object per distinct value
+across a scenario's traces, so on a loaded scenario a class is one
+distinct value.
 Every decision lands in the audit log; identical inputs reproduce the log
 byte for byte.
 """
@@ -103,11 +106,10 @@ def _is_real(x: object) -> bool:
 
 
 class StepClasses:
-    """One step's asserted statements, sorted into exact value classes.
+    """One step's asserted statements, sorted into classes by value object.
 
-    Per class id: ``reps`` holds the representative, which is the class's
-    first retained value, or its first asserted value when every member
-    was excised; ``holders`` the positions, in the table's ``retained``,
+    Per class id: ``reps`` holds the value object that every member
+    asserted; ``holders`` the positions, in the table's ``retained``,
     of the traces that asserted it; ``supporters`` its retained experts,
     or None when it has none. ``confidences`` holds the retained
     statements' confidences in trace order. ``groups`` holds the value
@@ -123,7 +125,7 @@ class StepClasses:
         self.supporters: list[set[str] | None] = []
         self.confidences: list[float] = []
         self.groups: list[tuple[Value, tuple[str, ...]]] = []
-        self.ids: dict[tuple, int] = {}  # exact key -> class id
+        self.ids: dict[int, int] = {}  # id() of a value with an exact key -> class id
         self.order: list[int] = []  # retained class ids in order of first retained occurrence
 
 
@@ -145,16 +147,21 @@ class StatementTable:
 def statements(retained: Sequence[GatedTrace]) -> StatementTable:
     """Classify every asserted statement of the retained traces in one pass.
 
-    At each step, all values with one exact key (``values._exact_key``)
-    form a class, and a value without a key is a class of its own. Members
-    of a class are interchangeable under :func:`values_equal`, so a stage
-    can decide a class once and the answer holds for each member. That is
-    exact even though tolerance equality is not transitive. A class is
-    represented by its first retained value, because an excised twin
-    asserted earlier may print differently (``-0.0`` against ``0.0``).
-    Each step's retained classes are grouped once, in order of first
-    retained occurrence, which gives the groups that grouping the
-    retained statements one by one in trace order would give.
+    At each step, the statements that assert one value object form a
+    class, found by ``id()``; the object is checked for an exact key
+    (``values._exact_key``) once, when its class opens. A value without a
+    key (a NaN, an ill-typed payload) is a class of its own at every
+    statement, so a NaN that two experts share never counts as agreement.
+    One object has one key, so a stage can decide a class once and the
+    answer holds for each member, even though tolerance equality is not
+    transitive. The scenario loader interns values, so a class is one
+    distinct printed value; outputs that were not interned (a live
+    backend's, or built by hand) are classed per object, which is finer
+    and just as exact. Each step's retained classes are grouped once, in
+    order of first retained occurrence, which gives the groups, and the
+    representatives, that grouping the retained statements one by one in
+    trace order would give: a statement that shares a key with an earlier
+    one joins the group that one joined.
     """
     steps: dict[str, StepClasses] = {}
     for i, gt in enumerate(retained):
@@ -165,21 +172,19 @@ def statements(retained: Sequence[GatedTrace]) -> StatementTable:
             if sc is None:
                 sc = steps[step] = StepClasses()
             value = result.value
-            key = _exact_key(value)
-            c = sc.ids.get(key) if key is not None else None
+            c = sc.ids.get(id(value))
             if c is None:
                 c = len(sc.reps)
                 sc.reps.append(value)
                 sc.holders.append([])
                 sc.supporters.append(None)
-                if key is not None:
-                    sc.ids[key] = c
+                if _exact_key(value) is not None:
+                    sc.ids[id(value)] = c
             sc.holders[c].append(i)
             if step in kept:
                 supporters = sc.supporters[c]
                 if supporters is None:
                     supporters = sc.supporters[c] = set()
-                    sc.reps[c] = value
                     sc.order.append(c)
                 supporters.add(expert_id)
                 sc.confidences.append(result.confidence)

@@ -11,7 +11,8 @@ Backends return validated :class:`ExpertOutput` tuples — intermediates
 with confidences, an overall analysis, and a final response. Each trace is
 parsed once, by :func:`parse_expert_output`, where its bytes enter the
 program: the scenario loader parses scripted traces when it reads the
-file, and :class:`ScriptedBackend` replays those outputs on every run,
+file, sharing one value object per distinct printed value across them,
+and :class:`ScriptedBackend` replays those outputs on every run,
 which is what every test in this repository runs against. The minimal
 HTTP adapter for a chat-completion-style endpoint parses its response
 content as it arrives; it is for live use and is tested only against a
@@ -30,7 +31,7 @@ from typing import Mapping, Protocol, Sequence
 
 from .errors import AllExpertsFailedError, BackendError, InvalidPlanError, ParseError, SchemaError
 from .plandag import StepResult
-from .values import Value, value_from_json
+from .values import Value, format_literal, value_from_json
 
 CONSERVATIVE = "conservative"
 RADICAL = "radical"
@@ -94,12 +95,24 @@ class ExpertBackend(Protocol):
     def sample(self, config: ExpertConfig, query: str) -> list[ExpertOutput]: ...
 
 
-def parse_expert_output(expert_id: str, raw: dict) -> ExpertOutput:
+def parse_expert_output(expert_id: str, raw: dict, interned: dict[str, Value] | None = None) -> ExpertOutput:
     """Validate one raw trace payload into an ExpertOutput; SchemaError on violation.
 
     A value that does not decode is a SchemaError too, so ``collect``
     records that expert as failed instead of aborting.
+
+    ``interned`` is a table from printed literal (``format_literal``) to
+    value that a caller keeps across the traces it parses: each step value
+    and the response is then the table's object for its literal, so equal
+    values share one object. Values that print differently, such as
+    ``-0.0`` and ``0.0`` or ``1`` and ``1.0``, stay distinct objects.
     """
+    if interned is None:
+        decode = value_from_json
+    else:
+        def decode(obj: object) -> Value:
+            value = value_from_json(obj)
+            return interned.setdefault(format_literal(value), value)
     if not isinstance(raw, dict):
         raise SchemaError(f"trace payload must be an object, got {type(raw).__name__}")
     steps_raw = raw.get("steps", {})
@@ -125,13 +138,13 @@ def parse_expert_output(expert_id: str, raw: dict) -> ExpertOutput:
                 raise SchemaError(f"step {step!r} provenance must be a list of tool record ids")
             steps[step] = StepResult(
                 step=step,
-                value=value_from_json(entry["value"]),
+                value=decode(entry["value"]),
                 confidence=float(confidence),
                 provenance=tuple(provenance),
             )
         if "response" not in raw:
             raise SchemaError("trace payload missing 'response'")
-        response = value_from_json(raw["response"])
+        response = decode(raw["response"])
     except KeyError as exc:
         raise SchemaError(f"missing field {exc} in a trace value") from exc
     except (TypeError, ParseError) as exc:

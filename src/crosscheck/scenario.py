@@ -11,13 +11,15 @@ oracle keys, facts provenance) so a scenario that loads is a scenario
 that runs. It is also the one decode boundary: each field is decoded
 here, once, and runs read only what it yields. Traces become
 :class:`ExpertOutput` objects that every run replays through
-:class:`ScriptedBackend`; the verdict table becomes the scripted
-operator's entries; tool scripts are keyed by the canonical invocation
-key (:func:`facts.params_key`), so a key's spacing and params order do
-not matter, but two keys naming one invocation are rejected; seed
-records become frozen store entries. The fields as written are kept, as
-``marshal`` blobs, only to save the scenario again, byte for byte:
-``load(save(load(path)))`` is structurally identical to ``load(path)``.
+:class:`ScriptedBackend`, with one value object per distinct printed
+value (``format_literal``) across all of them; the verdict table
+becomes the scripted operator's entries; tool scripts are keyed by the
+canonical invocation key (:func:`facts.params_key`), so a key's spacing
+and params order do not matter, but two keys naming one invocation are
+rejected; seed records become frozen store entries. The fields as
+written are kept, as ``marshal`` blobs, only to save the scenario again,
+byte for byte: ``load(save(load(path)))`` is structurally identical to
+``load(path)``.
 """
 
 from __future__ import annotations
@@ -172,6 +174,8 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         at = ("experts", None)
         experts = []
         seen_ids: set[str] = set()
+        # One object per distinct printed value across every trace; the table ends with the load.
+        interned: dict[str, Value] = {}
         for e_idx, block in enumerate(_expect(obj.get("experts", []), list)):
             at = ("experts", e_idx)
             config = ExpertConfig(
@@ -193,7 +197,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             outputs = []
             for t_idx, raw in enumerate(raw_traces):
                 at = (f"experts[{e_idx}].traces", t_idx)
-                output = parse_expert_output(expert_id, raw)
+                output = parse_expert_output(expert_id, raw, interned)
                 for step in output.steps:
                     if step not in dag:
                         raise ValidationError(f"references unknown step {step!r}")

@@ -337,7 +337,11 @@ def _value_from_json(obj: object, depth: int) -> Value:
             return quantity(obj["value"], obj["unit"])
         if kind == COMPOSITE:
             _too_deep(depth)
-            return composite(_value_from_json(item, depth + 1) for item in obj["items"])
+            items = obj["items"]
+            # A string or an object iterates too, into a wrong value; only an array is a composite's items.
+            if not isinstance(items, list):
+                raise ParseError(f"composite items must be a JSON array, got {type(items).__name__}")
+            return composite(_value_from_json(item, depth + 1) for item in items)
         raise ParseError(f"unknown value kind {kind!r}")
     if isinstance(obj, bool):
         return boolean(obj)

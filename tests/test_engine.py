@@ -721,6 +721,26 @@ def test_statement_stages_compare_classes_not_statements(monkeypatch):
     assert table_sizes == [retained]
 
 
+def test_statements_check_each_value_object_for_an_exact_key_once(monkeypatch):
+    # A loaded scenario shares one object per printed value, so a step's
+    # classes are its distinct values, not its statements.
+    params = GeneratorParams(max_experts=64, max_steps=64, agreement=0.5, distractors=4, edge_prob=0.1,
+                             with_constraints=True)
+    scenario = random_scenario(3, params)
+    keyed = []
+    real_key = engine._exact_key
+    monkeypatch.setattr(engine, "_exact_key", lambda value: keyed.append(value) or real_key(value))
+    tables = []
+    real_statements = engine.statements
+    monkeypatch.setattr(engine, "statements", lambda retained: tables.append(real_statements(retained))
+                        or tables[-1])
+
+    run_pipeline(scenario)
+    (table,) = tables
+    assert len(keyed) == sum(len(sc.reps) for sc in table.steps.values())
+    assert len(keyed) < len(table) / 5
+
+
 def test_a_run_lists_its_verified_facts_once_and_checks_them_only_in_the_audit(monkeypatch):
     """A run reads its store's verified facts through one listing, however many statements it has.
 

@@ -3,7 +3,7 @@
 ``group_values`` groups by canonical equality under a tolerance that is
 not transitive, and ``anchor``/``conflicts``/``rank_conflicts``/
 ``synthesize`` read one table that classifies each statement once per run
-by exact key. Both must give exactly what the plain scans give: the same
+by value object. Both must give exactly what the plain scans give: the same
 groups in the same order with the same first-seen representatives, and
 the same anchors, collisions, conflict items, audit order, provenance and
 synthesis scores.
@@ -377,6 +377,16 @@ def test_keyless_values_are_classes_of_their_own():
     table = statements(traces)
     assert len(table.steps["a"].reps) == 4  # two NaNs, 1 and the unhashable quantity
     _assert_table_matches_oracles(traces, 2, [REFUTE, REFUTE, SUPPORT])
+
+
+def test_a_shared_nan_object_is_never_one_class():
+    # Statements are classed by value object, but a value unequal to itself
+    # must not count as two experts agreeing, however many share it.
+    traces = [_gated("e1", 0, {"a": NAN}), _gated("e2", 1, {"a": NAN})]
+    table = statements(traces)
+    assert table.steps["a"].reps == [NAN, NAN]
+    anchors = _assert_table_matches_oracles(traces, 2)
+    assert "a" not in anchors
 
 
 def test_table_nested_composites():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import sys
 from collections import Counter, OrderedDict
+from dataclasses import replace
 from types import ModuleType
 
 import pytest
@@ -25,7 +27,7 @@ from crosscheck.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from crosscheck.values import Value, number, values_equal
+from crosscheck.values import Value, format_literal, number, values_equal
 from crosscheck.verifiers import VERDICTS
 from oracles import reference_line
 
@@ -207,6 +209,20 @@ def test_malformed_scenario_is_validation_error(obj, field):
         scenario_from_dict(obj)
 
 
+@pytest.mark.parametrize("items", ["ab", {"x": 1}, 5])
+def test_a_composite_whose_items_are_not_an_array_is_rejected_at_load(items):
+    bad = {"kind": "composite", "items": items}
+    for obj, field in (
+        (_two_experts(1, bad), r"experts\[1\]\.traces\[0\]: malformed trace value"),
+        (_minimal(oracle={"answer": bad}), r"oracle: composite items must be a JSON array"),
+        (_minimal(tool_scripts={'calc|{"expr":"1"}': bad}), r"tool_scripts\['calc"),
+        (_minimal(facts_seed=[{"kind": "fact", "id": "f1", "category": "given", "key": "s1", "value": bad}]),
+         r"facts_seed\[0\]: fact record field 'value': composite items must be a JSON array"),
+    ):
+        with pytest.raises(ValidationError, match=field):
+            scenario_from_dict(obj)
+
+
 def test_tool_runner_resolves_scripts():
     obj = _minimal(tool_scripts={'calc|{"expr":"6*7"}': 42})
     scenario = scenario_from_dict(obj)
@@ -385,9 +401,9 @@ def _mixed_corpus():
 def test_runs_replay_the_outputs_parsed_at_load(monkeypatch):
     parsed = []
 
-    def spy(expert_id, raw):
+    def spy(expert_id, raw, interned=None):
         parsed.append(expert_id)
-        return real(expert_id, raw)
+        return real(expert_id, raw, interned)
 
     real = ensemble.parse_expert_output
     monkeypatch.setattr(ensemble, "parse_expert_output", spy)
@@ -401,6 +417,67 @@ def test_runs_replay_the_outputs_parsed_at_load(monkeypatch):
         _log_text(scenario, config)
         scenario_expert_outputs(scenario)
     assert parsed == []
+
+
+# Values at one step that are equal or near-equal, yet print differently; the
+# int/float twins come from tests/test_grouping.py.
+TWIN_INT = 73786976221051232256
+_LOOKALIKES = [0.0, -0.0, 0, 1, 1.0, 1e9, 1e9 + 1, TWIN_INT, float(TWIN_INT), "Paris", " paris"]
+
+
+def _lookalikes_scenario():
+    """Two experts per lookalike at step s1, each answering with the value it asserts."""
+    return _minimal(experts=[
+        {"expert_id": f"e{i:02d}",
+         "traces": [{"steps": {"s1": {"value": v, "confidence": 0.5 + i / 100}}, "response": v}]}
+        for i, v in enumerate(_LOOKALIKES + _LOOKALIKES[::-1])
+    ])
+
+
+def _trace_values(scenario):
+    return [value for expert in scenario.experts for output in expert.outputs
+            for value in [r.value for r in output.steps.values()] + [output.response]]
+
+
+def _parsed_without_a_table(scenario):
+    """The same scenario with every trace parsed again on its own, so that each value is a fresh object."""
+    experts = tuple(
+        replace(e, outputs=tuple(ensemble.parse_expert_output(e.config.expert_id, raw) for raw in e.raw_traces))
+        for e in scenario.experts
+    )
+    return replace(scenario, experts=experts)
+
+
+_WIDE = GeneratorParams(max_experts=64, max_steps=64, agreement=0.5, distractors=4, edge_prob=0.1,
+                        with_constraints=True)
+
+
+@pytest.mark.parametrize("make", [lambda: scenario_from_dict(_lookalikes_scenario()),
+                                  lambda: random_scenario(3, _WIDE)], ids=["lookalikes", "wide"])
+def test_interning_at_load_changes_no_logged_byte(make):
+    scenario = make()
+    fresh = _parsed_without_a_table(scenario)
+    fresh_values = _trace_values(fresh)
+    assert len({id(v) for v in fresh_values}) == len(fresh_values)
+    for config in (EngineConfig(), EngineConfig(theta=3)):
+        assert _log_text(scenario, config) == _log_text(fresh, config)
+
+
+def test_a_loaded_scenario_holds_one_object_per_printed_value():
+    scenario = scenario_from_dict(_lookalikes_scenario())
+    by_literal = {}
+    for value in _trace_values(scenario):
+        assert by_literal.setdefault(format_literal(value), value) is value
+    assert len(by_literal) == len(_LOOKALIKES)
+    assert by_literal["num:-0.0"] is not by_literal["num:0.0"]
+    # The table that shared them died with the load: no dict keyed by a literal still holds a value.
+    gc.collect()
+    for literal, value in by_literal.items():
+        assert not any(isinstance(r, dict) and literal in r for r in gc.get_referrers(value) if r is not by_literal)
+
+    wide_values = _trace_values(random_scenario(3, _WIDE))
+    literals = {format_literal(v) for v in wide_values}
+    assert len({id(v) for v in wide_values}) == len(literals) < len(wide_values) / 5
 
 
 def test_runs_read_the_fields_decoded_at_load(monkeypatch):

@@ -141,6 +141,19 @@ def test_shorthand_json_values():
     assert value_from_json([1, "a"]) == composite([number(1), text("a")])
 
 
+# "ab" once decoded as list:[txt:"a",txt:"b"], {"x": 1} as list:[txt:"x"], and 5 raised a raw TypeError.
+COMPOSITE_ITEMS_NOT_AN_ARRAY = ["ab", {"x": 1}, 5, None, True]
+
+
+@pytest.mark.parametrize("items", COMPOSITE_ITEMS_NOT_AN_ARRAY)
+def test_composite_items_must_be_a_json_array(items):
+    with pytest.raises(ParseError, match="composite items must be a JSON array"):
+        value_from_json({"kind": "composite", "items": items})
+    with pytest.raises(ParseError, match="composite items must be a JSON array"):
+        value_from_json([1, {"kind": "composite", "items": items}])
+    assert value_from_json({"kind": "composite", "items": []}) == composite([])
+
+
 def test_group_values_uses_representatives():
     groups = group_values([(number(42), "a"), (number(42.0), "b"), (number(17), "c")])
     assert len(groups) == 2
