@@ -108,18 +108,8 @@ class AuditLog:
         self._entries.append(entry)
         return entry
 
-    @property
-    def entries(self) -> tuple[AuditLogEntry, ...]:
-        return tuple(self._entries)
-
     def __iter__(self) -> Iterator[AuditLogEntry]:
         return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stage_entries(self, stage: str) -> tuple[AuditLogEntry, ...]:
-        return tuple(e for e in self._entries if e.stage == stage)
 
     def to_lines(self) -> list[str]:
         return [e.to_line() for e in self._entries]
@@ -158,13 +148,13 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
     """Re-derive the anchor/conflict state machine from an audit log.
 
     Checks the structural invariants a trustworthy log must satisfy:
-    strictly increasing seq, known stages, string step names, anchors only
-    ever added, verify events confined to open conflicts, an integer budget
-    counter moving one step per verify call, and anchored steps leaving the
-    open set. Verify events also follow the one audit plan: each comes
-    after it, at a step of its order, never back to an earlier step than
-    the verify before, and no more of them than its budget. Each decision
-    follows from its verdicts: a verify examines its conflict's next
+    ``seq`` running 1, 2, 3… with no gap, known stages, string step names,
+    anchors only ever added, verify events confined to open conflicts, an
+    integer budget counter moving one step per verify call, and anchored
+    steps leaving the open set. Verify events also follow the one audit
+    plan: each comes after it, at a step of its order, never back to an
+    earlier step than the verify before, and no more of them than its
+    budget. Each decision follows from its verdicts: a verify examines its conflict's next
     untried candidate, a promote follows a ``support`` verdict for its
     value, and a resolve is ``refuted`` exactly when every verdict at its
     step refuted. Nothing follows the final ``synthesize/answer`` or
@@ -180,8 +170,8 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
     verdicts: dict[str, list[tuple[object, object]]] = {}  # step -> (value, verdict) per verify, in order
     final: AuditLogEntry | None = None
     for entry in entries:
-        if entry.seq <= last_seq:
-            state.violations.append(f"seq {entry.seq} not increasing after {last_seq}")
+        if entry.seq != last_seq + 1:
+            state.violations.append(f"seq {entry.seq} not increasing by one after {last_seq}")
         last_seq = entry.seq
         if final is not None:
             state.violations.append(f"seq {entry.seq}: event after the final {final.stage}/{final.event}")

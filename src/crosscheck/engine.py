@@ -215,12 +215,6 @@ class AnchorSet:
             raise InvalidConfigError(f"step {anchor.step!r} already anchored")
         self._anchors[anchor.step] = anchor
 
-    def get(self, step: str) -> Anchor | None:
-        return self._anchors.get(step)
-
-    def steps(self) -> tuple[str, ...]:
-        return tuple(sorted(self._anchors))
-
     def items(self) -> tuple[Anchor, ...]:
         return tuple(self._anchors[s] for s in sorted(self._anchors))
 
@@ -289,9 +283,6 @@ class ConflictSet:
     def steps(self) -> tuple[str, ...]:
         return tuple(sorted(self._items))
 
-    def open_steps(self) -> tuple[str, ...]:
-        return tuple(s for s in sorted(self._items) if self._items[s].state == OPEN)
-
     def refuted_statements(self) -> list[tuple[str, Value]]:
         out = []
         for item in self.items():
@@ -308,9 +299,6 @@ class ConflictSet:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __contains__(self, step: str) -> bool:
-        return step in self._items
 
 
 def conflicts(table: StatementTable, anchors: AnchorSet) -> ConflictSet:
@@ -375,8 +363,9 @@ class AuditBudget:
 
 @dataclass(frozen=True)
 class GatedTrace:
+    """A retained trace; its gate score is logged with its ``gate/accept`` or ``prune/backtrack`` event."""
+
     trace: ExpertOutput
-    score: float
     trace_index: int  # position in the collected output stream
     source: ExpertOutput | None = None  # pre-excision trace, when different; ``trace`` keeps some of its steps
 
@@ -396,14 +385,6 @@ class GatedTrace:
 
 
 @dataclass(frozen=True)
-class ScreeningRecord:
-    expert_id: str
-    trace_index: int
-    reason: str  # infeasible-response | low-gate-score
-    score: float
-
-
-@dataclass(frozen=True)
 class SynthesisScore:
     anchor_support: float
     conflict_agreement: float
@@ -416,7 +397,9 @@ class RunResult:
     """Everything a run produced; enough to re-audit it from scratch.
 
     An abstention is a result too: ``answer``, ``winner_expert`` and
-    ``score`` are None, and the log ends in ``synthesize/abstain``.
+    ``score`` are None, and the log ends in ``synthesize/abstain``. The
+    config and every rejected trace are in the log only (``ensemble/config``,
+    ``gate/reject``).
     """
 
     answer: Value | None
@@ -425,11 +408,9 @@ class RunResult:
     anchors: AnchorSet
     conflicts: ConflictSet
     retained: tuple[GatedTrace, ...]
-    screening: tuple[ScreeningRecord, ...]
     audit_log: AuditLog
     verify_calls: int
     facts: FactStore
-    config: EngineConfig
     fallback_used: bool = False
 
     @property
@@ -662,7 +643,6 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     # After seeding, a run never writes to its store: the gate and the audit read its verified facts once, here.
     constraints = index_constraints(scenario.constraints, scenario.dag, facts if cfg.facts_enabled else None)
     retained: list[GatedTrace] = []
-    screening: list[ScreeningRecord] = []
     salvageable: list[tuple[int, ExpertOutput, GateResult]] = []
     for idx, output in enumerate(collected.outputs):
         result = gate(output, constraints, scenario.dag, cfg.gate_threshold)
@@ -676,7 +656,6 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             )
         if result.rejected:
             reason = "infeasible-response" if not result.response_ok else "low-gate-score"
-            screening.append(ScreeningRecord(output.expert_id, idx, reason, result.score))
             log.append(
                 "gate",
                 "reject",
@@ -688,7 +667,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
         else:
             assert result.trace is not None
             source = output if result.removed else None
-            retained.append(GatedTrace(result.trace, result.score, idx, source))
+            retained.append(GatedTrace(result.trace, idx, source))
             log.append(
                 "gate",
                 "accept",
@@ -703,7 +682,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
         for idx, output, result in salvageable:
             keep = {s for s in output.steps if s not in result.removed}
             fragment = output.restricted_to(keep)
-            retained.append(GatedTrace(fragment, result.score, idx, output))
+            retained.append(GatedTrace(fragment, idx, output))
             log.append(
                 "prune",
                 "backtrack",
@@ -765,10 +744,8 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
         anchors=anchors,
         conflicts=conflict_set,
         retained=tuple(retained),
-        screening=tuple(screening),
         audit_log=log,
         verify_calls=budget.consumed,
         facts=facts,
-        config=cfg,
         fallback_used=fallback,
     )

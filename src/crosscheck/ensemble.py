@@ -137,7 +137,6 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[str, Value] | 
             if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):
                 raise SchemaError(f"step {step!r} provenance must be a list of tool record ids")
             steps[step] = StepResult(
-                step=step,
                 value=decode(entry["value"]),
                 confidence=float(confidence),
                 provenance=tuple(provenance),

@@ -140,10 +140,6 @@ class FactStore:
         self._facts: dict[str, Fact] = {}
         self.oplog: list[tuple[str, ...]] = []
 
-    @property
-    def version(self) -> int:
-        return len(self.oplog)
-
     # -- tool tier ----------------------------------------------------------
 
     def record_tool(self, record: ToolRecord) -> str:

@@ -377,7 +377,7 @@ scenario file (JSON, one scenario per file)
                     {"kind": "tool"|"note"|"fact", ...}
                   a tool record's tool_name holds no '|', so a tool_scripts key can name it
 
-values V are JSON scalars/lists (shorthand) or explicit objects
+values V are JSON scalars/lists (shorthand) or explicit objects, with no other keys
   {"kind": "number", "value": 42}
   {"kind": "text", "value": "s"}
   {"kind": "boolean", "value": true}

@@ -43,6 +43,9 @@ TEXT = "text"
 BOOLEAN = "boolean"
 QUANTITY = "quantity"
 COMPOSITE = "composite"
+# The keys of each kind's explicit JSON form (``value_to_json``); a decoded object may hold no other.
+_FORM_KEYS = {NUMBER: ("kind", "value"), TEXT: ("kind", "value"), BOOLEAN: ("kind", "value"),
+              QUANTITY: ("kind", "value", "unit"), COMPOSITE: ("kind", "items")}
 
 _T = TypeVar("_T")
 
@@ -328,21 +331,26 @@ def _value_from_json(obj: object, depth: int) -> Value:
     if isinstance(obj, dict):
         kind = obj.get("kind")
         if kind == NUMBER:
-            return number(obj["value"])
-        if kind == TEXT:
-            return text(obj["value"])
-        if kind == BOOLEAN:
-            return boolean(obj["value"])
-        if kind == QUANTITY:
-            return quantity(obj["value"], obj["unit"])
-        if kind == COMPOSITE:
+            value = number(obj["value"])
+        elif kind == TEXT:
+            value = text(obj["value"])
+        elif kind == BOOLEAN:
+            value = boolean(obj["value"])
+        elif kind == QUANTITY:
+            value = quantity(obj["value"], obj["unit"])
+        elif kind == COMPOSITE:
             _too_deep(depth)
             items = obj["items"]
             # A string or an object iterates too, into a wrong value; only an array is a composite's items.
             if not isinstance(items, list):
                 raise ParseError(f"composite items must be a JSON array, got {type(items).__name__}")
-            return composite(_value_from_json(item, depth + 1) for item in items)
-        raise ParseError(f"unknown value kind {kind!r}")
+            value = composite(_value_from_json(item, depth + 1) for item in items)
+        else:
+            raise ParseError(f"unknown value kind {kind!r}")
+        if len(obj) != len(_FORM_KEYS[kind]):
+            extra = next(key for key in obj if key not in _FORM_KEYS[kind])
+            raise ParseError(f"a {kind} value takes no key {extra!r}")
+        return value
     if isinstance(obj, bool):
         return boolean(obj)
     if isinstance(obj, (int, float)):

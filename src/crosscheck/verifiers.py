@@ -307,13 +307,6 @@ class OperatorRegistry:
         self._ops.append(operator)
         return self
 
-    @property
-    def order(self) -> tuple[str, ...]:
-        return tuple(op.op_id for op in self._ops)
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
     def verify(
         self,
         statement: tuple[str, Value],

@@ -1,27 +1,16 @@
 """Brute-force oracles, independent of the implementations they check.
 
-Everything here recomputes results the slow, obvious way: permutation
-enumeration for topological order, DFS for reachability, explicit count
-filters and all-pairs comparisons for anchors and conflicts, a direct
-transcription of the synthesis formula, and one general-purpose JSON
-encoder over a whole audit line. Keep these naive on purpose.
+Everything here recomputes results the slow, obvious way: DFS for
+reachability and cycles, explicit count filters and all-pairs comparisons
+for anchors and conflicts, a direct transcription of the synthesis
+formula, and one general-purpose JSON encoder over a whole audit line.
+Keep these naive on purpose.
 """
 
 import json
-from itertools import permutations
 from typing import NamedTuple
 
 from crosscheck.values import format_literal, values_equal
-
-
-def all_valid_orders(steps, edges):
-    """Every topological order of a small DAG, by brute enumeration."""
-    orders = []
-    for perm in permutations(steps):
-        position = {s: i for i, s in enumerate(perm)}
-        if all(position[u] < position[v] for u, v in edges):
-            orders.append(list(perm))
-    return orders
 
 
 def dfs_reachable(edges, start):
@@ -38,6 +27,12 @@ def dfs_reachable(edges, start):
         seen.add(node)
         stack.extend(succ.get(node, []))
     return seen
+
+
+def cyclic_steps(steps, edges):
+    """The steps on a directed cycle or downstream of one; empty exactly for a DAG."""
+    on_cycle = [s for s in steps if s in dfs_reachable(edges, s)]
+    return set(on_cycle).union(*(dfs_reachable(edges, s) for s in on_cycle))
 
 
 def removal_oracle(steps, edges, violated):

@@ -53,7 +53,7 @@ def test_criterion_01_budget_bound(main_runs):
     violations = 0
     for _, config, result in runs:
         b_max = config.budget if config.budget is not None else min(len(result.conflicts), 16)
-        verify_events = [e for e in result.audit_log.stage_entries("audit") if e.event == "verify"]
+        verify_events = [e for e in result.audit_log if e.stage == "audit" and e.event == "verify"]
         if result.verify_calls > b_max or len(verify_events) != result.verify_calls:
             violations += 1
     ok = violations == 0 and elapsed < 10.0
@@ -68,10 +68,11 @@ def test_criterion_02_anchor_oracle_equivalence(main_runs):
         pool = flat_pool([gt.trace for gt in result.retained])
         expected = count_filter_anchors(pool, config.theta)
         # audited promotions extend the quorum anchors; compare the quorum part
+        contested = {item.step for item in result.conflicts.items()}
         quorum_got = {
             a.step: format_literal(a.value)
             for a in result.anchors.items()
-            if a.step not in result.conflicts
+            if a.step not in contested
         }
         if quorum_got != expected:
             mismatches += 1
@@ -109,8 +110,8 @@ def test_criterion_04_gate_soundness():
                        for c in response_constraints):
                 bad_responses += 1
         edges = list(scenario.dag.edges)
-        for entry in result.audit_log.stage_entries("prune"):
-            if entry.event != "excise":
+        for entry in result.audit_log:
+            if entry.stage != "prune" or entry.event != "excise":
                 continue
             failing = set(entry.payload["failing"])
             allowed = set(failing)
@@ -203,7 +204,7 @@ def test_criterion_08_provenance_closure_and_promotion_soundness():
     violations = store.verify_promotion_soundness()
     ok = broken_chains == 0 and violations == []
     _report("08 provenance-closure", ok,
-            f"{store.version} ops, {len(store.verified_facts())} verified facts, "
+            f"{len(store.oplog)} ops, {len(store.verified_facts())} verified facts, "
             f"{broken_chains} broken chains, {len(violations)} soundness violations")
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from crosscheck import auditlog
 from crosscheck.auditlog import AuditLog, AuditLogEntry, replay
+from crosscheck.corpus import adversarial_scenario
+from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.errors import ParseError
 from crosscheck.values import format_literal, quantity, text
 from oracles import reference_line
@@ -102,7 +104,7 @@ def test_lines_and_literals_build_no_encoder_per_call(monkeypatch):
 
     monkeypatch.setattr(json.encoder, "c_make_encoder", refuse)
     monkeypatch.setattr(json.JSONEncoder, "__init__", refuse)
-    assert _sample_log().to_text().count("\n") == len(_sample_log())
+    assert _sample_log().to_text().count("\n") == len(list(_sample_log()))
     assert format_literal(text("x")) == 'txt:"x"'
     assert format_literal(quantity(2, "m")) == 'qty:2:"m"'
 
@@ -136,7 +138,7 @@ def test_an_integer_literal_too_long_to_convert_is_parse_error():
 
 
 def test_replay_reconstructs_state():
-    state = replay(_sample_log().entries)
+    state = replay(_sample_log())
     assert state.ok, state.violations
     assert state.anchors == {"s1": "num:1", "s2": "num:2"}
     assert state.conflict_states == {"s2": "supported"}
@@ -147,7 +149,7 @@ def test_replay_flags_verify_without_conflict():
     log = AuditLog()
     log.append("audit", "verify", {"step": "sX", "value": "num:1", "verdict": "refute",
                                    "cost": 1, "evidence": [], "budget_used": 1})
-    state = replay(log.entries)
+    state = replay(log)
     assert not state.ok
     assert any("unregistered" in v for v in state.violations)
 
@@ -156,7 +158,7 @@ def test_replay_flags_double_anchor():
     log = AuditLog()
     log.append("anchor", "promote", {"step": "s1", "value": "num:1", "supporters": 2})
     log.append("anchor", "promote", {"step": "s1", "value": "num:2", "supporters": 2})
-    state = replay(log.entries)
+    state = replay(log)
     assert any("anchored twice" in v for v in state.violations)
 
 
@@ -165,7 +167,7 @@ def test_replay_flags_budget_counter_gap():
     log.append("audit", "conflict", {"step": "s1"})
     log.append("audit", "verify", {"step": "s1", "value": "num:1", "verdict": "refute",
                                    "cost": 1, "evidence": [], "budget_used": 5})
-    state = replay(log.entries)
+    state = replay(log)
     assert any("budget counter" in v for v in state.violations)
 
 
@@ -178,20 +180,37 @@ def test_replay_flags_non_increasing_seq():
     assert any("not increasing" in v for v in state.violations)
 
 
+def _adversarial_lines() -> list[str]:
+    """A logged run with a conflict, verify calls and one score line per candidate."""
+    return run_pipeline(adversarial_scenario(3), EngineConfig(theta=3)).audit_log.to_lines()
+
+
+def test_replay_flags_a_deleted_score_line():
+    lines = _adversarial_lines()
+    assert _violations("\n".join(lines)) == []
+    del lines[next(i for i, line in enumerate(lines) if '"event":"score"' in line)]
+    assert any("not increasing by one" in v for v in _violations("\n".join(lines)))
+
+
+def test_replay_flags_a_deleted_first_line():
+    violations = _violations("\n".join(_adversarial_lines()[1:]))
+    assert "seq 2 not increasing by one after 0" in violations
+
+
 def test_replay_flags_verify_after_the_conflict_closed():
     # conflict -> verify -> promote -> verify at the same step: the second
     # verify examines a conflict that the first one already settled.
     log = _sample_log()
     log.append("audit", "verify", {"step": "s2", "value": "num:3", "verdict": "refute",
                                    "cost": 1, "evidence": [], "budget_used": 2})
-    state = replay(log.entries)
+    state = replay(log)
     assert any("non-open conflict" in v for v in state.violations)
     resolved = AuditLog()
     resolved.append("audit", "conflict", {"step": "s1"})
     resolved.append("audit", "resolve", {"step": "s1", "state": "inconclusive"})
     resolved.append("audit", "verify", {"step": "s1", "value": "num:1", "verdict": "refute",
                                         "cost": 1, "evidence": [], "budget_used": 1})
-    assert any("non-open conflict" in v for v in replay(resolved.entries).violations)
+    assert any("non-open conflict" in v for v in replay(resolved).violations)
 
 
 @pytest.mark.parametrize("event", ["promote", "conflict", "verify", "resolve"])

@@ -173,6 +173,7 @@ def test_confidences_view_matches_steps():
     ({"kind": "weird", "value": 1}, "unknown value kind"),
     ({"kind": "composite", "items": 5}, "^malformed trace value"),
     ({"kind": "quantity", "value": 3}, r"^missing field 'unit'"),
+    ({"kind": "number", "value": 1, "unit": "m"}, r"^malformed trace value: a number value takes no key 'unit'"),
 ])
 def test_bad_trace_value_is_schema_error(value, message):
     with pytest.raises(SchemaError, match=message):

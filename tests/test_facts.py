@@ -65,7 +65,7 @@ def test_hundred_records_indexed():
     for i in range(100):
         store.record_tool(_tool(tid=f"t{i:03d}"))
     assert len(store.tools()) == 100
-    assert store.version == 100
+    assert len(store.oplog) == 100
 
 
 def test_identity_summary_for_single_tool():
@@ -196,11 +196,11 @@ def test_versions_strictly_increase(seed):
 
     store = FactStore()
     rng = _random.Random(seed)
-    seen = [store.version]
+    seen = [len(store.oplog)]
     for _ in range(15):
         apply_random_ops(store, rng, 1)
-        assert store.version > seen[-1]
-        seen.append(store.version)
+        assert len(store.oplog) > seen[-1]
+        seen.append(len(store.oplog))
 
 
 def _promoted_store():
@@ -306,6 +306,7 @@ _FACT = {"kind": "fact", "id": "f1", "category": "retrieved", "key": "k", "value
     ({**_TOOL, "id": "t2", "outcome": {"kind": "quantity", "value": -(10**400), "unit": "m"}},
      r"field 'outcome': number payload must lie within float range"),
     ({**_FACT, "value": json.loads("[" * 65 + "1" + "]" * 65)}, r"field 'value': composite values nest more than 64"),
+    ({**_FACT, "value": {"kind": "text", "value": "x", "items": [1]}}, r"field 'value': a text value takes no key 'items'"),
 ])
 def test_malformed_dump_record_is_schema_error(record, message):
     lines = [json.dumps(r) for r in (_TOOL, _NOTE, record)]

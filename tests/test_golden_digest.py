@@ -141,8 +141,8 @@ def test_the_audit_sees_only_values_the_gate_admits():
     for scenario, config in runs:
         result = run_pipeline(scenario, config)
         verified = result.facts.verified_facts()
-        for entry in result.audit_log.stage_entries("audit"):
-            if entry.event != "verify":
+        for entry in result.audit_log:
+            if entry.stage != "audit" or entry.event != "verify":
                 continue
             step, value = entry.payload["step"], parse_literal(entry.payload["value"])
             assert all(c.holds(value) for c in scenario.constraints

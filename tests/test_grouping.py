@@ -152,13 +152,13 @@ def _gated(expert_id, index, asserted, kept=None, confidence=None):
     """A retained trace: ``asserted`` is {step: value}; steps outside ``kept`` were excised."""
     confidence = confidence or {}
     steps = {
-        step: StepResult(step, value, confidence.get(step, 0.8), (f"t{index}{step}",))
+        step: StepResult(value, confidence.get(step, 0.8), (f"t{index}{step}",))
         for step, value in asserted.items()
     }
     source = ExpertOutput(expert_id, steps, "t", number(0))
     if kept is None or set(kept) == set(steps):
-        return GatedTrace(source, 1.0, index)
-    return GatedTrace(source.restricted_to(set(kept)), 1.0, index, source)
+        return GatedTrace(source, index)
+    return GatedTrace(source.restricted_to(set(kept)), index, source)
 
 
 @st.composite
@@ -287,7 +287,7 @@ def _assert_table_matches_oracles(traces, theta, verdicts=()):
     assert collisions == ref_collisions
 
     conflict_set = conflicts(table, anchors)
-    ref_items = _reference_conflicts(pool, set(anchors.steps()))
+    ref_items = _reference_conflicts(pool, {a.step for a in anchors.items()})
     assert list(conflict_set.items()) == ref_items
     assert [_literals(i.candidates) for i in conflict_set.items()] == [_literals(i.candidates) for i in ref_items]
 
@@ -351,7 +351,7 @@ def test_excised_negative_zero_does_not_represent_the_retained_zero():
         _gated("e3", 2, {"a": number(0.0), "b": number(2)}),
     ]
     anchors = _assert_table_matches_oracles(traces, 2)
-    assert anchors.get("a") is not None and format_literal(anchors.get("a").value) == "num:0.0"
+    assert {a.step: format_literal(a.value) for a in anchors.items()}.get("a") == "num:0.0"
 
 
 def test_excised_statement_within_tolerance_of_an_anchor():

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from crosscheck.errors import CycleError, UnknownStepError
 from crosscheck.plandag import build_plan, removal_set
 
-from oracles import all_valid_orders, dfs_reachable, removal_oracle
+from oracles import cyclic_steps, dfs_reachable, removal_oracle
 
 DIAMOND = (["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
 
@@ -25,9 +25,19 @@ def random_dags(draw, max_nodes=12):
     return steps, edges
 
 
+@st.composite
+def random_digraphs(draw, max_nodes=8):
+    """Any directed graph over a few steps, self-loops and cycles included."""
+    n = draw(st.integers(1, max_nodes))
+    steps = [f"n{i:02d}" for i in range(n)]
+    edges = draw(st.lists(st.tuples(st.sampled_from(steps), st.sampled_from(steps)), max_size=2 * n))
+    return steps, edges
+
+
 def test_chain_builds():
     dag = build_plan(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert dag.topological_order() == ("a", "b", "c")
+    assert dag.steps == ("a", "b", "c")
+    assert dag.edges == (("a", "b"), ("b", "c"))
 
 
 def test_self_loop_is_a_cycle():
@@ -48,21 +58,6 @@ def test_dangling_edge_rejected():
 def test_duplicate_steps_rejected():
     with pytest.raises(ValueError):
         build_plan(["a", "a"], [])
-
-
-def test_diamond_order_matches_enumeration_oracle():
-    steps, edges = DIAMOND
-    dag = build_plan(steps, edges)
-    order = list(dag.topological_order())
-    valid = all_valid_orders(steps, edges)
-    assert order in valid
-    assert order == min(valid)  # id-order tie-break picks the lexicographically least
-    assert order[0] == "a" and order[-1] == "d"
-
-
-def test_no_edges_orders_by_id():
-    dag = build_plan(["c", "a", "b"], [])
-    assert dag.topological_order() == ("a", "b", "c")
 
 
 def test_diamond_closures():
@@ -110,12 +105,16 @@ def test_backtrack_unknown_step():
         removal_set(dag, {"zz"})
 
 
-@given(random_dags())
-def test_topological_order_respects_every_edge(dag_spec):
-    steps, edges = dag_spec
-    dag = build_plan(steps, edges)
-    position = {s: i for i, s in enumerate(dag.topological_order())}
-    assert all(position[u] < position[v] for u, v in edges)
+@given(random_digraphs())
+def test_cycle_error_exactly_when_dfs_finds_a_cycle(graph):
+    steps, edges = graph
+    stuck = cyclic_steps(steps, edges)
+    if not stuck:
+        build_plan(steps, edges)
+        return
+    with pytest.raises(CycleError) as raised:
+        build_plan(steps, edges)
+    assert str(raised.value) == f"graph has a directed cycle through {sorted(stuck)}"
 
 
 @given(random_dags())
@@ -143,12 +142,12 @@ def test_determinism_across_construction(dag_spec):
     steps, edges = dag_spec
     a = build_plan(steps, edges)
     b = build_plan(list(reversed(steps)), list(reversed(edges)))
-    assert a.topological_order() == b.topological_order()
+    assert (a.steps, a.edges) == (b.steps, b.edges)
     for step in steps:
         assert a.dependents_closure(step) == b.dependents_closure(step)
 
 
 def test_empty_dag_is_legal():
     dag = build_plan([], [])
-    assert dag.topological_order() == ()
-    assert len(dag) == 0
+    assert dag.steps == ()
+    assert dag.edges == ()

@@ -203,6 +203,8 @@ TOOL_RECORD = {"kind": "tool", "tool_name": "calc", "params": {}, "outcome": 1}
     (_minimal(query=None), r"query: must be a string, got NoneType"),
     (_minimal(query=7), r"query: must be a string, got int"),
     (_minimal(name=["x"]), r"name: must be a string, got list"),
+    (_expert(traces=[{"steps": {"s1": {"value": {"kind": "number", "value": 1, "unit": "m"}}}, "response": 1}]),
+     r"experts\[0\]\.traces\[0\]: malformed trace value: a number value takes no key 'unit'"),
 ])
 def test_malformed_scenario_is_validation_error(obj, field):
     with pytest.raises(ValidationError, match=field):

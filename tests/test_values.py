@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import pytest
@@ -152,6 +153,32 @@ def test_composite_items_must_be_a_json_array(items):
     with pytest.raises(ParseError, match="composite items must be a JSON array"):
         value_from_json([1, {"kind": "composite", "items": items}])
     assert value_from_json({"kind": "composite", "items": []}) == composite([])
+
+
+# Each once decoded with the extra key dropped: the first as num:1, without the unit it meant.
+EXTRA_KEYS = [
+    ({"kind": "number", "value": 1, "unit": "m"}, "unit"),
+    ({"kind": "text", "value": "x", "items": [1]}, "items"),
+    ({"kind": "boolean", "value": True, "unit": "m"}, "unit"),
+    ({"kind": "quantity", "value": 1, "unit": "m", "items": []}, "items"),
+    ({"kind": "composite", "items": [], "value": 1}, "value"),
+]
+
+
+@pytest.mark.parametrize("obj, key", EXTRA_KEYS)
+def test_a_key_its_kind_does_not_read_is_a_parse_error(obj, key):
+    message = re.escape(f"a {obj['kind']} value takes no key {key!r}")
+    with pytest.raises(ParseError, match=message):
+        value_from_json(obj)
+    with pytest.raises(ParseError, match=message):
+        value_from_json([1, {"kind": "composite", "items": [obj]}])
+
+
+def test_a_missing_field_is_named_before_an_extra_key():
+    with pytest.raises(KeyError, match="'value'"):
+        value_from_json({"kind": "number", "unit": "m"})
+    with pytest.raises(KeyError, match="'items'"):
+        value_from_json({"kind": "composite", "value": [1], "unit": "m"})
 
 
 def test_group_values_uses_representatives():

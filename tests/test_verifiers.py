@@ -162,9 +162,10 @@ def test_registry_order_is_part_of_the_contract():
     verified = store.verified_by_key()
     facts_first = OperatorRegistry().register(FactsConsistencyOperator(verified)).register(table)
     table_first = OperatorRegistry().register(table).register(FactsConsistencyOperator(verified))
-    assert facts_first.order == ("facts", "scripted")
-    assert facts_first.verify(("s1", number(5)), ()).value == SUPPORT
-    assert table_first.verify(("s1", number(5)), ()).value == REFUTE
+    facts_verdict = facts_first.verify(("s1", number(5)), ())
+    table_verdict = table_first.verify(("s1", number(5)), ())
+    assert (facts_verdict.value, facts_verdict.operator, facts_verdict.cost) == (SUPPORT, "facts", 1)
+    assert (table_verdict.value, table_verdict.operator, table_verdict.cost) == (REFUTE, "scripted", 1)
 
 
 def test_duplicate_operator_rejected():
@@ -265,8 +266,15 @@ def test_facts_operator_over_the_verified_facts_matches_asking_the_store(store, 
 
 
 def test_default_registry_order():
-    registry = default_registry({}, FactStore(), lambda tool_name, params: number(0), ())
-    assert registry.order == ("facts", "cross-exec", "scripted")
+    # The facts operator can decide only s1, cross-execution s1 and s2 (both cite t1), the table all three.
+    store = FactStore()
+    store.add_given("s1", number(7))
+    store.record_tool(ToolRecord("t1", "calc", {}, number(7)))
+    table = [(step, number(7), REFUTE) for step in ("s1", "s2", "s3")]
+    registry = default_registry(store.verified_by_key(), store, lambda tool_name, params: number(7), table)
+    decided = [registry.verify((step, number(7)), provenance)
+               for step, provenance in (("s1", ("t1",)), ("s2", ("t1",)), ("s3", ()))]
+    assert [(v.operator, v.cost) for v in decided] == [("facts", 1), ("cross-exec", 2), ("scripted", 3)]
 
 
 @st.composite
