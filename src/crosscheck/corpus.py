@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .errors import DuplicateIdError
 from .scenario import Scenario, save_scenario, scenario_from_dict
 from .values import Value, number, quantity, statement_key, text, value_to_json, values_equal
 
@@ -214,6 +215,12 @@ def adversarial_corpus(size: int = 50, master_seed: int = 7) -> list[Scenario]:
 
 
 def write_corpus(scenarios: Sequence[Scenario], directory: str | Path) -> list[Path]:
+    """Save each scenario as ``<name>.json``; DuplicateIdError, before any file is written, if two share a name."""
+    names: set[str] = set()
+    for scenario in scenarios:
+        if scenario.name in names:
+            raise DuplicateIdError(f"two scenarios are named {scenario.name!r}; one would overwrite the other's file")
+        names.add(scenario.name)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -24,8 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
@@ -95,24 +93,68 @@ class ExpertBackend(Protocol):
     def sample(self, config: ExpertConfig, query: str) -> list[ExpertOutput]: ...
 
 
-def parse_expert_output(expert_id: str, raw: dict, interned: dict[str, Value] | None = None) -> ExpertOutput:
+def _raw_key(obj: object) -> tuple | None:
+    """A key on which equal keys mean one decoded value, for the explicit forms worth caching.
+
+    A two-key form ``{"kind": k, "value": v}`` keys as ``(k, type(v), v)``,
+    a three-key form with a string ``unit`` as ``(k, type(v), v, unit)``.
+    Equal keys then mean equal forms: a form with as many keys that
+    decodes holds exactly those. The payload's type is in the key, so
+    ``1``, ``1.0`` and ``true`` key apart. Only ``int``, ``str``, ``bool``
+    and nonzero ``float`` payloads get a key, since ``-0.0 == 0.0``; every
+    other form gets None and is decoded each time.
+    """
+    if type(obj) is not dict:
+        return None
+    kind = obj.get("kind")
+    payload = obj.get("value")
+    payload_type = type(payload)
+    if type(kind) is not str or not (payload_type is int or payload_type is str or payload_type is bool
+                                     or (payload_type is float and payload)):
+        return None
+    size = len(obj)
+    if size == 2:
+        return (kind, payload_type, payload)
+    unit = obj.get("unit")
+    if size == 3 and type(unit) is str:
+        return (kind, payload_type, payload, unit)
+    return None
+
+
+# The default of an absent provenance; a JSON document never holds this object.
+_NO_PROVENANCE = object()
+
+
+def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Value] | None = None) -> ExpertOutput:
     """Validate one raw trace payload into an ExpertOutput; SchemaError on violation.
 
     A value that does not decode is a SchemaError too, so ``collect``
     records that expert as failed instead of aborting.
 
-    ``interned`` is a table from printed literal (``format_literal``) to
-    value that a caller keeps across the traces it parses: each step value
-    and the response is then the table's object for its literal, so equal
-    values share one object. Values that print differently, such as
-    ``-0.0`` and ``0.0`` or ``1`` and ``1.0``, stay distinct objects.
+    ``interned`` is a table that a caller keeps across the traces it
+    parses. It maps each printed literal (``format_literal``) to a value,
+    so each step value and the response is the table's object for its
+    literal and equal values share one object. Values that print
+    differently, such as ``-0.0`` and ``0.0`` or ``1`` and ``1.0``, stay
+    distinct objects. The table also maps each raw form's key
+    (``_raw_key``) to that object once the form has decoded, so a form
+    seen again is neither decoded nor printed; a form that fails to decode
+    is never entered.
     """
     if interned is None:
         decode = value_from_json
     else:
         def decode(obj: object) -> Value:
+            key = _raw_key(obj)
+            if key is not None:
+                value = interned.get(key)
+                if value is not None:
+                    return value
             value = value_from_json(obj)
-            return interned.setdefault(format_literal(value), value)
+            value = interned.setdefault(format_literal(value), value)
+            if key is not None:
+                interned[key] = value
+            return value
     if not isinstance(raw, dict):
         raise SchemaError(f"trace payload must be an object, got {type(raw).__name__}")
     steps_raw = raw.get("steps", {})
@@ -133,14 +175,14 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[str, Value] | 
                 confidence = 1.0
             if not 0.0 <= confidence <= 1.0:
                 raise SchemaError(f"step {step!r} confidence {confidence!r} outside [0,1]")
-            provenance = entry.get("provenance", [])
-            if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):
+            provenance = entry.get("provenance", _NO_PROVENANCE)
+            if provenance is _NO_PROVENANCE:
+                provenance = ()
+            elif isinstance(provenance, list) and all(isinstance(p, str) for p in provenance):
+                provenance = tuple(provenance)
+            else:
                 raise SchemaError(f"step {step!r} provenance must be a list of tool record ids")
-            steps[step] = StepResult(
-                value=decode(entry["value"]),
-                confidence=float(confidence),
-                provenance=tuple(provenance),
-            )
+            steps[step] = StepResult(decode(entry["value"]), float(confidence), provenance)
         if "response" not in raw:
             raise SchemaError("trace payload missing 'response'")
         response = decode(raw["response"])
@@ -232,6 +274,10 @@ class HttpBackend:
             raise BackendError(f"no endpoint configured; set {ENDPOINT_ENV}")
 
     def sample(self, config: ExpertConfig, query: str) -> list[ExpertOutput]:
+        # Imported here: only a live run needs them, and they are a third of ``import crosscheck``.
+        import urllib.error
+        import urllib.request
+
         body = json.dumps({
             "model": self.model,
             "messages": [{"role": "user", "content": query}],

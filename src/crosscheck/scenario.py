@@ -20,10 +20,23 @@ rejected; seed records become frozen store entries. The fields as
 written are kept, as ``marshal`` blobs, only to save the scenario again,
 byte for byte: ``load(save(load(path)))`` is structurally identical to
 ``load(path)``.
+
+Loading is cheap for its size in two ways. :func:`load_scenario` pauses
+the cyclic garbage collector while it decodes one file, and restores the
+state it found, whether the load succeeds or raises. Everything it builds
+is acyclic, so no collection could free any of it, yet loading the
+``wide`` benchmark inputs used to run about a thousand collections over
+the growing heap. And the load's intern table also maps each explicit
+raw value form (``{"kind": ..., "value": ...}``, plus ``"unit"`` for a
+quantity) with an int, str, bool or nonzero float payload to the value
+it decoded to, so only the first sighting of each distinct form is
+decoded and printed. On the ``wide`` benchmark inputs that serves nine
+of ten trace values.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import marshal
 import sys
@@ -163,6 +176,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             edges.append(tuple(edge))
         at = ("dag", None)
         dag = build_plan(steps, edges)
+        known_steps = frozenset(dag.steps)
 
         at = ("constraints", None)
         specs = _expect(obj.get("constraints", []), list)
@@ -175,7 +189,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         experts = []
         seen_ids: set[str] = set()
         # One object per distinct printed value across every trace; the table ends with the load.
-        interned: dict[str, Value] = {}
+        interned: dict[object, Value] = {}
         for e_idx, block in enumerate(_expect(obj.get("experts", []), list)):
             at = ("experts", e_idx)
             config = ExpertConfig(
@@ -198,9 +212,8 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             for t_idx, raw in enumerate(raw_traces):
                 at = (f"experts[{e_idx}].traces", t_idx)
                 output = parse_expert_output(expert_id, raw, interned)
-                for step in output.steps:
-                    if step not in dag:
-                        raise ValidationError(f"references unknown step {step!r}")
+                if not output.steps.keys() <= known_steps:
+                    raise ValidationError(f"references unknown step {min(output.steps.keys() - known_steps)!r}")
                 outputs.append(output)
             at = (f"experts[{e_idx}].traces", None)
             experts.append(ScriptedExpert(config=config, outputs=tuple(outputs), saved_traces=_marshal(raw_traces),
@@ -320,13 +333,20 @@ def load_scenario(path: str | Path) -> Scenario:
         raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read scenario {path}: {exc}") from exc
+    # Decoding builds acyclic data only, so a collection during it could free nothing.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # an integer literal longer than int() converts, or deep nesting
-        raise ParseError(f"{path}: {exc}") from exc
-    return scenario_from_dict(obj, name=path.stem)
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # an integer literal longer than int() converts, or deep nesting
+            raise ParseError(f"{path}: {exc}") from exc
+        return scenario_from_dict(obj, name=path.stem)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import crosscheck
 from crosscheck.ensemble import (
     CONSERVATIVE,
     ExpertConfig,
@@ -217,3 +221,12 @@ def test_http_backend_parses_its_content(monkeypatch):
     not_a_list = _stub_http(monkeypatch, lambda body: _trace())
     with pytest.raises(SchemaError, match="must be a JSON list"):
         not_a_list.sample(configs[0], "q")
+
+
+def test_importing_the_package_loads_no_http_stack():
+    """Only ``HttpBackend.sample`` needs urllib, so a fresh ``import crosscheck`` leaves it unloaded."""
+    src = Path(crosscheck.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import crosscheck; "
+            "print([m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -15,10 +15,10 @@ import crosscheck
 from crosscheck import ensemble
 from crosscheck import scenario as scenario_mod
 from crosscheck.auditlog import AuditLog, replay
-from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus, random_scenario
+from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus, random_scenario, write_corpus
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.facts import FactStore
-from crosscheck.errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
+from crosscheck.errors import CrosscheckError, DuplicateIdError, ParseError, UnknownIdError, ValidationError
 from crosscheck.scenario import (
     Oracle,
     load_scenario,
@@ -27,7 +27,7 @@ from crosscheck.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from crosscheck.values import Value, format_literal, number, values_equal
+from crosscheck.values import Value, format_literal, number, value_from_json, value_to_json, values_equal
 from crosscheck.verifiers import VERDICTS
 from oracles import reference_line
 
@@ -205,6 +205,18 @@ TOOL_RECORD = {"kind": "tool", "tool_name": "calc", "params": {}, "outcome": 1}
     (_minimal(name=["x"]), r"name: must be a string, got list"),
     (_expert(traces=[{"steps": {"s1": {"value": {"kind": "number", "value": 1, "unit": "m"}}}, "response": 1}]),
      r"experts\[0\]\.traces\[0\]: malformed trace value: a number value takes no key 'unit'"),
+    # The load decodes each raw form once: a valid form seen first must not let a near-copy through.
+    (_expert(traces=[{"steps": {"s1": {"value": {"kind": "number", "value": 1}}},
+                      "response": {"kind": "number", "value": 1, "unit": "m"}}]),
+     r"experts\[0\]\.traces\[0\]: malformed trace value: a number value takes no key 'unit'"),
+    (_expert(traces=[{"steps": {"s1": {"value": {"kind": "quantity", "value": 1, "unit": "m"}}},
+                      "response": {"kind": "quantity", "value": 1, "unit": ["m"]}}]),
+     r"experts\[0\]\.traces\[0\]: malformed trace value: quantity unit must be a nonempty string"),
+    (_expert(traces=[{"steps": {"s1": {"value": 1}}, "response": {"kind": ["number"], "value": 1}}]),
+     r"experts\[0\]\.traces\[0\]: malformed trace value: unknown value kind \['number'\]$"),
+    # Of several unknown steps, the first in sorted order is named.
+    (_expert(traces=[{"steps": {"s1": {"value": 1}, "s9": {"value": 1}, "s10": {"value": 1}}, "response": 1}]),
+     r"^experts\[0\]\.traces\[0\]: references unknown step 's10'$"),
 ])
 def test_malformed_scenario_is_validation_error(obj, field):
     with pytest.raises(ValidationError, match=field):
@@ -346,6 +358,40 @@ def test_hostile_numbers_raise_a_typed_error_or_run_to_a_clean_log(obj, theta, b
     assert state.ok, state.violations
 
 
+_BAD_JSON = '{"query": "q", }'
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("text, error", [
+    (json.dumps(_minimal()), None),
+    (_BAD_JSON, ParseError),
+    (json.dumps(_expert(traces=[{"steps": {"s9": {"value": 1}}, "response": 1}])), ValidationError),
+], ids=["clean", "parse-error", "validation-error"])
+def test_loading_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, text, error, enabled):
+    path = tmp_path / "s.json"
+    path.write_text(text, encoding="utf-8")
+    during = []
+
+    def spy(obj, name=""):
+        during.append(gc.isenabled())
+        return real(obj, name)
+
+    real = scenario_mod.scenario_from_dict
+    monkeypatch.setattr(scenario_mod, "scenario_from_dict", spy)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            load_scenario(path)
+        else:
+            with pytest.raises(error):
+                load_scenario(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == ([] if error is ParseError else [False])
+
+
 def test_missing_file_is_parse_error(tmp_path):
     with pytest.raises(ParseError):
         load_scenario(tmp_path / "absent.json")
@@ -391,6 +437,17 @@ def test_save_refuses_a_non_finite_number(tmp_path):
     assert not path.exists()
 
 
+def test_writing_two_scenarios_of_one_name_is_refused_before_any_file(tmp_path):
+    first = random_corpus(1, 2)[0]
+    clash = random_scenario(10_000, GeneratorParams())
+    assert clash.name == first[0].name == "rnd010000"
+    out = tmp_path / "corpus"
+    with pytest.raises(DuplicateIdError, match="'rnd010000'"):
+        write_corpus([*first, clash], out)
+    assert not out.exists()
+    assert [p.name for p in write_corpus(first, out)] == ["rnd010000.json", "rnd010001.json"]
+
+
 def _log_text(scenario, config) -> str:
     return run_pipeline(scenario, config).audit_log.to_text()
 
@@ -424,15 +481,19 @@ def test_runs_replay_the_outputs_parsed_at_load(monkeypatch):
 # Values at one step that are equal or near-equal, yet print differently; the
 # int/float twins come from tests/test_grouping.py.
 TWIN_INT = 73786976221051232256
-_LOOKALIKES = [0.0, -0.0, 0, 1, 1.0, 1e9, 1e9 + 1, TWIN_INT, float(TWIN_INT), "Paris", " paris"]
+_LOOKALIKES = [0.0, -0.0, 0, 1, 1.0, True, 1e9, 1e9 + 1, TWIN_INT, float(TWIN_INT), "Paris", " paris"]
+# Each lookalike bare and in explicit form, which a load decodes once per distinct
+# form; and one quantity written with two spellings of its unit, which trim to one.
+_LOOKALIKE_FORMS = [*_LOOKALIKES, *(value_to_json(value_from_json(v)) for v in _LOOKALIKES),
+                    *({"kind": "quantity", "value": 1, "unit": unit} for unit in ("m", " m"))]
 
 
 def _lookalikes_scenario():
-    """Two experts per lookalike at step s1, each answering with the value it asserts."""
+    """Two experts per lookalike form at step s1, each answering with the value it asserts."""
     return _minimal(experts=[
         {"expert_id": f"e{i:02d}",
-         "traces": [{"steps": {"s1": {"value": v, "confidence": 0.5 + i / 100}}, "response": v}]}
-        for i, v in enumerate(_LOOKALIKES + _LOOKALIKES[::-1])
+         "traces": [{"steps": {"s1": {"value": v, "confidence": 0.5 + i / 200}}, "response": v}]}
+        for i, v in enumerate(_LOOKALIKE_FORMS + _LOOKALIKE_FORMS[::-1])
     ])
 
 
@@ -470,8 +531,15 @@ def test_a_loaded_scenario_holds_one_object_per_printed_value():
     by_literal = {}
     for value in _trace_values(scenario):
         assert by_literal.setdefault(format_literal(value), value) is value
-    assert len(by_literal) == len(_LOOKALIKES)
+    assert len(by_literal) == len(_LOOKALIKES) + 1
+    # Each form, bare or explicit, first seen or not, prints as it decodes on its own.
+    for expert in scenario.experts:
+        (raw,), (output,) = expert.raw_traces, expert.outputs
+        literal = format_literal(value_from_json(raw["response"]))
+        assert format_literal(output.response) == format_literal(output.steps["s1"].value) == literal
     assert by_literal["num:-0.0"] is not by_literal["num:0.0"]
+    assert len({id(by_literal[literal]) for literal in ("num:1", "num:1.0", "bool:true")}) == 3
+    assert 'qty:1:"m"' in by_literal
     # The table that shared them died with the load: no dict keyed by a literal still holds a value.
     gc.collect()
     for literal, value in by_literal.items():
@@ -480,6 +548,22 @@ def test_a_loaded_scenario_holds_one_object_per_printed_value():
     wide_values = _trace_values(random_scenario(3, _WIDE))
     literals = {format_literal(v) for v in wide_values}
     assert len({id(v) for v in wide_values}) == len(literals) < len(wide_values) / 5
+
+
+def test_a_raw_form_seen_again_is_not_decoded_again(monkeypatch):
+    decoded = []
+
+    def spy(obj):
+        decoded.append(obj)
+        return real(obj)
+
+    real = ensemble.value_from_json
+    monkeypatch.setattr(ensemble, "value_from_json", spy)
+    form = {"kind": "number", "value": 5}
+    scenario = scenario_from_dict(_two_experts(form, dict(form)))
+    first, second = (expert.outputs[0].steps["s1"].value for expert in scenario.experts)
+    assert first is second
+    assert decoded.count(form) == 1
 
 
 def test_runs_read_the_fields_decoded_at_load(monkeypatch):
