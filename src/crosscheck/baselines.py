@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .engine import EngineConfig, run_pipeline
 from .ensemble import ExpertOutput
@@ -141,6 +141,40 @@ def _pipeline_answer(scenario: Scenario, config: EngineConfig) -> tuple[Value | 
     return result.answer, result.verify_calls
 
 
+def _evaluate(
+    corpus: Sequence[Scenario],
+    labels: Sequence[str],
+    outcome: Callable[[str, Scenario, list[ExpertOutput]], tuple[str, int | None]],
+    params: dict,
+) -> EvalReport:
+    """Score each label on every scenario, in name order.
+
+    ``outcome`` gives a label's verdict on one scenario and, for a label
+    that runs the pipeline, its verify calls (None for any other label).
+    """
+    ordered = sorted(corpus, key=lambda s: s.name)
+    verdicts: dict[str, list[str]] = {label: [] for label in labels}
+    verify_calls: dict[str, list[int]] = {}
+    started = time.perf_counter()
+    for scenario in ordered:
+        assert scenario.oracle is not None
+        outputs = scenario_expert_outputs(scenario)
+        for label in labels:
+            verdict, calls = outcome(label, scenario, outputs)
+            verdicts[label].append(verdict)
+            if calls is not None:
+                verify_calls.setdefault(label, []).append(calls)
+    wall = time.perf_counter() - started
+    return EvalReport(
+        scenario_names=[s.name for s in ordered],
+        scores={label: verdicts[label].count(CORRECT) / len(ordered) for label in labels},
+        verdicts=verdicts,
+        verify_calls=verify_calls,
+        wall_time_s=wall,
+        params=params,
+    )
+
+
 def evaluate_methods(
     corpus: Sequence[Scenario],
     methods: Sequence[str],
@@ -156,42 +190,23 @@ def evaluate_methods(
         if method in methods[:i]:
             raise InvalidConfigError(f"method {method!r} given twice")
     cfg = config or EngineConfig()
-    ordered = sorted(corpus, key=lambda s: s.name)
-    verdicts: dict[str, list[str]] = {m: [] for m in methods}
-    verify_calls: dict[str, list[int]] = {METHOD_AUDIT: []} if METHOD_AUDIT in methods else {}
-    started = time.perf_counter()
-    for scenario in ordered:
-        assert scenario.oracle is not None
-        outputs = scenario_expert_outputs(scenario)
+
+    def outcome(method: str, scenario: Scenario, outputs: list[ExpertOutput]) -> tuple[str, int | None]:
         responses = [o.response for o in outputs]
-        for method in methods:
-            if method == METHOD_PASSN:
-                hit = pass_at_n(responses, scenario.oracle)
-                verdicts[method].append(CORRECT if hit else WRONG)
-                continue
-            # With every expert failed there is nothing to vote on or
-            # synthesize from: mv and sv abstain, as the pipeline does.
-            if method == METHOD_MV:
-                answer = majority_vote(responses) if responses else None
-            elif method == METHOD_SV:
-                answer = simple_verification(outputs) if outputs else None
-            else:
-                answer, calls = _pipeline_answer(scenario, cfg)
-                verify_calls[METHOD_AUDIT].append(calls)
-            verdicts[method].append(_outcome(answer, scenario.oracle))
-    wall = time.perf_counter() - started
-    scores = {
-        m: sum(1 for v in verdicts[m] if v == CORRECT) / len(ordered) for m in methods
-    }
-    return EvalReport(
-        scenario_names=[s.name for s in ordered],
-        scores=scores,
-        verdicts=verdicts,
-        verify_calls=verify_calls,
-        wall_time_s=wall,
-        params={"theta": cfg.theta, "budget": cfg.budget, "gate_threshold": cfg.gate_threshold,
-                "weights": list(cfg.weights)},
-    )
+        if method == METHOD_PASSN:
+            return (CORRECT if pass_at_n(responses, scenario.oracle) else WRONG), None
+        # With every expert failed there is nothing to vote on or
+        # synthesize from: mv and sv abstain, as the pipeline does.
+        if method == METHOD_MV:
+            return _outcome(majority_vote(responses) if responses else None, scenario.oracle), None
+        if method == METHOD_SV:
+            return _outcome(simple_verification(outputs) if outputs else None, scenario.oracle), None
+        answer, calls = _pipeline_answer(scenario, cfg)
+        return _outcome(answer, scenario.oracle), calls
+
+    return _evaluate(corpus, methods, outcome, {
+        "theta": cfg.theta, "budget": cfg.budget, "gate_threshold": cfg.gate_threshold,
+        "weights": list(cfg.weights)})
 
 
 def run_ablation(
@@ -213,32 +228,17 @@ def run_ablation(
         if label in labels[:i]:
             raise InvalidConfigError(f"ablation row {label!r} given twice")
     cfg = config or EngineConfig()
-    ordered = sorted(corpus, key=lambda s: s.name)
-    verdicts: dict[str, list[str]] = {label: [] for label in labels}
-    verify_calls: dict[str, list[int]] = {}
-    started = time.perf_counter()
-    for scenario in ordered:
-        assert scenario.oracle is not None
-        outputs = scenario_expert_outputs(scenario)
-        for row in rows:
-            if row.audit:
-                answer, calls = _pipeline_answer(scenario, replace(cfg, facts_enabled=row.facts))
-                verify_calls.setdefault(row.label, []).append(calls)
-            elif row.synth:
-                answer = simple_verification(outputs) if outputs else None
-            else:
-                answer = outputs[0].response if outputs else None
-            verdicts[row.label].append(_outcome(answer, scenario.oracle))
-    wall = time.perf_counter() - started
-    scores = {
-        row.label: sum(1 for v in verdicts[row.label] if v == CORRECT) / len(ordered)
-        for row in rows
-    }
-    return EvalReport(
-        scenario_names=[s.name for s in ordered],
-        scores=scores,
-        verdicts=verdicts,
-        verify_calls=verify_calls,
-        wall_time_s=wall,
-        params={"rows": labels, "theta": cfg.theta, "budget": cfg.budget},
-    )
+    by_label = {row.label: row for row in rows}
+
+    def outcome(label: str, scenario: Scenario, outputs: list[ExpertOutput]) -> tuple[str, int | None]:
+        row = by_label[label]
+        if row.audit:
+            answer, calls = _pipeline_answer(scenario, replace(cfg, facts_enabled=row.facts))
+            return _outcome(answer, scenario.oracle), calls
+        if row.synth:
+            answer = simple_verification(outputs) if outputs else None
+        else:
+            answer = outputs[0].response if outputs else None
+        return _outcome(answer, scenario.oracle), None
+
+    return _evaluate(corpus, labels, outcome, {"rows": labels, "theta": cfg.theta, "budget": cfg.budget})

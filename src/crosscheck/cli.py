@@ -10,9 +10,13 @@ over a corpus directory and writes ``report.json`` / ``report.txt``.
 Exit codes are a total function of the outcome: 0 answer produced,
 2 abstention (nothing feasible survived), 1 any error. An abstention is a
 run result like an answer, so it writes the same three artifacts, with
-``"abstained": true`` and a null answer in ``answer.json``. Environment
-variables configure only the optional live backend; every hermetic run is
-driven entirely by flags and files.
+``"abstained": true`` and a null answer in ``answer.json``. A command
+handles no error itself: ``main`` dispatches through one command table
+and turns any ``CrosscheckError``, ``ValueError`` or ``OSError`` a
+command raises into one ``error:`` line on stderr and exit 1; a usage
+error prints the usage before its ``error:`` line. Environment variables
+configure only the optional live backend; every hermetic run is driven
+entirely by flags and files.
 """
 
 from __future__ import annotations
@@ -120,22 +124,10 @@ def _write_bundle(result: RunResult, out_dir: Path) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        config = _engine_config(args, weights=_parse_weights(args.weights), facts_enabled=not args.no_facts)
-    except (CrosscheckError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = run_pipeline(scenario, config)
-    except CrosscheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        _write_bundle(result, args.out)
-    except OSError as exc:  # e.g. --out names an existing file
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    scenario = load_scenario(args.scenario)
+    config = _engine_config(args, weights=_parse_weights(args.weights), facts_enabled=not args.no_facts)
+    result = run_pipeline(scenario, config)
+    _write_bundle(result, args.out)
     if result.abstained:
         print("abstained: no feasible candidate response", file=sys.stderr)
         return 2
@@ -145,31 +137,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        corpus = load_corpus(args.corpus)
-    except CrosscheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    corpus = load_corpus(args.corpus)
     if not corpus:
-        print(f"error: corpus directory {args.corpus} contains no scenario files", file=sys.stderr)
-        return 1
+        raise CrosscheckError(f"corpus directory {args.corpus} contains no scenario files")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    try:
-        report = evaluate_methods(corpus, methods, _engine_config(args))
-    except (CrosscheckError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "report.json").write_text(
-            json.dumps(report.to_json(), indent=2, ensure_ascii=False, allow_nan=False) + "\n", encoding="utf-8"
-        )
-        (args.out / "report.txt").write_text(report.to_table(), encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = evaluate_methods(corpus, methods, _engine_config(args))
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "report.json").write_text(
+        json.dumps(report.to_json(), indent=2, ensure_ascii=False, allow_nan=False) + "\n", encoding="utf-8"
+    )
+    (args.out / "report.txt").write_text(report.to_table(), encoding="utf-8")
     print(report.to_table(), end="")
     return 0
+
+
+_COMMANDS = {"run": cmd_run, "eval": cmd_eval}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -178,12 +160,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.schema_dump:
         print(SCHEMA_TEXT, end="")
         return 0
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "eval":
-        return cmd_eval(args)
-    parser.print_help()
-    return 1
+    command = _COMMANDS.get(args.command)
+    if command is None:
+        parser.print_help()
+        return 1
+    try:
+        return command(args)
+    except (CrosscheckError, ValueError, OSError) as exc:  # OSError: e.g. --out names an existing file
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ make disagreements informative. The mix is the caller's choice; scenario
 files carry their own expert configs.
 
 Backends return validated :class:`ExpertOutput` tuples — intermediates
-with confidences, an overall analysis, and a final response. Each trace is
+with confidences, and a final response; a trace's free-text analysis is
+checked to be a string and not kept, since nothing reads it. Each trace is
 parsed once, by :func:`parse_expert_output`, where its bytes enter the
 program: the scenario loader parses scripted traces when it reads the
 file, sharing one value object per distinct printed value across them,
@@ -63,7 +64,7 @@ class ExpertConfig:
 
 @dataclass(frozen=True, slots=True)
 class ExpertOutput:
-    """One expert trace: intermediates, confidences, analysis, response.
+    """One expert trace: intermediates, confidences, response.
 
     A scenario's outputs are shared by every run of it, so nothing may
     mutate one; ``restricted_to`` builds a new output instead.
@@ -71,7 +72,6 @@ class ExpertOutput:
 
     expert_id: str
     steps: dict[str, StepResult]
-    analysis: str
     response: Value
 
     @property
@@ -81,7 +81,7 @@ class ExpertOutput:
     def restricted_to(self, keep: set[str]) -> "ExpertOutput":
         """A fragment containing only the retained steps; shares StepResults."""
         kept = {s: r for s, r in self.steps.items() if s in keep}
-        return ExpertOutput(self.expert_id, kept, self.analysis, self.response)
+        return ExpertOutput(self.expert_id, kept, self.response)
 
 
 class ExpertBackend(Protocol):
@@ -190,10 +190,9 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Value]
         raise SchemaError(f"missing field {exc} in a trace value") from exc
     except (TypeError, ParseError) as exc:
         raise SchemaError(f"malformed trace value: {exc}") from exc
-    analysis = raw.get("analysis", "")
-    if not isinstance(analysis, str):
+    if not isinstance(raw.get("analysis", ""), str):
         raise SchemaError("trace 'analysis' must be a string")
-    return ExpertOutput(expert_id=expert_id, steps=steps, analysis=analysis, response=response)
+    return ExpertOutput(expert_id=expert_id, steps=steps, response=response)
 
 
 def sample_traces(config: ExpertConfig, query: str, backend: ExpertBackend) -> list[ExpertOutput]:

@@ -12,7 +12,7 @@ from crosscheck.baselines import (
     run_ablation,
     simple_verification,
 )
-from crosscheck.corpus import adversarial_corpus, random_corpus
+from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.ensemble import parse_expert_output
 from crosscheck.errors import InvalidConfigError
@@ -281,3 +281,21 @@ def test_all_experts_failed_scores_abstain_not_abort():
 def test_sv_requires_input():
     with pytest.raises(InvalidConfigError):
         simple_verification([])
+
+
+@pytest.mark.parametrize("corpus", [
+    random_corpus(3, 60, GeneratorParams(with_constraints=True, with_facts=True))[0],
+    adversarial_corpus(6),
+    [_all_failed("a-failed"), *random_corpus(master_seed=3, size=2)[0]],
+], ids=["random", "adversarial", "all-failed"])
+def test_methods_and_ablation_rows_agree_where_they_name_one_answerer(corpus):
+    # sv is the synthesis row, and audit the audited row with facts as its config says.
+    ablation = run_ablation(corpus, config=EngineConfig())
+    methods = evaluate_methods(corpus, ["audit", "sv"], EngineConfig())
+    no_facts = evaluate_methods(corpus, ["audit"], EngineConfig(facts_enabled=False))
+    assert methods.verdicts["sv"] == ablation.verdicts["synthesis"]
+    assert "sv" not in methods.verify_calls and "synthesis" not in ablation.verify_calls
+    assert methods.verdicts["audit"] == ablation.verdicts["audited+facts"]
+    assert methods.verify_calls["audit"] == ablation.verify_calls["audited+facts"]
+    assert no_facts.verdicts["audit"] == ablation.verdicts["audited"]
+    assert no_facts.verify_calls["audit"] == ablation.verify_calls["audited"]

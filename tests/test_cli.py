@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from crosscheck import cli
 from crosscheck.cli import _engine_config, _parse_weights, _write_bundle, build_parser, main
 from crosscheck.corpus import adversarial_corpus, write_corpus
 from crosscheck.engine import EngineConfig, run_pipeline
@@ -84,6 +85,26 @@ def test_eval_out_naming_a_file_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out.read_text() == "x"
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, OSError])
+@pytest.mark.parametrize("target", ["run_pipeline", "_write_bundle", "load_corpus", "evaluate_methods"])
+def test_a_failure_inside_a_command_is_one_error_line(tmp_path, capsys, monkeypatch, target, exc_type):
+    def boom(*args, **kwargs):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, target, boom)
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    scenario = _write_unanimous(corpus_dir / "u.json")
+    if target in ("run_pipeline", "_write_bundle"):
+        argv = ["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["eval", "--corpus", str(corpus_dir), "--out", str(tmp_path / "report")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: boom\n"
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_run_infeasible_exits_two(tmp_path):

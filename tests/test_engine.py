@@ -56,7 +56,7 @@ def _anchored(anchors):
 def _table(pool):
     """The engine's table over a statement list: one single-step trace per statement, in pool order."""
     return statements(_gated(
-        ExpertOutput(s.expert_id, {s.step: StepResult(s.value, s.confidence)}, "t", s.value) for s in pool
+        ExpertOutput(s.expert_id, {s.step: StepResult(s.value, s.confidence)}, s.value) for s in pool
     ))
 
 

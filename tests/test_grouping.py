@@ -155,7 +155,7 @@ def _gated(expert_id, index, asserted, kept=None, confidence=None):
         step: StepResult(value, confidence.get(step, 0.8), (f"t{index}{step}",))
         for step, value in asserted.items()
     }
-    source = ExpertOutput(expert_id, steps, "t", number(0))
+    source = ExpertOutput(expert_id, steps, number(0))
     if kept is None or set(kept) == set(steps):
         return GatedTrace(source, index)
     return GatedTrace(source.restricted_to(set(kept)), index, source)
