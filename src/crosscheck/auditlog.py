@@ -4,9 +4,16 @@ Each entry is one JSON object per line with fields in fixed order
 (``seq``, ``stage``, ``event``, ``payload``, ``parent_refs``); payload keys
 are emitted sorted at every level and numbers use shortest round-trip
 formatting, so two runs over identical inputs serialize to identical
-bytes. NaN and infinities raise ``ValueError`` rather than reach the text.
-The log contains no wall-clock timestamps by design — time would be the
-only source of nondeterminism in an otherwise pure pipeline.
+bytes. The log contains no wall-clock timestamps by design — time would
+be the only source of nondeterminism in an otherwise pure pipeline.
+
+The log is its lines. ``AuditLog.append`` encodes each event once, as
+it arrives, and keeps only the line; a NaN or an infinity in the payload
+raises ``ValueError`` there and the log stays as it was, so a non-finite
+number never reaches the text. ``to_text`` joins the kept lines, and
+iterating a log parses them back (``AuditLogEntry.from_line``), so
+``replay`` of a live log checks exactly the bytes that ``audit.log``
+holds.
 
 One payload encoder serves every line. It is chosen once, at import: the
 C encoder from ``json``'s accelerator when the interpreter has it, else
@@ -52,6 +59,15 @@ def _payload_encoder() -> Callable[[dict], str]:
 _encode_payload = _payload_encoder()
 
 
+def _line(seq: int, stage: str, event: str, payload: dict, parent_refs: Iterable[str]) -> str:
+    """One event's line: the fixed frame around the encoded payload."""
+    return (
+        f'{{"seq":{seq:d},"stage":{encode_basestring(stage)},'
+        f'"event":{encode_basestring(event)},"payload":{_encode_payload(payload)},'
+        f'"parent_refs":[{",".join(map(encode_basestring, parent_refs))}]}}'
+    )
+
+
 @dataclass(frozen=True)
 class AuditLogEntry:
     seq: int
@@ -61,11 +77,7 @@ class AuditLogEntry:
     parent_refs: tuple[str, ...] = ()
 
     def to_line(self) -> str:
-        return (
-            f'{{"seq":{self.seq:d},"stage":{encode_basestring(self.stage)},'
-            f'"event":{encode_basestring(self.event)},"payload":{_encode_payload(self.payload)},'
-            f'"parent_refs":[{",".join(map(encode_basestring, self.parent_refs))}]}}'
-        )
+        return _line(self.seq, self.stage, self.event, self.payload, self.parent_refs)
 
     @classmethod
     def from_line(cls, line: str, lineno: int = 0) -> "AuditLogEntry":
@@ -90,29 +102,26 @@ class AuditLogEntry:
 
 
 class AuditLog:
-    """Strictly ordered event journal; append is the only mutation."""
+    """Strictly ordered event journal; append is the only mutation.
+
+    It keeps each event as its encoded line, and iterating it parses the
+    lines back into entries.
+    """
 
     def __init__(self) -> None:
-        self._entries: list[AuditLogEntry] = []
+        self._lines: list[str] = []
 
-    def append(self, stage: str, event: str, payload: dict, parent_refs: Iterable[str] = ()) -> AuditLogEntry:
+    def append(self, stage: str, event: str, payload: dict, parent_refs: Iterable[str] = ()) -> None:
+        """Encode one event as the next line; ValueError, and no line, for an unknown stage or a non-finite number."""
         if stage not in STAGES:
             raise ValueError(f"unknown audit stage {stage!r}")
-        entry = AuditLogEntry(
-            seq=len(self._entries) + 1,
-            stage=stage,
-            event=event,
-            payload=payload,
-            parent_refs=tuple(parent_refs),
-        )
-        self._entries.append(entry)
-        return entry
+        self._lines.append(_line(len(self._lines) + 1, stage, event, payload, parent_refs))
 
     def __iter__(self) -> Iterator[AuditLogEntry]:
-        return iter(self._entries)
+        return (AuditLogEntry.from_line(line, lineno) for lineno, line in enumerate(self._lines, start=1))
 
     def to_lines(self) -> list[str]:
-        return [e.to_line() for e in self._entries]
+        return list(self._lines)
 
     def to_text(self) -> str:
         lines = self.to_lines()
@@ -121,12 +130,16 @@ class AuditLog:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "AuditLog":
+        """Parse recorded lines, skipping blank ones; ParseError for a line that does not parse or re-encode."""
         log = cls()
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
-            log._entries.append(AuditLogEntry.from_line(line, lineno))
+            try:
+                log._lines.append(AuditLogEntry.from_line(line, lineno).to_line())
+            except ValueError as exc:  # a NaN or Infinity token parses, but is not JSON
+                raise ParseError(f"audit log line {lineno}: {exc}") from exc
         return log
 
 

@@ -228,7 +228,12 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             at = ("verdict_table", key)
             if verdict not in VERDICTS:
                 raise ValidationError(f"unknown verdict {verdict!r}")
-            step, value = parse_statement_key(key)
+            # A literal that some trace printed is the intern table's value for it, since
+            # parse_literal inverts format_literal; only the other keys are parsed.
+            step, sep, literal = key.partition("|")
+            value = interned.get(literal) if sep and step else None
+            if value is None:
+                step, value = parse_statement_key(key)
             if step not in dag:
                 raise ValidationError(f"references unknown step {step!r}")
             # Many keys, few steps and verdicts: share one string per step and per verdict.
@@ -358,8 +363,16 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 
 def load_corpus(directory: str | Path) -> list[Scenario]:
-    """Every ``*.json`` scenario in the directory, ordered by filename."""
+    """Every ``*.json`` scenario in the directory, ordered by filename.
+
+    ParseError when ``directory`` is missing or is not a directory, so a
+    mistyped path does not read as an empty corpus.
+    """
     directory = Path(directory)
+    if not directory.exists():
+        raise ParseError(f"corpus directory {directory} does not exist")
+    if not directory.is_dir():
+        raise ParseError(f"corpus path {directory} is not a directory")
     scenarios = []
     for path in sorted(directory.glob("*.json")):
         scenarios.append(load_scenario(path))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
@@ -171,13 +171,20 @@ class ConstraintIndex:
     response-scope constraints. ``facts`` maps each DAG step that has
     verified facts, and :data:`RESPONSE_KEY` if it has any, to those
     facts, ids ascending; a key without verified facts is absent, and the
-    audit's facts operator decides from the same mapping. Build it with
-    :func:`index_constraints`.
+    audit's facts operator decides from the same mapping. ``checked`` is
+    derived from the two: the DAG steps that have a predicate or verified
+    facts, the only steps where the gate can fail a statement. Build it
+    with :func:`index_constraints`.
     """
 
     steps: Mapping[str, tuple[Constraint, ...]]
     response: tuple[Constraint, ...]
     facts: Mapping[str, tuple[Fact, ...]]
+    checked: frozenset[str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        checked = frozenset(step for step, applicable in self.steps.items() if applicable or step in self.facts)
+        object.__setattr__(self, "checked", checked)
 
 
 def index_constraints(
@@ -235,28 +242,30 @@ def gate(
     or the surviving fraction falls below ``threshold``. ``constraints`` is
     :func:`index_constraints` over the same ``dag``, and the gate reads
     the verified facts only from it; a trace step outside the DAG raises
-    UnknownStepError.
+    UnknownStepError, naming the first such step in trace order.
+
+    Only the trace's steps in ``constraints.checked`` are visited: with no
+    predicate and no verified fact at a step there is nothing to check.
     """
+    steps = trace.steps
+    applicable = constraints.steps
+    if not steps.keys() <= applicable.keys():
+        raise UnknownStepError(f"unknown step {next(s for s in steps if s not in applicable)!r}")
     known = constraints.facts
-    failing = []
-    for step, result in trace.steps.items():
-        applicable = constraints.steps.get(step)
-        if applicable is None:
-            raise UnknownStepError(f"unknown step {step!r}")
-        verified = known.get(step, ())
-        # With no constraint and no verified fact at the step there is nothing to check.
-        if (applicable or verified) and not _statement_admissible(result.value, applicable, verified):
-            failing.append(step)
+    failing = tuple(
+        step for step in sorted(constraints.checked & steps.keys())
+        if not _statement_admissible(steps[step].value, applicable[step], known.get(step, ()))
+    )
     removed_all = removal_set(dag, failing)
-    removed = tuple(sorted(s for s in trace.steps if s in removed_all))
-    total = len(trace.steps)
+    removed = tuple(sorted(removed_all & steps.keys()))
+    total = len(steps)
     score = (total - len(removed)) / total if total else 1.0
     response_ok = check_response(trace.response, constraints.response, known.get(RESPONSE_KEY, ()))
     if not response_ok or score < threshold:
-        return GateResult(None, score, tuple(sorted(failing)), removed, response_ok)
+        return GateResult(None, score, failing, removed, response_ok)
     # Outputs are never mutated, so an untouched trace is retained as it is.
-    kept = trace.restricted_to({s for s in trace.steps if s not in removed_all}) if removed else trace
-    return GateResult(kept, score, tuple(sorted(failing)), removed, response_ok)
+    kept = trace.restricted_to(steps.keys() - removed_all) if removed else trace
+    return GateResult(kept, score, failing, removed, response_ok)
 
 
 def _statement_admissible(

@@ -7,9 +7,12 @@ formula, and one general-purpose JSON encoder over a whole audit line.
 Keep these naive on purpose.
 """
 
+import functools
 import json
+import operator
 from typing import NamedTuple
 
+from crosscheck.errors import UnknownStepError
 from crosscheck.values import format_literal, values_equal
 
 
@@ -110,6 +113,42 @@ def pairwise_conflicts(pool, anchored_steps):
     return out
 
 
+def reference_gate(trace, constraints, dag, verified, threshold):
+    """The gate asked statement by statement, with no index.
+
+    Every statement of ``trace`` is checked against every step-scope
+    predicate whose pattern matches its step and against each fact in
+    ``verified`` keyed by its step; a fact with an unequal value fails it.
+    The failing steps and everything they reach are removed. The response
+    must pass every response-scope constraint, a ``facts`` one by agreeing
+    with each fact keyed ``"response"``. Returns ``(kept steps or None,
+    score, failing, removed, response_ok)``; a step outside ``dag`` raises
+    UnknownStepError, the first one in trace order.
+    """
+    def agrees(key, value):
+        return all(values_equal(f.value, value) for f in verified if f.key == key)
+
+    failing = []
+    for step, result in trace.steps.items():
+        if step not in dag.steps:
+            raise UnknownStepError(f"unknown step {step!r}")
+        ok = all(c.predicate(result.value) for c in constraints
+                 if c.scope == "step" and c.predicate is not None and c.applies_to_step(step))
+        if not (ok and agrees(step, result.value)):
+            failing.append(step)
+    removed = removal_oracle(dag.steps, dag.edges, failing) & set(trace.steps)
+    total = len(trace.steps)
+    score = (total - len(removed)) / total if total else 1.0
+    response_ok = all(
+        agrees("response", trace.response) if c.predicate is None else c.predicate(trace.response)
+        for c in constraints if c.scope == "response"
+    )
+    kept = None
+    if response_ok and score >= threshold:
+        kept = {s: r for s, r in trace.steps.items() if s not in removed}
+    return kept, score, tuple(sorted(failing)), tuple(sorted(removed)), response_ok
+
+
 def conjunction(response, predicates):
     """check_response is just this: every predicate holds."""
     return all(p(response) for p in predicates)
@@ -150,7 +189,8 @@ def synthesis_score(asserted_steps, retained_steps, anchors, supported, refuted,
     else:
         conflict_agreement = min(1.0, max(0.0, (agree - assert_frac + 1.0) / 2.0))
     confs = [c for _, c in retained_steps.values()]
-    mean_confidence = sum(confs) / len(confs) if confs else 0.0
+    # Left to right from 0, as the engine sums, so the score is the same on every CPython.
+    mean_confidence = functools.reduce(operator.add, confs, 0) / len(confs) if confs else 0.0
     w_a, w_c, w_g = weights
     return w_a * anchor_support + w_c * conflict_agreement + w_g * mean_confidence
 

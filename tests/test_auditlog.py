@@ -41,9 +41,36 @@ def test_seq_strictly_increases():
 @pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_payload_never_reaches_the_text(number):
     log = _sample_log()
-    log.append("synthesize", "score", {"expert": "e01", "total": number})
+    before = log.to_text()
     with pytest.raises(ValueError):
-        log.to_text()
+        log.append("synthesize", "score", {"expert": "e01", "total": number})
+    assert log.to_text() == before
+
+
+@pytest.mark.parametrize("stage, payload", [("synthesize", {"total": float("nan")}), ("bogus", {})])
+def test_a_failed_append_leaves_the_log_as_it_was(stage, payload):
+    log = _sample_log()
+    before = log.to_text()
+    with pytest.raises(ValueError):
+        log.append(stage, "score", payload)
+    assert log.to_text() == before
+    log.append("facts", "seeded", {"facts": 1})
+    assert [e.seq for e in log][-2:] == [8, 9]
+
+
+def test_iterating_a_log_reads_back_its_text():
+    log = run_pipeline(adversarial_scenario(3), EngineConfig(theta=3)).audit_log
+    assert list(log) == list(AuditLog.from_lines(log.to_text().splitlines()))
+    assert [e.to_line() for e in log] == log.to_lines()
+    assert AuditLog().to_text() == ""
+    assert list(AuditLog()) == []
+
+
+def test_a_recorded_non_finite_number_is_parse_error():
+    # json.loads reads NaN and Infinity tokens; a log holding one does not load.
+    line = '{"seq":1,"stage":"gate","event":"accept","payload":{"score":NaN},"parent_refs":[]}'
+    with pytest.raises(ParseError, match="line 1"):
+        AuditLog.from_lines([line])
 
 
 def test_unknown_stage_rejected():

@@ -180,6 +180,25 @@ def test_eval_empty_corpus_exits_one(tmp_path, capsys):
     assert "no scenario files" in capsys.readouterr().err
 
 
+def test_eval_missing_corpus_directory_exits_one(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    out = tmp_path / "r"
+    assert main(["eval", "--corpus", str(missing), "--methods", "mv", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: corpus directory {missing} does not exist\n"
+    assert not out.exists()
+
+
+def test_eval_corpus_path_naming_a_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    _write_unanimous(path)
+    out = tmp_path / "r"
+    assert main(["eval", "--corpus", str(path), "--methods", "mv", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: corpus path {path} is not a directory\n"
+    assert not out.exists()
+
+
 def test_eval_corpus_with_a_bad_file_exits_one(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()

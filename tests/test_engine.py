@@ -777,3 +777,17 @@ def test_a_run_lists_its_verified_facts_once_and_checks_them_only_in_the_audit(m
         seen_verify_calls += result.verify_calls
     assert checks == []
     assert max(seen_statements) >= 30 and seen_verify_calls > 0
+
+
+def test_mean_confidence_sums_left_to_right_on_every_interpreter():
+    # sum() compensates float rounding since CPython 3.12 and would log 0.1 here.
+    steps = [f"s{i}" for i in range(10)]
+    scenario = scenario_from_dict({
+        "query": "q",
+        "dag": {"steps": steps, "edges": []},
+        "experts": [{"expert_id": "e01", "class": "conservative", "temperature": 0.1, "seed": 1,
+                     "traces": [{"steps": {s: {"value": 1, "confidence": 0.1} for s in steps}, "response": 1}]}],
+    })
+    result = run_pipeline(scenario)
+    assert result.score.mean_confidence == 0.09999999999999999
+    assert '"mean_confidence":0.09999999999999999,' in result.audit_log.to_text()

@@ -5,9 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscheck.corpus import GeneratorParams, random_scenario
-from crosscheck.ensemble import parse_expert_output
-from crosscheck.errors import DuplicateIdError
+from crosscheck import verifiers
+from crosscheck.corpus import GeneratorParams, adversarial_scenario, random_scenario
+from crosscheck.ensemble import ExpertOutput, parse_expert_output
+from crosscheck.errors import DuplicateIdError, UnknownStepError
 from crosscheck.facts import CONFLICT, CONSISTENT, FactStore, ToolRecord
 from crosscheck.plandag import build_plan
 from crosscheck.scenario import scenario_expert_outputs
@@ -30,7 +31,8 @@ from crosscheck.verifiers import (
     index_constraints,
 )
 
-from oracles import conjunction, removal_oracle
+from oracles import conjunction, reference_gate, removal_oracle
+from test_golden_digest import WIDE_PARAMS
 
 CHAIN = build_plan(["s1", "s2", "s3", "s4"], [("s1", "s2"), ("s2", "s3"), ("s3", "s4")])
 
@@ -405,3 +407,99 @@ def test_index_lists_the_store_once_and_the_gate_never_asks_it(seed, placement):
         key: tuple(f for f in facts.verified_facts() if f.key == key)
         for key in sorted({f.key for f in facts.verified_facts()} & wanted)
     }
+
+
+# --- the gate visits only the checked steps ----------------------------------------
+
+RANGE_CHECK = constraint_from_spec({"id": "band", "check": "range", "step_pattern": "s0[13579]", "min": 0, "max": 50})
+EXTRA_CHECKS = {"none": (), "steps": (RANGE_CHECK, FACTS_CHECK), "all": (RANGE_CHECK, FACTS_CHECK, RESPONSE_FACTS_CHECK)}
+
+
+def _gate_case(scenario, checks, stride):
+    """The scenario's traces, its constraints plus ``EXTRA_CHECKS[checks]``, and its store plus given facts."""
+    outputs = scenario_expert_outputs(scenario)
+    constraints = scenario.constraints + EXTRA_CHECKS[checks]
+    facts = FactStore()
+    for entry in scenario.facts_seed:
+        facts.insert(entry)
+    seeded = {f.key for f in facts.verified_facts()}
+    for i, step in enumerate(scenario.dag.steps[::stride]):
+        if step not in seeded:
+            # Half the givens repeat an expert's value, half contradict most of them.
+            facts.add_given(step, outputs[0].steps[step].value if i % 2 and step in outputs[0].steps else number(0))
+    facts.add_given(RESPONSE_KEY, outputs[0].response)
+    return outputs, constraints, facts
+
+
+def _with_unknown_steps(output):
+    """The output with two steps outside every DAG, in the middle and at the end of its order.
+
+    The later one sorts first, so only a gate that reports the first in
+    trace order names the one in the middle.
+    """
+    items = list(output.steps.items())
+    extra = next(iter(output.steps.values()), None)
+    if extra is None:
+        return output
+    middle = len(items) // 2
+    steps = dict(items[:middle] + [("zz-unknown", extra)] + items[middle:] + [("aa-unknown", extra)])
+    return ExpertOutput(output.expert_id, steps, output.response)
+
+
+def _assert_gate_matches_reference(scenario, checks, stride, threshold):
+    outputs, constraints, facts = _gate_case(scenario, checks, stride)
+    index = index_constraints(constraints, scenario.dag, facts)
+    verified = facts.verified_facts()
+    # Traces that skip steps, so that some removed steps are not theirs, and traces with unknown steps.
+    partial = [o.restricted_to(set(list(o.steps)[1::2])) for o in outputs]
+    for output in outputs + partial + [_with_unknown_steps(o) for o in outputs[:2]]:
+        try:
+            expected = reference_gate(output, constraints, scenario.dag, verified, threshold)
+        except UnknownStepError as exc:
+            with pytest.raises(UnknownStepError) as raised:
+                gate(output, index, scenario.dag, threshold)
+            assert str(raised.value) == str(exc)
+            continue
+        result = gate(output, index, scenario.dag, threshold)
+        kept = None if result.trace is None else dict(result.trace.steps)
+        assert (kept, result.score, result.failing, result.removed, result.response_ok) == expected
+
+
+@given(st.integers(0, 10**6), st.sampled_from(sorted(EXTRA_CHECKS)), st.integers(1, 4), st.sampled_from([0.0, 0.5, 0.9]))
+@settings(max_examples=60, deadline=None)
+def test_gate_matches_the_statement_by_statement_reference(seed, checks, stride, threshold):
+    _assert_gate_matches_reference(random_scenario(seed, GeneratorParams(with_constraints=True, with_facts=True)),
+                                   checks, stride, threshold)
+    _assert_gate_matches_reference(adversarial_scenario(seed), checks, stride, threshold)
+
+
+@pytest.mark.parametrize("seed", [20_007, 20_011, 20_013])
+def test_gate_matches_the_statement_by_statement_reference_on_wide_scenarios(seed):
+    scenario = random_scenario(seed, WIDE_PARAMS)
+    for checks, stride, threshold in (("none", 3, 0.5), ("steps", 7, 0.5), ("steps", 2, 0.0), ("all", 5, 0.0)):
+        _assert_gate_matches_reference(scenario, checks, stride, threshold)
+
+
+def test_the_gate_checks_only_the_steps_that_have_a_check(monkeypatch):
+    steps = [f"s{i:02d}" for i in range(1, 13)]
+    dag = build_plan(steps, [(steps[i], steps[i + 1]) for i in range(0, 11, 3)])
+    facts = FactStore()
+    facts.add_given("s04", number(4))
+    facts.add_given("s12", number(0))
+    index = index_constraints((RANGE_CHECK, FACTS_CHECK), dag, facts)
+    assert index.checked == {"s01", "s03", "s04", "s05", "s07", "s09", "s12"}
+    seen = []
+    real = verifiers._statement_admissible
+
+    def spy(value, applicable, verified):
+        seen.append(value)
+        return real(value, applicable, verified)
+
+    monkeypatch.setattr(verifiers, "_statement_admissible", spy)
+    for trace in (_trace({s: i for i, s in enumerate(steps)}, 0),
+                  _trace({s: 60 for s in steps[1::2]}, 0),
+                  _trace({}, 0)):
+        seen.clear()
+        gate(trace, index, dag, 0.0)
+        wanted = sorted(index.checked & trace.steps.keys())
+        assert [id(v) for v in seen] == [id(trace.steps[s].value) for s in wanted]
