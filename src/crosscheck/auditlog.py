@@ -13,7 +13,8 @@ raises ``ValueError`` there and the log stays as it was, so a non-finite
 number never reaches the text. ``to_text`` joins the kept lines, and
 iterating a log parses them back (``AuditLogEntry.from_line``), so
 ``replay`` of a live log checks exactly the bytes that ``audit.log``
-holds.
+holds. An entry read back holds what the line holds: a tuple in a
+payload comes back as a list, and a non-string key as a string.
 
 One payload encoder serves every line. It is chosen once, at import: the
 C encoder from ``json``'s accelerator when the interpreter has it, else
@@ -105,7 +106,7 @@ class AuditLog:
     """Strictly ordered event journal; append is the only mutation.
 
     It keeps each event as its encoded line, and iterating it parses the
-    lines back into entries.
+    lines back into entries, on every pass.
     """
 
     def __init__(self) -> None:

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-from .engine import EngineConfig, _sum_in_order, run_pipeline
+from .engine import EngineConfig, run_pipeline, sum_in_order
 from .ensemble import ExpertOutput
 from .errors import AllExpertsFailedError, InvalidConfigError
 from .scenario import Oracle, Scenario, scenario_expert_outputs
@@ -55,7 +55,7 @@ def simple_verification(outputs: Sequence[ExpertOutput]) -> Value:
 
     def mean_confidence(output: ExpertOutput) -> float:
         confs = list(output.confidences.values())
-        return _sum_in_order(confs) / len(confs) if confs else 0.0
+        return sum_in_order(confs) / len(confs) if confs else 0.0
 
     return max(sorted(outputs, key=lambda o: o.expert_id), key=mean_confidence).response
 

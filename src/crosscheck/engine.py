@@ -88,7 +88,7 @@ class EngineConfig:
         if (type(self.weights) is not tuple or len(self.weights) != 3
                 or not all(_is_real(w) and 0 <= w < math.inf for w in self.weights)):
             raise InvalidConfigError(f"weights must be a tuple of three finite nonnegative reals, got {self.weights!r}")
-        if not 0 < _sum_in_order(self.weights) < math.inf:
+        if not 0 < sum_in_order(self.weights) < math.inf:
             raise InvalidConfigError("weights must not all be zero, and their sum must be finite")
         if type(self.facts_enabled) is not bool:
             raise InvalidConfigError(f"facts_enabled must be a bool, got {self.facts_enabled!r}")
@@ -97,7 +97,7 @@ class EngineConfig:
     def normalized_weights(self) -> tuple[float, float, float]:
         # Scaling all weights by a positive constant must not move the
         # argmax; normalizing here makes that exact rather than approximate.
-        total = _sum_in_order(self.weights)
+        total = sum_in_order(self.weights)
         return (self.weights[0] / total, self.weights[1] / total, self.weights[2] / total)
 
 
@@ -105,7 +105,7 @@ def _is_real(x: object) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _sum_in_order(xs: Iterable[float]) -> float:
+def sum_in_order(xs: Iterable[float]) -> float:
     """Left to right from ``0``, as ``sum()`` added floats before CPython 3.12.
 
     Since 3.12 ``sum()`` compensates float rounding, which can change the
@@ -179,7 +179,6 @@ def statements(retained: Sequence[GatedTrace]) -> StatementTable:
     steps: dict[str, StepClasses] = {}
     for i, gt in enumerate(retained):
         kept = gt.trace.steps
-        whole = gt.source is None  # the gate kept every asserted step
         expert_id = gt.trace.expert_id
         for step, result in gt.asserted.steps.items():
             sc = steps.get(step)
@@ -195,7 +194,7 @@ def statements(retained: Sequence[GatedTrace]) -> StatementTable:
                 if _exact_key(value) is not None:
                     sc.ids[id(value)] = c
             sc.holders[c].append(i)
-            if whole or step in kept:
+            if step in kept:
                 supporters = sc.supporters[c]
                 if supporters is None:
                     supporters = sc.supporters[c] = set()
@@ -203,16 +202,13 @@ def statements(retained: Sequence[GatedTrace]) -> StatementTable:
                 supporters.add(expert_id)
                 sc.confidences.append(result.confidence)
     for sc in steps.values():
-        if len(sc.order) > 1:
-            groups = group_values((sc.reps[c], c) for c in sc.order)
-        else:  # one retained class or none: nothing to compare
-            groups = [(sc.reps[c], [c]) for c in sc.order]
-        # Most groups hold one class, whose supporters need no union.
-        sc.groups = [
-            (rep, tuple(sorted(sc.supporters[members[0]] if len(members) == 1
-                               else set().union(*(sc.supporters[c] for c in members)))))
-            for rep, members in groups
-        ]
+        if sc.order:
+            # Most groups hold one class, whose supporters need no union.
+            sc.groups = [
+                (rep, tuple(sorted(sc.supporters[members[0]] if len(members) == 1
+                                   else set().union(*(sc.supporters[c] for c in members)))))
+                for rep, members in group_values((sc.reps[c], c) for c in sc.order)
+            ]
     return StatementTable(tuple(retained), {step: steps[step] for step in sorted(steps)})
 
 
@@ -590,11 +586,8 @@ def synthesize(
             agree_frac = sum(m[2] for m in counted) / len(supported) if supported else 0.0
             refute_frac = sum(m[3] for m in counted) / len(refuted) if refuted else 0.0
             conflict_agreement = min(1.0, max(0.0, (agree_frac - refute_frac + 1.0) / 2.0))
-        if dropped:
-            confidences = [r.confidence for s, r in gt.trace.steps.items() if s not in dropped]
-        else:
-            confidences = [r.confidence for r in gt.trace.steps.values()]
-        mean_confidence = _sum_in_order(confidences) / len(confidences) if confidences else 0.0
+        confidences = [r.confidence for s, r in gt.trace.steps.items() if s not in dropped]
+        mean_confidence = sum_in_order(confidences) / len(confidences) if confidences else 0.0
         total = w_a * anchor_support + w_c * conflict_agreement + w_g * mean_confidence
         score = SynthesisScore(anchor_support, conflict_agreement, mean_confidence, total)
         if log is not None:

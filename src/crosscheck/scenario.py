@@ -228,12 +228,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             at = ("verdict_table", key)
             if verdict not in VERDICTS:
                 raise ValidationError(f"unknown verdict {verdict!r}")
-            # A literal that some trace printed is the intern table's value for it, since
-            # parse_literal inverts format_literal; only the other keys are parsed.
-            step, sep, literal = key.partition("|")
-            value = interned.get(literal) if sep and step else None
-            if value is None:
-                step, value = parse_statement_key(key)
+            step, value = parse_statement_key(key)
             if step not in dag:
                 raise ValidationError(f"references unknown step {step!r}")
             # Many keys, few steps and verdicts: share one string per step and per verdict.

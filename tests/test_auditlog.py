@@ -66,6 +66,14 @@ def test_iterating_a_log_reads_back_its_text():
     assert list(AuditLog()) == []
 
 
+def test_an_entry_read_back_holds_what_its_line_holds():
+    log = AuditLog()
+    log.append("gate", "accept", {"pair": (1, 2), "by_id": {3: "x"}}, ("r1",))
+    (entry,) = log
+    assert entry.payload == {"by_id": {"3": "x"}, "pair": [1, 2]}
+    assert entry.parent_refs == ("r1",)
+
+
 def test_a_recorded_non_finite_number_is_parse_error():
     # json.loads reads NaN and Infinity tokens; a log holding one does not load.
     line = '{"seq":1,"stage":"gate","event":"accept","payload":{"score":NaN},"parent_refs":[]}'

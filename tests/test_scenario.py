@@ -581,8 +581,7 @@ def test_runs_read_the_fields_decoded_at_load(monkeypatch):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     monkeypatch.setattr(FactStore, "load_record", spy("load_record", FactStore.load_record))
     tool_scenario = scenario_from_dict(_tool_scenario())
-    # No trace holds 999, so the verdict key's literal is parsed, not found in the load's intern table.
-    scenario_from_dict(_minimal(verdict_table={"s1|num:999": "support"}))
+    scenario_from_dict(_minimal(verdict_table={"s1|num:1": "support"}))
     FactStore.from_lines(['{"kind": "tool", "id": "t1", "tool_name": "calc", "outcome": 1}'])
     assert all(calls[name] for name in ("value_from_json", "parse_statement_key", "load_record"))
 
