@@ -54,7 +54,7 @@ def simple_verification(outputs: Sequence[ExpertOutput]) -> Value:
         raise InvalidConfigError("simple_verification needs at least one expert output")
 
     def mean_confidence(output: ExpertOutput) -> float:
-        confs = list(output.confidences.values())
+        confs = [confidence for _, _, confidence in output.rows()]
         return sum_in_order(confs) / len(confs) if confs else 0.0
 
     return max(sorted(outputs, key=lambda o: o.expert_id), key=mean_confidence).response

@@ -178,13 +178,13 @@ def statements(retained: Sequence[GatedTrace]) -> StatementTable:
     """
     steps: dict[str, StepClasses] = {}
     for i, gt in enumerate(retained):
-        kept = gt.trace.steps
+        # Every asserted step is kept unless the gate excised some.
+        kept = gt.trace.step_ids if gt.source is not None else None
         expert_id = gt.trace.expert_id
-        for step, result in gt.asserted.steps.items():
+        for step, value, confidence in gt.asserted.rows():
             sc = steps.get(step)
             if sc is None:
                 sc = steps[step] = StepClasses()
-            value = result.value
             c = sc.ids.get(id(value))
             if c is None:
                 c = len(sc.reps)
@@ -194,13 +194,13 @@ def statements(retained: Sequence[GatedTrace]) -> StatementTable:
                 if _exact_key(value) is not None:
                     sc.ids[id(value)] = c
             sc.holders[c].append(i)
-            if step in kept:
+            if kept is None or step in kept:
                 supporters = sc.supporters[c]
                 if supporters is None:
                     supporters = sc.supporters[c] = set()
                     sc.order.append(c)
                 supporters.add(expert_id)
-                sc.confidences.append(result.confidence)
+                sc.confidences.append(confidence)
     for sc in steps.values():
         if sc.order:
             # Most groups hold one class, whose supporters need no union.
@@ -508,9 +508,7 @@ def _candidate_provenance(table: StatementTable, step: str, value: Value) -> tup
         if supporters is None or not values_equal(rep, value):
             continue
         for i in holders:
-            result = table.retained[i].trace.steps.get(step)
-            if result is not None:
-                ids.extend(result.provenance)
+            ids.extend(table.retained[i].trace.provenance(step))
     return tuple(sorted(set(ids)))
 
 
@@ -586,7 +584,7 @@ def synthesize(
             agree_frac = sum(m[2] for m in counted) / len(supported) if supported else 0.0
             refute_frac = sum(m[3] for m in counted) / len(refuted) if refuted else 0.0
             conflict_agreement = min(1.0, max(0.0, (agree_frac - refute_frac + 1.0) / 2.0))
-        confidences = [r.confidence for s, r in gt.trace.steps.items() if s not in dropped]
+        confidences = [c for s, _, c in gt.trace.rows() if s not in dropped]
         mean_confidence = sum_in_order(confidences) / len(confidences) if confidences else 0.0
         total = w_a * anchor_support + w_c * conflict_agreement + w_g * mean_confidence
         score = SynthesisScore(anchor_support, conflict_agreement, mean_confidence, total)
@@ -651,7 +649,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
         log.append(
             "ensemble",
             "expert_output",
-            {"expert": output.expert_id, "trace": idx, "steps": len(output.steps),
+            {"expert": output.expert_id, "trace": idx, "steps": len(output.step_ids),
              "response": format_literal(output.response)},
             (output.expert_id,),
         )
@@ -688,7 +686,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
                 "gate",
                 "accept",
                 {"expert": output.expert_id, "trace": idx, "score": result.score,
-                 "retained_steps": len(result.trace.steps)},
+                 "retained_steps": len(result.trace.step_ids)},
                 (output.expert_id,),
             )
 
@@ -696,7 +694,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
         # Nothing passed the gate threshold; fall back to backtracking and
         # keep the valid fragments of every feasibly-answered trace.
         for idx, output, result in salvageable:
-            keep = {s for s in output.steps if s not in result.removed}
+            keep = {s for s in output.step_ids if s not in result.removed}
             fragment = output.restricted_to(keep)
             retained.append(GatedTrace(fragment, idx, output))
             log.append(

@@ -11,9 +11,13 @@ Backends return validated :class:`ExpertOutput` tuples — intermediates
 with confidences, and a final response; a trace's free-text analysis is
 checked to be a string and not kept, since nothing reads it. Each trace is
 parsed once, by :func:`parse_expert_output`, where its bytes enter the
-program: the scenario loader parses scripted traces when it reads the
+program, and held as columns rather than one object per statement: its
+step ids in sorted order, each mapped to a column, a tuple of the step
+values and an ``array('d')`` of the confidences, about 16 bytes per
+statement. The scenario loader parses scripted traces when it reads the
 file, sharing one value object per distinct printed value across them,
-and :class:`ScriptedBackend` replays those outputs on every run,
+and one step-to-column dict across the traces with the same step set;
+:class:`ScriptedBackend` replays those outputs on every run,
 which is what every test in this repository runs against. The minimal
 HTTP adapter for a chat-completion-style endpoint parses its response
 content as it arrives; it is for live use and is tested only against a
@@ -25,8 +29,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from types import MappingProxyType
+from typing import AbstractSet, Any, Iterator, KeysView, Mapping, Protocol, Sequence
 
 from .errors import AllExpertsFailedError, BackendError, InvalidPlanError, ParseError, SchemaError
 from .plandag import StepResult
@@ -62,26 +68,112 @@ class ExpertConfig:
             raise InvalidPlanError(f"seed must be an integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True, slots=True)
+# The provenance of a trace whose steps cite no tool records.
+_NO_PROVENANCE_STEPS: Mapping[str, tuple[str, ...]] = MappingProxyType({})
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ExpertOutput:
     """One expert trace: intermediates, confidences, response.
 
-    A scenario's outputs are shared by every run of it, so nothing may
-    mutate one; ``restricted_to`` builds a new output instead.
+    The trace is held as columns, not as one object per statement.
+    ``_positions`` maps each step id, in trace order, to its column in
+    ``_values`` and ``_confidences`` (an ``array('d')``); ``_provenance``
+    maps only the steps that cite tool records to their ids. A loaded
+    scenario shares one ``_positions`` dict among all its traces with the
+    same step set.
+
+    Build one from ``{step: StepResult}`` in the given order, or parse it
+    with :func:`parse_expert_output`; both fill the columns through
+    ``_fill``. A scenario's outputs are shared by every run of it, so
+    nothing may mutate one: the columns are private and nothing here
+    writes to them, ``steps`` and ``confidences`` are read-only views, and
+    ``restricted_to`` builds a new output that shares its source's columns.
     """
 
     expert_id: str
-    steps: dict[str, StepResult]
     response: Value
+    _positions: Mapping[str, int] = field(repr=False)
+    _values: tuple[Value, ...] = field(repr=False)
+    _confidences: array = field(repr=False)
+    _provenance: Mapping[str, tuple[str, ...]] = field(repr=False)
+
+    def __init__(self, expert_id: str, steps: Mapping[str, StepResult], response: Value) -> None:
+        results = steps.values()
+        self._fill(expert_id, {step: col for col, step in enumerate(steps)}, tuple(r.value for r in results),
+                   array("d", [r.confidence for r in results]),
+                   {step: r.provenance for step, r in steps.items() if r.provenance}, response)
+
+    def _fill(self, expert_id: str, positions: Mapping[str, int], values: tuple[Value, ...], confidences: array,
+              provenance: Mapping[str, tuple[str, ...]], response: Value) -> None:
+        """Set every field; the one place that fills an output's columns."""
+        setter = object.__setattr__
+        setter(self, "expert_id", expert_id)
+        setter(self, "response", response)
+        setter(self, "_positions", positions)
+        setter(self, "_values", values)
+        setter(self, "_confidences", confidences)
+        setter(self, "_provenance", provenance or _NO_PROVENANCE_STEPS)
 
     @property
-    def confidences(self) -> dict[str, float]:
-        return {step: res.confidence for step, res in self.steps.items()}
+    def steps(self) -> Mapping[str, StepResult]:
+        """Each step's :class:`StepResult`, in trace order; a read-only view that builds them as they are read."""
+        return _StepsView(self)
 
-    def restricted_to(self, keep: set[str]) -> "ExpertOutput":
-        """A fragment containing only the retained steps; shares StepResults."""
-        kept = {s: r for s, r in self.steps.items() if s in keep}
-        return ExpertOutput(self.expert_id, kept, self.response)
+    @property
+    def confidences(self) -> Mapping[str, float]:
+        return MappingProxyType({step: confidence for step, _, confidence in self.rows()})
+
+    @property
+    def step_ids(self) -> KeysView[str]:
+        """The trace's step ids in trace order; a set-like view with O(1) membership."""
+        return self._positions.keys()
+
+    def rows(self) -> Iterator[tuple[str, Value, float]]:
+        """``(step, value, confidence)`` of each step, in trace order."""
+        if len(self._positions) == len(self._values):
+            # Every column, in column order: positions ascend in trace order.
+            return zip(self._positions, self._values, self._confidences)
+        values, confidences = self._values, self._confidences
+        return ((step, values[col], confidences[col]) for step, col in self._positions.items())
+
+    def value_at(self, step: str) -> Value:
+        """The value asserted at ``step``; KeyError where the trace lacks it."""
+        return self._values[self._positions[step]]
+
+    def provenance(self, step: str) -> tuple[str, ...]:
+        """The tool record ids behind ``step``; empty where the trace cites none or lacks the step."""
+        return self._provenance.get(step, ()) if step in self._positions else ()
+
+    def restricted_to(self, keep: AbstractSet[str]) -> "ExpertOutput":
+        """A fragment containing only the retained steps; shares this output's columns."""
+        fragment = object.__new__(ExpertOutput)
+        fragment._fill(self.expert_id, {s: col for s, col in self._positions.items() if s in keep}, self._values,
+                       self._confidences, self._provenance, self.response)
+        return fragment
+
+
+class _StepsView(Mapping[str, StepResult]):
+    """:attr:`ExpertOutput.steps`: builds a step's StepResult from the columns on each read."""
+
+    __slots__ = ("_output",)
+
+    def __init__(self, output: ExpertOutput) -> None:
+        self._output = output
+
+    def __getitem__(self, step: str) -> StepResult:
+        output = self._output
+        col = output._positions[step]
+        return StepResult(output._values[col], output._confidences[col], output._provenance.get(step, ()))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._output._positions)
+
+    def __len__(self) -> int:
+        return len(self._output._positions)
+
+    def __contains__(self, step: object) -> bool:
+        return step in self._output._positions
 
 
 class ExpertBackend(Protocol):
@@ -125,11 +217,12 @@ def _raw_key(obj: object) -> tuple | None:
 _NO_PROVENANCE = object()
 
 
-def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Value] | None = None) -> ExpertOutput:
+def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Any] | None = None) -> ExpertOutput:
     """Validate one raw trace payload into an ExpertOutput; SchemaError on violation.
 
     A value that does not decode is a SchemaError too, so ``collect``
-    records that expert as failed instead of aborting.
+    records that expert as failed instead of aborting. The steps are kept
+    in sorted order.
 
     ``interned`` is a table that a caller keeps across the traces it
     parses. It maps each printed literal (``format_literal``) to a value,
@@ -139,7 +232,10 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Value]
     distinct objects. The table also maps each raw form's key
     (``_raw_key``) to that object once the form has decoded, so a form
     seen again is neither decoded nor printed; a form that fails to decode
-    is never entered.
+    is never entered. And it maps each sorted tuple of step ids to the
+    step-to-column dict of the traces with that step set, so they share
+    one. None of these keys can equal another: a literal is a string, a
+    raw form's key holds a type, and a step tuple holds only strings.
     """
     if interned is None:
         decode = value_from_json
@@ -160,9 +256,12 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Value]
     steps_raw = raw.get("steps", {})
     if not isinstance(steps_raw, dict):
         raise SchemaError("trace 'steps' must be a map of step id to result")
-    steps: dict[str, StepResult] = {}
+    values: list[Value] = []
+    confidences: list[float] = []
+    provenance_by_step: dict[str, tuple[str, ...]] = {}
     try:
-        for step in sorted(steps_raw):
+        order = tuple(sorted(steps_raw))
+        for step in order:
             entry = steps_raw[step]
             if not isinstance(entry, dict) or "value" not in entry:
                 raise SchemaError(f"step {step!r} entry must be an object with a 'value'")
@@ -176,13 +275,13 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Value]
             if not 0.0 <= confidence <= 1.0:
                 raise SchemaError(f"step {step!r} confidence {confidence!r} outside [0,1]")
             provenance = entry.get("provenance", _NO_PROVENANCE)
-            if provenance is _NO_PROVENANCE:
-                provenance = ()
-            elif isinstance(provenance, list) and all(isinstance(p, str) for p in provenance):
-                provenance = tuple(provenance)
-            else:
-                raise SchemaError(f"step {step!r} provenance must be a list of tool record ids")
-            steps[step] = StepResult(decode(entry["value"]), float(confidence), provenance)
+            if provenance is not _NO_PROVENANCE:
+                if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):
+                    raise SchemaError(f"step {step!r} provenance must be a list of tool record ids")
+                if provenance:
+                    provenance_by_step[step] = tuple(provenance)
+            values.append(decode(entry["value"]))
+            confidences.append(confidence)
         if "response" not in raw:
             raise SchemaError("trace payload missing 'response'")
         response = decode(raw["response"])
@@ -192,7 +291,14 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Value]
         raise SchemaError(f"malformed trace value: {exc}") from exc
     if not isinstance(raw.get("analysis", ""), str):
         raise SchemaError("trace 'analysis' must be a string")
-    return ExpertOutput(expert_id=expert_id, steps=steps, response=response)
+    positions = interned.get(order) if interned is not None else None
+    if positions is None:
+        positions = {step: col for col, step in enumerate(order)}
+        if interned is not None:
+            interned[order] = positions
+    output = object.__new__(ExpertOutput)
+    output._fill(expert_id, positions, tuple(values), array("d", confidences), provenance_by_step, response)
+    return output
 
 
 def sample_traces(config: ExpertConfig, query: str, backend: ExpertBackend) -> list[ExpertOutput]:

@@ -18,7 +18,11 @@ from .values import Value
 
 @dataclass(frozen=True, slots=True)
 class StepResult:
-    """One step's outcome inside a single expert trace; the trace's ``steps`` maps the step id to it."""
+    """One step's outcome inside a single expert trace.
+
+    A trace holds its steps as columns; ``ExpertOutput.steps`` builds one
+    of these for a step as it is read, and a trace built by hand takes them.
+    """
 
     value: Value
     confidence: float

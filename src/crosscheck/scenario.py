@@ -189,7 +189,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         experts = []
         seen_ids: set[str] = set()
         # One object per distinct printed value across every trace; the table ends with the load.
-        interned: dict[object, Value] = {}
+        interned: dict[object, object] = {}
         for e_idx, block in enumerate(_expect(obj.get("experts", []), list)):
             at = ("experts", e_idx)
             config = ExpertConfig(
@@ -212,8 +212,8 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             for t_idx, raw in enumerate(raw_traces):
                 at = (f"experts[{e_idx}].traces", t_idx)
                 output = parse_expert_output(expert_id, raw, interned)
-                if not output.steps.keys() <= known_steps:
-                    raise ValidationError(f"references unknown step {min(output.steps.keys() - known_steps)!r}")
+                if not output.step_ids <= known_steps:
+                    raise ValidationError(f"references unknown step {min(output.step_ids - known_steps)!r}")
                 outputs.append(output)
             at = (f"experts[{e_idx}].traces", None)
             experts.append(ScriptedExpert(config=config, outputs=tuple(outputs), saved_traces=_marshal(raw_traces),

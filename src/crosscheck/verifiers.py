@@ -247,24 +247,24 @@ def gate(
     Only the trace's steps in ``constraints.checked`` are visited: with no
     predicate and no verified fact at a step there is nothing to check.
     """
-    steps = trace.steps
+    steps = trace.step_ids
     applicable = constraints.steps
-    if not steps.keys() <= applicable.keys():
+    if not steps <= applicable.keys():
         raise UnknownStepError(f"unknown step {next(s for s in steps if s not in applicable)!r}")
     known = constraints.facts
     failing = tuple(
-        step for step in sorted(constraints.checked & steps.keys())
-        if not _statement_admissible(steps[step].value, applicable[step], known.get(step, ()))
+        step for step in sorted(constraints.checked & steps)
+        if not _statement_admissible(trace.value_at(step), applicable[step], known.get(step, ()))
     )
     removed_all = removal_set(dag, failing)
-    removed = tuple(sorted(removed_all & steps.keys()))
+    removed = tuple(sorted(removed_all & steps))
     total = len(steps)
     score = (total - len(removed)) / total if total else 1.0
     response_ok = check_response(trace.response, constraints.response, known.get(RESPONSE_KEY, ()))
     if not response_ok or score < threshold:
         return GateResult(None, score, failing, removed, response_ok)
     # Outputs are never mutated, so an untouched trace is retained as it is.
-    kept = trace.restricted_to(steps.keys() - removed_all) if removed else trace
+    kept = trace.restricted_to(steps - removed_all) if removed else trace
     return GateResult(kept, score, failing, removed, response_ok)
 
 

@@ -13,7 +13,8 @@ import operator
 from typing import NamedTuple
 
 from crosscheck.errors import UnknownStepError
-from crosscheck.values import format_literal, values_equal
+from crosscheck.plandag import StepResult
+from crosscheck.values import format_literal, value_from_json, values_equal
 
 
 def dfs_reachable(edges, start):
@@ -45,6 +46,29 @@ def removal_oracle(steps, edges, violated):
         removed.add(v)
         removed |= dfs_reachable(edges, v)
     return removed
+
+
+def reference_parse(raw):
+    """A well-formed raw trace as a plain dict of StepResults, and its response.
+
+    Steps in sorted order; a confidence defaults to 1.0, becomes a float,
+    and is clamped into [0, 1] when it lies outside by at most 1e-9;
+    provenance defaults to no ids and becomes a tuple; every value is
+    decoded afresh. Provenance that is not a list raises ValueError.
+    """
+    steps = {}
+    for step in sorted(raw.get("steps", {})):
+        entry = raw["steps"][step]
+        confidence = float(entry.get("confidence", 1.0))
+        if -1e-9 <= confidence < 0.0:
+            confidence = 0.0
+        if 1.0 < confidence <= 1.0 + 1e-9:
+            confidence = 1.0
+        provenance = entry.get("provenance", [])
+        if not isinstance(provenance, list):
+            raise ValueError(f"provenance of {step!r} is not a list")
+        steps[step] = StepResult(value_from_json(entry["value"]), confidence, tuple(provenance))
+    return steps, value_from_json(raw["response"])
 
 
 class Stmt(NamedTuple):

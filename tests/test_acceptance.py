@@ -15,7 +15,6 @@ import pytest
 from crosscheck.baselines import evaluate_methods, majority_vote, pass_at_n, simple_verification
 from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_scenario
 from crosscheck.engine import EngineConfig, run_pipeline
-from crosscheck.errors import NoFeasibleCandidateError
 from crosscheck.facts import DERIVED, RETRIEVED, ToolRecord
 from crosscheck.scenario import scenario_expert_outputs
 from crosscheck.values import format_literal, values_equal
@@ -98,10 +97,7 @@ def test_criterion_04_gate_soundness():
     checked, bad_responses, bad_excisions = 0, 0, 0
     for seed in range(400):
         scenario = random_scenario(10_000 + seed, params)
-        try:
-            result = run_pipeline(scenario)
-        except NoFeasibleCandidateError as exc:
-            result = exc.result
+        result = run_pipeline(scenario)
         checked += 1
         response_constraints = [c for c in scenario.constraints if c.scope == RESPONSE_SCOPE]
         at_response = [f for f in result.facts.verified_facts() if f.key == RESPONSE_KEY]
@@ -182,10 +178,7 @@ def test_criterion_07_replay_determinism():
         config = EngineConfig(budget=seed % 5)
 
         def run_once():
-            try:
-                return run_pipeline(scenario, config).audit_log.to_text()
-            except NoFeasibleCandidateError as exc:
-                return exc.result.audit_log.to_text()
+            return run_pipeline(scenario, config).audit_log.to_text()
 
         if run_once() != run_once():
             differing += 1

@@ -44,14 +44,23 @@ WIDE_PARAMS = GeneratorParams(max_experts=64, max_steps=64, agreement=0.5, distr
 FACTS_WRITE_TIER = "facts write tier: only the store workload (perfbench/ops.py) and tests write; ROADMAP item 7"
 PROTOCOL = "Protocol stub: the classes that implement it are entered"
 LIVE = "live backend, exported: needs a network endpoint (ROADMAP: live backends stay untested)"
+TRACE_READ_API = "public read API of a trace (tests, library callers); runs read the columns"
 
 # Never entered by the census, by ``module.Qualname``, each with its reason.
 UNREACHED = {
     "auditlog._payload_encoder": "import time: picks the one payload encoder as the module loads",
     "baselines.AblationConfig.__post_init__": "import time: checks DEFAULT_ABLATION_ROWS as the module loads",
     "ensemble.ExpertBackend.sample": PROTOCOL,
+    "ensemble.ExpertOutput.__init__": "builds a trace from StepResults (tests, library callers); loads and backends parse",
+    "ensemble.ExpertOutput.confidences": TRACE_READ_API,
+    "ensemble.ExpertOutput.steps": TRACE_READ_API,
     "ensemble.HttpBackend.__init__": LIVE,
     "ensemble.HttpBackend.sample": LIVE,
+    "ensemble._StepsView.__contains__": TRACE_READ_API,
+    "ensemble._StepsView.__getitem__": TRACE_READ_API,
+    "ensemble._StepsView.__init__": TRACE_READ_API,
+    "ensemble._StepsView.__iter__": TRACE_READ_API,
+    "ensemble._StepsView.__len__": TRACE_READ_API,
     "facts.ConsistencyReport.__post_init__": FACTS_WRITE_TIER,
     "facts.FactStore._add_base": FACTS_WRITE_TIER,
     "facts.FactStore.add_assumption": FACTS_WRITE_TIER,
@@ -66,6 +75,7 @@ UNREACHED = {
     "facts.FactStore.verify_promotion_soundness": FACTS_WRITE_TIER,
     "facts._render_summary": FACTS_WRITE_TIER,
     "facts.default_summarizer": FACTS_WRITE_TIER,
+    "plandag.StepResult.__post_init__": "validates a StepResult built by hand or by the read API; runs read the columns",
     "verifiers.VerifyOperator.examine": PROTOCOL,
 }
 
