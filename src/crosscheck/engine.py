@@ -178,8 +178,7 @@ def statements(retained: Sequence[GatedTrace]) -> StatementTable:
     """
     steps: dict[str, StepClasses] = {}
     for i, gt in enumerate(retained):
-        # Every asserted step is kept unless the gate excised some.
-        kept = gt.trace.step_ids if gt.source is not None else None
+        kept = gt.trace.step_ids
         expert_id = gt.trace.expert_id
         for step, value, confidence in gt.asserted.rows():
             sc = steps.get(step)
@@ -194,7 +193,7 @@ def statements(retained: Sequence[GatedTrace]) -> StatementTable:
                 if _exact_key(value) is not None:
                     sc.ids[id(value)] = c
             sc.holders[c].append(i)
-            if kept is None or step in kept:
+            if step in kept:
                 supporters = sc.supporters[c]
                 if supporters is None:
                     supporters = sc.supporters[c] = set()

@@ -72,14 +72,16 @@ class ExpertConfig:
 _NO_PROVENANCE_STEPS: Mapping[str, tuple[str, ...]] = MappingProxyType({})
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class ExpertOutput:
     """One expert trace: intermediates, confidences, response.
 
     The trace is held as columns, not as one object per statement.
     ``_positions`` maps each step id, in trace order, to its column in
     ``_values`` and ``_confidences`` (an ``array('d')``); ``_provenance``
-    maps only the steps that cite tool records to their ids. A loaded
+    maps only the steps that cite tool records to their ids. Columns
+    ascend in trace order: a built or parsed trace numbers its steps from 0
+    in order, and a fragment keeps a subsequence of them. A loaded
     scenario shares one ``_positions`` dict among all its traces with the
     same step set.
 
@@ -87,8 +89,13 @@ class ExpertOutput:
     with :func:`parse_expert_output`; both fill the columns through
     ``_fill``. A scenario's outputs are shared by every run of it, so
     nothing may mutate one: the columns are private and nothing here
-    writes to them, ``steps`` and ``confidences`` are read-only views, and
-    ``restricted_to`` builds a new output that shares its source's columns.
+    writes to them, ``steps`` and ``confidences`` are read-only mappings
+    built on each read, and ``restricted_to`` builds a new output that
+    shares its source's columns.
+
+    Two outputs are equal when their expert ids, responses and ``steps``
+    are: equality reads the steps, not the columns, so a fragment equals
+    the same steps built afresh and step order does not count.
     """
 
     expert_id: str
@@ -104,6 +111,11 @@ class ExpertOutput:
                    array("d", [r.confidence for r in results]),
                    {step: r.provenance for step, r in steps.items() if r.provenance}, response)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExpertOutput):
+            return NotImplemented
+        return self.expert_id == other.expert_id and self.response == other.response and self.steps == other.steps
+
     def _fill(self, expert_id: str, positions: Mapping[str, int], values: tuple[Value, ...], confidences: array,
               provenance: Mapping[str, tuple[str, ...]], response: Value) -> None:
         """Set every field; the one place that fills an output's columns."""
@@ -117,8 +129,9 @@ class ExpertOutput:
 
     @property
     def steps(self) -> Mapping[str, StepResult]:
-        """Each step's :class:`StepResult`, in trace order; a read-only view that builds them as they are read."""
-        return _StepsView(self)
+        """Each step's :class:`StepResult`, in trace order, built from the columns; read-only."""
+        return MappingProxyType({step: StepResult(value, confidence, self.provenance(step))
+                                 for step, value, confidence in self.rows()})
 
     @property
     def confidences(self) -> Mapping[str, float]:
@@ -132,7 +145,8 @@ class ExpertOutput:
     def rows(self) -> Iterator[tuple[str, Value, float]]:
         """``(step, value, confidence)`` of each step, in trace order."""
         if len(self._positions) == len(self._values):
-            # Every column, in column order: positions ascend in trace order.
+            # Columns ascend in trace order (see the class), so a trace that
+            # holds every column holds them in order and zips them as they are.
             return zip(self._positions, self._values, self._confidences)
         values, confidences = self._values, self._confidences
         return ((step, values[col], confidences[col]) for step, col in self._positions.items())
@@ -151,29 +165,6 @@ class ExpertOutput:
         fragment._fill(self.expert_id, {s: col for s, col in self._positions.items() if s in keep}, self._values,
                        self._confidences, self._provenance, self.response)
         return fragment
-
-
-class _StepsView(Mapping[str, StepResult]):
-    """:attr:`ExpertOutput.steps`: builds a step's StepResult from the columns on each read."""
-
-    __slots__ = ("_output",)
-
-    def __init__(self, output: ExpertOutput) -> None:
-        self._output = output
-
-    def __getitem__(self, step: str) -> StepResult:
-        output = self._output
-        col = output._positions[step]
-        return StepResult(output._values[col], output._confidences[col], output._provenance.get(step, ()))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._output._positions)
-
-    def __len__(self) -> int:
-        return len(self._output._positions)
-
-    def __contains__(self, step: object) -> bool:
-        return step in self._output._positions
 
 
 class ExpertBackend(Protocol):

@@ -20,8 +20,8 @@ from .values import Value
 class StepResult:
     """One step's outcome inside a single expert trace.
 
-    A trace holds its steps as columns; ``ExpertOutput.steps`` builds one
-    of these for a step as it is read, and a trace built by hand takes them.
+    A trace holds its steps as columns; ``ExpertOutput.steps`` builds these
+    when it is read, and a trace built by hand takes them.
     """
 
     value: Value

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from crosscheck.corpus import GeneratorParams, random_scenario
 from crosscheck.ensemble import ExpertOutput, parse_expert_output
 from crosscheck.errors import SchemaError
+from crosscheck.plandag import StepResult
 from crosscheck.scenario import scenario_from_dict, scenario_to_dict
 from crosscheck.values import format_literal
 from oracles import reference_parse
@@ -109,6 +110,7 @@ def _assert_matches_reference(output: ExpertOutput, raw: dict, interned: dict[st
         fragment = output.restricted_to(keep)
         kept = {s: r for s, r in expected.items() if s in keep}
         assert dict(fragment.steps) == kept and list(fragment.step_ids) == list(kept)
+        assert fragment == ExpertOutput(output.expert_id, kept, output.response)
         assert list(fragment.rows()) == [(s, r.value, r.confidence) for s, r in kept.items()]
         assert [fragment.provenance(s) for s in steps] == [kept[s].provenance if s in kept else () for s in steps]
         # A fragment of a fragment keeps what the same comprehension over the first fragment keeps.
@@ -147,6 +149,7 @@ def test_hand_built_traces_match_the_reference_parse(raws):
         # The same trace built from StepResults reads back the same.
         rebuilt = ExpertOutput("e01", expected[0], expected[1])
         assert dict(rebuilt.steps) == dict(output.steps) and list(rebuilt.rows()) == list(output.rows())
+        assert rebuilt == output
         _assert_read_only(rebuilt)
 
 
@@ -155,6 +158,10 @@ def test_a_hand_built_output_keeps_its_step_order():
     reordered = ExpertOutput("e01", {"b": output.steps["b"], "a": output.steps["a"]}, output.response)
     assert list(output.step_ids) == ["a", "b"] and list(reordered.step_ids) == ["b", "a"]
     assert [s for s, _, _ in reordered.rows()] == ["b", "a"]
+    # Equality reads the steps, so step order does not count; the expert, a value or a confidence does.
+    assert reordered == output
+    changed = {"b": output.steps["b"], "a": StepResult(output.value_at("a"), 0.25)}
+    assert ExpertOutput("e02", output.steps, output.response) != output != ExpertOutput("e01", changed, output.response)
 
 
 def test_traces_with_one_step_set_share_their_step_order():

@@ -51,16 +51,12 @@ UNREACHED = {
     "auditlog._payload_encoder": "import time: picks the one payload encoder as the module loads",
     "baselines.AblationConfig.__post_init__": "import time: checks DEFAULT_ABLATION_ROWS as the module loads",
     "ensemble.ExpertBackend.sample": PROTOCOL,
+    "ensemble.ExpertOutput.__eq__": "compares traces by content (tests, library callers); no run compares traces",
     "ensemble.ExpertOutput.__init__": "builds a trace from StepResults (tests, library callers); loads and backends parse",
     "ensemble.ExpertOutput.confidences": TRACE_READ_API,
     "ensemble.ExpertOutput.steps": TRACE_READ_API,
     "ensemble.HttpBackend.__init__": LIVE,
     "ensemble.HttpBackend.sample": LIVE,
-    "ensemble._StepsView.__contains__": TRACE_READ_API,
-    "ensemble._StepsView.__getitem__": TRACE_READ_API,
-    "ensemble._StepsView.__init__": TRACE_READ_API,
-    "ensemble._StepsView.__iter__": TRACE_READ_API,
-    "ensemble._StepsView.__len__": TRACE_READ_API,
     "facts.ConsistencyReport.__post_init__": FACTS_WRITE_TIER,
     "facts.FactStore._add_base": FACTS_WRITE_TIER,
     "facts.FactStore.add_assumption": FACTS_WRITE_TIER,
