@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-from .engine import EngineConfig, run_pipeline, sum_in_order
+from .engine import EngineConfig, run_pipeline
 from .ensemble import ExpertOutput
 from .errors import AllExpertsFailedError, InvalidConfigError
 from .scenario import Oracle, Scenario, scenario_expert_outputs
@@ -52,12 +52,7 @@ def simple_verification(outputs: Sequence[ExpertOutput]) -> Value:
     """
     if not outputs:
         raise InvalidConfigError("simple_verification needs at least one expert output")
-
-    def mean_confidence(output: ExpertOutput) -> float:
-        confs = [confidence for _, _, confidence in output.rows()]
-        return sum_in_order(confs) / len(confs) if confs else 0.0
-
-    return max(sorted(outputs, key=lambda o: o.expert_id), key=mean_confidence).response
+    return max(sorted(outputs, key=lambda o: o.expert_id), key=ExpertOutput.mean_confidence).response
 
 
 def pass_at_n(responses: Sequence[Value], oracle: Oracle) -> bool:

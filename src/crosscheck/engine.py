@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import reduce
+from operator import add
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
 
 from .auditlog import AuditLog
 from .ensemble import CollectResult, ExpertOutput, collect
@@ -112,10 +114,7 @@ def sum_in_order(xs: Iterable[float]) -> float:
     last digit of a logged score; this sum writes the same bytes on every
     supported interpreter.
     """
-    total = 0
-    for x in xs:
-        total += x
-    return total
+    return reduce(add, xs, 0)
 
 
 class StepClasses:
@@ -124,19 +123,19 @@ class StepClasses:
     Per class id: ``reps`` holds the value object that every member
     asserted; ``holders`` the positions, in the table's ``retained``,
     of the traces that asserted it; ``supporters`` its retained experts,
-    or None when it has none. ``confidences`` holds the retained
-    statements' confidences in trace order. ``groups`` holds the value
-    groups over the retained classes, each as its representative and its
-    sorted distinct supporters.
+    or None when it has none. ``kept`` counts the step's retained
+    statements. ``groups`` holds the value groups over the retained
+    classes, each as its representative and its sorted distinct
+    supporters.
     """
 
-    __slots__ = ("reps", "holders", "supporters", "confidences", "groups", "ids", "order")
+    __slots__ = ("reps", "holders", "supporters", "kept", "groups", "ids", "order")
 
     def __init__(self) -> None:
         self.reps: list[Value] = []
         self.holders: list[list[int]] = []
         self.supporters: list[set[str] | None] = []
-        self.confidences: list[float] = []
+        self.kept = 0
         self.groups: list[tuple[Value, tuple[str, ...]]] = []
         self.ids: dict[int, int] = {}  # id() of a value with an exact key -> class id
         self.order: list[int] = []  # retained class ids in order of first retained occurrence
@@ -154,7 +153,11 @@ class StatementTable:
     steps: dict[str, StepClasses]
 
     def __len__(self) -> int:
-        return sum(len(sc.confidences) for sc in self.steps.values())
+        return sum(sc.kept for sc in self.steps.values())
+
+    def confidences(self, step: str) -> list[float]:
+        """The confidences of the retained statements at ``step``, in trace order."""
+        return [gt.trace.confidence_at(step) for gt in self.retained if step in gt.trace.step_ids]
 
 
 def statements(retained: Sequence[GatedTrace]) -> StatementTable:
@@ -180,7 +183,7 @@ def statements(retained: Sequence[GatedTrace]) -> StatementTable:
     for i, gt in enumerate(retained):
         kept = gt.trace.step_ids
         expert_id = gt.trace.expert_id
-        for step, value, confidence in gt.asserted.rows():
+        for step, value in gt.asserted.step_values():
             sc = steps.get(step)
             if sc is None:
                 sc = steps[step] = StepClasses()
@@ -199,7 +202,7 @@ def statements(retained: Sequence[GatedTrace]) -> StatementTable:
                     supporters = sc.supporters[c] = set()
                     sc.order.append(c)
                 supporters.add(expert_id)
-                sc.confidences.append(confidence)
+                sc.kept += 1
     for sc in steps.values():
         if sc.order:
             # Most groups hold one class, whose supporters need no union.
@@ -254,15 +257,15 @@ def anchor(table: StatementTable, theta: int) -> tuple[AnchorSet, list[str]]:
     anchors = AnchorSet()
     collisions: list[str] = []
     for step, sc in table.steps.items():
-        eligible = [Anchor(step, value, supporters) for value, supporters in sc.groups if len(supporters) >= theta]
+        eligible = [group for group in sc.groups if len(group[1]) >= theta]
         if not eligible:
             continue
         if len(eligible) > 1:
-            eligible.sort(key=lambda a: (-len(a.supporters), format_literal(a.value)))
-            if len(eligible[0].supporters) == len(eligible[1].supporters):
+            eligible.sort(key=lambda g: (-len(g[1]), format_literal(g[0])))
+            if len(eligible[0][1]) == len(eligible[1][1]):
                 collisions.append(step)
                 continue
-        anchors.add(eligible[0])
+        anchors.add(Anchor(step, *eligible[0]))
     return anchors, collisions
 
 
@@ -350,8 +353,7 @@ def rank_conflicts(conflict_set: ConflictSet, dag: PlanDag, table: StatementTabl
     """
     spreads: dict[str, float] = {}
     for step in conflict_set.steps():
-        sc = table.steps.get(step)
-        confs = sc.confidences if sc is not None else ()
+        confs = table.confidences(step)
         spreads[step] = (max(confs) - min(confs)) if confs else 0.0
 
     def impact(step: str) -> float:
@@ -531,8 +533,10 @@ def synthesize(
 
     The candidates are ``table.retained``. Each value class at a step with
     an anchor or a resolution is compared with them once, and its answer
-    is credited to every candidate that asserted it, so the work follows
-    the classes that disagree rather than the statements.
+    is added to the tallies of every candidate that asserted it, so the
+    work follows the classes that disagree rather than the statements.
+    Only a statement that leans on a refuted value is also kept as a mark,
+    since only those steps can drop out in the fallback.
     """
     retained = table.retained
     if not retained:
@@ -549,10 +553,14 @@ def synthesize(
         targets.setdefault(step, (None, [], []))[1].append(value)
     for step, value in refuted:
         targets.setdefault(step, (None, [], []))[2].append(value)
-    # Per candidate, each asserted statement that contradicts an anchor,
-    # asserts a supported value or leans on refuted values:
-    # (step, contradicts, supported hits, refuted hits).
-    marks: list[list[tuple[str, bool, int, int]]] = [[] for _ in retained]
+    # Per candidate, over its asserted statements: the anchors contradicted,
+    # the supported values asserted and the refuted values leaned on, and a
+    # mark (step, contradicts, supported hits, refuted hits) per statement
+    # that leans on a refuted value.
+    contradicted = [0] * len(retained)
+    agreed = [0] * len(retained)
+    leaned = [0] * len(retained)
+    marks: dict[int, list[tuple[str, bool, int, int]]] = {}
     for step, (anchor_value, agree_with, refuted_at) in targets.items():
         sc = table.steps.get(step)
         if sc is None:
@@ -561,32 +569,44 @@ def synthesize(
             contra = anchor_value is not None and not values_equal(rep, anchor_value)
             agree = sum(values_equal(rep, v) for v in agree_with) if agree_with else 0
             lean = sum(values_equal(rep, v) for v in refuted_at) if refuted_at else 0
-            if contra or agree or lean:
+            if contra:
                 for i in holders:
-                    marks[i].append((step, contra, agree, lean))
+                    contradicted[i] += 1
+            if agree:
+                for i in holders:
+                    agreed[i] += agree
+            if lean:
+                mark = (step, contra, agree, lean)
+                for i in holders:
+                    leaned[i] += lean
+                    marks.setdefault(i, []).append(mark)
 
     order = sorted(range(len(retained)), key=lambda i: (retained[i].expert_id, retained[i].trace_index))
-    fallback = bool(refuted) and all(any(m[3] for m in marks[i]) for i in order)
+    fallback = bool(refuted) and all(leaned[i] for i in order)
     if fallback and log is not None:
         log.append("synthesize", "fallback", {"reason": "every candidate asserts a refuted statement"})
     w_a, w_c, w_g = weights
-    best: tuple[GatedTrace, SynthesisScore] | None = None
+    best: tuple[int, float, float, float, float] | None = None
     for i in order:
         gt = retained[i]
-        # The fallback re-scores each candidate without the statements that lean on a refuted value.
-        dropped = {m[0] for m in marks[i] if m[3]} if fallback else set()
-        counted = [m for m in marks[i] if m[0] not in dropped]
-        anchor_support = (n_anchors - sum(m[1] for m in counted)) / n_anchors if n_anchors else 1.0
+        n_contra, n_agree, n_lean = contradicted[i], agreed[i], leaned[i]
+        dropped: AbstractSet[str] = frozenset()
+        if fallback:
+            # The fallback re-scores each candidate without the statements that lean on a refuted value.
+            dropped = {step for step, _, _, _ in marks[i]}
+            for _, contra, agree, lean in marks[i]:
+                n_contra -= contra
+                n_agree -= agree
+                n_lean -= lean
+        anchor_support = (n_anchors - n_contra) / n_anchors if n_anchors else 1.0
         if not supported and not refuted:
             conflict_agreement = 0.5
         else:
-            agree_frac = sum(m[2] for m in counted) / len(supported) if supported else 0.0
-            refute_frac = sum(m[3] for m in counted) / len(refuted) if refuted else 0.0
+            agree_frac = n_agree / len(supported) if supported else 0.0
+            refute_frac = n_lean / len(refuted) if refuted else 0.0
             conflict_agreement = min(1.0, max(0.0, (agree_frac - refute_frac + 1.0) / 2.0))
-        confidences = [c for s, _, c in gt.trace.rows() if s not in dropped]
-        mean_confidence = sum_in_order(confidences) / len(confidences) if confidences else 0.0
+        mean_confidence = gt.trace.mean_confidence(dropped)
         total = w_a * anchor_support + w_c * conflict_agreement + w_g * mean_confidence
-        score = SynthesisScore(anchor_support, conflict_agreement, mean_confidence, total)
         if log is not None:
             log.append(
                 "synthesize",
@@ -594,17 +614,17 @@ def synthesize(
                 {
                     "expert": gt.expert_id,
                     "trace": gt.trace_index,
-                    "anchor_support": score.anchor_support,
-                    "conflict_agreement": score.conflict_agreement,
-                    "mean_confidence": score.mean_confidence,
-                    "total": score.total,
+                    "anchor_support": anchor_support,
+                    "conflict_agreement": conflict_agreement,
+                    "mean_confidence": mean_confidence,
+                    "total": total,
                 },
                 (gt.expert_id,),
             )
-        if best is None or score.total > best[1].total:
-            best = (gt, score)
+        if best is None or total > best[4]:
+            best = (i, anchor_support, conflict_agreement, mean_confidence, total)
     assert best is not None
-    return best[0], best[1], fallback
+    return retained[best[0]], SynthesisScore(*best[1:]), fallback
 
 
 def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> RunResult:

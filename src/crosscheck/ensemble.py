@@ -31,6 +31,8 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from types import MappingProxyType
 from typing import AbstractSet, Any, Iterator, KeysView, Mapping, Protocol, Sequence
 
@@ -151,9 +153,32 @@ class ExpertOutput:
         values, confidences = self._values, self._confidences
         return ((step, values[col], confidences[col]) for step, col in self._positions.items())
 
+    def step_values(self) -> Iterator[tuple[str, Value]]:
+        """``(step, value)`` of each step, in trace order; ``rows()`` without the confidences."""
+        if len(self._positions) == len(self._values):
+            return zip(self._positions, self._values)
+        values = self._values
+        return ((step, values[col]) for step, col in self._positions.items())
+
     def value_at(self, step: str) -> Value:
         """The value asserted at ``step``; KeyError where the trace lacks it."""
         return self._values[self._positions[step]]
+
+    def confidence_at(self, step: str) -> float:
+        """The confidence at ``step``; KeyError where the trace lacks it."""
+        return self._confidences[self._positions[step]]
+
+    def mean_confidence(self, skip: AbstractSet[str] = frozenset()) -> float:
+        """The mean confidence of the trace's steps outside ``skip``; 0.0 where none is left.
+
+        The confidences are added left to right in trace order from ``0``,
+        as ``engine.sum_in_order`` adds, so a logged mean has the same last
+        digit on every supported interpreter.
+        """
+        confidences = self._confidences
+        if skip or len(self._positions) != len(self._values):
+            confidences = [confidence for step, _, confidence in self.rows() if step not in skip]
+        return reduce(add, confidences, 0) / len(confidences) if confidences else 0.0
 
     def provenance(self, step: str) -> tuple[str, ...]:
         """The tool record ids behind ``step``; empty where the trace cites none or lacks the step."""

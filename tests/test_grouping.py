@@ -278,7 +278,7 @@ def _assert_table_matches_oracles(traces, theta, verdicts=()):
     assert len(table) == len(pool)
     assert list(table.steps) == sorted({s for gt in traces for s in gt.asserted.steps})
     for step, sc in table.steps.items():
-        assert sc.confidences == [s.confidence for s in pool if s.step == step]
+        assert table.confidences(step) == [s.confidence for s in pool if s.step == step]
 
     ref_anchors, ref_collisions = _reference_anchor(pool, theta)
     anchors, collisions = anchor(table, theta)
