@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from types import MappingProxyType
-from typing import AbstractSet, Any, Iterator, KeysView, Mapping, Protocol, Sequence
+from typing import AbstractSet, Any, Callable, Iterator, KeysView, Mapping, Protocol, Sequence
 
 from .errors import AllExpertsFailedError, BackendError, InvalidPlanError, ParseError, SchemaError
 from .plandag import StepResult
-from .values import Value, format_literal, value_from_json
+from .values import Value, format_literal, shared_text, value_from_json
 
 CONSERVATIVE = "conservative"
 RADICAL = "radical"
@@ -51,8 +51,16 @@ ENDPOINT_ENV = "CROSSCHECK_BACKEND_URL"
 TOKEN_ENV = "CROSSCHECK_BACKEND_TOKEN"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpertConfig:
+    """One expert's sampling regime; a checked id and role, held as shared strings.
+
+    Once checked, the role is the module's constant for it and an id that
+    is exactly a ``str`` is the interpreter's one object for its text, so a
+    scenario of thousands of experts holds two role words and one string per
+    distinct id.
+    """
+
     expert_id: str
     role: str
     temperature: float
@@ -68,6 +76,8 @@ class ExpertConfig:
             raise InvalidPlanError(f"temperature must be a finite number >= 0, got {t!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise InvalidPlanError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "expert_id", shared_text(self.expert_id))
+        object.__setattr__(self, "role", CONSERVATIVE if self.role == CONSERVATIVE else RADICAL)
 
 
 # The provenance of a trace whose steps cite no tool records.
@@ -175,9 +185,9 @@ class ExpertOutput:
         as ``engine.sum_in_order`` adds, so a logged mean has the same last
         digit on every supported interpreter.
         """
-        confidences = self._confidences
+        column = confidences = self._confidences
         if skip or len(self._positions) != len(self._values):
-            confidences = [confidence for step, _, confidence in self.rows() if step not in skip]
+            confidences = [column[col] for step, col in self._positions.items() if step not in skip]
         return reduce(add, confidences, 0) / len(confidences) if confidences else 0.0
 
     def provenance(self, step: str) -> tuple[str, ...]:
@@ -229,6 +239,27 @@ def _raw_key(obj: object) -> tuple | None:
     return None
 
 
+def interned_decoder(interned: dict[object, Any]) -> Callable[[object], Value]:
+    """``value_from_json`` through a load's intern table (see :func:`parse_expert_output`).
+
+    The decoded value is the table's object for its printed literal, and a
+    raw form with a key (``_raw_key``) is decoded only when first seen.
+    """
+    def decode(obj: object) -> Value:
+        key = _raw_key(obj)
+        if key is not None:
+            value = interned.get(key)
+            if value is not None:
+                return value
+        value = value_from_json(obj)
+        value = interned.setdefault(format_literal(value), value)
+        if key is not None:
+            interned[key] = value
+        return value
+
+    return decode
+
+
 # The default of an absent provenance; a JSON document never holds this object.
 _NO_PROVENANCE = object()
 
@@ -250,23 +281,12 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Any] |
     seen again is neither decoded nor printed; a form that fails to decode
     is never entered. And it maps each sorted tuple of step ids to the
     step-to-column dict of the traces with that step set, so they share
-    one. None of these keys can equal another: a literal is a string, a
-    raw form's key holds a type, and a step tuple holds only strings.
+    one; its step ids are shared strings (``values.shared_text``), as the
+    loader's other step ids are. None of these keys can equal another: a
+    literal is a string, a raw form's key holds a type, and a step tuple
+    holds only strings.
     """
-    if interned is None:
-        decode = value_from_json
-    else:
-        def decode(obj: object) -> Value:
-            key = _raw_key(obj)
-            if key is not None:
-                value = interned.get(key)
-                if value is not None:
-                    return value
-            value = value_from_json(obj)
-            value = interned.setdefault(format_literal(value), value)
-            if key is not None:
-                interned[key] = value
-            return value
+    decode = value_from_json if interned is None else interned_decoder(interned)
     if not isinstance(raw, dict):
         raise SchemaError(f"trace payload must be an object, got {type(raw).__name__}")
     steps_raw = raw.get("steps", {})
@@ -309,7 +329,7 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Any] |
         raise SchemaError("trace 'analysis' must be a string")
     positions = interned.get(order) if interned is not None else None
     if positions is None:
-        positions = {step: col for col, step in enumerate(order)}
+        positions = {shared_text(step): col for col, step in enumerate(order)}
         if interned is not None:
             interned[order] = positions
     output = object.__new__(ExpertOutput)

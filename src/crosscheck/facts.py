@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BrokenChainError, DuplicateIdError, ParseError, SchemaError, UnknownIdError
-from .values import Value, format_literal, value_from_json, value_to_json, values_comparable, values_equal
+from .values import Value, format_literal, shared_text, value_from_json, value_to_json, values_comparable, values_equal
 
 GIVEN = "given"
 RETRIEVED = "retrieved"
@@ -433,8 +433,10 @@ def decode_record(obj: dict) -> ToolRecord | Note | Fact:
             version = obj.get("version", 1)
             if type(version) is not int or version < 1:
                 raise TypeError(f"must be an int >= 1, got {version!r}")
-            return Fact(id=_string_field(obj, "id"), category=category, key=_string_field(obj, "key"),
-                        value=value, status=status, version=version, derived_from=derived)
+            # Many records, few categories, statuses and keys: hold the constants and one string per key.
+            return Fact(id=_string_field(obj, "id"), category=CATEGORIES[CATEGORIES.index(category)],
+                        key=shared_text(_string_field(obj, "key")), value=value,
+                        status=STATUSES[STATUSES.index(status)], version=version, derived_from=derived)
     except KeyError as exc:
         raise SchemaError(f"{kind} record missing field {exc}") from exc
     except (TypeError, ValueError, ParseError) as exc:

@@ -34,9 +34,15 @@ class StepResult:
 
 
 class PlanDag:
-    """An immutable DAG over step ids."""
+    """An immutable DAG over step ids.
 
-    __slots__ = ("steps", "edges", "_succ")
+    The edges are held once, as each step's sorted successors; ``edges``
+    is built from them on each read. A loaded scenario's step ids are
+    shared strings (``values.shared_text``), so its DAG holds one object
+    per step id wherever the id appears.
+    """
+
+    __slots__ = ("steps", "_succ")
 
     def __init__(self, steps: Iterable[str], edges: Iterable[tuple[str, str]]) -> None:
         step_list = list(steps)
@@ -44,21 +50,19 @@ class PlanDag:
         if len(step_set) != len(step_list):
             dupes = sorted({s for s in step_list if step_list.count(s) > 1})
             raise ValueError(f"duplicate step ids: {dupes}")
-        edge_set = set()
+        succ: dict[str, set[str]] = {s: set() for s in step_set}
         for src, dst in edges:
             if src not in step_set:
                 raise UnknownStepError(f"edge references unknown step {src!r}")
             if dst not in step_set:
                 raise UnknownStepError(f"edge references unknown step {dst!r}")
-            edge_set.add((src, dst))
+            succ[src].add(dst)
         self.steps: tuple[str, ...] = tuple(sorted(step_set))
-        self.edges: tuple[tuple[str, str], ...] = tuple(sorted(edge_set))
-        succ: dict[str, list[str]] = {s: [] for s in self.steps}
+        self._succ = {s: tuple(sorted(succ[s])) for s in self.steps}
         indegree = {s: 0 for s in self.steps}
-        for src, dst in self.edges:
-            succ[src].append(dst)
-            indegree[dst] += 1
-        self._succ = {s: tuple(sorted(targets)) for s, targets in succ.items()}
+        for targets in self._succ.values():
+            for dst in targets:
+                indegree[dst] += 1
         # Peel off steps with no remaining dependency; what is left lies on or below a cycle.
         ready = [s for s, d in indegree.items() if d == 0]
         while ready:
@@ -69,6 +73,11 @@ class PlanDag:
         stuck = sorted(s for s, d in indegree.items() if d > 0)
         if stuck:
             raise CycleError(f"graph has a directed cycle through {stuck}")
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Every edge ``(src, dst)`` once, sorted, built from the successor lists."""
+        return tuple((src, dst) for src in self.steps for dst in self._succ[src])
 
     def dependents_closure(self, step: str) -> frozenset[str]:
         """All steps reachable from ``step`` along edges, excluding ``step`` itself."""

@@ -21,6 +21,21 @@ written are kept, as ``marshal`` blobs, only to save the scenario again,
 byte for byte: ``load(save(load(path)))`` is structurally identical to
 ``load(path)``.
 
+A load holds each repeated thing once. Every id it keeps, once the id
+has passed its check, is passed through ``sys.intern``
+(``values.shared_text``): DAG steps and edges, trace step keys, oracle
+truth keys, verdict steps, facts keys, constraint step patterns and
+expert ids. So equal ids are one object within a scenario and across
+scenarios. An id that is not exactly a ``str`` is kept as it is and
+loads or fails as it would unshared. Closed-vocabulary words (expert
+role, constraint scope, fact category and status, verdict) are the
+module constants. The oracle's values and the tool outcomes decode
+through the load's intern table, and a verdict-table key whose text
+after ``|`` is a literal that table holds takes its value from it; only
+other keys are parsed (``parse_statement_key``), so a non-canonical
+spelling such as ``num:1.00`` still reads as it always did. The DAG
+keeps its edges once, and the per-expert records are slotted.
+
 Loading is cheap for its size in two ways. :func:`load_scenario` pauses
 the cyclic garbage collector while it decodes one file, and restores the
 state it found, whether the load succeeds or raises. Everything it builds
@@ -39,21 +54,20 @@ from __future__ import annotations
 import gc
 import json
 import marshal
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .ensemble import CONSERVATIVE, ExpertConfig, ExpertOutput, ScriptedBackend, parse_expert_output
+from .ensemble import CONSERVATIVE, ExpertConfig, ExpertOutput, ScriptedBackend, interned_decoder, parse_expert_output
 from .errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
 from .facts import Fact, FactStore, Note, ToolRecord, decode_record, params_key
 from .plandag import PlanDag, build_plan
-from .values import Value, parse_statement_key, value_from_json, value_to_json
+from .values import Value, parse_statement_key, shared_text, value_to_json
 from .verifiers import RESPONSE_KEY, VERDICTS, Constraint, OperatorRegistry, constraint_from_spec, default_registry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScriptedExpert:
     """One scripted expert: its traces parsed at load, and their saved form.
 
@@ -61,6 +75,11 @@ class ScriptedExpert:
     values, key order) matter only when the scenario is saved again, so
     they are kept as one ``marshal`` blob, far smaller than the dicts it
     encodes; it never leaves memory.
+
+    A file can hold thousands of experts, so the record is slotted, and
+    what it holds is shared: its config's id and role are the load's
+    shared strings, and its outputs' values and step orders are the load's
+    one object per printed value and per step set.
     """
 
     config: ExpertConfig
@@ -143,6 +162,24 @@ def _expect(value: object, kind: type):
     return value
 
 
+def _statement(key: str, interned: Mapping[object, object]) -> tuple[str, Value]:
+    """``parse_statement_key(key)``, taking the value from the load's intern table where it holds the literal.
+
+    The table maps each literal that a value decoded at this load prints
+    to (``format_literal``) to that value, which is the value the literal
+    parses to. Any other literal, a non-canonical spelling such as
+    ``num:1.00`` or a malformed one alike, and any key that is not
+    exactly a ``str``, is parsed, so it loads or fails as it would
+    without the table.
+    """
+    if type(key) is str:
+        step, _, literal = key.partition("|")
+        value = interned.get(literal)
+        if step and value is not None:
+            return step, value  # type: ignore[return-value]
+    return parse_statement_key(key)
+
+
 def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
     """Build and fully validate a scenario; every dangling reference is named.
 
@@ -162,18 +199,19 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         saved_name = _expect(obj.get("name", ""), str)
         at = ("dag", None)
         dag_obj = _expect(obj["dag"], dict)
-        steps = _expect(dag_obj.get("steps", []), list)
-        for step in steps:
+        steps = []
+        for step in _expect(dag_obj.get("steps", []), list):
             if not isinstance(step, str) or "|" in step:
                 raise ValidationError(f"step ids must be strings without '|', got {step!r}")
             if step == RESPONSE_KEY:  # its facts would also gate every final answer
                 raise ValidationError(f"step id {step!r} is reserved for the response's facts")
+            steps.append(shared_text(step))
         at = ("dag.edges", None)
         edges = []
         for edge in _expect(dag_obj.get("edges", []), list):
             if not isinstance(edge, list) or len(edge) != 2 or not all(isinstance(step, str) for step in edge):
                 raise ValidationError(f"an edge must be a list of two step ids, got {edge!r}")
-            edges.append(tuple(edge))
+            edges.append((shared_text(edge[0]), shared_text(edge[1])))
         at = ("dag", None)
         dag = build_plan(steps, edges)
         known_steps = frozenset(dag.steps)
@@ -188,8 +226,9 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         at = ("experts", None)
         experts = []
         seen_ids: set[str] = set()
-        # One object per distinct printed value across every trace; the table ends with the load.
+        # One object per distinct printed value across the whole file; the table ends with the load.
         interned: dict[object, object] = {}
+        decode = interned_decoder(interned)
         for e_idx, block in enumerate(_expect(obj.get("experts", []), list)):
             at = ("experts", e_idx)
             config = ExpertConfig(
@@ -228,11 +267,11 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             at = ("verdict_table", key)
             if verdict not in VERDICTS:
                 raise ValidationError(f"unknown verdict {verdict!r}")
-            step, value = parse_statement_key(key)
+            step, value = _statement(key, interned)
             if step not in dag:
                 raise ValidationError(f"references unknown step {step!r}")
             # Many keys, few steps and verdicts: share one string per step and per verdict.
-            verdicts.append((sys.intern(step), value, VERDICTS[VERDICTS.index(verdict)]))
+            verdicts.append((shared_text(step), value, VERDICTS[VERDICTS.index(verdict)]))
 
         at = ("tool_scripts", None)
         tool_scripts = _expect(obj.get("tool_scripts", {}), dict)
@@ -246,19 +285,19 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
             canonical = params_key(tool_name, json.loads(params_json))
             if canonical in tool_outcomes:
                 raise ValidationError(f"names the invocation {canonical!r} a second time")
-            tool_outcomes[canonical] = value_from_json(outcome)
+            tool_outcomes[canonical] = decode(outcome)
 
         at = ("oracle", None)
         oracle = None
         if obj.get("oracle") is not None:
             oracle_obj = _expect(obj["oracle"], dict)
-            answer = value_from_json(oracle_obj["answer"])
+            answer = decode(oracle_obj["answer"])
             truth = {}
             for step, raw_value in sorted(_expect(oracle_obj.get("truth", {}), dict).items()):
                 at = ("oracle.truth", step)
                 if step not in dag:
                     raise ValidationError(f"references unknown step {step!r}")
-                truth[step] = value_from_json(raw_value)
+                truth[shared_text(step)] = decode(raw_value)
             oracle = Oracle(answer=answer, truth=truth)
 
         at = ("facts_seed", None)

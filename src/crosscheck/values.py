@@ -293,6 +293,18 @@ def parse_literal(s: str) -> Value:
     return value
 
 
+def shared_text(s: _T) -> _T:
+    """The interpreter's one object for the text of ``s`` when ``s`` is exactly a ``str``; else ``s`` unchanged.
+
+    A load passes each id through this once the id has passed its own
+    check, so equal ids share one object within and across loaded
+    scenarios. A ``str`` subclass or a non-string is returned as it is
+    (``sys.intern`` raises TypeError for either), so it loads or fails
+    exactly as it would without the sharing.
+    """
+    return sys.intern(s) if type(s) is str else s  # type: ignore[arg-type]
+
+
 # --- statement keys ---------------------------------------------------------
 
 def statement_key(step: str, value: Value) -> str:

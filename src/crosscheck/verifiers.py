@@ -35,6 +35,7 @@ from .values import (
     QUANTITY,
     TEXT,
     Value,
+    shared_text,
     values_comparable,
     values_equal,
 )
@@ -94,8 +95,8 @@ def constraint_from_spec(obj: dict) -> Constraint:
         raise ParseError(f"constraint scope must be step or response, got {scope!r}")
     common = dict(
         id=_spec_text(obj, "id"),
-        scope=scope,
-        step_pattern=_spec_text(obj, "step_pattern") if obj.get("step_pattern") is not None else None,
+        scope=STEP_SCOPE if scope == STEP_SCOPE else RESPONSE_SCOPE,
+        step_pattern=shared_text(_spec_text(obj, "step_pattern")) if obj.get("step_pattern") is not None else None,
     )
     if check == "range":
         lo = _spec_bound(obj, "min", float("-inf"))

@@ -2,8 +2,9 @@
 
 A fixed set of entry points runs under ``sys.setprofile``: the corpus
 writer over generated scenarios, ``crosscheck run`` on every written
-file, ``crosscheck eval`` on the directory, ``--schema-dump``, one usage
-error and ``run_ablation``. Every log the runs write is read back and
+file (and again on one whose synthesis must fall back, with the budget
+that lets it), ``crosscheck eval`` on the directory, ``--schema-dump``,
+one usage error and ``run_ablation``. Every log the runs write is read back and
 must replay clean. The census records the code objects these calls enter
 under ``src/crosscheck``.
 
@@ -54,6 +55,7 @@ UNREACHED = {
     "ensemble.ExpertOutput.__eq__": "compares traces by content (tests, library callers); no run compares traces",
     "ensemble.ExpertOutput.__init__": "builds a trace from StepResults (tests, library callers); loads and backends parse",
     "ensemble.ExpertOutput.confidences": TRACE_READ_API,
+    "ensemble.ExpertOutput.rows": TRACE_READ_API,
     "ensemble.ExpertOutput.steps": TRACE_READ_API,
     "ensemble.HttpBackend.__init__": LIVE,
     "ensemble.HttpBackend.sample": LIVE,
@@ -122,6 +124,22 @@ def _infeasible_scenario() -> dict:
     }
 
 
+def _fallback_scenario() -> dict:
+    """Both values at its one step are refuted, so synthesis falls back (run with a budget of 2)."""
+    return {
+        "name": "fallback",
+        "query": "q",
+        "dag": {"steps": ["s1"], "edges": []},
+        "experts": [
+            {"expert_id": f"e0{i}", "class": "conservative", "temperature": 0.1, "seed": i,
+             "traces": [{"steps": {"s1": {"value": i, "confidence": 0.9}}, "response": i}]}
+            for i in (1, 2)
+        ],
+        "verdict_table": {"s1|num:1": "refute", "s1|num:2": "refute"},
+        "oracle": {"answer": 1},
+    }
+
+
 def _run_entry_points(root: Path) -> None:
     """Every fixed entry point; a failing one fails the census."""
     corpus_dir = root / "corpus"
@@ -130,21 +148,27 @@ def _run_entry_points(root: Path) -> None:
     wide = random_scenario(20_007, WIDE_PARAMS)  # 36 experts by 17 steps
     paths = write_corpus([*scenarios, *adversarial, wide], corpus_dir)
     # ``_tool_variants`` starts with ``_tool_scenario``: cross-execution runs only in these.
-    extra = [*_tool_variants(), _kinds_scenario(), _infeasible_scenario()]
+    extra = [*_tool_variants(), _kinds_scenario(), _infeasible_scenario(), _fallback_scenario()]
     for i, obj in enumerate(extra):
         path = corpus_dir / f"hand{i:02d}.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         paths.append(path)
     runs = [(path, []) for path in paths]
     runs += [(corpus_dir / f"{s.name}.json", ["--theta", "3"]) for s in adversarial]
+    # The fallback needs the budget to verify both values; the auto budget verifies one.
+    runs.append((paths[-1], ["--budget", "2"]))
     codes = []
+    logs = []
     for i, (path, flags) in enumerate(runs):
         out = root / f"run{i:03d}"
         codes.append(cli.main(["run", "--scenario", str(path), "--out", str(out), *flags]))
         text = (out / "audit.log").read_text(encoding="utf-8")
         state = replay(AuditLog.from_lines(text.splitlines()))
         assert state.ok, (path.name, state.violations)
+        logs.append(text)
     assert set(codes) == {0, 2}, codes  # answers and the abstention
+    fallback = [json.loads(line) for line in logs[-1].splitlines()]
+    assert ["synthesize", "fallback"] in [[e["stage"], e["event"]] for e in fallback]
     assert cli.main(["eval", "--corpus", str(corpus_dir), "--out", str(root / "eval")]) == 0
     assert cli.main(["--schema-dump"]) == 0
     with pytest.raises(SystemExit) as usage:

@@ -27,7 +27,15 @@ from crosscheck.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from crosscheck.values import Value, format_literal, number, value_from_json, value_to_json, values_equal
+from crosscheck.values import (
+    Value,
+    format_literal,
+    number,
+    parse_statement_key,
+    value_from_json,
+    value_to_json,
+    values_equal,
+)
 from crosscheck.verifiers import VERDICTS
 from oracles import reference_line
 
@@ -139,6 +147,10 @@ def _constraint(**spec):
 TOOL_RECORD = {"kind": "tool", "tool_name": "calc", "params": {}, "outcome": 1}
 
 
+class _Str(str):
+    """A ``str`` subclass, as a library caller may pass for an id; ``sys.intern`` raises TypeError for one."""
+
+
 # Each of these once escaped the loader as a raw Python exception, or loaded
 # and then crashed inside run_pipeline.
 @pytest.mark.parametrize("obj, field", [
@@ -217,10 +229,69 @@ TOOL_RECORD = {"kind": "tool", "tool_name": "calc", "params": {}, "outcome": 1}
     # Of several unknown steps, the first in sorted order is named.
     (_expert(traces=[{"steps": {"s1": {"value": 1}, "s9": {"value": 1}, "s10": {"value": 1}}, "response": 1}]),
      r"^experts\[0\]\.traces\[0\]: references unknown step 's10'$"),
+    # Ids the load would share, were they exactly strings: each fails as it did before the sharing.
+    (_expert(traces=[{"steps": {5: {"value": 1}}, "response": 1}]),
+     r"^experts\[0\]\.traces\[0\]: references unknown step 5$"),
+    (_expert(traces=[{"steps": {_Str("s1"): {"value": 1}}, "response": 1}]),
+     r"^experts\[0\]\.traces: must hold plain JSON values only"),
+    (_expert(**{"class": 5}), r"^experts\[0\]: unknown expert role 5$"),
+    (_minimal(oracle={"answer": 1, "truth": {5: 1}}), r"^oracle\.truth\[5\]: references unknown step 5$"),
+    (_minimal(verdict_table={5: "refute"}), r"^verdict_table\[5\]: 'int' object has no attribute 'partition'$"),
+    (_minimal(verdict_table={_Str("s1|num:1"): "refute"}),
+     r"^constraints, verdict_table, tool_scripts and facts_seed: must hold plain JSON values only"),
+    (_constraint(id="c", check="kind", expect="number", step_pattern=_Str("s*")),
+     r"^constraints, verdict_table, tool_scripts and facts_seed: must hold plain JSON values only"),
+    (_minimal(facts_seed=[{"kind": "fact", "id": "f1", "category": "given", "key": _Str("s1"), "value": 1}]),
+     r"^constraints, verdict_table, tool_scripts and facts_seed: must hold plain JSON values only"),
+    # A verdict key whose literal the trace holds (num:1) is read from the load's intern table
+    # only when it is well formed: these fail as their parse does.
+    (_minimal(verdict_table={"|num:1": "refute"}),
+     r"^verdict_table\['\|num:1'\]: statement key must look like '<step>\|<literal>': '\|num:1'$"),
+    (_minimal(verdict_table={"s1|num:1 ": "refute"}), r"^verdict_table\['s1\|num:1 '\]: trailing characters"),
+    (_minimal(verdict_table={"s1|num:": "refute"}), r"^verdict_table\['s1\|num:'\]: bad literal payload"),
+    (_minimal(verdict_table={"s1": "refute"}), r"^verdict_table\['s1'\]: statement key must look like"),
+    (_minimal(verdict_table={"s1|num:1|x": "refute"}), r"^verdict_table\['s1\|num:1\|x'\]: trailing characters"),
 ])
 def test_malformed_scenario_is_validation_error(obj, field):
     with pytest.raises(ValidationError, match=field):
         scenario_from_dict(obj)
+
+
+# Each id is a str subclass, which the load keeps as it is rather than share it.
+@pytest.mark.parametrize("obj", [
+    _dag([_Str("s1")], []),
+    _dag(["s1", "s2"], [[_Str("s1"), _Str("s2")]]),
+    _expert(expert_id=_Str("e01")),
+    _expert(**{"class": _Str("radical")}),
+    _minimal(oracle={"answer": 1, "truth": {_Str("s1"): 1}}),
+], ids=["step", "edge", "expert-id", "role", "oracle-truth-key"])
+def test_an_id_the_load_cannot_share_loads_as_a_plain_one(obj):
+    scenario = scenario_from_dict(obj)
+    plain = scenario_from_dict(json.loads(json.dumps(obj)))
+    assert scenario_to_dict(scenario) == scenario_to_dict(plain)
+    assert _log_text(scenario, EngineConfig()) == _log_text(plain, EngineConfig())
+
+
+# A key whose literal is not the one a held value prints to, though it parses to an equal value.
+@pytest.mark.parametrize("value, key", [
+    (1, "s1|num:1.00"),
+    (1, "s1|num:1.0"),
+    (1, "s1|num:1e0"),
+    ("a", 's1|txt:"\\u0061"'),
+    ("a", 's1|txt:"a" '),
+], ids=["padded", "float-of-an-int", "exponent", "escaped", "trailing-space"])
+def test_a_verdict_key_the_intern_table_lacks_is_parsed(value, key):
+    obj = _expert(traces=[{"steps": {"s1": {"value": value}}, "response": value}])
+    obj["verdict_table"] = {key: "refute"}
+    try:
+        expected = parse_statement_key(key)
+    except ParseError as exc:
+        with pytest.raises(ValidationError) as rejected:
+            scenario_from_dict(obj)
+        assert str(rejected.value) == f"verdict_table[{key!r}]: {exc}"
+        return
+    ((step, entry, verdict),) = scenario_from_dict(obj).verdicts
+    assert (step, format_literal(entry), verdict) == (expected[0], format_literal(expected[1]), "refute")
 
 
 @pytest.mark.parametrize("items", ["ab", {"x": 1}, 5])
@@ -581,7 +652,8 @@ def test_runs_read_the_fields_decoded_at_load(monkeypatch):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     monkeypatch.setattr(FactStore, "load_record", spy("load_record", FactStore.load_record))
     tool_scenario = scenario_from_dict(_tool_scenario())
-    scenario_from_dict(_minimal(verdict_table={"s1|num:1": "support"}))
+    # No trace asserts num:2, so the load parses this key rather than reading the intern table.
+    scenario_from_dict(_minimal(verdict_table={"s1|num:2": "support"}))
     FactStore.from_lines(['{"kind": "tool", "id": "t1", "tool_name": "calc", "outcome": 1}'])
     assert all(calls[name] for name in ("value_from_json", "parse_statement_key", "load_record"))
 
