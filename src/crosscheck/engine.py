@@ -673,7 +673,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             (output.expert_id,),
         )
 
-    # After seeding, a run never writes to its store: the gate and the audit read its verified facts once, here.
+    # After seeding, a run never writes to its store: the gate reads its verified facts once, here.
     constraints = index_constraints(scenario.constraints, scenario.dag, facts if cfg.facts_enabled else None)
     retained: list[GatedTrace] = []
     salvageable: list[tuple[int, ExpertOutput, GateResult]] = []
@@ -754,7 +754,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     budget = AuditBudget(b_max=b_max)
     if ranked:
         log.append("audit", "plan", {"order": list(ranked), "budget": b_max})
-        registry = scenario.registry(constraints.facts, facts)
+        registry = scenario.registry(facts)
         run_audit(ranked, conflict_set, anchors, budget, registry, table, log)
 
     answer = winner_expert = score = None

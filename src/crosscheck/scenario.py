@@ -57,7 +57,7 @@ import marshal
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .ensemble import CONSERVATIVE, ExpertConfig, ExpertOutput, ScriptedBackend, interned_decoder, parse_expert_output
 from .errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
@@ -123,10 +123,10 @@ class Scenario:
             failing={e.config.expert_id for e in self.experts if e.fail},
         )
 
-    def registry(self, verified: Mapping[str, Sequence[Fact]], facts: FactStore) -> OperatorRegistry:
-        """This run's operators, over the verified facts the gate read and the run's store (for tool records)."""
+    def registry(self, facts: FactStore) -> OperatorRegistry:
+        """This run's operators, over the run's store (for tool records)."""
         # An empty table registers no scripted operator: it could only cost an invocation.
-        return default_registry(verified, facts, self.tool_runner(), self.verdicts or None)
+        return default_registry(facts, self.tool_runner(), self.verdicts or None)
 
     def tool_runner(self) -> Callable[[str, dict], Value]:
         def run_tool(tool_name: str, params: dict) -> Value:

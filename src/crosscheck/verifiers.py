@@ -8,15 +8,15 @@ DAG dependents (the preceding valid segments survive), and a trace is
 dropped outright when its final response is infeasible or too little of
 it remains.
 
-The gate is the only place that decides admissibility: every value the
-audit sees already passed it. Verify operators are the per-statement
-falsifiers used during conflict auditing. They run in registration order
-— cheap checks first — until one commits to support or refute; a full
-pass with no commitment is inconclusive. Each operator is built once per
-run with the evidence it decides from; the facts operator decides from
-the verified facts the gate read. Operators are pure with respect to
-their inputs, and every non-scripted decision must cite evidence
-(``fact:``/``tool:`` ids) so verdicts stay auditable.
+The gate is the only place that decides admissibility, and the only one
+that reads the verified facts: every value the audit sees already passed
+it. Verify operators are the per-statement falsifiers used during
+conflict auditing. They run in registration order — cheap checks first
+— until one commits to support or refute; a full pass with no commitment
+is inconclusive. Each operator is built once per run with the evidence
+it decides from. Operators are pure with respect to their inputs, and
+every non-scripted decision must cite evidence (``tool:`` ids) so
+verdicts stay auditable.
 """
 
 from __future__ import annotations
@@ -171,8 +171,9 @@ class ConstraintIndex:
     against the verified facts at its step anyway. ``response`` holds the
     response-scope constraints. ``facts`` maps each DAG step that has
     verified facts, and :data:`RESPONSE_KEY` if it has any, to those
-    facts, ids ascending; a key without verified facts is absent, and the
-    audit's facts operator decides from the same mapping. ``checked`` is
+    facts, ids ascending; a key without verified facts is absent. Only the
+    gate reads them: a value the audit sees agrees with every verified fact
+    at its step, so no verify operator asks them again. ``checked`` is
     derived from the two: the DAG steps that have a predicate or verified
     facts, the only steps where the gate can fail a statement. Build it
     with :func:`index_constraints`.
@@ -350,29 +351,6 @@ class OperatorRegistry:
         return Verdict(INCONCLUSIVE, (), invoked)
 
 
-class FactsConsistencyOperator:
-    """Decides from the verified facts at the statement's step: a conflict refutes, agreement supports.
-
-    ``verified`` maps a key to its verified facts, ids ascending, as
-    :attr:`ConstraintIndex.facts` holds them.
-    """
-
-    op_id = "facts"
-    scripted = False
-
-    def __init__(self, verified: Mapping[str, Sequence[Fact]]) -> None:
-        self._verified = verified
-
-    def examine(self, step: str, value: Value, provenance: tuple[str, ...]) -> Verdict:
-        same_key = self._verified.get(step, ())
-        if not same_key:
-            return Verdict(INCONCLUSIVE, ())
-        clashing = conflicting_fact_ids(same_key, value)
-        if clashing:
-            return Verdict(REFUTE, tuple(f"fact:{i}" for i in clashing))
-        return Verdict(SUPPORT, tuple(f"fact:{f.id}" for f in same_key))
-
-
 class CrossExecutionOperator:
     """Re-runs the statement's provenance tools and compares outcomes.
 
@@ -422,24 +400,20 @@ class ScriptedTableOperator:
 
 
 def default_registry(
-    verified: Mapping[str, Sequence[Fact]],
     facts: FactStore,
     tool_runner: Callable[[str, dict], Value],
     verdicts: Sequence[tuple[str, Value, str]] | None = None,
 ) -> OperatorRegistry:
-    """The standard operator stack, cheapest first: facts, cross-exec, then scripted.
+    """The standard operator stack, cheapest first: cross-exec, then scripted.
 
-    Each operator is built once per run with the evidence it decides from:
-    the facts operator with ``verified``, the per-key verified facts the
-    gate read (:attr:`ConstraintIndex.facts`), and cross-execution with the
-    run's store, for its tool records, and the scenario's ``tool_runner``.
-    The scripted operator is registered only when ``verdicts`` is not None.
-    No operator re-checks the step constraints, since the gate has already
-    applied them to every value the audit sees, and none consults the
-    anchors, since the audit only examines steps that no anchor settles.
+    Cross-execution is built with the run's store, for its tool records,
+    and the scenario's ``tool_runner``; the scripted operator is registered
+    only when ``verdicts`` is not None. No operator re-checks the step
+    constraints or the verified facts, since the gate has already applied
+    both to every value the audit sees, and none consults the anchors,
+    since the audit only examines steps that no anchor settles.
     """
     registry = OperatorRegistry()
-    registry.register(FactsConsistencyOperator(verified))
     registry.register(CrossExecutionOperator(facts, tool_runner))
     if verdicts is not None:
         registry.register(ScriptedTableOperator(verdicts))

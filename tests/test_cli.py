@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from crosscheck import cli
 from crosscheck.cli import _engine_config, _parse_weights, _write_bundle, build_parser, main
-from crosscheck.corpus import adversarial_corpus, write_corpus
+from crosscheck.corpus import GeneratorParams, adversarial_corpus, random_corpus, write_corpus
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.scenario import load_scenario, save_scenario, scenario_from_dict
 from crosscheck.values import NUMBER, Value
+
+from test_scenario import _tool_variants
 
 
 def _write_unanimous(path):
@@ -314,3 +320,42 @@ def test_schema_dump(capsys):
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
     assert "usage" in capsys.readouterr().out
+
+
+def _hash_seed_cases(tmp_path):
+    """(scenario file, run flags, exit code): a desk scenario with seeded facts, an adversarial one,
+    one whose audit re-runs a scripted tool, and an infeasible one."""
+    desk = next(s for s in random_corpus(1, 8, GeneratorParams(with_constraints=True, with_facts=True))[0]
+                if s.facts_seed)
+    cases = [(desk, [], 0), (adversarial_corpus(size=1, master_seed=9)[0], ["--theta", "3"], 0),
+             (scenario_from_dict(_tool_variants()[1], name="tool"), [], 0)]
+    written = []
+    for scenario, flags, code in cases:
+        path = tmp_path / f"{scenario.name}.json"
+        save_scenario(scenario, path)
+        written.append((path, flags, code))
+    return written + [(_write_infeasible(tmp_path / "infeasible.json"), [], 2)]
+
+
+def test_run_writes_the_same_bytes_under_every_hash_seed(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cases = _hash_seed_cases(tmp_path)
+    processes = {}
+    for path, flags, _ in cases:
+        for seed in ("0", "1"):
+            argv = [sys.executable, "-m", "crosscheck.cli", "run", "--scenario", str(path),
+                    "--out", str(tmp_path / f"{path.stem}-{seed}"), *flags]
+            processes[path, seed] = subprocess.Popen(argv, env={**env, "PYTHONHASHSEED": seed},
+                                                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    for path, flags, code in cases:
+        bundles = []
+        for seed in ("0", "1"):
+            _, stderr = processes[path, seed].communicate(timeout=60)
+            assert processes[path, seed].returncode == code, (path.stem, seed, stderr)
+            out = tmp_path / f"{path.stem}-{seed}"
+            bundles.append({name: (out / name).read_bytes() for name in ("audit.log", "answer.json", "facts.jsonl")})
+        assert bundles[0] == bundles[1], path.stem
+        args = build_parser().parse_args(["run", "--scenario", str(path), "--out", str(tmp_path), *flags])
+        in_process = run_pipeline(load_scenario(path), _engine_config(args))
+        assert bundles[0]["audit.log"] == in_process.audit_log.to_text().encode("utf-8"), path.stem

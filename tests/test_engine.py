@@ -26,10 +26,11 @@ from crosscheck.errors import InvalidConfigError, InvalidThetaError, NoFeasibleC
 from crosscheck.facts import FactStore
 from crosscheck.plandag import StepResult, build_plan
 from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict
-from crosscheck.values import format_literal, number, parse_statement_key, statement_key, values_equal
+from crosscheck.values import format_literal, number, parse_literal, parse_statement_key, statement_key, values_equal
 from crosscheck.verifiers import Constraint, OperatorRegistry, ScriptedTableOperator
 
 from oracles import Stmt, count_filter_anchors, flat_pool, pairwise_conflicts, synthesis_score
+from test_golden_digest import _golden_runs
 
 
 def _output(expert_id, values, response, confidence=0.8):
@@ -393,10 +394,10 @@ def test_adversarial_majority_is_overturned():
     assert result.verify_calls == 2
 
 
-def test_facts_operator_decides_at_the_tolerance_edge():
-    # Both values lie within tolerance of the verified fact, so the gate keeps
-    # both, but not of each other, so s1 is a conflict that the facts settle.
-    obj = {
+def _tolerance_edge_scenario():
+    """Both values lie within tolerance of the verified fact at s1, so the gate
+    keeps both, but not of each other, so s1 is a conflict."""
+    return scenario_from_dict({
         "query": "q",
         "dag": {"steps": ["s1"], "edges": []},
         "experts": [
@@ -406,13 +407,35 @@ def test_facts_operator_decides_at_the_tolerance_edge():
         ],
         "facts_seed": [{"kind": "fact", "id": "f1", "category": "given", "key": "s1",
                         "value": 1_000_000_001, "status": "verified"}],
-    }
-    result = run_pipeline(scenario_from_dict(obj, name="tolerance-edge"))
+    }, name="tolerance-edge")
+
+
+def test_tolerance_edge_conflict_is_left_to_synthesis():
+    # Both candidates agree with the fact, so the facts cannot tell them apart:
+    # the one verify call is inconclusive, and synthesis breaks the tie.
+    result = run_pipeline(_tolerance_edge_scenario())
     verifies = [e.payload for e in result.audit_log if e.stage == "audit" and e.event == "verify"]
     assert [(v["verdict"], v["operator"], v["evidence"], v["cost"]) for v in verifies] == [
-        ("support", "facts", ["fact:f1"], 1)
+        ("inconclusive", None, [], 1)
     ]
+    assert result.winner_expert == "e01"
     assert replay(result.audit_log).ok
+
+
+def test_every_conflict_candidate_agrees_with_the_verified_facts_at_its_step():
+    # The audit asks no facts question because the gate already answered it for every candidate.
+    runs = _golden_runs() + [(_tolerance_edge_scenario(), EngineConfig())]
+    checked = 0
+    for scenario, config in runs:
+        result = run_pipeline(scenario, config)
+        verified = result.facts.verified_by_key()
+        for entry in result.audit_log:
+            if entry.stage == "audit" and entry.event == "conflict" and entry.payload["step"] in verified:
+                same_key = verified[entry.payload["step"]]
+                for literal in entry.payload["candidates"]:
+                    assert facts.conflicting_fact_ids(same_key, parse_literal(literal)) == (), (scenario.name, literal)
+                    checked += 1
+    assert checked >= 2
 
 
 def test_fallback_rescores_over_non_refuted():

@@ -30,13 +30,13 @@ from crosscheck.values import parse_literal, values_equal
 from oracles import reference_line
 
 GOLDEN_LOGS = 550
-GOLDEN_SHA256 = "40cb116fb209c1dd63722d5f6a8225e9fe30a529d28a14c75df17262fda6ce52"
+GOLDEN_SHA256 = "c0d43075df1eb6a7c7d3f59028fc4fefca89e8b8dfbaed83948ecc2cecfff55f"
 
 # The bench's ``wide`` generator settings; seeds from 10_000 on.
 WIDE_PARAMS = GeneratorParams(max_experts=64, max_steps=64, agreement=0.5, distractors=4,
                               edge_prob=0.1, with_constraints=True)
 WIDE_LOGS = 8
-WIDE_SHA256 = "4e201d1107e11e62c4f4aa75ad7a1960c9333b88028f9ed71a0dbdca55be75d9"
+WIDE_SHA256 = "87f4d7a934b3aa6e9693820674bae7d31f83d923ea94539043eeb49a1d65767e"
 
 # Two values of each field, to be told apart by some golden scenario's log.
 SETTINGS = {

@@ -732,7 +732,7 @@ def _tool_variants():
 
 # sha256 over the audit logs of every ``_tool_variants`` scenario under each config,
 # in order. The golden corpora never reach cross-execution; these runs do.
-TOOL_LOGS_SHA256 = "12bd20461fc3492b367dd6721769834208b4706728ed33a9929efa91eb20450f"
+TOOL_LOGS_SHA256 = "ad292f7911d2f2474b4d1e4cd6f1e004d8cbcf1fdc313cf97a78c9849bd54f17"
 
 
 TOOL_CONFIGS = (EngineConfig(), EngineConfig(theta=3, budget=1), EngineConfig(facts_enabled=False))

@@ -3,16 +3,17 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crosscheck import verifiers
-from crosscheck.corpus import GeneratorParams, adversarial_scenario, random_scenario
+from crosscheck.corpus import GeneratorParams, adversarial_scenario, random_corpus, random_scenario
 from crosscheck.ensemble import ExpertOutput, parse_expert_output
 from crosscheck.errors import DuplicateIdError, UnknownStepError
-from crosscheck.facts import CONFLICT, CONSISTENT, FactStore, ToolRecord
-from crosscheck.plandag import build_plan
-from crosscheck.scenario import scenario_expert_outputs
-from crosscheck.values import number, quantity, text, values_equal
+from crosscheck.engine import EngineConfig, run_pipeline
+from crosscheck.facts import CONFLICT, FactStore, ToolRecord, conflicting_fact_ids
+from crosscheck.plandag import StepResult, build_plan
+from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict
+from crosscheck.values import number, quantity, text
 from crosscheck.verifiers import (
     INCONCLUSIVE,
     REFUTE,
@@ -20,7 +21,6 @@ from crosscheck.verifiers import (
     RESPONSE_SCOPE,
     SUPPORT,
     CrossExecutionOperator,
-    FactsConsistencyOperator,
     OperatorRegistry,
     ScriptedTableOperator,
     Verdict,
@@ -33,6 +33,7 @@ from crosscheck.verifiers import (
 
 from oracles import conjunction, reference_gate, removal_oracle
 from test_golden_digest import WIDE_PARAMS
+from test_scenario import TOOL_CONFIGS, _tool_variants
 
 CHAIN = build_plan(["s1", "s2", "s3", "s4"], [("s1", "s2"), ("s2", "s3"), ("s3", "s4")])
 
@@ -159,21 +160,21 @@ def test_verify_cross_execution_support_and_refute():
 
 def test_registry_order_is_part_of_the_contract():
     store = FactStore()
-    store.add_given("s1", number(5))
+    store.record_tool(ToolRecord("t1", "calc", {}, number(5)))
+    cross_exec = CrossExecutionOperator(store, lambda tool_name, params: number(5))
     table = ScriptedTableOperator([("s1", number(5), "refute")])
-    verified = store.verified_by_key()
-    facts_first = OperatorRegistry().register(FactsConsistencyOperator(verified)).register(table)
-    table_first = OperatorRegistry().register(table).register(FactsConsistencyOperator(verified))
-    facts_verdict = facts_first.verify(("s1", number(5)), ())
-    table_verdict = table_first.verify(("s1", number(5)), ())
-    assert (facts_verdict.value, facts_verdict.operator, facts_verdict.cost) == (SUPPORT, "facts", 1)
+    cross_first = OperatorRegistry().register(cross_exec).register(table)
+    table_first = OperatorRegistry().register(table).register(cross_exec)
+    cross_verdict = cross_first.verify(("s1", number(5)), ("t1",))
+    table_verdict = table_first.verify(("s1", number(5)), ("t1",))
+    assert (cross_verdict.value, cross_verdict.operator, cross_verdict.cost) == (SUPPORT, "cross-exec", 1)
     assert (table_verdict.value, table_verdict.operator, table_verdict.cost) == (REFUTE, "scripted", 1)
 
 
 def test_duplicate_operator_rejected():
-    registry = OperatorRegistry().register(FactsConsistencyOperator({}))
+    registry = OperatorRegistry().register(ScriptedTableOperator([]))
     with pytest.raises(DuplicateIdError):
-        registry.register(FactsConsistencyOperator({}))
+        registry.register(ScriptedTableOperator([("s1", number(5), "refute")]))
 
 
 def test_empty_registry_is_inconclusive_and_free():
@@ -217,17 +218,6 @@ def test_evidence_free_commitment_is_discarded():
     assert errors == ["overconfident"]
 
 
-def test_facts_operator_decides_from_store():
-    store = FactStore()
-    store.add_given("s1", number(42))
-    registry = OperatorRegistry().register(FactsConsistencyOperator(store.verified_by_key()))
-    support = registry.verify(("s1", number(42)), ())
-    assert support.value == SUPPORT and support.evidence
-    refute = registry.verify(("s1", number(17)), ())
-    assert refute.value == REFUTE and refute.evidence
-    assert registry.verify(("s9", number(1)), ()).value == INCONCLUSIVE
-
-
 # Tolerance-edge values: a chain whose neighbours are equal but whose ends are not,
 # int/float twins, signed zeros, the smallest subnormal, and text that folds together.
 _EDGE_VALUES = st.sampled_from([
@@ -249,34 +239,53 @@ def fact_stores(draw):
     return store
 
 
-def _reference_facts_verdict(store, step, value):
-    """The facts operator asking the store: ``check_consistency``, then the agreeing ids from a second listing."""
-    report = store.check_consistency((step, value))
-    if report.verdict == CONFLICT:
-        return Verdict(REFUTE, tuple(f"fact:{i}" for i in report.conflicting_fact_ids))
-    if report.verdict == CONSISTENT:
-        agreeing = [f for f in store.verified_facts() if f.key == step and values_equal(f.value, value)]
-        return Verdict(SUPPORT, tuple(f"fact:{f.id}" for f in agreeing))
-    return Verdict(INCONCLUSIVE, ())
+FLAT = build_plan(["s1", "s2", "s3"], [])
+
+
+def _chain_ends_at_s1():
+    """Two verified facts at s1 whose values are unequal, ids ascending."""
+    store = FactStore()
+    store.add_given("s1", number(10**9), "f0")
+    store.add_given("s1", number(10**9 + 2), "f1")
+    return store
 
 
 @given(fact_stores(), st.sampled_from(["s1", "s2", "s3"]), _EDGE_VALUES)
+@example(_chain_ends_at_s1(), "s1", number(10**9))  # agrees with f0 only: every fact must be asked
 @settings(max_examples=200, deadline=None)
-def test_facts_operator_over_the_verified_facts_matches_asking_the_store(store, step, value):
-    operator = FactsConsistencyOperator(store.verified_by_key())
-    assert operator.examine(step, value, ()) == _reference_facts_verdict(store, step, value)
+def test_gate_rule_over_the_verified_facts_matches_asking_the_store(store, step, value):
+    # The gate reads the verified facts grouped by key, as index_constraints hands them over;
+    # check_consistency scans the whole store. Both must find the same conflicts, with the same ids.
+    report = store.check_consistency((step, value))
+    assert conflicting_fact_ids(store.verified_by_key().get(step, ()), value) == report.conflicting_fact_ids
+    trace = ExpertOutput("e01", {step: StepResult(value, 0.9)}, value)
+    failing = gate(trace, index_constraints((), FLAT, store), FLAT, threshold=0.0).failing
+    assert failing == ((step,) if report.verdict == CONFLICT else ())
 
 
 def test_default_registry_order():
-    # The facts operator can decide only s1, cross-execution s1 and s2 (both cite t1), the table all three.
+    # Cross-execution can decide s1 (it cites t1), the table both; the verified fact at s2 decides nothing.
     store = FactStore()
-    store.add_given("s1", number(7))
+    store.add_given("s2", number(7))
     store.record_tool(ToolRecord("t1", "calc", {}, number(7)))
-    table = [(step, number(7), REFUTE) for step in ("s1", "s2", "s3")]
-    registry = default_registry(store.verified_by_key(), store, lambda tool_name, params: number(7), table)
-    decided = [registry.verify((step, number(7)), provenance)
-               for step, provenance in (("s1", ("t1",)), ("s2", ("t1",)), ("s3", ()))]
-    assert [(v.operator, v.cost) for v in decided] == [("facts", 1), ("cross-exec", 2), ("scripted", 3)]
+    table = [(step, number(7), REFUTE) for step in ("s1", "s2")]
+    registry = default_registry(store, lambda tool_name, params: number(7), table)
+    decided = [registry.verify((step, number(7)), provenance) for step, provenance in (("s1", ("t1",)), ("s2", ()))]
+    assert [(v.operator, v.cost) for v in decided] == [("cross-exec", 1), ("scripted", 2)]
+
+
+def test_every_default_operator_decides_some_verify_call():
+    # A verify call that nothing decides costs one invocation per registered operator.
+    registered = default_registry(FactStore(), lambda tool_name, params: number(0),
+                                  [("s1", number(1), SUPPORT)]).verify(("s9", text("x")), ()).cost
+    desk, _ = random_corpus(1, 500, GeneratorParams(with_constraints=True, with_facts=True))
+    runs = [(scenario, EngineConfig()) for scenario in desk]
+    runs += [(scenario_from_dict(obj), config) for obj in _tool_variants() for config in TOOL_CONFIGS]
+    deciding = {entry.payload["operator"] for scenario, config in runs
+                for entry in run_pipeline(scenario, config).audit_log
+                if entry.stage == "audit" and entry.event == "verify"}
+    deciding.discard(None)
+    assert len(deciding) == registered, sorted(deciding)
 
 
 @st.composite
