@@ -43,7 +43,7 @@ from .ensemble import (
 )
 from .errors import CrosscheckError
 from .facts import ConsistencyReport, Fact, FactStore, Note, ToolRecord
-from .plandag import PlanDag, StepResult, build_plan
+from .plandag import PlanDag, build_plan
 from .scenario import Scenario, load_corpus, load_scenario, save_scenario
 from .values import Value, boolean, composite, number, quantity, text, values_equal
 from .verifiers import Constraint, GateResult, OperatorRegistry, Verdict, check_response, gate, index_constraints
@@ -72,7 +72,6 @@ __all__ = [
     "RunResult",
     "Scenario",
     "ScriptedBackend",
-    "StepResult",
     "SynthesisScore",
     "ToolRecord",
     "Value",

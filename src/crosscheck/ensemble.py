@@ -11,9 +11,10 @@ Backends return validated :class:`ExpertOutput` tuples — intermediates
 with confidences, and a final response; a trace's free-text analysis is
 checked to be a string and not kept, since nothing reads it. Each trace is
 parsed once, by :func:`parse_expert_output`, where its bytes enter the
-program, and held as columns rather than one object per statement: its
-step ids in sorted order, each mapped to a column, a tuple of the step
-values and an ``array('d')`` of the confidences, about 16 bytes per
+program; that parse is the one validated way to build a trace. It is
+held as columns, its only form, rather than one object per statement:
+its step ids in sorted order, each mapped to a column, a tuple of the
+step values and an ``array('d')`` of the confidences, about 16 bytes per
 statement. The scenario loader parses scripted traces when it reads the
 file, sharing one value object per distinct printed value across them,
 and one step-to-column dict across the traces with the same step set;
@@ -37,7 +38,6 @@ from types import MappingProxyType
 from typing import AbstractSet, Any, Callable, Iterator, KeysView, Mapping, Protocol, Sequence
 
 from .errors import AllExpertsFailedError, BackendError, InvalidPlanError, ParseError, SchemaError
-from .plandag import StepResult
 from .values import Value, format_literal, shared_text, value_from_json
 
 CONSERVATIVE = "conservative"
@@ -84,7 +84,7 @@ class ExpertConfig:
 _NO_PROVENANCE_STEPS: Mapping[str, tuple[str, ...]] = MappingProxyType({})
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class ExpertOutput:
     """One expert trace: intermediates, confidences, response.
 
@@ -92,22 +92,17 @@ class ExpertOutput:
     ``_positions`` maps each step id, in trace order, to its column in
     ``_values`` and ``_confidences`` (an ``array('d')``); ``_provenance``
     maps only the steps that cite tool records to their ids. Columns
-    ascend in trace order: a built or parsed trace numbers its steps from 0
-    in order, and a fragment keeps a subsequence of them. A loaded
-    scenario shares one ``_positions`` dict among all its traces with the
-    same step set.
+    ascend in trace order: a parsed trace numbers its steps from 0 in
+    order, and a fragment keeps a subsequence of them. A loaded scenario
+    shares one ``_positions`` dict among all its traces with the same
+    step set.
 
-    Build one from ``{step: StepResult}`` in the given order, or parse it
-    with :func:`parse_expert_output`; both fill the columns through
-    ``_fill``. A scenario's outputs are shared by every run of it, so
-    nothing may mutate one: the columns are private and nothing here
-    writes to them, ``steps`` and ``confidences`` are read-only mappings
-    built on each read, and ``restricted_to`` builds a new output that
-    shares its source's columns.
-
-    Two outputs are equal when their expert ids, responses and ``steps``
-    are: equality reads the steps, not the columns, so a fragment equals
-    the same steps built afresh and step order does not count.
+    :func:`parse_expert_output` is the one validated way to build a
+    trace; the constructor takes the columns as they are and checks
+    nothing. A scenario's outputs are shared by every run of it, so
+    nothing may mutate one: the columns are private, nothing here writes
+    to them, and ``restricted_to`` builds a new output that shares its
+    source's columns. Outputs compare by identity.
     """
 
     expert_id: str
@@ -117,55 +112,16 @@ class ExpertOutput:
     _confidences: array = field(repr=False)
     _provenance: Mapping[str, tuple[str, ...]] = field(repr=False)
 
-    def __init__(self, expert_id: str, steps: Mapping[str, StepResult], response: Value) -> None:
-        results = steps.values()
-        self._fill(expert_id, {step: col for col, step in enumerate(steps)}, tuple(r.value for r in results),
-                   array("d", [r.confidence for r in results]),
-                   {step: r.provenance for step, r in steps.items() if r.provenance}, response)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExpertOutput):
-            return NotImplemented
-        return self.expert_id == other.expert_id and self.response == other.response and self.steps == other.steps
-
-    def _fill(self, expert_id: str, positions: Mapping[str, int], values: tuple[Value, ...], confidences: array,
-              provenance: Mapping[str, tuple[str, ...]], response: Value) -> None:
-        """Set every field; the one place that fills an output's columns."""
-        setter = object.__setattr__
-        setter(self, "expert_id", expert_id)
-        setter(self, "response", response)
-        setter(self, "_positions", positions)
-        setter(self, "_values", values)
-        setter(self, "_confidences", confidences)
-        setter(self, "_provenance", provenance or _NO_PROVENANCE_STEPS)
-
-    @property
-    def steps(self) -> Mapping[str, StepResult]:
-        """Each step's :class:`StepResult`, in trace order, built from the columns; read-only."""
-        return MappingProxyType({step: StepResult(value, confidence, self.provenance(step))
-                                 for step, value, confidence in self.rows()})
-
-    @property
-    def confidences(self) -> Mapping[str, float]:
-        return MappingProxyType({step: confidence for step, _, confidence in self.rows()})
-
     @property
     def step_ids(self) -> KeysView[str]:
         """The trace's step ids in trace order; a set-like view with O(1) membership."""
         return self._positions.keys()
 
-    def rows(self) -> Iterator[tuple[str, Value, float]]:
-        """``(step, value, confidence)`` of each step, in trace order."""
+    def step_values(self) -> Iterator[tuple[str, Value]]:
+        """``(step, value)`` of each step, in trace order."""
         if len(self._positions) == len(self._values):
             # Columns ascend in trace order (see the class), so a trace that
             # holds every column holds them in order and zips them as they are.
-            return zip(self._positions, self._values, self._confidences)
-        values, confidences = self._values, self._confidences
-        return ((step, values[col], confidences[col]) for step, col in self._positions.items())
-
-    def step_values(self) -> Iterator[tuple[str, Value]]:
-        """``(step, value)`` of each step, in trace order; ``rows()`` without the confidences."""
-        if len(self._positions) == len(self._values):
             return zip(self._positions, self._values)
         values = self._values
         return ((step, values[col]) for step, col in self._positions.items())
@@ -196,10 +152,8 @@ class ExpertOutput:
 
     def restricted_to(self, keep: AbstractSet[str]) -> "ExpertOutput":
         """A fragment containing only the retained steps; shares this output's columns."""
-        fragment = object.__new__(ExpertOutput)
-        fragment._fill(self.expert_id, {s: col for s, col in self._positions.items() if s in keep}, self._values,
-                       self._confidences, self._provenance, self.response)
-        return fragment
+        return ExpertOutput(self.expert_id, self.response, {s: col for s, col in self._positions.items() if s in keep},
+                            self._values, self._confidences, self._provenance)
 
 
 class ExpertBackend(Protocol):
@@ -332,9 +286,8 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Any] |
         positions = {shared_text(step): col for col, step in enumerate(order)}
         if interned is not None:
             interned[order] = positions
-    output = object.__new__(ExpertOutput)
-    output._fill(expert_id, positions, tuple(values), array("d", confidences), provenance_by_step, response)
-    return output
+    return ExpertOutput(expert_id, response, positions, tuple(values), array("d", confidences),
+                        provenance_by_step or _NO_PROVENANCE_STEPS)
 
 
 def sample_traces(config: ExpertConfig, query: str, backend: ExpertBackend) -> list[ExpertOutput]:

@@ -9,28 +9,9 @@ never touches upstream or sibling steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CycleError, UnknownStepError
-from .values import Value
-
-
-@dataclass(frozen=True, slots=True)
-class StepResult:
-    """One step's outcome inside a single expert trace.
-
-    A trace holds its steps as columns; ``ExpertOutput.steps`` builds these
-    when it is read, and a trace built by hand takes them.
-    """
-
-    value: Value
-    confidence: float
-    provenance: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0,1], got {self.confidence!r}")
 
 
 class PlanDag:

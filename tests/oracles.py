@@ -10,10 +10,11 @@ Keep these naive on purpose.
 import functools
 import json
 import operator
+from array import array
 from typing import NamedTuple
 
+from crosscheck.ensemble import ExpertOutput
 from crosscheck.errors import UnknownStepError
-from crosscheck.plandag import StepResult
 from crosscheck.values import format_literal, value_from_json, values_equal
 
 
@@ -48,8 +49,26 @@ def removal_oracle(steps, edges, violated):
     return removed
 
 
+def trace(expert_id, steps, response):
+    """An ExpertOutput from ``{step: (value, confidence[, provenance])}``, columns numbered in the given order.
+
+    It calls the constructor, which checks nothing, so a test can build
+    NaN values, steps in any order and confidences no parse would accept.
+    """
+    rows = [(step, entry[0], entry[1], tuple(entry[2]) if len(entry) > 2 else ()) for step, entry in steps.items()]
+    return ExpertOutput(expert_id, response, {step: col for col, (step, _, _, _) in enumerate(rows)},
+                        tuple(value for _, value, _, _ in rows), array("d", [c for _, _, c, _ in rows]),
+                        {step: provenance for step, _, _, provenance in rows if provenance})
+
+
+def trace_rows(output):
+    """``[(step, value, confidence, provenance)]`` of ``output`` in trace order, read through its public API."""
+    return [(step, output.value_at(step), output.confidence_at(step), output.provenance(step))
+            for step in output.step_ids]
+
+
 def reference_parse(raw):
-    """A well-formed raw trace as a plain dict of StepResults, and its response.
+    """A well-formed raw trace as a plain dict of ``(value, confidence, provenance)``, and its response.
 
     Steps in sorted order; a confidence defaults to 1.0, becomes a float,
     and is clamped into [0, 1] when it lies outside by at most 1e-9;
@@ -67,7 +86,7 @@ def reference_parse(raw):
         provenance = entry.get("provenance", [])
         if not isinstance(provenance, list):
             raise ValueError(f"provenance of {step!r} is not a list")
-        steps[step] = StepResult(value_from_json(entry["value"]), confidence, tuple(provenance))
+        steps[step] = (value_from_json(entry["value"]), confidence, tuple(provenance))
     return steps, value_from_json(raw["response"])
 
 
@@ -81,9 +100,9 @@ class Stmt(NamedTuple):
 def flat_pool(traces):
     """Every intermediate of every trace as one flat statement list, steps sorted within a trace."""
     return [
-        Stmt(step, trace.steps[step].value, trace.expert_id, trace.steps[step].confidence)
-        for trace in traces
-        for step in sorted(trace.steps)
+        Stmt(step, output.value_at(step), output.expert_id, output.confidence_at(step))
+        for output in traces
+        for step in sorted(output.step_ids)
     ]
 
 
@@ -137,15 +156,15 @@ def pairwise_conflicts(pool, anchored_steps):
     return out
 
 
-def reference_gate(trace, constraints, dag, verified, threshold):
+def reference_gate(output, constraints, dag, verified, threshold):
     """The gate asked statement by statement, with no index.
 
-    Every statement of ``trace`` is checked against every step-scope
+    Every statement of ``output`` is checked against every step-scope
     predicate whose pattern matches its step and against each fact in
     ``verified`` keyed by its step; a fact with an unequal value fails it.
     The failing steps and everything they reach are removed. The response
     must pass every response-scope constraint, a ``facts`` one by agreeing
-    with each fact keyed ``"response"``. Returns ``(kept steps or None,
+    with each fact keyed ``"response"``. Returns ``(kept trace_rows or None,
     score, failing, removed, response_ok)``; a step outside ``dag`` raises
     UnknownStepError, the first one in trace order.
     """
@@ -153,23 +172,23 @@ def reference_gate(trace, constraints, dag, verified, threshold):
         return all(values_equal(f.value, value) for f in verified if f.key == key)
 
     failing = []
-    for step, result in trace.steps.items():
+    for step, value in output.step_values():
         if step not in dag.steps:
             raise UnknownStepError(f"unknown step {step!r}")
-        ok = all(c.predicate(result.value) for c in constraints
+        ok = all(c.predicate(value) for c in constraints
                  if c.scope == "step" and c.predicate is not None and c.applies_to_step(step))
-        if not (ok and agrees(step, result.value)):
+        if not (ok and agrees(step, value)):
             failing.append(step)
-    removed = removal_oracle(dag.steps, dag.edges, failing) & set(trace.steps)
-    total = len(trace.steps)
+    removed = removal_oracle(dag.steps, dag.edges, failing) & set(output.step_ids)
+    total = len(output.step_ids)
     score = (total - len(removed)) / total if total else 1.0
     response_ok = all(
-        agrees("response", trace.response) if c.predicate is None else c.predicate(trace.response)
+        agrees("response", output.response) if c.predicate is None else c.predicate(output.response)
         for c in constraints if c.scope == "response"
     )
     kept = None
     if response_ok and score >= threshold:
-        kept = {s: r for s, r in trace.steps.items() if s not in removed}
+        kept = [row for row in trace_rows(output) if row[0] not in removed]
     return kept, score, tuple(sorted(failing)), tuple(sorted(removed)), response_ok
 
 

@@ -1,12 +1,12 @@
 """Columnar traces: the parse against a naive reference, read-only outputs, the heap per statement.
 
-A parsed :class:`ExpertOutput` holds columns, not a dict of
-:class:`StepResult`. Its read API must give exactly what the plain dict
-of ``oracles.reference_parse`` holds, with every value the intern
-table's object; ``restricted_to`` must keep what the old dict
-comprehension kept, in the same order; and no public attribute may let a
-caller write a confidence, since a loaded scenario's outputs are shared
-by all its runs.
+A parsed :class:`ExpertOutput` holds columns, the only form a trace has.
+Read through its public API (``oracles.trace_rows``), it must give exactly
+the ``(value, confidence, provenance)`` rows of ``oracles.reference_parse``,
+with every value the intern table's object; ``restricted_to`` must keep
+the reference's rows at the kept steps, in the same order; and no public
+attribute may let a caller rebind a field or write a confidence, since a
+loaded scenario's outputs are shared by all its runs.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from hypothesis import given, settings, strategies as st
 from crosscheck.corpus import GeneratorParams, random_scenario
 from crosscheck.ensemble import ExpertOutput, parse_expert_output
 from crosscheck.errors import SchemaError
-from crosscheck.plandag import StepResult
 from crosscheck.scenario import scenario_from_dict, scenario_to_dict
 from crosscheck.values import format_literal
-from oracles import reference_parse
+from oracles import reference_parse, trace, trace_rows
 from test_scenario import _tool_variants
 
 DESK_PARAMS = GeneratorParams(with_constraints=True, with_facts=True)
@@ -75,7 +74,7 @@ def _generated(source: str, seed: int) -> dict:
 
 def _assert_read_only(output: ExpertOutput) -> None:
     """No public attribute can be rebound, and no mapping it offers can be written."""
-    before = list(output.rows())
+    before = trace_rows(output)
     step = next(iter(output.step_ids), "s1")
     for name in dir(output):
         if name.startswith("_"):
@@ -87,35 +86,31 @@ def _assert_read_only(output: ExpertOutput) -> None:
         if isinstance(attr, Mapping):
             with pytest.raises(TypeError):
                 attr[step] = 0.5  # type: ignore[index]
-    if before:
-        with pytest.raises(AttributeError):
-            output.steps[step].confidence = 0.5  # type: ignore[misc]
-    assert list(output.rows()) == before
+    assert trace_rows(output) == before
 
 
 def _assert_matches_reference(output: ExpertOutput, raw: dict, interned: dict[str, object]) -> None:
     """``output`` holds what the reference parse holds, each value the one object for its literal."""
     expected, response = reference_parse(raw)
-    assert dict(output.steps) == expected
-    assert list(output.steps) == list(output.step_ids) == list(expected)
-    assert list(output.rows()) == [(s, r.value, r.confidence) for s, r in expected.items()]
-    assert output.confidences == {s: r.confidence for s, r in expected.items()}
+    rows = [(step, *entry) for step, entry in expected.items()]
+    assert trace_rows(output) == rows
+    assert list(output.step_values()) == [(s, value) for s, value, _, _ in rows]
     assert output.response == response
-    for step, result in expected.items():
-        assert output.value_at(step) is interned.setdefault(format_literal(result.value), output.value_at(step))
-        assert output.provenance(step) == result.provenance
+    for step, (value, _, _) in expected.items():
+        assert output.value_at(step) is interned.setdefault(format_literal(value), output.value_at(step))
     assert output.response is interned.setdefault(format_literal(response), output.response)
     steps = list(expected)
     for keep in (set(steps[::2]), set(steps[1::3]), set(), set(steps)):
         fragment = output.restricted_to(keep)
-        kept = {s: r for s, r in expected.items() if s in keep}
-        assert dict(fragment.steps) == kept and list(fragment.step_ids) == list(kept)
-        assert fragment == ExpertOutput(output.expert_id, kept, output.response)
-        assert list(fragment.rows()) == [(s, r.value, r.confidence) for s, r in kept.items()]
-        assert [fragment.provenance(s) for s in steps] == [kept[s].provenance if s in kept else () for s in steps]
-        # A fragment of a fragment keeps what the same comprehension over the first fragment keeps.
+        kept = [row for row in rows if row[0] in keep]
+        assert trace_rows(fragment) == kept
+        assert list(fragment.step_values()) == [(s, value) for s, value, _, _ in kept]
+        assert (fragment.expert_id, fragment.response) == (output.expert_id, output.response)
+        # A step the fragment lacks has no provenance, even where its source cites some.
+        assert [fragment.provenance(s) for s in steps] == [expected[s][2] if s in keep else () for s in steps]
+        # A fragment of a fragment keeps the first fragment's rows at the inner steps.
         inner = set(steps[:2])
-        assert dict(fragment.restricted_to(inner).steps) == {s: r for s, r in kept.items() if s in inner}
+        assert trace_rows(fragment.restricted_to(inner)) == [row for row in kept if row[0] in inner]
         _assert_read_only(fragment)
     _assert_read_only(output)
 
@@ -146,22 +141,25 @@ def test_hand_built_traces_match_the_reference_parse(raws):
             continue
         output = parse_expert_output("e01", raw, interned)
         _assert_matches_reference(output, raw, {k: v for k, v in interned.items() if isinstance(k, str)})
-        # The same trace built from StepResults reads back the same.
-        rebuilt = ExpertOutput("e01", expected[0], expected[1])
-        assert dict(rebuilt.steps) == dict(output.steps) and list(rebuilt.rows()) == list(output.rows())
-        assert rebuilt == output
+        # The same rows through the unchecked constructor read back the same.
+        rebuilt = trace("e01", *expected)
+        assert trace_rows(rebuilt) == trace_rows(output)
+        assert list(rebuilt.step_values()) == list(output.step_values())
+        assert (rebuilt.expert_id, rebuilt.response) == (output.expert_id, output.response)
         _assert_read_only(rebuilt)
 
 
 def test_a_hand_built_output_keeps_its_step_order():
-    output = parse_expert_output("e01", {"steps": {"b": {"value": 1}, "a": {"value": 2}}, "response": 1})
-    reordered = ExpertOutput("e01", {"b": output.steps["b"], "a": output.steps["a"]}, output.response)
+    output = parse_expert_output("e01", {"steps": {"b": {"value": 1}, "a": {"value": 2, "confidence": 0.25}},
+                                         "response": 1})
+    reordered = trace("e01", {step: entry for step, *entry in reversed(trace_rows(output))}, output.response)
     assert list(output.step_ids) == ["a", "b"] and list(reordered.step_ids) == ["b", "a"]
-    assert [s for s, _, _ in reordered.rows()] == ["b", "a"]
-    # Equality reads the steps, so step order does not count; the expert, a value or a confidence does.
-    assert reordered == output
-    changed = {"b": output.steps["b"], "a": StepResult(output.value_at("a"), 0.25)}
-    assert ExpertOutput("e02", output.steps, output.response) != output != ExpertOutput("e01", changed, output.response)
+    assert [s for s, _ in reordered.step_values()] == ["b", "a"]
+    assert trace_rows(reordered) == trace_rows(output)[::-1]
+    assert [s for s, _ in reordered.restricted_to({"a", "b"}).step_values()] == ["b", "a"]
+    assert reordered.mean_confidence() == output.mean_confidence() == 0.625
+    # Outputs compare by identity: the same rows in two outputs are two traces.
+    assert reordered != output and output == output
 
 
 def test_traces_with_one_step_set_share_their_step_order():
@@ -180,7 +178,8 @@ HEAP_SEEDS = (10_004, 10_012, 10_047, 10_051)
 # Measured at 26.3 B per statement on CPython 3.11 (25.9 to 27.1 on 3.10
 # to 3.13): the value tuples and confidence arrays, the shared step
 # orders, and the values and strings that outlive the load. A dict of
-# StepResults held 114.9 B. The bound leaves half the measured figure
+# one slotted object per statement, the form the columns replaced, held
+# 114.9 B. The bound leaves half the measured figure
 # again as headroom.
 HEAP_BYTES_PER_STATEMENT = 40
 
@@ -209,6 +208,6 @@ def test_a_parsed_statement_holds_few_bytes():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    statements = sum(len(o.steps) for o in outputs)
+    statements = sum(len(o.step_ids) for o in outputs)
     assert statements > 10_000
     assert held / statements < HEAP_BYTES_PER_STATEMENT, f"{held / statements:.1f} B per statement"

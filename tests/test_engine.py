@@ -21,15 +21,15 @@ from crosscheck.engine import (
     statements,
     synthesize,
 )
-from crosscheck.ensemble import ExpertOutput, parse_expert_output
+from crosscheck.ensemble import parse_expert_output
 from crosscheck.errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
 from crosscheck.facts import FactStore
-from crosscheck.plandag import StepResult, build_plan
+from crosscheck.plandag import build_plan
 from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict
 from crosscheck.values import format_literal, number, parse_literal, parse_statement_key, statement_key, values_equal
 from crosscheck.verifiers import Constraint, OperatorRegistry, ScriptedTableOperator
 
-from oracles import Stmt, count_filter_anchors, flat_pool, pairwise_conflicts, synthesis_score
+from oracles import Stmt, count_filter_anchors, flat_pool, pairwise_conflicts, synthesis_score, trace, trace_rows
 from test_golden_digest import _golden_runs
 
 
@@ -56,9 +56,7 @@ def _anchored(anchors):
 
 def _table(pool):
     """The engine's table over a statement list: one single-step trace per statement, in pool order."""
-    return statements(_gated(
-        ExpertOutput(s.expert_id, {s.step: StepResult(s.value, s.confidence)}, s.value) for s in pool
-    ))
+    return statements(_gated(trace(s.expert_id, {s.step: (s.value, s.confidence)}, s.value) for s in pool))
 
 
 # --- statements ---------------------------------------------------------------
@@ -82,7 +80,7 @@ def test_statements_cardinality_oracle(seed):
     scenario = random_scenario(seed)
     outputs = [parse_expert_output(e.config.expert_id, e.raw_traces[0]) for e in scenario.experts]
     pool = statements(_gated(outputs))
-    assert len(pool) == sum(len(o.steps) for o in outputs)
+    assert len(pool) == sum(len(o.step_ids) for o in outputs)
 
 
 # --- anchoring ------------------------------------------------------------------
@@ -524,7 +522,7 @@ def test_backtrack_salvages_low_scoring_traces():
     result = run_pipeline(scenario_from_dict(obj, name="salvage"), EngineConfig(gate_threshold=0.5))
     assert result.answer is not None
     assert [e.event for e in result.audit_log if e.stage == "prune"].count("backtrack") == 1
-    retained_steps = set(result.retained[0].trace.steps)
+    retained_steps = set(result.retained[0].trace.step_ids)
     assert retained_steps == {"s1"}
 
 
@@ -631,8 +629,8 @@ def test_synthesis_matches_direct_formula_oracle(seed):
     weights = config.normalized_weights
     best_total, best_expert = None, None
     for gt in sorted(result.retained, key=lambda g: (g.expert_id, g.trace_index)):
-        asserted = {s: (r.value, r.confidence) for s, r in gt.asserted.steps.items()}
-        surviving = {s: (r.value, r.confidence) for s, r in gt.trace.steps.items()}
+        asserted = {s: (value, confidence) for s, value, confidence, _ in trace_rows(gt.asserted)}
+        surviving = {s: (value, confidence) for s, value, confidence, _ in trace_rows(gt.trace)}
         if result.fallback_used:
             def drop_refuted(steps):
                 return {
@@ -743,7 +741,7 @@ def test_statement_stages_compare_classes_not_statements(monkeypatch):
                         or real_statements(retained))
 
     result = run_pipeline(scenario)
-    retained = sum(len(gt.trace.steps) for gt in result.retained)
+    retained = sum(len(gt.trace.step_ids) for gt in result.retained)
     assert retained > 1000 and len(scenario.constraints) > 0
     assert equal_calls[0] < retained / 2
     assert set(applied) <= {(step, c.id) for step in scenario.dag.steps for c in scenario.constraints}
@@ -796,7 +794,7 @@ def test_a_run_lists_its_verified_facts_once_and_checks_them_only_in_the_audit(m
         listed.clear()
         result = run_pipeline(scenario)
         assert listed == [result.facts], scenario.name
-        seen_statements.add(sum(len(o.steps) for o in scenario_expert_outputs(scenario)))
+        seen_statements.add(sum(len(o.step_ids) for o in scenario_expert_outputs(scenario)))
         seen_verify_calls += result.verify_calls
     assert checks == []
     assert max(seen_statements) >= 30 and seen_verify_calls > 0

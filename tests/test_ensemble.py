@@ -50,7 +50,7 @@ def test_scripted_passthrough():
     backend = ScriptedBackend({"e01": scripted})
     outputs = sample_traces(config, "q", backend)
     assert len(outputs) == 2
-    assert outputs[0].steps["s1"].value == number(42)
+    assert outputs[0].value_at("s1") == number(42)
     assert outputs[1].response == number(17)
 
 
@@ -63,7 +63,7 @@ def test_out_of_range_confidence_is_schema_error(monkeypatch):
 
 def test_float_drift_confidence_is_clamped():
     output = parse_expert_output("e01", _trace(confidence=1.0 + 1e-12))
-    assert output.steps["s1"].confidence == 1.0
+    assert output.confidence_at("s1") == 1.0
 
 
 def test_missing_response_is_schema_error():
@@ -163,13 +163,13 @@ def test_http_backend_requires_endpoint(monkeypatch):
         HttpBackend()
 
 
-def test_confidences_view_matches_steps():
+def test_parsed_steps_are_sorted_with_their_confidences():
     output = parse_expert_output("e01", {
         "steps": {"s2": {"value": 1, "confidence": 0.25}, "s1": {"value": 2, "confidence": 0.75}},
         "response": 1,
     })
-    assert output.confidences == {"s1": 0.75, "s2": 0.25}
-    assert list(output.steps) == ["s1", "s2"]  # sorted at parse
+    assert list(output.step_ids) == ["s1", "s2"]  # sorted at parse
+    assert [(s, output.confidence_at(s)) for s in output.step_ids] == [("s1", 0.75), ("s2", 0.25)]
 
 
 @pytest.mark.parametrize("value, message", [
@@ -208,7 +208,7 @@ def test_http_backend_parses_its_content(monkeypatch):
     outputs = good.sample(configs[0], "q")
     assert [type(o) for o in outputs] == [ExpertOutput, ExpertOutput]
     assert [o.expert_id for o in outputs] == ["e01", "e01"]
-    assert outputs[1].steps["s1"].value == number(17)
+    assert outputs[1].value_at("s1") == number(17)
 
     # The request carries the expert's seed; seed 1 gets an undecodable value.
     mixed = _stub_http(monkeypatch, lambda body: [_trace(value={"kind": "number"}) if body["seed"] == 1 else _trace()])

@@ -28,8 +28,7 @@ from crosscheck.engine import (
     statements,
     synthesize,
 )
-from crosscheck.ensemble import ExpertOutput
-from crosscheck.plandag import StepResult, build_plan
+from crosscheck.plandag import build_plan
 from crosscheck.values import (
     COMPOSITE,
     NUMBER,
@@ -47,7 +46,7 @@ from crosscheck.values import (
 )
 from crosscheck.verifiers import INCONCLUSIVE, REFUTE, SUPPORT, OperatorRegistry, Verdict
 
-from oracles import flat_pool, group_by_equality, synthesis_score
+from oracles import flat_pool, group_by_equality, synthesis_score, trace, trace_rows
 
 # An int above 2**53 and a float of equal value: equal as Python numbers, yet
 # numbers_close(BIG, TWIN_INT) is False while numbers_close(BIG, TWIN_FLOAT)
@@ -151,11 +150,8 @@ statement_values = st.one_of(
 def _gated(expert_id, index, asserted, kept=None, confidence=None):
     """A retained trace: ``asserted`` is {step: value}; steps outside ``kept`` were excised."""
     confidence = confidence or {}
-    steps = {
-        step: StepResult(value, confidence.get(step, 0.8), (f"t{index}{step}",))
-        for step, value in asserted.items()
-    }
-    source = ExpertOutput(expert_id, steps, number(0))
+    steps = {step: (value, confidence.get(step, 0.8), (f"t{index}{step}",)) for step, value in asserted.items()}
+    source = trace(expert_id, steps, number(0))
     if kept is None or set(kept) == set(steps):
         return GatedTrace(source, index)
     return GatedTrace(source.restricted_to(set(kept)), index, source)
@@ -223,9 +219,8 @@ def _reference_rank(steps, pool):
 def _reference_provenance(traces, step, value):
     ids = set()
     for gt in traces:
-        result = gt.trace.steps.get(step)
-        if result is not None and values_equal(result.value, value):
-            ids.update(result.provenance)
+        if step in gt.trace.step_ids and values_equal(gt.trace.value_at(step), value):
+            ids.update(gt.trace.provenance(step))
     return tuple(sorted(ids))
 
 
@@ -240,12 +235,12 @@ def _reference_scores(traces, anchors, conflict_set):
 
     candidates = sorted(traces, key=lambda gt: (gt.expert_id, gt.trace_index))
     fallback = bool(refuted) and all(
-        any(leans_on_refuted(s, r.value) for s, r in gt.asserted.steps.items()) for gt in candidates
+        any(leans_on_refuted(s, value) for s, value in gt.asserted.step_values()) for gt in candidates
     )
     scores = []
     for gt in candidates:
-        asserted = {s: (r.value, r.confidence) for s, r in gt.asserted.steps.items()}
-        surviving = {s: (r.value, r.confidence) for s, r in gt.trace.steps.items()}
+        asserted = {s: (value, confidence) for s, value, confidence, _ in trace_rows(gt.asserted)}
+        surviving = {s: (value, confidence) for s, value, confidence, _ in trace_rows(gt.trace)}
         if fallback:
             asserted = {s: vc for s, vc in asserted.items() if not leans_on_refuted(s, vc[0])}
             surviving = {s: vc for s, vc in surviving.items() if not leans_on_refuted(s, vc[0])}
@@ -276,7 +271,7 @@ def _assert_table_matches_oracles(traces, theta, verdicts=()):
     pool = flat_pool([gt.trace for gt in traces])
     table = statements(traces)
     assert len(table) == len(pool)
-    assert list(table.steps) == sorted({s for gt in traces for s in gt.asserted.steps})
+    assert list(table.steps) == sorted({s for gt in traces for s in gt.asserted.step_ids})
     for step, sc in table.steps.items():
         assert table.confidences(step) == [s.confidence for s in pool if s.step == step]
 

@@ -570,7 +570,7 @@ def _lookalikes_scenario():
 
 def _trace_values(scenario):
     return [value for expert in scenario.experts for output in expert.outputs
-            for value in [r.value for r in output.steps.values()] + [output.response]]
+            for value in [value for _, value in output.step_values()] + [output.response]]
 
 
 def _parsed_without_a_table(scenario):
@@ -607,7 +607,7 @@ def test_a_loaded_scenario_holds_one_object_per_printed_value():
     for expert in scenario.experts:
         (raw,), (output,) = expert.raw_traces, expert.outputs
         literal = format_literal(value_from_json(raw["response"]))
-        assert format_literal(output.response) == format_literal(output.steps["s1"].value) == literal
+        assert format_literal(output.response) == format_literal(output.value_at("s1")) == literal
     assert by_literal["num:-0.0"] is not by_literal["num:0.0"]
     assert len({id(by_literal[literal]) for literal in ("num:1", "num:1.0", "bool:true")}) == 3
     assert 'qty:1:"m"' in by_literal
@@ -632,7 +632,7 @@ def test_a_raw_form_seen_again_is_not_decoded_again(monkeypatch):
     monkeypatch.setattr(ensemble, "value_from_json", spy)
     form = {"kind": "number", "value": 5}
     scenario = scenario_from_dict(_two_experts(form, dict(form)))
-    first, second = (expert.outputs[0].steps["s1"].value for expert in scenario.experts)
+    first, second = (expert.outputs[0].value_at("s1") for expert in scenario.experts)
     assert first is second
     assert decoded.count(form) == 1
 

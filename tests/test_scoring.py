@@ -34,6 +34,7 @@ from crosscheck.scenario import scenario_expert_outputs
 from crosscheck.values import format_literal, number, value_to_json
 from crosscheck.verifiers import INCONCLUSIVE, REFUTE, SUPPORT, OperatorRegistry
 
+from oracles import trace_rows
 from test_grouping import (
     DAG,
     EXPERTS,
@@ -142,14 +143,13 @@ def test_mean_confidence_matches_a_left_to_right_sum_over_the_rows():
     corpus, _ = random_corpus(1, 50)
     for scenario in corpus:
         for output in scenario_expert_outputs(scenario):
-            confidences = [c for _, _, c in output.rows()]
-            assert output.mean_confidence() == _reference_mean(confidences)
+            rows = trace_rows(output)
+            assert output.mean_confidence() == _reference_mean([c for _, _, c, _ in rows])
             steps = list(output.step_ids)
             skip = set(steps[::2])
-            assert output.mean_confidence(skip) == _reference_mean(
-                [c for s, _, c in output.rows() if s not in skip])
+            assert output.mean_confidence(skip) == _reference_mean([c for s, _, c, _ in rows if s not in skip])
             fragment = output.restricted_to(set(steps[1::3]))
-            assert fragment.mean_confidence() == _reference_mean([c for _, _, c in fragment.rows()])
+            assert fragment.mean_confidence() == _reference_mean([c for _, _, c, _ in trace_rows(fragment)])
             assert output.restricted_to(set()).mean_confidence() == 0.0
 
 
@@ -160,7 +160,7 @@ def test_simple_verification_answers_are_unchanged():
         outputs = scenario_expert_outputs(scenario)
         answer = simple_verification(outputs)
         ranked = sorted(outputs, key=lambda o: o.expert_id)
-        expected = max(ranked, key=lambda o: _reference_mean(list(o.confidences.values()))).response
+        expected = max(ranked, key=lambda o: _reference_mean([c for _, _, c, _ in trace_rows(o)])).response
         assert answer is expected
         digest.update(format_literal(answer).encode() + b"\n")
     assert digest.hexdigest() == SV_ANSWERS_SHA256

@@ -59,7 +59,6 @@ PUBLIC_NAMES = [
     "RunResult",
     "Scenario",
     "ScriptedBackend",
-    "StepResult",
     "SynthesisScore",
     "ToolRecord",
     "Value",

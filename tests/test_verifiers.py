@@ -7,11 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from crosscheck import verifiers
 from crosscheck.corpus import GeneratorParams, adversarial_scenario, random_corpus, random_scenario
-from crosscheck.ensemble import ExpertOutput, parse_expert_output
+from crosscheck.ensemble import parse_expert_output
 from crosscheck.errors import DuplicateIdError, UnknownStepError
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.facts import CONFLICT, FactStore, ToolRecord, conflicting_fact_ids
-from crosscheck.plandag import StepResult, build_plan
+from crosscheck.plandag import build_plan
 from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict
 from crosscheck.values import number, quantity, text
 from crosscheck.verifiers import (
@@ -31,7 +31,7 @@ from crosscheck.verifiers import (
     index_constraints,
 )
 
-from oracles import conjunction, reference_gate, removal_oracle
+from oracles import conjunction, reference_gate, removal_oracle, trace, trace_rows
 from test_golden_digest import WIDE_PARAMS
 from test_scenario import TOOL_CONFIGS, _tool_variants
 
@@ -51,7 +51,7 @@ def test_gate_vacuous_pass():
     result = gate(trace, index_constraints((), CHAIN), CHAIN, threshold=0.5)
     assert not result.rejected
     assert result.score == 1.0
-    assert result.trace.steps.keys() == trace.steps.keys()
+    assert list(result.trace.step_ids) == list(trace.step_ids)
 
 
 def test_gate_rejects_infeasible_response():
@@ -72,7 +72,7 @@ def test_gate_excises_facts_conflict_and_dependents():
     assert not result.rejected
     assert result.failing == ("s2",)
     assert result.removed == ("s2", "s3", "s4")
-    assert set(result.trace.steps) == {"s1"}
+    assert set(result.trace.step_ids) == {"s1"}
     assert result.score == 0.25
 
 
@@ -258,8 +258,8 @@ def test_gate_rule_over_the_verified_facts_matches_asking_the_store(store, step,
     # check_consistency scans the whole store. Both must find the same conflicts, with the same ids.
     report = store.check_consistency((step, value))
     assert conflicting_fact_ids(store.verified_by_key().get(step, ()), value) == report.conflicting_fact_ids
-    trace = ExpertOutput("e01", {step: StepResult(value, 0.9)}, value)
-    failing = gate(trace, index_constraints((), FLAT, store), FLAT, threshold=0.0).failing
+    output = trace("e01", {step: (value, 0.9)}, value)
+    failing = gate(output, index_constraints((), FLAT, store), FLAT, threshold=0.0).failing
     assert failing == ((step,) if report.verdict == CONFLICT else ())
 
 
@@ -362,7 +362,14 @@ def test_index_over_empty_store_equals_index_over_none(seed, with_facts_check):
     over_none = index_constraints(constraints, scenario.dag, None)
     assert over_empty == over_none
     for output in outputs:
-        assert gate(output, over_empty, scenario.dag, 0.5) == gate(output, over_none, scenario.dag, 0.5)
+        by_empty, by_none = (_gate_view(gate(output, index, scenario.dag, 0.5)) for index in (over_empty, over_none))
+        assert by_empty == by_none
+
+
+def _gate_view(result):
+    """A gate result with its fragment read as rows; outputs compare by identity."""
+    rows = None if result.trace is None else trace_rows(result.trace)
+    return rows, result.score, result.failing, result.removed, result.response_ok
 
 
 def _holds_by_store(constraint, value, facts, key):
@@ -375,9 +382,9 @@ def _holds_by_store(constraint, value, facts, key):
 def _reference_failing(trace, facts, constraints):
     """The gate's rule asked the plain way: every constraint, then the store, statement by statement."""
     failing = []
-    for step, result in trace.steps.items():
-        ok = all(_holds_by_store(c, result.value, facts, step) for c in constraints if c.applies_to_step(step))
-        ok = ok and facts.check_consistency((step, result.value)).verdict != CONFLICT
+    for step, value in trace.step_values():
+        ok = all(_holds_by_store(c, value, facts, step) for c in constraints if c.applies_to_step(step))
+        ok = ok and facts.check_consistency((step, value)).verdict != CONFLICT
         if not ok:
             failing.append(step)
     return tuple(sorted(failing))
@@ -435,7 +442,7 @@ def _gate_case(scenario, checks, stride):
     for i, step in enumerate(scenario.dag.steps[::stride]):
         if step not in seeded:
             # Half the givens repeat an expert's value, half contradict most of them.
-            facts.add_given(step, outputs[0].steps[step].value if i % 2 and step in outputs[0].steps else number(0))
+            facts.add_given(step, outputs[0].value_at(step) if i % 2 and step in outputs[0].step_ids else number(0))
     facts.add_given(RESPONSE_KEY, outputs[0].response)
     return outputs, constraints, facts
 
@@ -446,13 +453,13 @@ def _with_unknown_steps(output):
     The later one sorts first, so only a gate that reports the first in
     trace order names the one in the middle.
     """
-    items = list(output.steps.items())
-    extra = next(iter(output.steps.values()), None)
-    if extra is None:
+    items = [(step, (value, confidence, provenance)) for step, value, confidence, provenance in trace_rows(output)]
+    if not items:
         return output
+    extra = items[0][1]
     middle = len(items) // 2
     steps = dict(items[:middle] + [("zz-unknown", extra)] + items[middle:] + [("aa-unknown", extra)])
-    return ExpertOutput(output.expert_id, steps, output.response)
+    return trace(output.expert_id, steps, output.response)
 
 
 def _assert_gate_matches_reference(scenario, checks, stride, threshold):
@@ -460,7 +467,7 @@ def _assert_gate_matches_reference(scenario, checks, stride, threshold):
     index = index_constraints(constraints, scenario.dag, facts)
     verified = facts.verified_facts()
     # Traces that skip steps, so that some removed steps are not theirs, and traces with unknown steps.
-    partial = [o.restricted_to(set(list(o.steps)[1::2])) for o in outputs]
+    partial = [o.restricted_to(set(list(o.step_ids)[1::2])) for o in outputs]
     for output in outputs + partial + [_with_unknown_steps(o) for o in outputs[:2]]:
         try:
             expected = reference_gate(output, constraints, scenario.dag, verified, threshold)
@@ -470,7 +477,7 @@ def _assert_gate_matches_reference(scenario, checks, stride, threshold):
             assert str(raised.value) == str(exc)
             continue
         result = gate(output, index, scenario.dag, threshold)
-        kept = None if result.trace is None else dict(result.trace.steps)
+        kept = None if result.trace is None else trace_rows(result.trace)
         assert (kept, result.score, result.failing, result.removed, result.response_ok) == expected
 
 
@@ -505,10 +512,10 @@ def test_the_gate_checks_only_the_steps_that_have_a_check(monkeypatch):
         return real(value, applicable, verified)
 
     monkeypatch.setattr(verifiers, "_statement_admissible", spy)
-    for trace in (_trace({s: i for i, s in enumerate(steps)}, 0),
-                  _trace({s: 60 for s in steps[1::2]}, 0),
-                  _trace({}, 0)):
+    for output in (_trace({s: i for i, s in enumerate(steps)}, 0),
+                   _trace({s: 60 for s in steps[1::2]}, 0),
+                   _trace({}, 0)):
         seen.clear()
-        gate(trace, index, dag, 0.0)
-        wanted = sorted(index.checked & trace.steps.keys())
-        assert [id(v) for v in seen] == [id(trace.steps[s].value) for s in wanted]
+        gate(output, index, dag, 0.0)
+        wanted = sorted(index.checked & output.step_ids)
+        assert [id(v) for v in seen] == [id(output.value_at(s)) for s in wanted]
