@@ -40,11 +40,12 @@ from operator import add
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
 
 from .auditlog import AuditLog
-from .ensemble import CollectResult, ExpertOutput, collect
+from .ensemble import CollectResult, ExpertOutput, StatementIndex, collect, index_statements
 from .errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
 from .facts import Fact, FactStore, Note, ToolRecord
 from .plandag import PlanDag
-from .values import Value, _exact_key, format_literal, group_values, values_equal
+# ``group_values`` is not called here; the benchmark's tracer wraps it under this module's name.
+from .values import Value, format_literal, group_values, values_equal  # noqa: F401
 from .verifiers import (
     INCONCLUSIVE,
     REFUTE,
@@ -118,100 +119,137 @@ def sum_in_order(xs: Iterable[float]) -> float:
 
 
 class StepClasses:
-    """One step's asserted statements, sorted into classes by value object.
+    """One step's value classes in a run: the classes of its :class:`StatementIndex` step.
 
-    Per class id: ``reps`` holds the value object that every member
-    asserted; ``holders`` the positions, in the table's ``retained``,
-    of the traces that asserted it; ``supporters`` its retained experts,
-    or None when it has none. ``kept`` counts the step's retained
-    statements. ``groups`` holds the value groups over the retained
-    classes, each as its representative and its sorted distinct
-    supporters.
+    Per class, numbered as the index numbers them (flat id ``first + c``):
+    ``asserted[c]`` is the mask of its retained holders, excised statements
+    included, and 0 for a class no retained trace asserts. ``keep`` masks
+    the traces whose statement here survived the gate, so a class's kept
+    holders are ``asserted[c] & keep``. ``groups`` holds the value groups
+    over the classes with a kept holder, in order of first kept holder,
+    each as its representative, the mask of its kept holders and its
+    number of distinct experts.
     """
 
-    __slots__ = ("reps", "holders", "supporters", "kept", "groups", "ids", "order")
+    __slots__ = ("first", "asserted", "keep", "groups")
 
-    def __init__(self) -> None:
-        self.reps: list[Value] = []
-        self.holders: list[list[int]] = []
-        self.supporters: list[set[str] | None] = []
-        self.kept = 0
-        self.groups: list[tuple[Value, tuple[str, ...]]] = []
-        self.ids: dict[int, int] = {}  # id() of a value with an exact key -> class id
-        self.order: list[int] = []  # retained class ids in order of first retained occurrence
+    def __init__(self, first: int, asserted: list[int], keep: int, groups: list[tuple[Value, int, int]]) -> None:
+        self.first = first
+        self.asserted = asserted
+        self.keep = keep
+        self.groups = groups
 
 
 @dataclass(frozen=True)
 class StatementTable:
-    """A run's statements, classified once for every statement stage.
+    """A run's statements, decided per value class for every statement stage.
 
-    ``steps`` maps each asserted step, in sorted order, to its
-    :class:`StepClasses`. ``len()`` counts the retained statements only.
+    ``retained[i]`` holds bit ``positions[i]`` of ``index``'s masks.
+    ``steps`` maps each step that a retained trace asserts, in sorted
+    order, to its :class:`StepClasses`. ``len()`` counts the retained
+    statements, excised ones not included.
     """
 
     retained: tuple[GatedTrace, ...]
+    positions: tuple[int, ...]
+    index: StatementIndex
     steps: dict[str, StepClasses]
+    size: int
 
     def __len__(self) -> int:
-        return sum(sc.kept for sc in self.steps.values())
+        return self.size
 
     def confidences(self, step: str) -> list[float]:
         """The confidences of the retained statements at ``step``, in trace order."""
         return [gt.trace.confidence_at(step) for gt in self.retained if step in gt.trace.step_ids]
 
+    def equal_classes(self, sc: StepClasses, value: Value) -> int:
+        """The mask of the classes in ``sc`` whose values equal ``value``.
 
-def statements(retained: Sequence[GatedTrace]) -> StatementTable:
-    """Classify every asserted statement of the retained traces in one pass.
+        A value that is one of the step's classes' values reads that
+        class's row of the index; any other value, such as an anchor built
+        by hand, is compared with each class.
+        """
+        reps, first, count = self.index.reps, sc.first, len(sc.asserted)
+        for c in range(count):
+            if reps[first + c] is value:
+                return self.index.equal[first + c]
+        return sum(values_equal(reps[first + c], value) << c for c in range(count))
 
-    At each step, the statements that assert one value object form a
-    class, found by ``id()``; the object is checked for an exact key
-    (``values._exact_key``) once, when its class opens. A value without a
-    key (a NaN, an ill-typed payload) is a class of its own at every
-    statement, so a NaN that two experts share never counts as agreement.
-    One object has one key, so a stage can decide a class once and the
-    answer holds for each member, even though tolerance equality is not
-    transitive. The scenario loader interns values, so a class is one
-    distinct printed value; outputs that were not interned (a live
-    backend's, or built by hand) are classed per object, which is finer
-    and just as exact. Each step's retained classes are grouped once, in
-    order of first retained occurrence, which gives the groups, and the
-    representatives, that grouping the retained statements one by one in
-    trace order would give: a statement that shares a key with an earlier
-    one joins the group that one joined.
+
+def _covers(index: StatementIndex, retained: Sequence[GatedTrace], positions: tuple[int, ...]) -> bool:
+    """Whether the traces sit in ``index`` at ``positions``, which ascend, as each asserted them."""
+    outputs = index.outputs
+    return (list(positions) == sorted(set(positions)) and (not positions or 0 <= positions[0] and positions[-1] < len(outputs))
+            and all(outputs[p] is gt.asserted for p, gt in zip(positions, retained)))
+
+
+def statements(retained: Sequence[GatedTrace], index: StatementIndex | None = None) -> StatementTable:
+    """Decide the run's statements per value class, from the index of the outputs they come from.
+
+    ``index`` is the scenario's, built at load over the collected outputs,
+    so a retained trace's position there is its ``trace_index``. Without
+    one, or where it does not hold the retained traces in their order
+    (outputs from a live backend or built by hand), one is built over the
+    retained traces on the spot, each at its place in ``retained``.
+
+    The run reads the index with masks: the retained traces' bits, minus
+    at each step the bits of the traces whose statement there the gate
+    excised. A class's kept holders are one AND, their count is a bit
+    count, and a step's kept classes are grouped in order of first kept
+    holder, each joining the first group whose representative its value
+    equals, as the index's equality rows say. That gives the groups, and
+    the representatives, that grouping the retained statements one by one
+    in trace order would give, since one value object has one exact key:
+    no value is compared during a run.
     """
+    retained = tuple(retained)
+    positions = tuple(gt.trace_index for gt in retained)
+    if index is None or not _covers(index, retained, positions):
+        index = index_statements([gt.asserted for gt in retained])
+        positions = tuple(range(len(retained)))
+    in_run = 0
+    cut: dict[str, int] = {}
+    for gt, p in zip(retained, positions):
+        in_run |= 1 << p
+        if gt.source is not None:
+            for step in gt.source.step_ids - gt.trace.step_ids:
+                cut[step] = cut.get(step, 0) | 1 << p
+    reps, equal, width, ascending = index.reps, index.equal, index.width, index.ascending
     steps: dict[str, StepClasses] = {}
-    for i, gt in enumerate(retained):
-        kept = gt.trace.step_ids
-        expert_id = gt.trace.expert_id
-        for step, value in gt.asserted.step_values():
-            sc = steps.get(step)
-            if sc is None:
-                sc = steps[step] = StepClasses()
-            c = sc.ids.get(id(value))
-            if c is None:
-                c = len(sc.reps)
-                sc.reps.append(value)
-                sc.holders.append([])
-                sc.supporters.append(None)
-                if _exact_key(value) is not None:
-                    sc.ids[id(value)] = c
-            sc.holders[c].append(i)
-            if step in kept:
-                supporters = sc.supporters[c]
-                if supporters is None:
-                    supporters = sc.supporters[c] = set()
-                    sc.order.append(c)
-                supporters.add(expert_id)
-                sc.kept += 1
-    for sc in steps.values():
-        if sc.order:
-            # Most groups hold one class, whose supporters need no union.
-            sc.groups = [
-                (rep, tuple(sorted(sc.supporters[members[0]] if len(members) == 1
-                                   else set().union(*(sc.supporters[c] for c in members)))))
-                for rep, members in group_values((sc.reps[c], c) for c in sc.order)
-            ]
-    return StatementTable(tuple(retained), {step: steps[step] for step in sorted(steps)})
+    first = 0
+    for step, packed in zip(index.steps, index.holders):
+        keep = in_run & ~cut[step] if step in cut else in_run
+        asserted: list[int] = []
+        order = []
+        while packed:
+            held = packed & in_run
+            kept = held & keep
+            if kept:
+                order.append((kept & -kept, len(asserted), kept))
+            asserted.append(held)
+            packed >>= width
+        if order:
+            order.sort()
+            rep_classes: list[int] = []
+            masks: list[int] = []
+            opened = 0
+            for _, c, kept in order:
+                row = equal[first + c]
+                if row & opened:
+                    g = next(g for g, r in enumerate(rep_classes) if row >> r & 1)
+                    masks[g] |= kept
+                else:
+                    rep_classes.append(c)
+                    masks.append(kept)
+                    opened |= 1 << c
+            groups = [(reps[first + c], m, m.bit_count() if ascending else len(index.supporters(m)))
+                      for c, m in zip(rep_classes, masks)]
+            steps[step] = StepClasses(first, asserted, keep, groups)
+        elif any(asserted):
+            steps[step] = StepClasses(first, asserted, keep, [])
+        first += len(asserted)
+    return StatementTable(retained, positions, index, steps, sum(len(gt.trace.step_ids) for gt in retained))
 
 
 @dataclass(frozen=True)
@@ -257,15 +295,16 @@ def anchor(table: StatementTable, theta: int) -> tuple[AnchorSet, list[str]]:
     anchors = AnchorSet()
     collisions: list[str] = []
     for step, sc in table.steps.items():
-        eligible = [group for group in sc.groups if len(group[1]) >= theta]
+        eligible = [group for group in sc.groups if group[2] >= theta]
         if not eligible:
             continue
         if len(eligible) > 1:
-            eligible.sort(key=lambda g: (-len(g[1]), format_literal(g[0])))
-            if len(eligible[0][1]) == len(eligible[1][1]):
+            eligible.sort(key=lambda g: (-g[2], format_literal(g[0])))
+            if eligible[0][2] == eligible[1][2]:
                 collisions.append(step)
                 continue
-        anchors.add(Anchor(step, *eligible[0]))
+        rep, kept, _ = eligible[0]
+        anchors.add(Anchor(step, rep, table.index.supporters(kept)))
     return anchors, collisions
 
 
@@ -335,9 +374,9 @@ def conflicts(table: StatementTable, anchors: AnchorSet) -> ConflictSet:
         # A conflict needs experts i != j on unequal values; one expert
         # disagreeing with itself does not count. Once there are two value
         # groups, any two distinct experts at the step make such a pair.
-        if len({e for _, supporters in groups for e in supporters}) < 2:
+        if len(table.index.supporters(sum(kept for _, kept, _ in groups))) < 2:
             continue
-        candidates = [Candidate(value, supporters) for value, supporters in groups]
+        candidates = [Candidate(value, table.index.supporters(kept)) for value, kept, _ in groups]
         candidates.sort(key=lambda c: (-len(c.supporters), c.supporters[0], format_literal(c.value)))
         out.add(ConflictItem(step=step, candidates=tuple(candidates)))
     return out
@@ -504,13 +543,13 @@ def _candidate_provenance(table: StatementTable, step: str, value: Value) -> tup
     sc = table.steps.get(step)
     if sc is None:
         return ()
-    ids: list[str] = []
-    for rep, holders, supporters in zip(sc.reps, sc.holders, sc.supporters):
-        if supporters is None or not values_equal(rep, value):
-            continue
-        for i in holders:
-            ids.extend(table.retained[i].trace.provenance(step))
-    return tuple(sorted(set(ids)))
+    row = table.equal_classes(sc, value)
+    kept = sc.keep & sum(held for c, held in enumerate(sc.asserted) if row >> c & 1)
+    ids: set[str] = set()
+    for gt, p in zip(table.retained, table.positions):
+        if kept >> p & 1:
+            ids.update(gt.trace.provenance(step))
+    return tuple(sorted(ids))
 
 
 def synthesize(
@@ -532,13 +571,14 @@ def synthesize(
     steps. Exact ties go to the lowest expert id.
 
     The candidates are ``table.retained``. Each value class at a step with
-    an anchor or a resolution is compared with them once, and its answer
-    is added to the tallies of every candidate that asserted it, so the
-    work follows the classes that disagree rather than the statements.
-    Only a statement that leans on a refuted value is also kept as a mark,
-    since only those steps can drop out in the fallback.
+    an anchor or a resolution is judged once, by the index's equality
+    rows, and its answer is added to the tallies of every candidate that
+    asserted it, through the class's mask of holders, so the work follows
+    the classes that disagree rather than the statements. Only a statement
+    that leans on a refuted value is also kept as a mark, since only those
+    steps can drop out in the fallback.
     """
-    retained = table.retained
+    retained, positions = table.retained, table.positions
     if not retained:
         raise NoFeasibleCandidateError("no candidate response survived the gate")
     supported = conflict_set.supported_statements()
@@ -553,48 +593,53 @@ def synthesize(
         targets.setdefault(step, (None, [], []))[1].append(value)
     for step, value in refuted:
         targets.setdefault(step, (None, [], []))[2].append(value)
-    # Per candidate, over its asserted statements: the anchors contradicted,
-    # the supported values asserted and the refuted values leaned on, and a
-    # mark (step, contradicts, supported hits, refuted hits) per statement
-    # that leans on a refuted value.
-    contradicted = [0] * len(retained)
-    agreed = [0] * len(retained)
-    leaned = [0] * len(retained)
+    # Per position, over its asserted statements: the anchors contradicted,
+    # the supported values asserted and the refuted values leaned on, as
+    # counters of masks (``_tally``), and a mark (step, contradicts,
+    # supported hits, refuted hits) per statement that leans on a refuted value.
+    contradicted: list[int] = []
+    agreed: list[int] = []
+    leaned: list[int] = []
+    leaning = 0
     marks: dict[int, list[tuple[str, bool, int, int]]] = {}
     for step, (anchor_value, agree_with, refuted_at) in targets.items():
         sc = table.steps.get(step)
         if sc is None:
             continue
-        for rep, holders in zip(sc.reps, sc.holders):
-            contra = anchor_value is not None and not values_equal(rep, anchor_value)
-            agree = sum(values_equal(rep, v) for v in agree_with) if agree_with else 0
-            lean = sum(values_equal(rep, v) for v in refuted_at) if refuted_at else 0
-            if contra:
-                for i in holders:
-                    contradicted[i] += 1
-            if agree:
-                for i in holders:
-                    agreed[i] += agree
-            if lean:
-                mark = (step, contra, agree, lean)
-                for i in holders:
-                    leaned[i] += lean
-                    marks.setdefault(i, []).append(mark)
+        equal_anchor = -1 if anchor_value is None else table.equal_classes(sc, anchor_value)
+        _tally(contradicted, sum(held for c, held in enumerate(sc.asserted) if not equal_anchor >> c & 1))
+        if not agree_with and not refuted_at:
+            continue
+        agree_rows = [table.equal_classes(sc, v) for v in agree_with]
+        lean_rows = [table.equal_classes(sc, v) for v in refuted_at]
+        for c, held in enumerate(sc.asserted):
+            agree = sum(row >> c & 1 for row in agree_rows)
+            lean = sum(row >> c & 1 for row in lean_rows)
+            for _ in range(agree):
+                _tally(agreed, held)
+            for _ in range(lean):
+                _tally(leaned, held)
+            if lean and held:
+                leaning |= held
+                mark = (step, not equal_anchor >> c & 1, agree, lean)
+                for p in positions:
+                    if held >> p & 1:
+                        marks.setdefault(p, []).append(mark)
 
     order = sorted(range(len(retained)), key=lambda i: (retained[i].expert_id, retained[i].trace_index))
-    fallback = bool(refuted) and all(leaned[i] for i in order)
+    fallback = bool(refuted) and all(leaning >> p & 1 for p in positions)
     if fallback and log is not None:
         log.append("synthesize", "fallback", {"reason": "every candidate asserts a refuted statement"})
     w_a, w_c, w_g = weights
     best: tuple[int, float, float, float, float] | None = None
     for i in order:
-        gt = retained[i]
-        n_contra, n_agree, n_lean = contradicted[i], agreed[i], leaned[i]
+        gt, p = retained[i], positions[i]
+        n_contra, n_agree, n_lean = _count(contradicted, p), _count(agreed, p), _count(leaned, p)
         dropped: AbstractSet[str] = frozenset()
         if fallback:
             # The fallback re-scores each candidate without the statements that lean on a refuted value.
-            dropped = {step for step, _, _, _ in marks[i]}
-            for _, contra, agree, lean in marks[i]:
+            dropped = {step for step, _, _, _ in marks[p]}
+            for _, contra, agree, lean in marks[p]:
                 n_contra -= contra
                 n_agree -= agree
                 n_lean -= lean
@@ -625,6 +670,22 @@ def synthesize(
             best = (i, anchor_support, conflict_agreement, mean_confidence, total)
     assert best is not None
     return retained[best[0]], SynthesisScore(*best[1:]), fallback
+
+
+def _tally(counts: list[int], mask: int) -> None:
+    """Add one to the count of each position in ``mask``; ``counts[k]`` holds bit ``k`` of every count."""
+    for k, level in enumerate(counts):
+        counts[k] = level ^ mask
+        mask &= level
+        if not mask:
+            return
+    if mask:
+        counts.append(mask)
+
+
+def _count(counts: list[int], p: int) -> int:
+    """The count at position ``p`` of counters that :func:`_tally` added to."""
+    return sum(1 << k for k, level in enumerate(counts) if level >> p & 1)
 
 
 def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> RunResult:
@@ -725,7 +786,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             )
 
     retained.sort(key=lambda gt: (gt.expert_id, gt.trace_index))
-    table = statements(retained)
+    table = statements(retained, scenario.statement_index)
     log.append("anchor", "statements", {"count": len(table)})
 
     anchors, collisions = anchor(table, cfg.theta)

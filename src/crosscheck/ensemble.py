@@ -33,12 +33,13 @@ import os
 from array import array
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
+from itertools import compress, repeat
+from operator import add, attrgetter
 from types import MappingProxyType
-from typing import AbstractSet, Any, Callable, Iterator, KeysView, Mapping, Protocol, Sequence
+from typing import AbstractSet, Any, Callable, Iterator, KeysView, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import AllExpertsFailedError, BackendError, InvalidPlanError, ParseError, SchemaError
-from .values import Value, format_literal, shared_text, value_from_json
+from .values import Value, _exact_key, format_literal, shared_text, value_from_json, values_equal
 
 CONSERVATIVE = "conservative"
 RADICAL = "radical"
@@ -154,6 +155,92 @@ class ExpertOutput:
         """A fragment containing only the retained steps; shares this output's columns."""
         return ExpertOutput(self.expert_id, self.response, {s: col for s, col in self._positions.items() if s in keep},
                             self._values, self._confidences, self._provenance)
+
+
+# A mask as one byte per bit, lowest first, for ``itertools.compress``; and each output's expert.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_EXPERT_ID = attrgetter("expert_id")
+
+
+class StatementIndex(NamedTuple):
+    """Which outputs assert which value at each step, and which of a step's values are equal.
+
+    :func:`index_statements` builds it once over a sequence of outputs; bit
+    ``p`` of a mask stands for ``outputs[p]``. At each of ``steps``, in
+    sorted order, the statements that assert one value object form a
+    class, and a value without an exact key (``values._exact_key``: a NaN,
+    an ill-typed payload) is a class of its own at every statement. A
+    step's classes are numbered in order of first holder. ``reps`` holds
+    each class's value, step after step. ``holders[j]`` packs the holder
+    masks of the classes of ``steps[j]``, one ``width``-bit field per
+    class from the lowest, so the step's classes are its nonzero fields.
+    ``equal`` holds per class the mask of its step's classes whose values
+    are ``values_equal`` to its own. A scenario's index is shared by every
+    run of it, and nothing writes to it.
+    """
+
+    outputs: tuple[ExpertOutput, ...]
+    steps: tuple[str, ...]
+    reps: tuple[Value, ...]
+    holders: tuple[int, ...]
+    equal: tuple[int, ...]
+    width: int  # bits per holder field: len(outputs), rounded up to whole bytes
+    ascending: bool  # expert ids strictly ascend with position: a mask's bits are its distinct experts, in order
+
+    def supporters(self, mask: int) -> tuple[str, ...]:
+        """The distinct experts of the outputs in ``mask``, sorted."""
+        experts = map(_EXPERT_ID, compress(self.outputs, format(mask, "b")[::-1].encode().translate(_BIT_BYTES)))
+        return tuple(experts) if self.ascending else tuple(sorted(set(experts)))
+
+
+def index_statements(outputs: Sequence[ExpertOutput]) -> StatementIndex:
+    """Class every statement of ``outputs`` once, and compare each step's classes once.
+
+    A value object is checked for an exact key once per step, when its
+    first holder there is classed. Equality is symmetric, so each
+    unordered pair of a step's classes is compared once; a class with a
+    key equals itself without a call, since equal keys mean
+    interchangeable values.
+    """
+    by_step: dict[str, dict[int, list]] = {}  # step -> id() of a value -> [the mask of its holders, the value]
+    for p, output in enumerate(outputs):
+        bit = 1 << p
+        for step, value in output.step_values():
+            holders = by_step.get(step)
+            if holders is None:
+                by_step[step] = {id(value): [bit, value]}
+                continue
+            entry = holders.get(id(value))
+            if entry is None:
+                holders[id(value)] = [bit, value]
+            else:
+                entry[0] |= bit
+    nbytes = (len(outputs) + 7) // 8
+    steps = sorted(by_step)
+    reps: list[Value] = []
+    packed: list[int] = []
+    equal: list[int] = []
+    for step in steps:
+        entries = list(by_step[step].values())
+        keyed = [_exact_key(value) is not None for _, value in entries]
+        if not all(keyed):  # each statement of a value without a key is a class of its own
+            split = sorted(((bit, value, key) for (mask, value), key in zip(entries, keyed)
+                            for bit in ([mask] if key else [1 << p for p in range(mask.bit_length()) if mask >> p & 1])),
+                           key=lambda e: e[0] & -e[0])
+            entries = [[bit, value] for bit, value, _ in split]
+            keyed = [key for _, _, key in split]
+        values = [value for _, value in entries]
+        rows = [1 << c if key else values_equal(value, value) << c for c, (value, key) in enumerate(zip(values, keyed))]
+        for a, value in enumerate(values[:-1]):
+            for b in compress(range(a + 1, len(values)), map(values_equal, repeat(value), values[a + 1:])):
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+        reps += values
+        equal += rows
+        packed.append(entries[0][0] if len(entries) == 1 else
+                      int.from_bytes(b"".join([mask.to_bytes(nbytes, "little") for mask, _ in entries]), "little"))
+    return StatementIndex(tuple(outputs), tuple(steps), tuple(reps), tuple(packed), tuple(equal), 8 * nbytes,
+                          all(a.expert_id < b.expert_id for a, b in zip(outputs, outputs[1:])))
 
 
 class ExpertBackend(Protocol):

@@ -57,9 +57,10 @@ import marshal
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
-from .ensemble import CONSERVATIVE, ExpertConfig, ExpertOutput, ScriptedBackend, interned_decoder, parse_expert_output
+from .ensemble import (CONSERVATIVE, ExpertConfig, ExpertOutput, ScriptedBackend, StatementIndex, index_statements,
+                       interned_decoder, parse_expert_output)
 from .errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
 from .facts import Fact, FactStore, Note, ToolRecord, decode_record, params_key
 from .plandag import PlanDag, build_plan
@@ -113,6 +114,8 @@ class Scenario:
     facts_seed: tuple[ToolRecord | Note | Fact, ...]
     saved_fields: bytes
     name: str
+    # Over the outputs in the order every run collects them (``_collected``); runs read it, never write it.
+    statement_index: StatementIndex = field(repr=False, compare=False)
 
     def expert_configs(self) -> list[ExpertConfig]:
         return [e.config for e in self.experts]
@@ -329,6 +332,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         facts_seed=tuple(facts_seed),
         saved_fields=saved_fields,
         name=name or saved_name,
+        statement_index=index_statements(_collected(experts)),
     )
 
 
@@ -468,10 +472,12 @@ facts store dump (line-delimited JSON; tools, then notes, then facts, by id)
 """
 
 
+def _collected(experts: Sequence[ScriptedExpert]) -> list[ExpertOutput]:
+    """The outputs of the experts that do not fail, in the order ``collect`` gathers them."""
+    return [output for expert in sorted(experts, key=lambda e: e.config.expert_id) if not expert.fail
+            for output in expert.outputs]
+
+
 def scenario_expert_outputs(scenario: Scenario) -> list[ExpertOutput]:
     """The outputs parsed at load, for baseline methods that skip the pipeline entirely."""
-    outputs: list[ExpertOutput] = []
-    for expert in sorted(scenario.experts, key=lambda e: e.config.expert_id):
-        if not expert.fail:
-            outputs.extend(expert.outputs)
-    return outputs
+    return _collected(scenario.experts)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscheck import engine, facts, values, verifiers
+from crosscheck import engine, ensemble, facts, values, verifiers
 from crosscheck.auditlog import replay
 from crosscheck.baselines import majority_vote
 from crosscheck.corpus import GeneratorParams, adversarial_scenario, random_corpus, random_scenario
@@ -66,7 +66,7 @@ def test_statements_counts_duplicates():
     b = _output("e02", {"s1": 1, "s2": 2, "s3": 3}, 3)
     pool = statements(_gated([a, b]))
     assert len(pool) == 6
-    distinct = {(step, format_literal(value)) for step, sc in pool.steps.items() for value in sc.reps}
+    distinct = {(step, format_literal(value)) for step, sc in pool.steps.items() for value, _, _ in sc.groups}
     assert len(distinct) == 3
 
 
@@ -737,8 +737,8 @@ def test_statement_stages_compare_classes_not_statements(monkeypatch):
     monkeypatch.setattr(Constraint, "applies_to_step", counting_applies)
     table_sizes = []
     real_statements = engine.statements
-    monkeypatch.setattr(engine, "statements", lambda retained: table_sizes.append(len(real_statements(retained)))
-                        or real_statements(retained))
+    monkeypatch.setattr(engine, "statements", lambda retained, index=None: table_sizes.append(
+                        len(real_statements(retained, index))) or real_statements(retained, index))
 
     result = run_pipeline(scenario)
     retained = sum(len(gt.trace.step_ids) for gt in result.retained)
@@ -751,21 +751,24 @@ def test_statement_stages_compare_classes_not_statements(monkeypatch):
 
 def test_statements_check_each_value_object_for_an_exact_key_once(monkeypatch):
     # A loaded scenario shares one object per printed value, so a step's
-    # classes are its distinct values, not its statements.
+    # classes are its distinct values, not its statements. The load builds
+    # the index, and checks each value object once per step it opens a class at.
     params = GeneratorParams(max_experts=64, max_steps=64, agreement=0.5, distractors=4, edge_prob=0.1,
                              with_constraints=True)
-    scenario = random_scenario(3, params)
     keyed = []
-    real_key = engine._exact_key
-    monkeypatch.setattr(engine, "_exact_key", lambda value: keyed.append(value) or real_key(value))
+    real_key = ensemble._exact_key
+    monkeypatch.setattr(ensemble, "_exact_key", lambda value: keyed.append(value) or real_key(value))
+    scenario = random_scenario(3, params)
+    assert len(keyed) == len(scenario.statement_index.reps)
     tables = []
     real_statements = engine.statements
-    monkeypatch.setattr(engine, "statements", lambda retained: tables.append(real_statements(retained))
-                        or tables[-1])
+    monkeypatch.setattr(engine, "statements", lambda retained, index=None: tables.append(
+                        real_statements(retained, index)) or tables[-1])
 
     run_pipeline(scenario)
     (table,) = tables
-    assert len(keyed) == sum(len(sc.reps) for sc in table.steps.values())
+    assert table.index is scenario.statement_index
+    assert len(keyed) == len(scenario.statement_index.reps)  # the run checks no key
     assert len(keyed) < len(table) / 5
 
 

@@ -370,7 +370,7 @@ def test_keyless_values_are_classes_of_their_own():
         _gated("e4", 3, {"a": Value(QUANTITY, [3.0, "m"]), "b": Value(COMPOSITE, [number(1)])}),
     ]
     table = statements(traces)
-    assert len(table.steps["a"].reps) == 4  # two NaNs, 1 and the unhashable quantity
+    assert len(table.steps["a"].asserted) == 4  # two NaNs, 1 and the unhashable quantity
     _assert_table_matches_oracles(traces, 2, [REFUTE, REFUTE, SUPPORT])
 
 
@@ -379,7 +379,7 @@ def test_a_shared_nan_object_is_never_one_class():
     # must not count as two experts agreeing, however many share it.
     traces = [_gated("e1", 0, {"a": NAN}), _gated("e2", 1, {"a": NAN})]
     table = statements(traces)
-    assert table.steps["a"].reps == [NAN, NAN]
+    assert table.index.reps == (NAN, NAN) and len(table.steps["a"].asserted) == 2
     anchors = _assert_table_matches_oracles(traces, 2)
     assert "a" not in anchors
 
@@ -395,5 +395,5 @@ def test_table_nested_composites():
         _gated("e4", 3, {"a": other, "b": right}),
     ]
     table = statements(traces)
-    assert len(table.steps["a"].reps) == 3 and len(table.steps["a"].groups) == 2
+    assert len(table.steps["a"].asserted) == 3 and len(table.steps["a"].groups) == 2
     _assert_table_matches_oracles(traces, 2, [REFUTE, REFUTE])
