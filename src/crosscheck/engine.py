@@ -215,7 +215,8 @@ def statements(retained: Sequence[GatedTrace], index: StatementIndex | None = No
         if gt.source is not None:
             for step in gt.source.step_ids - gt.trace.step_ids:
                 cut[step] = cut.get(step, 0) | 1 << p
-    reps, equal, width, ascending = index.reps, index.equal, index.width, index.ascending
+    reps, equal, ascending = index.reps, index.equal, index.ascending
+    width = 8 * ((len(index.outputs) + 7) // 8)
     steps: dict[str, StepClasses] = {}
     first = 0
     for step, packed in zip(index.steps, index.holders):
@@ -634,7 +635,9 @@ def synthesize(
     best: tuple[int, float, float, float, float] | None = None
     for i in order:
         gt, p = retained[i], positions[i]
-        n_contra, n_agree, n_lean = _count(contradicted, p), _count(agreed, p), _count(leaned, p)
+        n_contra = _count(contradicted, p) if contradicted else 0
+        n_agree = _count(agreed, p) if agreed else 0
+        n_lean = _count(leaned, p) if leaned else 0
         dropped: AbstractSet[str] = frozenset()
         if fallback:
             # The fallback re-scores each candidate without the statements that lean on a refuted value.

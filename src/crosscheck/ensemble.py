@@ -32,9 +32,9 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress, repeat
-from operator import add, attrgetter
+from operator import add, attrgetter, itemgetter
 from types import MappingProxyType
 from typing import AbstractSet, Any, Callable, Iterator, KeysView, Mapping, NamedTuple, Protocol, Sequence
 
@@ -160,6 +160,7 @@ class ExpertOutput:
 # A mask as one byte per bit, lowest first, for ``itertools.compress``; and each output's expert.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _EXPERT_ID = attrgetter("expert_id")
+_VALUE = itemgetter(1)
 
 
 class StatementIndex(NamedTuple):
@@ -172,8 +173,9 @@ class StatementIndex(NamedTuple):
     an ill-typed payload) is a class of its own at every statement. A
     step's classes are numbered in order of first holder. ``reps`` holds
     each class's value, step after step. ``holders[j]`` packs the holder
-    masks of the classes of ``steps[j]``, one ``width``-bit field per
-    class from the lowest, so the step's classes are its nonzero fields.
+    masks of the classes of ``steps[j]``, one field per class from the
+    lowest, ``len(outputs)`` bits rounded up to whole bytes wide, so the
+    step's classes are its nonzero fields.
     ``equal`` holds per class the mask of its step's classes whose values
     are ``values_equal`` to its own. A scenario's index is shared by every
     run of it, and nothing writes to it.
@@ -183,14 +185,20 @@ class StatementIndex(NamedTuple):
     steps: tuple[str, ...]
     reps: tuple[Value, ...]
     holders: tuple[int, ...]
-    equal: tuple[int, ...]
-    width: int  # bits per holder field: len(outputs), rounded up to whole bytes
+    equal: bytes | tuple[int, ...]
     ascending: bool  # expert ids strictly ascend with position: a mask's bits are its distinct experts, in order
 
     def supporters(self, mask: int) -> tuple[str, ...]:
         """The distinct experts of the outputs in ``mask``, sorted."""
         experts = map(_EXPERT_ID, compress(self.outputs, format(mask, "b")[::-1].encode().translate(_BIT_BYTES)))
         return tuple(experts) if self.ascending else tuple(sorted(set(experts)))
+
+
+@lru_cache(maxsize=64)
+def _pairs(count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each unordered pair of ``range(count)`` once, as the tuple of first members and the tuple of second ones."""
+    pairs = [(a, b) for a in range(count) for b in range(a + 1, count)]
+    return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
 
 
 def index_statements(outputs: Sequence[ExpertOutput]) -> StatementIndex:
@@ -202,44 +210,46 @@ def index_statements(outputs: Sequence[ExpertOutput]) -> StatementIndex:
     key equals itself without a call, since equal keys mean
     interchangeable values.
     """
-    by_step: dict[str, dict[int, list]] = {}  # step -> id() of a value -> [the mask of its holders, the value]
+    by_step: dict[str, dict[int, int]] = {}  # step -> id() of a value -> the mask of its holders
+    layouts: dict[int, list[dict[int, int]]] = {}  # id() of a step order -> its steps' entries in by_step
     for p, output in enumerate(outputs):
         bit = 1 << p
-        for step, value in output.step_values():
-            holders = by_step.get(step)
-            if holders is None:
-                by_step[step] = {id(value): [bit, value]}
-                continue
-            entry = holders.get(id(value))
-            if entry is None:
-                holders[id(value)] = [bit, value]
-            else:
-                entry[0] |= bit
+        columns = layouts.get(id(output._positions))
+        if columns is None:
+            columns = layouts[id(output._positions)] = [by_step.setdefault(step, {}) for step in output.step_ids]
+        for holders, key in zip(columns, map(id, map(_VALUE, output.step_values()))):
+            holders[key] = holders.get(key, 0) | bit
     nbytes = (len(outputs) + 7) // 8
     steps = sorted(by_step)
     reps: list[Value] = []
     packed: list[int] = []
     equal: list[int] = []
     for step in steps:
-        entries = list(by_step[step].values())
-        keyed = [_exact_key(value) is not None for _, value in entries]
-        if not all(keyed):  # each statement of a value without a key is a class of its own
-            split = sorted(((bit, value, key) for (mask, value), key in zip(entries, keyed)
-                            for bit in ([mask] if key else [1 << p for p in range(mask.bit_length()) if mask >> p & 1])),
-                           key=lambda e: e[0] & -e[0])
-            entries = [[bit, value] for bit, value, _ in split]
-            keyed = [key for _, _, key in split]
-        values = [value for _, value in entries]
-        rows = [1 << c if key else values_equal(value, value) << c for c, (value, key) in enumerate(zip(values, keyed))]
-        for a, value in enumerate(values[:-1]):
-            for b in compress(range(a + 1, len(values)), map(values_equal, repeat(value), values[a + 1:])):
+        masks = list(by_step[step].values())
+        values = [outputs[(mask & -mask).bit_length() - 1].value_at(step) for mask in masks]
+        keys = list(map(_exact_key, values))
+        if None in keys:  # each statement of a value without a key is a class of its own
+            split = sorted(((bit, value, key is not None) for mask, value, key in zip(masks, values, keys)
+                            for bit in ([mask] if key is not None else
+                                        [1 << p for p in range(mask.bit_length()) if mask >> p & 1])),
+                           key=lambda c: c[0] & -c[0])
+            masks, values = [bit for bit, _, _ in split], [value for _, value, _ in split]
+            rows = [1 << c if keyed else values_equal(value, value) << c for c, (_, value, keyed) in enumerate(split)]
+        else:
+            rows = [1 << c for c in range(len(values))]
+        if len(values) > 1:
+            firsts, seconds = _pairs(len(values))
+            for a, b in compress(zip(firsts, seconds), map(values_equal, map(values.__getitem__, firsts),
+                                                          map(values.__getitem__, seconds))):
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
         reps += values
         equal += rows
-        packed.append(entries[0][0] if len(entries) == 1 else
-                      int.from_bytes(b"".join([mask.to_bytes(nbytes, "little") for mask, _ in entries]), "little"))
-    return StatementIndex(tuple(outputs), tuple(steps), tuple(reps), tuple(packed), tuple(equal), 8 * nbytes,
+        packed.append(masks[0] if len(masks) == 1 else
+                      int.from_bytes(b"".join(map(int.to_bytes, masks, repeat(nbytes), repeat("little"))), "little"))
+    # A step of at most eight classes has rows below 256, so its rows fit in bytes.
+    return StatementIndex(tuple(outputs), tuple(steps), tuple(reps), tuple(packed),
+                          bytes(equal) if max(equal, default=0) < 256 else tuple(equal),
                           all(a.expert_id < b.expert_id for a, b in zip(outputs, outputs[1:])))
 
 
@@ -301,6 +311,19 @@ def interned_decoder(interned: dict[object, Any]) -> Callable[[object], Value]:
     return decode
 
 
+def _confidence(step: str, confidence: object) -> float:
+    """A step's confidence, clamped into [0, 1] within ``_CONFIDENCE_SLACK``; SchemaError if not a number in range."""
+    if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+        raise SchemaError(f"step {step!r} confidence must be numeric")
+    if -_CONFIDENCE_SLACK <= confidence < 0.0:
+        return 0.0
+    if 1.0 < confidence <= 1.0 + _CONFIDENCE_SLACK:
+        return 1.0
+    if not 0.0 <= confidence <= 1.0:
+        raise SchemaError(f"step {step!r} confidence {confidence!r} outside [0,1]")
+    return confidence
+
+
 # The default of an absent provenance; a JSON document never holds this object.
 _NO_PROVENANCE = object()
 
@@ -343,14 +366,8 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Any] |
             if not isinstance(entry, dict) or "value" not in entry:
                 raise SchemaError(f"step {step!r} entry must be an object with a 'value'")
             confidence = entry.get("confidence", 1.0)
-            if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
-                raise SchemaError(f"step {step!r} confidence must be numeric")
-            if -_CONFIDENCE_SLACK <= confidence < 0.0:
-                confidence = 0.0
-            elif 1.0 < confidence <= 1.0 + _CONFIDENCE_SLACK:
-                confidence = 1.0
-            if not 0.0 <= confidence <= 1.0:
-                raise SchemaError(f"step {step!r} confidence {confidence!r} outside [0,1]")
+            if type(confidence) is not float or not 0.0 <= confidence <= 1.0:  # else it is kept as it is
+                confidence = _confidence(step, confidence)
             provenance = entry.get("provenance", _NO_PROVENANCE)
             if provenance is not _NO_PROVENANCE:
                 if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):

@@ -64,7 +64,7 @@ from .ensemble import (CONSERVATIVE, ExpertConfig, ExpertOutput, ScriptedBackend
 from .errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
 from .facts import Fact, FactStore, Note, ToolRecord, decode_record, params_key
 from .plandag import PlanDag, build_plan
-from .values import Value, parse_statement_key, shared_text, value_to_json
+from .values import Value, parse_statement_key, shared, shared_text, value_to_json
 from .verifiers import RESPONSE_KEY, VERDICTS, Constraint, OperatorRegistry, constraint_from_spec, default_registry
 
 
@@ -332,8 +332,13 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         facts_seed=tuple(facts_seed),
         saved_fields=saved_fields,
         name=name or saved_name,
-        statement_index=index_statements(_collected(experts)),
+        statement_index=_shared_parts(index_statements(_collected(experts))),
     )
+
+
+def _shared_parts(index: StatementIndex) -> StatementIndex:
+    """``index`` with its step order, holders and equality rows each the process's one such object (``shared``)."""
+    return index._replace(steps=shared(index.steps), holders=shared(index.holders), equal=shared(index.equal))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
