@@ -311,19 +311,6 @@ def interned_decoder(interned: dict[object, Any]) -> Callable[[object], Value]:
     return decode
 
 
-def _confidence(step: str, confidence: object) -> float:
-    """A step's confidence, clamped into [0, 1] within ``_CONFIDENCE_SLACK``; SchemaError if not a number in range."""
-    if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
-        raise SchemaError(f"step {step!r} confidence must be numeric")
-    if -_CONFIDENCE_SLACK <= confidence < 0.0:
-        return 0.0
-    if 1.0 < confidence <= 1.0 + _CONFIDENCE_SLACK:
-        return 1.0
-    if not 0.0 <= confidence <= 1.0:
-        raise SchemaError(f"step {step!r} confidence {confidence!r} outside [0,1]")
-    return confidence
-
-
 # The default of an absent provenance; a JSON document never holds this object.
 _NO_PROVENANCE = object()
 
@@ -366,8 +353,15 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Any] |
             if not isinstance(entry, dict) or "value" not in entry:
                 raise SchemaError(f"step {step!r} entry must be an object with a 'value'")
             confidence = entry.get("confidence", 1.0)
-            if type(confidence) is not float or not 0.0 <= confidence <= 1.0:  # else it is kept as it is
-                confidence = _confidence(step, confidence)
+            if type(confidence) is not float or not 0.0 <= confidence <= 1.0:  # a float in range is kept as it is
+                if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+                    raise SchemaError(f"step {step!r} confidence must be numeric")
+                if -_CONFIDENCE_SLACK <= confidence < 0.0:
+                    confidence = 0.0
+                elif 1.0 < confidence <= 1.0 + _CONFIDENCE_SLACK:
+                    confidence = 1.0
+                if not 0.0 <= confidence <= 1.0:
+                    raise SchemaError(f"step {step!r} confidence {confidence!r} outside [0,1]")
             provenance = entry.get("provenance", _NO_PROVENANCE)
             if provenance is not _NO_PROVENANCE:
                 if not isinstance(provenance, list) or not all(isinstance(p, str) for p in provenance):
