@@ -22,13 +22,13 @@ Four stages turn a bundle of expert traces into one audited answer:
    only, which recovers the best recombination of valid micro-inferences.
 
 Anchoring, conflict detection, ranking and synthesis read one table that
-:func:`statements` builds per run, which sorts every statement into a
-class by its value object, so values are compared per class, not per
-statement. The scenario loader shares one object per distinct value
-across a scenario's traces, so on a loaded scenario a class is one
-distinct value.
-Every decision lands in the audit log; identical inputs reproduce the log
-byte for byte.
+:func:`statements` decides per run from the scenario's statement index,
+built once at load: each step's value classes (one per distinct value,
+as the loader shares one object per printed value), a holder mask per
+class and the equality between the classes. A run decides each class
+with mask operations; it neither walks the statements nor compares a
+value. Every decision lands in the audit log; identical inputs reproduce
+the log byte for byte.
 """
 
 from __future__ import annotations
@@ -36,25 +36,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
+from operator import add, or_
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .auditlog import AuditLog
-from .ensemble import CollectResult, ExpertOutput, StatementIndex, collect, index_statements
+from .ensemble import CollectResult, ExpertOutput, StatementIndex, collect, index_statements, mask_bytes
 from .errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
 from .facts import Fact, FactStore, Note, ToolRecord
 from .plandag import PlanDag
 # ``group_values`` is not called here; the benchmark's tracer wraps it under this module's name.
 from .values import Value, format_literal, group_values, values_equal  # noqa: F401
-from .verifiers import (
-    INCONCLUSIVE,
-    REFUTE,
-    SUPPORT,
-    GateResult,
-    OperatorRegistry,
-    gate,
-    index_constraints,
-)
+from .verifiers import INCONCLUSIVE, REFUTE, SUPPORT, GateResult, OperatorRegistry, gate, index_constraints
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -118,36 +110,28 @@ def sum_in_order(xs: Iterable[float]) -> float:
     return reduce(add, xs, 0)
 
 
-class StepClasses:
-    """One step's value classes in a run: the classes of its :class:`StatementIndex` step.
+class StepClasses(NamedTuple):
+    """One step's value classes in a run: class ``c`` is class ``first + c`` of the index.
 
-    Per class, numbered as the index numbers them (flat id ``first + c``):
-    ``asserted[c]`` is the mask of its retained holders, excised statements
-    included, and 0 for a class no retained trace asserts. ``keep`` masks
-    the traces whose statement here survived the gate, so a class's kept
-    holders are ``asserted[c] & keep``. ``groups`` holds the value groups
-    over the classes with a kept holder, in order of first kept holder,
-    each as its representative, the mask of its kept holders and its
-    number of distinct experts.
+    ``asserted[c]`` masks its retained holders, excised ones included;
+    ``keep`` masks the traces whose statement here survived the gate.
+    ``groups`` holds the value groups of the kept classes, in order of
+    first kept holder: representative, kept holders, distinct experts.
     """
 
-    __slots__ = ("first", "asserted", "keep", "groups")
-
-    def __init__(self, first: int, asserted: list[int], keep: int, groups: list[tuple[Value, int, int]]) -> None:
-        self.first = first
-        self.asserted = asserted
-        self.keep = keep
-        self.groups = groups
+    first: int
+    asserted: list[int]
+    keep: int
+    groups: list[tuple[Value, int, int]]
 
 
 @dataclass(frozen=True)
 class StatementTable:
     """A run's statements, decided per value class for every statement stage.
 
-    ``retained[i]`` holds bit ``positions[i]`` of ``index``'s masks.
-    ``steps`` maps each step that a retained trace asserts, in sorted
-    order, to its :class:`StepClasses`. ``len()`` counts the retained
-    statements, excised ones not included.
+    ``retained[i]`` is bit ``positions[i]`` of ``index``'s masks. ``steps``
+    maps each step that a retained trace asserts, in sorted order, to its
+    :class:`StepClasses`. ``len()`` counts the retained statements.
     """
 
     retained: tuple[GatedTrace, ...]
@@ -163,66 +147,58 @@ class StatementTable:
         """The confidences of the retained statements at ``step``, in trace order."""
         return [gt.trace.confidence_at(step) for gt in self.retained if step in gt.trace.step_ids]
 
-    def equal_classes(self, sc: StepClasses, value: Value) -> int:
-        """The mask of the classes in ``sc`` whose values equal ``value``.
+    def holding(self, sc: StepClasses, value: Value) -> int:
+        """The retained traces whose statement at ``sc``'s step equals ``value``, excised ones included.
 
-        A value that is one of the step's classes' values reads that
-        class's row of the index; any other value, such as an anchor built
-        by hand, is compared with each class.
+        A class's value reads its equality row; another value is compared with each class.
         """
         reps, first, count = self.index.reps, sc.first, len(sc.asserted)
-        for c in range(count):
-            if reps[first + c] is value:
-                return self.index.equal[first + c]
-        return sum(values_equal(reps[first + c], value) << c for c in range(count))
-
-
-def _covers(index: StatementIndex, retained: Sequence[GatedTrace], positions: tuple[int, ...]) -> bool:
-    """Whether the traces sit in ``index`` at ``positions``, which ascend, as each asserted them."""
-    outputs = index.outputs
-    return (list(positions) == sorted(set(positions)) and (not positions or 0 <= positions[0] and positions[-1] < len(outputs))
-            and all(outputs[p] is gt.asserted for p, gt in zip(positions, retained)))
+        for c in range(first, first + count):
+            if reps[c] is value:
+                row = self.index.equal[c]
+                break
+        else:
+            row = sum(values_equal(reps[first + c], value) << c for c in range(count))
+        mask = 0
+        for held in sc.asserted:
+            if row & 1:
+                mask |= held
+            row >>= 1
+        return mask
 
 
 def statements(retained: Sequence[GatedTrace], index: StatementIndex | None = None) -> StatementTable:
     """Decide the run's statements per value class, from the index of the outputs they come from.
 
     ``index`` is the scenario's, built at load over the collected outputs,
-    so a retained trace's position there is its ``trace_index``. Without
-    one, or where it does not hold the retained traces in their order
-    (outputs from a live backend or built by hand), one is built over the
-    retained traces on the spot, each at its place in ``retained``.
-
-    The run reads the index with masks: the retained traces' bits, minus
-    at each step the bits of the traces whose statement there the gate
-    excised. A class's kept holders are one AND, their count is a bit
-    count, and a step's kept classes are grouped in order of first kept
-    holder, each joining the first group whose representative its value
-    equals, as the index's equality rows say. That gives the groups, and
-    the representatives, that grouping the retained statements one by one
-    in trace order would give, since one value object has one exact key:
-    no value is compared during a run.
+    where a retained trace sits at its ``trace_index``; without one, or where
+    it does not hold the retained traces there (a live backend's outputs,
+    traces built by hand), one is built on the spot. A class's kept holders
+    are its mask AND the retained traces' bits, minus those excised at the
+    step. A step's kept classes join groups in order of first kept holder,
+    each the first group whose representative its equality row holds, as a
+    scan of the statements in trace order would. No value is compared.
     """
     retained = tuple(retained)
-    positions = tuple(gt.trace_index for gt in retained)
-    if index is None or not _covers(index, retained, positions):
-        index = index_statements([gt.asserted for gt in retained])
-        positions = tuple(range(len(retained)))
-    in_run = 0
-    cut: dict[str, int] = {}
+    positions = tuple([gt.trace_index for gt in retained])
+    outputs = [gt.asserted for gt in retained]
+    if (index is None or positions != tuple(sorted(set(positions)))
+            or (positions and not 0 <= positions[0] <= positions[-1] < len(index.outputs))
+            or [index.outputs[p] for p in positions] != outputs):  # outputs compare by identity
+        index, positions = index_statements(outputs), tuple(range(len(retained)))
+    in_run = sum([1 << p for p in positions])
+    cut: dict[str, int] = {}  # step -> the traces whose statement there was excised
     for gt, p in zip(retained, positions):
-        in_run |= 1 << p
         if gt.source is not None:
             for step in gt.source.step_ids - gt.trace.step_ids:
                 cut[step] = cut.get(step, 0) | 1 << p
-    reps, equal, ascending = index.reps, index.equal, index.ascending
-    width = 8 * ((len(index.outputs) + 7) // 8)
+    width, equal, reps, distinct = len(index.outputs), index.equal, index.reps, index.distinct
     steps: dict[str, StepClasses] = {}
     first = 0
     for step, packed in zip(index.steps, index.holders):
-        keep = in_run & ~cut[step] if step in cut else in_run
+        keep = in_run & ~cut.get(step, 0)
         asserted: list[int] = []
-        order = []
+        order = []  # (lowest kept bit, class, kept holders) of each class with a kept holder
         while packed:
             held = packed & in_run
             kept = held & keep
@@ -230,27 +206,19 @@ def statements(retained: Sequence[GatedTrace], index: StatementIndex | None = No
                 order.append((kept & -kept, len(asserted), kept))
             asserted.append(held)
             packed >>= width
-        if order:
-            order.sort()
-            rep_classes: list[int] = []
-            masks: list[int] = []
-            opened = 0
-            for _, c, kept in order:
-                row = equal[first + c]
-                if row & opened:
-                    g = next(g for g, r in enumerate(rep_classes) if row >> r & 1)
-                    masks[g] |= kept
-                else:
-                    rep_classes.append(c)
-                    masks.append(kept)
-                    opened |= 1 << c
-            groups = [(reps[first + c], m, m.bit_count() if ascending else len(index.supporters(m)))
-                      for c, m in zip(rep_classes, masks)]
-            steps[step] = StepClasses(first, asserted, keep, groups)
-        elif any(asserted):
-            steps[step] = StepClasses(first, asserted, keep, [])
+        groups: dict[int, int] = {}  # the class of each group's representative -> the group's kept holders
+        opened = 0  # the representatives' classes
+        for _, c, kept in sorted(order):
+            row = equal[first + c]
+            c = next(r for r in groups if row >> r & 1) if row & opened else c
+            groups[c] = groups.get(c, 0) | kept
+            opened |= 1 << c
+        if any(asserted):
+            steps[step] = StepClasses(first, asserted, keep, [
+                (reps[first + c], m, m.bit_count() if distinct else len(index.supporters(m)))
+                for c, m in groups.items()])
         first += len(asserted)
-    return StatementTable(retained, positions, index, steps, sum(len(gt.trace.step_ids) for gt in retained))
+    return StatementTable(retained, positions, index, steps, sum([len(gt.trace.step_ids) for gt in retained]))
 
 
 @dataclass(frozen=True)
@@ -272,7 +240,7 @@ class AnchorSet:
         self._anchors[anchor.step] = anchor
 
     def items(self) -> tuple[Anchor, ...]:
-        return tuple(self._anchors[s] for s in sorted(self._anchors))
+        return tuple([self._anchors[s] for s in sorted(self._anchors)])
 
     def __len__(self) -> int:
         return len(self._anchors)
@@ -336,24 +304,17 @@ class ConflictSet:
         return self._items[step]
 
     def items(self) -> tuple[ConflictItem, ...]:
-        return tuple(self._items[s] for s in sorted(self._items))
+        return tuple([self._items[s] for s in sorted(self._items)])
 
     def steps(self) -> tuple[str, ...]:
         return tuple(sorted(self._items))
 
     def refuted_statements(self) -> list[tuple[str, Value]]:
-        out = []
-        for item in self.items():
-            for value in item.refuted_values:
-                out.append((item.step, value))
-        return out
+        return [(item.step, value) for item in self.items() for value in item.refuted_values]
 
     def supported_statements(self) -> list[tuple[str, Value]]:
-        return [
-            (item.step, item.supported_value)
-            for item in self.items()
-            if item.state == SUPPORTED and item.supported_value is not None
-        ]
+        return [(item.step, item.supported_value) for item in self.items()
+                if item.state == SUPPORTED and item.supported_value is not None]
 
     def __len__(self) -> int:
         return len(self._items)
@@ -544,8 +505,7 @@ def _candidate_provenance(table: StatementTable, step: str, value: Value) -> tup
     sc = table.steps.get(step)
     if sc is None:
         return ()
-    row = table.equal_classes(sc, value)
-    kept = sc.keep & sum(held for c, held in enumerate(sc.asserted) if row >> c & 1)
+    kept = sc.keep & table.holding(sc, value)
     ids: set[str] = set()
     for gt, p in zip(table.retained, table.positions):
         if kept >> p & 1:
@@ -571,13 +531,10 @@ def synthesize(
     it. mean_confidence — the candidate's own average over its retained
     steps. Exact ties go to the lowest expert id.
 
-    The candidates are ``table.retained``. Each value class at a step with
-    an anchor or a resolution is judged once, by the index's equality
-    rows, and its answer is added to the tallies of every candidate that
-    asserted it, through the class's mask of holders, so the work follows
-    the classes that disagree rather than the statements. Only a statement
-    that leans on a refuted value is also kept as a mark, since only those
-    steps can drop out in the fallback.
+    The candidates are ``table.retained``. The candidates that contradict
+    an anchor, assert a supported value or lean on a refuted one are read
+    as masks from the equality rows, and counted per candidate at once: no
+    value is compared, and the work follows the steps, not the statements.
     """
     retained, positions = table.retained, table.positions
     if not retained:
@@ -586,72 +543,35 @@ def synthesize(
     refuted = conflict_set.refuted_statements()
     n_anchors = len(anchors)
 
-    # Per step: the anchor value, the supported values and the refuted values.
-    targets: dict[str, tuple[Value | None, list[Value], list[Value]]] = {}
-    for a in anchors.items():
-        targets[a.step] = (a.value, [], [])
-    for step, value in supported:
-        targets.setdefault(step, (None, [], []))[1].append(value)
-    for step, value in refuted:
-        targets.setdefault(step, (None, [], []))[2].append(value)
-    # Per position, over its asserted statements: the anchors contradicted,
-    # the supported values asserted and the refuted values leaned on, as
-    # counters of masks (``_tally``), and a mark (step, contradicts,
-    # supported hits, refuted hits) per statement that leans on a refuted value.
-    contradicted: list[int] = []
-    agreed: list[int] = []
-    leaned: list[int] = []
-    leaning = 0
-    marks: dict[int, list[tuple[str, bool, int, int]]] = {}
-    for step, (anchor_value, agree_with, refuted_at) in targets.items():
-        sc = table.steps.get(step)
-        if sc is None:
-            continue
-        equal_anchor = -1 if anchor_value is None else table.equal_classes(sc, anchor_value)
-        _tally(contradicted, sum(held for c, held in enumerate(sc.asserted) if not equal_anchor >> c & 1))
-        if not agree_with and not refuted_at:
-            continue
-        agree_rows = [table.equal_classes(sc, v) for v in agree_with]
-        lean_rows = [table.equal_classes(sc, v) for v in refuted_at]
-        for c, held in enumerate(sc.asserted):
-            agree = sum(row >> c & 1 for row in agree_rows)
-            lean = sum(row >> c & 1 for row in lean_rows)
-            for _ in range(agree):
-                _tally(agreed, held)
-            for _ in range(lean):
-                _tally(leaned, held)
-            if lean and held:
-                leaning |= held
-                mark = (step, not equal_anchor >> c & 1, agree, lean)
-                for p in positions:
-                    if held >> p & 1:
-                        marks.setdefault(p, []).append(mark)
-
-    order = sorted(range(len(retained)), key=lambda i: (retained[i].expert_id, retained[i].trace_index))
-    fallback = bool(refuted) and all(leaning >> p & 1 for p in positions)
+    steps = table.steps
+    # As masks over the candidates: those that lean on each refuted value,
+    # and those that contradict each anchor or assert each supported value;
+    # the fallback drops each candidate's statements that lean on a refuted value.
+    leaned = [(step, table.holding(steps[step], value)) for step, value in refuted if step in steps]
+    leans: dict[str, int] = {}
+    for step, mask in leaned:
+        leans[step] = leans.get(step, 0) | mask
+    fallback = bool(refuted) and not sum([1 << p for p in positions]) & ~reduce(or_, leans.values(), 0)
     if fallback and log is not None:
         log.append("synthesize", "fallback", {"reason": "every candidate asserts a refuted statement"})
+    dropped_at = leans if fallback else {}
+    contradicted = [(a.step, sum(steps[a.step].asserted) & ~table.holding(steps[a.step], a.value))
+                    for a in anchors.items() if a.step in steps]
+    agreed = [(step, table.holding(steps[step], value)) for step, value in supported if step in steps]
+    n_contra, n_agree, n_lean = [_per_position([mask & ~dropped_at.get(step, 0) for step, mask in masks], positions)
+                                 for masks in (contradicted, agreed, leaned)]
+    order = sorted(range(len(retained)), key=lambda i: (retained[i].expert_id, retained[i].trace_index))
     w_a, w_c, w_g = weights
     best: tuple[int, float, float, float, float] | None = None
     for i in order:
         gt, p = retained[i], positions[i]
-        n_contra = _count(contradicted, p) if contradicted else 0
-        n_agree = _count(agreed, p) if agreed else 0
-        n_lean = _count(leaned, p) if leaned else 0
-        dropped: AbstractSet[str] = frozenset()
-        if fallback:
-            # The fallback re-scores each candidate without the statements that lean on a refuted value.
-            dropped = {step for step, _, _, _ in marks[p]}
-            for _, contra, agree, lean in marks[p]:
-                n_contra -= contra
-                n_agree -= agree
-                n_lean -= lean
-        anchor_support = (n_anchors - n_contra) / n_anchors if n_anchors else 1.0
+        dropped = {step for step, mask in leans.items() if mask >> p & 1} if fallback else frozenset()
+        anchor_support = (n_anchors - n_contra[i]) / n_anchors if n_anchors else 1.0
         if not supported and not refuted:
             conflict_agreement = 0.5
         else:
-            agree_frac = n_agree / len(supported) if supported else 0.0
-            refute_frac = n_lean / len(refuted) if refuted else 0.0
+            agree_frac = n_agree[i] / len(supported) if supported else 0.0
+            refute_frac = n_lean[i] / len(refuted) if refuted else 0.0
             conflict_agreement = min(1.0, max(0.0, (agree_frac - refute_frac + 1.0) / 2.0))
         mean_confidence = gt.trace.mean_confidence(dropped)
         total = w_a * anchor_support + w_c * conflict_agreement + w_g * mean_confidence
@@ -659,14 +579,8 @@ def synthesize(
             log.append(
                 "synthesize",
                 "score",
-                {
-                    "expert": gt.expert_id,
-                    "trace": gt.trace_index,
-                    "anchor_support": anchor_support,
-                    "conflict_agreement": conflict_agreement,
-                    "mean_confidence": mean_confidence,
-                    "total": total,
-                },
+                {"expert": gt.expert_id, "trace": gt.trace_index, "anchor_support": anchor_support,
+                 "conflict_agreement": conflict_agreement, "mean_confidence": mean_confidence, "total": total},
                 (gt.expert_id,),
             )
         if best is None or total > best[4]:
@@ -675,20 +589,23 @@ def synthesize(
     return retained[best[0]], SynthesisScore(*best[1:]), fallback
 
 
-def _tally(counts: list[int], mask: int) -> None:
-    """Add one to the count of each position in ``mask``; ``counts[k]`` holds bit ``k`` of every count."""
-    for k, level in enumerate(counts):
-        counts[k] = level ^ mask
-        mask &= level
-        if not mask:
-            return
-    if mask:
-        counts.append(mask)
+def _per_position(masks: list[int], positions: tuple[int, ...]) -> list[int]:
+    """How many of ``masks`` hold each of ``positions``, which ascend.
 
-
-def _count(counts: list[int], p: int) -> int:
-    """The count at position ``p`` of counters that :func:`_tally` added to."""
-    return sum(1 << k for k, level in enumerate(counts) if level >> p & 1)
+    A few masks are read bit by bit. Else each mask's bits, as bytes, are
+    an integer's base-256 digits, so the integers' sum counts per digit;
+    255 masks at a time, so that no digit carries.
+    """
+    if not masks:
+        return [0] * len(positions)
+    if len(masks) * len(positions) < 64:
+        return [sum([mask >> p & 1 for mask in masks]) for p in positions]
+    width = positions[-1] + 1
+    counts = [0] * width
+    for start in range(0, len(masks), 255):
+        total = sum([int.from_bytes(mask_bytes(mask), "little") for mask in masks[start:start + 255]])
+        counts = [*map(add, counts, total.to_bytes(max(width, (total.bit_length() + 7) // 8), "little"))]
+    return [counts[p] for p in positions]
 
 
 def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> RunResult:

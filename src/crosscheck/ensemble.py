@@ -32,9 +32,9 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import compress, repeat
-from operator import add, attrgetter, itemgetter
+from functools import reduce
+from itertools import compress
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import AbstractSet, Any, Callable, Iterator, KeysView, Mapping, NamedTuple, Protocol, Sequence
 
@@ -157,28 +157,29 @@ class ExpertOutput:
                             self._values, self._confidences, self._provenance)
 
 
-# A mask as one byte per bit, lowest first, for ``itertools.compress``; and each output's expert.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_EXPERT_ID = attrgetter("expert_id")
 _VALUE = itemgetter(1)
+
+
+def mask_bytes(mask: int) -> bytes:
+    """Bit ``p`` of ``mask`` as byte ``p``, 0 or 1, up to its highest set bit: selectors for ``itertools.compress``."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 class StatementIndex(NamedTuple):
     """Which outputs assert which value at each step, and which of a step's values are equal.
 
-    :func:`index_statements` builds it once over a sequence of outputs; bit
-    ``p`` of a mask stands for ``outputs[p]``. At each of ``steps``, in
-    sorted order, the statements that assert one value object form a
-    class, and a value without an exact key (``values._exact_key``: a NaN,
-    an ill-typed payload) is a class of its own at every statement. A
-    step's classes are numbered in order of first holder. ``reps`` holds
-    each class's value, step after step. ``holders[j]`` packs the holder
-    masks of the classes of ``steps[j]``, one field per class from the
-    lowest, ``len(outputs)`` bits rounded up to whole bytes wide, so the
-    step's classes are its nonzero fields.
-    ``equal`` holds per class the mask of its step's classes whose values
-    are ``values_equal`` to its own. A scenario's index is shared by every
-    run of it, and nothing writes to it.
+    Bit ``p`` of a mask stands for ``outputs[p]``, of expert ``experts[p]``.
+    At each of ``steps`` (sorted), the statements of one value object form
+    a class; a value without an exact key (``values._exact_key``: a NaN,
+    an ill-typed payload) is a class of its own at every statement.
+    ``reps`` holds each class's value, step after step, and ``equal`` the
+    mask of its step's classes whose values are ``values_equal`` to it;
+    ``holders[j]`` packs the holder masks of ``steps[j]``'s classes,
+    ``len(outputs)`` bits each from the lowest. ``distinct`` says that
+    expert ids strictly ascend with position, as in collect order where
+    each expert has one output, so a mask's bits are distinct experts in
+    order. Runs only read the index.
     """
 
     outputs: tuple[ExpertOutput, ...]
@@ -186,71 +187,56 @@ class StatementIndex(NamedTuple):
     reps: tuple[Value, ...]
     holders: tuple[int, ...]
     equal: bytes | tuple[int, ...]
-    ascending: bool  # expert ids strictly ascend with position: a mask's bits are its distinct experts, in order
+    experts: tuple[str, ...]
+    distinct: bool
 
     def supporters(self, mask: int) -> tuple[str, ...]:
         """The distinct experts of the outputs in ``mask``, sorted."""
-        experts = map(_EXPERT_ID, compress(self.outputs, format(mask, "b")[::-1].encode().translate(_BIT_BYTES)))
-        return tuple(experts) if self.ascending else tuple(sorted(set(experts)))
-
-
-@lru_cache(maxsize=64)
-def _pairs(count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Each unordered pair of ``range(count)`` once, as the tuple of first members and the tuple of second ones."""
-    pairs = [(a, b) for a in range(count) for b in range(a + 1, count)]
-    return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+        # A list first: ``tuple()`` of an iterator resizes its tuple, which leaves CPython spare tuples for good.
+        experts = [*compress(self.experts, mask_bytes(mask))]
+        return tuple(experts) if self.distinct else tuple(sorted(set(experts)))
 
 
 def index_statements(outputs: Sequence[ExpertOutput]) -> StatementIndex:
-    """Class every statement of ``outputs`` once, and compare each step's classes once.
+    """Class every statement of ``outputs`` once, and compare each unordered pair of a step's classes once.
 
-    A value object is checked for an exact key once per step, when its
-    first holder there is classed. Equality is symmetric, so each
-    unordered pair of a step's classes is compared once; a class with a
-    key equals itself without a call, since equal keys mean
+    A value object is checked for an exact key once per step. A class
+    with a key equals itself without a call: equal keys mean
     interchangeable values.
     """
     by_step: dict[str, dict[int, int]] = {}  # step -> id() of a value -> the mask of its holders
     layouts: dict[int, list[dict[int, int]]] = {}  # id() of a step order -> its steps' entries in by_step
     for p, output in enumerate(outputs):
-        bit = 1 << p
         columns = layouts.get(id(output._positions))
         if columns is None:
             columns = layouts[id(output._positions)] = [by_step.setdefault(step, {}) for step in output.step_ids]
         for holders, key in zip(columns, map(id, map(_VALUE, output.step_values()))):
-            holders[key] = holders.get(key, 0) | bit
-    nbytes = (len(outputs) + 7) // 8
-    steps = sorted(by_step)
+            holders[key] = holders.get(key, 0) | 1 << p
+    width, steps = len(outputs), sorted(by_step)
     reps: list[Value] = []
-    packed: list[int] = []
     equal: list[int] = []
+    packed: list[int] = []
     for step in steps:
-        masks = list(by_step[step].values())
-        values = [outputs[(mask & -mask).bit_length() - 1].value_at(step) for mask in masks]
-        keys = list(map(_exact_key, values))
-        if None in keys:  # each statement of a value without a key is a class of its own
-            split = sorted(((bit, value, key is not None) for mask, value, key in zip(masks, values, keys)
-                            for bit in ([mask] if key is not None else
-                                        [1 << p for p in range(mask.bit_length()) if mask >> p & 1])),
-                           key=lambda c: c[0] & -c[0])
-            masks, values = [bit for bit, _, _ in split], [value for _, value, _ in split]
-            rows = [1 << c if keyed else values_equal(value, value) << c for c, (_, value, keyed) in enumerate(split)]
-        else:
-            rows = [1 << c for c in range(len(values))]
-        if len(values) > 1:
-            firsts, seconds = _pairs(len(values))
-            for a, b in compress(zip(firsts, seconds), map(values_equal, map(values.__getitem__, firsts),
-                                                          map(values.__getitem__, seconds))):
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-        reps += values
-        equal += rows
-        packed.append(masks[0] if len(masks) == 1 else
-                      int.from_bytes(b"".join(map(int.to_bytes, masks, repeat(nbytes), repeat("little"))), "little"))
+        first, masks = len(reps), []
+        for mask in by_step[step].values():
+            value = outputs[(mask & -mask).bit_length() - 1].value_at(step)
+            keyed = _exact_key(value) is not None  # else each of its statements is a class of its own
+            own = keyed or values_equal(value, value)
+            for held in [mask] if keyed else [1 << p for p in range(mask.bit_length()) if mask >> p & 1]:
+                equal.append(own << len(masks))
+                masks.append(held)
+                reps.append(value)
+        for a in range(1, len(masks)):
+            for b in range(a):
+                if values_equal(reps[first + a], reps[first + b]):
+                    equal[first + a] |= 1 << b
+                    equal[first + b] |= 1 << a
+        packed.append(sum([mask << c * width for c, mask in enumerate(masks)]))
+    experts = tuple([output.expert_id for output in outputs])
     # A step of at most eight classes has rows below 256, so its rows fit in bytes.
     return StatementIndex(tuple(outputs), tuple(steps), tuple(reps), tuple(packed),
-                          bytes(equal) if max(equal, default=0) < 256 else tuple(equal),
-                          all(a.expert_id < b.expert_id for a, b in zip(outputs, outputs[1:])))
+                          bytes(equal) if max(equal, default=0) < 256 else tuple(equal), experts,
+                          experts == tuple(sorted(set(experts))))
 
 
 class ExpertBackend(Protocol):
@@ -262,42 +248,27 @@ class ExpertBackend(Protocol):
     def sample(self, config: ExpertConfig, query: str) -> list[ExpertOutput]: ...
 
 
-def _raw_key(obj: object) -> tuple | None:
-    """A key on which equal keys mean one decoded value, for the explicit forms worth caching.
-
-    A two-key form ``{"kind": k, "value": v}`` keys as ``(k, type(v), v)``,
-    a three-key form with a string ``unit`` as ``(k, type(v), v, unit)``.
-    Equal keys then mean equal forms: a form with as many keys that
-    decodes holds exactly those. The payload's type is in the key, so
-    ``1``, ``1.0`` and ``true`` key apart. Only ``int``, ``str``, ``bool``
-    and nonzero ``float`` payloads get a key, since ``-0.0 == 0.0``; every
-    other form gets None and is decoded each time.
-    """
-    if type(obj) is not dict:
-        return None
-    kind = obj.get("kind")
-    payload = obj.get("value")
-    payload_type = type(payload)
-    if type(kind) is not str or not (payload_type is int or payload_type is str or payload_type is bool
-                                     or (payload_type is float and payload)):
-        return None
-    size = len(obj)
-    if size == 2:
-        return (kind, payload_type, payload)
-    unit = obj.get("unit")
-    if size == 3 and type(unit) is str:
-        return (kind, payload_type, payload, unit)
-    return None
-
-
 def interned_decoder(interned: dict[object, Any]) -> Callable[[object], Value]:
     """``value_from_json`` through a load's intern table (see :func:`parse_expert_output`).
 
-    The decoded value is the table's object for its printed literal, and a
-    raw form with a key (``_raw_key``) is decoded only when first seen.
+    The decoded value is the table's object for its printed literal. A
+    raw form ``{"kind": k, "value": v}`` keys as ``(k, type(v), v)``, one
+    with a string ``unit`` too as ``(k, type(v), v, unit)``, and is decoded
+    only when first seen. The payload's type is in the key, so ``1``,
+    ``1.0`` and ``true`` key apart. Only ``int``, ``str``, ``bool`` and
+    nonzero ``float`` payloads get a key, since ``-0.0 == 0.0``.
     """
     def decode(obj: object) -> Value:
-        key = _raw_key(obj)
+        key = None  # the form's key, inline: this runs once per value a load reads
+        if type(obj) is dict:
+            kind, payload = obj.get("kind"), obj.get("value")
+            payload_type = type(payload)
+            if type(kind) is str and (payload_type is int or payload_type is str or payload_type is bool
+                                      or (payload_type is float and payload)):
+                if len(obj) == 2:
+                    key = (kind, payload_type, payload)
+                elif len(obj) == 3 and type(obj.get("unit")) is str:
+                    key = (kind, payload_type, payload, obj["unit"])
         if key is not None:
             value = interned.get(key)
             if value is not None:
@@ -328,7 +299,7 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Any] |
     literal and equal values share one object. Values that print
     differently, such as ``-0.0`` and ``0.0`` or ``1`` and ``1.0``, stay
     distinct objects. The table also maps each raw form's key
-    (``_raw_key``) to that object once the form has decoded, so a form
+    (``interned_decoder``) to that object once the form has decoded, so a form
     seen again is neither decoded nor printed; a form that fails to decode
     is never entered. And it maps each sorted tuple of step ids to the
     step-to-column dict of the traces with that step set, so they share

@@ -57,14 +57,14 @@ import marshal
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .ensemble import (CONSERVATIVE, ExpertConfig, ExpertOutput, ScriptedBackend, StatementIndex, index_statements,
                        interned_decoder, parse_expert_output)
 from .errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
 from .facts import Fact, FactStore, Note, ToolRecord, decode_record, params_key
 from .plandag import PlanDag, build_plan
-from .values import Value, parse_statement_key, shared, shared_text, value_to_json
+from .values import Value, parse_statement_key, shared_text, value_to_json
 from .verifiers import RESPONSE_KEY, VERDICTS, Constraint, OperatorRegistry, constraint_from_spec, default_registry
 
 
@@ -114,8 +114,11 @@ class Scenario:
     facts_seed: tuple[ToolRecord | Note | Fact, ...]
     saved_fields: bytes
     name: str
-    # Over the outputs in the order every run collects them (``_collected``); runs read it, never write it.
-    statement_index: StatementIndex = field(repr=False, compare=False)
+    # Over ``scenario_expert_outputs``, in the order every run collects them; runs only read it.
+    statement_index: StatementIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.statement_index = index_statements(scenario_expert_outputs(self))
 
     def expert_configs(self) -> list[ExpertConfig]:
         return [e.config for e in self.experts]
@@ -332,13 +335,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
         facts_seed=tuple(facts_seed),
         saved_fields=saved_fields,
         name=name or saved_name,
-        statement_index=_shared_parts(index_statements(_collected(experts))),
     )
-
-
-def _shared_parts(index: StatementIndex) -> StatementIndex:
-    """``index`` with its step order, holders and equality rows each the process's one such object (``shared``)."""
-    return index._replace(steps=shared(index.steps), holders=shared(index.holders), equal=shared(index.equal))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -477,12 +474,7 @@ facts store dump (line-delimited JSON; tools, then notes, then facts, by id)
 """
 
 
-def _collected(experts: Sequence[ScriptedExpert]) -> list[ExpertOutput]:
-    """The outputs of the experts that do not fail, in the order ``collect`` gathers them."""
-    return [output for expert in sorted(experts, key=lambda e: e.config.expert_id) if not expert.fail
-            for output in expert.outputs]
-
-
 def scenario_expert_outputs(scenario: Scenario) -> list[ExpertOutput]:
     """The outputs parsed at load, for baseline methods that skip the pipeline entirely."""
-    return _collected(scenario.experts)
+    experts = sorted(scenario.experts, key=lambda e: e.config.expert_id)
+    return [output for expert in experts if not expert.fail for output in expert.outputs]

@@ -110,8 +110,7 @@ def values_equal(a: Value, b: Value) -> bool:
     if a.kind == NUMBER:
         # The rule of numbers_close, inlined: numbers are the commonest kind compared.
         x, y = a.payload, b.payload
-        gap = abs(x - y)  # type: ignore[operator]
-        return gap <= ABS_TOL or gap <= REL_TOL * max(abs(x), abs(y))  # type: ignore[operator, arg-type]
+        return abs(x - y) <= max(ABS_TOL, REL_TOL * max(abs(x), abs(y)))  # type: ignore[operator, arg-type]
     if a.kind == TEXT:
         return _fold(a.payload) == _fold(b.payload)  # type: ignore[arg-type]
     if a.kind == BOOLEAN:
@@ -294,40 +293,26 @@ def parse_literal(s: str) -> Value:
     return value
 
 
-# The process's one object per shared id or index part (``shared``); emptied when it reaches its bound.
-_SHARED: dict[object, object] = {}
+# The process's one object per shared id; emptied when it holds SHARED_BOUND ids.
+_SHARED: dict[str, str] = {}
 SHARED_BOUND = 1 << 16
 
 
-def shared(obj: _T) -> _T:
-    """The process's one object equal to ``obj``, which must be exactly a ``str``, ``bytes``, or a tuple of ``str`` or of ``int``.
-
-    Equal objects passed through it, within and across loaded scenarios,
-    come back as one object. The table keeps what it shares alive only
-    until it holds ``SHARED_BOUND`` entries; it is then emptied, so a
-    process that loads many scenarios keeps at most that many, and an id
-    a load dropped can be freed (``sys.intern`` would keep every id
-    alive for good on CPython 3.12 and later). Those types compare equal
-    only to equal contents of their own kind, so the object returned
-    stands for ``obj`` exactly.
-    """
-    found = _SHARED.get(obj)
-    if found is None:
-        if len(_SHARED) >= SHARED_BOUND:
-            _SHARED.clear()
-        _SHARED[obj] = found = obj
-    return found  # type: ignore[return-value]
-
-
 def shared_text(s: _T) -> _T:
-    """``shared(s)`` when ``s`` is exactly a ``str``; else ``s`` unchanged.
+    """The process's one object for the text of ``s`` when ``s`` is exactly a ``str``; else ``s`` unchanged.
 
     A load passes each id through this once the id has passed its own
     check, so equal ids share one object within and across loaded
-    scenarios. A ``str`` subclass or a non-string is returned as it is,
-    so it loads or fails exactly as it would without the sharing.
+    scenarios. Emptying the table lets an id that no scenario holds be
+    freed (``sys.intern`` would keep it for good on CPython 3.12 and
+    later). A ``str`` subclass or a non-string is returned as it is, so
+    it loads or fails exactly as it would without the sharing.
     """
-    return shared(s) if type(s) is str else s
+    if type(s) is not str:
+        return s
+    if s not in _SHARED and len(_SHARED) >= SHARED_BOUND:
+        _SHARED.clear()
+    return _SHARED.setdefault(s, s)  # type: ignore[return-value]
 
 
 # --- statement keys ---------------------------------------------------------

@@ -25,8 +25,9 @@ from crosscheck.ensemble import parse_expert_output
 from crosscheck.errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
 from crosscheck.facts import FactStore
 from crosscheck.plandag import build_plan
-from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict
-from crosscheck.values import format_literal, number, parse_literal, parse_statement_key, statement_key, values_equal
+from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict, scenario_to_dict
+from crosscheck.values import (NUMBER, Value, format_literal, number, parse_literal, parse_statement_key, statement_key,
+                              values_equal)
 from crosscheck.verifiers import Constraint, OperatorRegistry, ScriptedTableOperator
 
 from oracles import Stmt, count_filter_anchors, flat_pool, pairwise_conflicts, synthesis_score, trace, trace_rows
@@ -770,6 +771,56 @@ def test_statements_check_each_value_object_for_an_exact_key_once(monkeypatch):
     assert table.index is scenario.statement_index
     assert len(keyed) == len(scenario.statement_index.reps)  # the run checks no key
     assert len(keyed) < len(table) / 5
+
+
+def _classes_per_step(index):
+    """The number of classes at each of the index's steps, read from its packed holder masks."""
+    for packed in index.holders:
+        count = 0
+        while packed:
+            count, packed = count + 1, packed >> len(index.outputs)
+        yield count
+
+
+def test_a_load_compares_each_pair_of_a_steps_classes_once(monkeypatch):
+    params = GeneratorParams(max_experts=64, max_steps=64, agreement=0.5, distractors=4, edge_prob=0.1,
+                             with_constraints=True)
+    data = scenario_to_dict(random_scenario(3, params))
+    calls = []
+    real_equal = ensemble.values_equal
+    monkeypatch.setattr(ensemble, "values_equal", lambda a, b: calls.append((a, b)) or real_equal(a, b))
+    scenario = scenario_from_dict(data)
+    assert len(calls) == sum(k * (k - 1) // 2 for k in _classes_per_step(scenario.statement_index)) > 100
+    # A value without a key is a class of its own at each statement; each
+    # of its classes is compared once with each other class, and the value once with itself.
+    nan, one = Value(NUMBER, float("nan")), number(1)
+    outputs = [trace(f"e{i}", {"a": (value, 0.9, ())}, number(0)) for i, value in enumerate([nan, nan, one, one, nan])]
+    calls.clear()
+    index = ensemble.index_statements(outputs)
+    assert list(_classes_per_step(index)) == [4] and len(calls) == 4 * 3 // 2 + 1
+
+
+@given(st.integers(0, 600), st.integers(1, 40), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_per_position_counts_match_a_bit_by_bit_count(n_masks, width, rng):
+    # Both of its paths, and more masks than one base-256 digit can count.
+    masks = [rng.getrandbits(width) for _ in range(n_masks)]
+    positions = tuple(sorted(rng.sample(range(width), rng.randint(1, width))))
+    assert engine._per_position(masks, positions) == [sum(mask >> p & 1 for mask in masks) for p in positions]
+
+
+def test_a_loaded_index_serves_runs_under_any_config():
+    # The index is built at load and only read by runs: runs under one config
+    # leave nothing behind that a later run under another config would read.
+    params = GeneratorParams(max_experts=64, max_steps=64, agreement=0.5, distractors=4, edge_prob=0.1,
+                             with_constraints=True)
+    a = EngineConfig()
+    b = EngineConfig(theta=3, gate_threshold=0.95, facts_enabled=False)  # retains 26 of the wide scenario's 57 traces
+    for generated in (random_scenario(3, params), adversarial_scenario(11)):
+        data = scenario_to_dict(generated)
+        loaded = scenario_from_dict(data)
+        logs = [run_pipeline(loaded, config).audit_log.to_text() for config in (a, b, a)]
+        assert logs == [run_pipeline(scenario_from_dict(data), config).audit_log.to_text() for config in (a, b, a)]
 
 
 def test_a_run_lists_its_verified_facts_once_and_checks_them_only_in_the_audit(monkeypatch):

@@ -2,11 +2,14 @@
 
 ``group_values`` groups by canonical equality under a tolerance that is
 not transitive, and ``anchor``/``conflicts``/``rank_conflicts``/
-``synthesize`` read one table that classifies each statement once per run
-by value object. Both must give exactly what the plain scans give: the same
-groups in the same order with the same first-seen representatives, and
-the same anchors, collisions, conflict items, audit order, provenance and
-synthesis scores.
+``synthesize`` read one table that a run decides per value class, from a
+statement index that classes each statement once by value object. Both
+must give exactly what the plain scans give: the same groups in the same
+order with the same first-seen representatives, and the same anchors,
+collisions, conflict items, audit order, provenance and synthesis scores.
+Every table is checked twice: with an index built over the retained
+traces alone, and with one built over a superset of outputs, as a loaded
+scenario's index holds the traces a run rejects too.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from crosscheck.auditlog import AuditLog
+from crosscheck.ensemble import index_statements
 from crosscheck.engine import (
     Anchor,
     AuditBudget,
@@ -267,9 +271,36 @@ def _literals(objs):
     return [format_literal(o.value) for o in objs]
 
 
+def _placed_among_rejected(traces):
+    """The traces at new positions among rejected outputs, and an index over all of the outputs.
+
+    A rejected output of a value no trace asserts sits before each trace,
+    and each trace's asserted output (a fragment's source) sits once more
+    after them all, as a rejected one, so the index's classes and masks
+    hold outputs that the run did not retain.
+    """
+    other = trace("e0", {step: (number(-7), 0.5, ()) for step in STEPS}, number(0))
+    outputs, placed = [], []
+    for gt in traces:
+        outputs.append(other)
+        placed.append(GatedTrace(gt.trace, len(outputs), gt.source))
+        outputs.append(gt.asserted)
+    outputs += [gt.asserted for gt in reversed(traces)]
+    return placed, index_statements(outputs)
+
+
 def _assert_table_matches_oracles(traces, theta, verdicts=()):
+    """Every stage matches its naive scan, over an index of the traces alone and over a prebuilt superset one."""
+    placed, index = _placed_among_rejected(traces)
+    table = statements(placed, index)
+    assert table.index is index  # the stages read the prebuilt index, not one of their own
+    _assert_stages_match_oracles(placed, table, theta, verdicts)
+    return _assert_stages_match_oracles(traces, statements(traces), theta, verdicts)
+
+
+def _assert_stages_match_oracles(traces, table, theta, verdicts):
+    """Every stage over ``table`` equals its naive scan over ``traces``; returns the anchors."""
     pool = flat_pool([gt.trace for gt in traces])
-    table = statements(traces)
     assert len(table) == len(pool)
     assert list(table.steps) == sorted({s for gt in traces for s in gt.asserted.step_ids})
     for step, sc in table.steps.items():

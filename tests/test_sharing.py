@@ -6,7 +6,9 @@ ids, expert ids and constraint step patterns must be one string object,
 and every closed-vocabulary word (role, scope, fact category and status,
 verdict) the module's constant. Within a scenario, a verdict entry,
 oracle value or tool outcome whose literal a trace value prints to must
-be that value's object.
+be that value's object. The table that shares ids stays within its
+bound and keeps no id alive for good, and a scenario's statement index
+adds a few bytes per statement.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import json
 import sys
 import tracemalloc
 
+from crosscheck import values
 from crosscheck.corpus import GeneratorParams, random_corpus, random_scenario, write_corpus
-from crosscheck.ensemble import CONSERVATIVE, RADICAL
+from crosscheck.ensemble import CONSERVATIVE, RADICAL, index_statements
 from crosscheck.facts import CATEGORIES, STATUSES, Fact
-from crosscheck.scenario import load_corpus, scenario_from_dict, scenario_to_dict
-from crosscheck.values import format_literal
+from crosscheck.scenario import load_corpus, scenario_expert_outputs, scenario_from_dict, scenario_to_dict
+from crosscheck.values import format_literal, shared_text
 from crosscheck.verifiers import RESPONSE_SCOPE, STEP_SCOPE, VERDICTS
 from test_scenario import _tool_scenario
 
@@ -99,6 +102,23 @@ def test_a_loaded_corpus_holds_one_object_per_id_and_word(tmp_path):
     _assert_shared([*loaded, *load_corpus(tmp_path)])
 
 
+def test_a_shared_id_is_not_kept_alive_for_good():
+    # sys.intern makes every string it shares immortal on CPython 3.12 and later.
+    text = "".join(["an id no scenario holds ", str(id(object()))])
+    assert shared_text(text) is text
+    assert shared_text("".join(["an id no scenario holds ", text.rsplit(" ", 1)[1]])) is text
+    assert sys.getrefcount(text) < 2**30
+
+
+def test_the_shared_table_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(values, "_SHARED", {})
+    monkeypatch.setattr(values, "SHARED_BOUND", 8)
+    for i in range(100):
+        first = shared_text(f"id {i}")
+        assert shared_text(f"id {i}") is first  # shared until the table is next emptied
+        assert len(values._SHARED) <= 8
+
+
 def test_a_decoded_value_a_trace_holds_is_the_traces_object(tmp_path):
     _write_corpus(tmp_path)
     loaded = load_corpus(tmp_path)
@@ -143,6 +163,37 @@ def _held_per_statement(texts: list[str]) -> float:
     statements = sum(len(o.step_ids) for s in loaded for e in s.experts for o in e.outputs)
     assert statements > 2_000
     return (held - blobs) / statements
+
+
+# The statement index alone, per statement: ``wide`` 2.6 B and ``desk``
+# 41.7 B on CPython 3.11. Its masks and equality rows are ints and bytes,
+# not objects per statement; the fixed tuples of a ``desk`` scenario are
+# shared by its few statements. Each bound lies about a fifth above.
+WIDE_INDEX_BYTES_PER_STATEMENT = 3
+DESK_INDEX_BYTES_PER_STATEMENT = 50
+
+
+def _index_per_statement(scenarios) -> float:
+    """Build each loaded scenario's statement index again and weigh what the index adds."""
+    outputs = [scenario_expert_outputs(s) for s in scenarios]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        indexes = [index_statements(o) for o in outputs]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert indexes == [s.statement_index for s in scenarios]
+    return held / sum(len(o.step_ids) for os in outputs for o in os)
+
+
+def test_a_statement_index_holds_few_bytes():
+    per_statement = _index_per_statement([random_scenario(seed, WIDE_PARAMS) for seed in WIDE_HEAP_SEEDS])
+    assert per_statement < WIDE_INDEX_BYTES_PER_STATEMENT, f"wide: {per_statement:.2f} B per statement"
+    per_statement = _index_per_statement(random_corpus(*DESK_HEAP_CORPUS, DESK_PARAMS)[0])
+    assert per_statement < DESK_INDEX_BYTES_PER_STATEMENT, f"desk: {per_statement:.2f} B per statement"
 
 
 def test_a_loaded_statement_holds_few_bytes():
