@@ -274,10 +274,10 @@ def _literals(objs):
 def _placed_among_rejected(traces):
     """The traces at new positions among rejected outputs, and an index over all of the outputs.
 
-    A rejected output of a value no trace asserts sits before each trace,
-    and each trace's asserted output (a fragment's source) sits once more
-    after them all, as a rejected one, so the index's classes and masks
-    hold outputs that the run did not retain.
+    A rejected output with value objects of its own sits before each
+    trace, and each trace's asserted output (a fragment's source) sits once
+    more after them all, as a rejected one, so the index's classes and
+    masks hold outputs that the run did not retain.
     """
     other = trace("e0", {step: (number(-7), 0.5, ()) for step in STEPS}, number(0))
     outputs, placed = [], []
