@@ -44,9 +44,17 @@ from .ensemble import CollectResult, ExpertOutput, StatementIndex, collect, inde
 from .errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
 from .facts import Fact, FactStore, Note, ToolRecord
 from .plandag import PlanDag
-# ``group_values`` is not called here; the benchmark's tracer wraps it under this module's name.
+# Not called here: the benchmark's tracer wraps ``group_values`` under this name, and tests require it to resolve.
 from .values import Value, format_literal, group_values, values_equal  # noqa: F401
-from .verifiers import INCONCLUSIVE, REFUTE, SUPPORT, GateResult, OperatorRegistry, gate, index_constraints
+from .verifiers import (
+    INCONCLUSIVE,
+    REFUTE,
+    SUPPORT,
+    GateResult,
+    OperatorRegistry,
+    gate,
+    index_constraints,
+)
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -138,10 +146,9 @@ class StatementTable:
     positions: tuple[int, ...]
     index: StatementIndex
     steps: dict[str, StepClasses]
-    size: int
 
     def __len__(self) -> int:
-        return self.size
+        return sum([len(gt.trace.step_ids) for gt in self.retained])
 
     def confidences(self, step: str) -> list[float]:
         """The confidences of the retained statements at ``step``, in trace order."""
@@ -150,7 +157,8 @@ class StatementTable:
     def holding(self, sc: StepClasses, value: Value) -> int:
         """The retained traces whose statement at ``sc``'s step equals ``value``, excised ones included.
 
-        A class's value reads its equality row; another value is compared with each class.
+        A class's value reads its equality row; another value, such as an
+        anchor that a caller of :func:`synthesize` built, is compared with each class.
         """
         reps, first, count = self.index.reps, sc.first, len(sc.asserted)
         for c in range(first, first + count):
@@ -218,7 +226,7 @@ def statements(retained: Sequence[GatedTrace], index: StatementIndex | None = No
                 (reps[first + c], m, m.bit_count() if distinct else len(index.supporters(m)))
                 for c, m in groups.items()])
         first += len(asserted)
-    return StatementTable(retained, positions, index, steps, sum([len(gt.trace.step_ids) for gt in retained]))
+    return StatementTable(retained, positions, index, steps)
 
 
 @dataclass(frozen=True)
@@ -240,7 +248,7 @@ class AnchorSet:
         self._anchors[anchor.step] = anchor
 
     def items(self) -> tuple[Anchor, ...]:
-        return tuple([self._anchors[s] for s in sorted(self._anchors)])
+        return tuple(self._anchors[s] for s in sorted(self._anchors))
 
     def __len__(self) -> int:
         return len(self._anchors)
@@ -304,17 +312,24 @@ class ConflictSet:
         return self._items[step]
 
     def items(self) -> tuple[ConflictItem, ...]:
-        return tuple([self._items[s] for s in sorted(self._items)])
+        return tuple(self._items[s] for s in sorted(self._items))
 
     def steps(self) -> tuple[str, ...]:
         return tuple(sorted(self._items))
 
     def refuted_statements(self) -> list[tuple[str, Value]]:
-        return [(item.step, value) for item in self.items() for value in item.refuted_values]
+        out = []
+        for item in self.items():
+            for value in item.refuted_values:
+                out.append((item.step, value))
+        return out
 
     def supported_statements(self) -> list[tuple[str, Value]]:
-        return [(item.step, item.supported_value) for item in self.items()
-                if item.state == SUPPORTED and item.supported_value is not None]
+        return [
+            (item.step, item.supported_value)
+            for item in self.items()
+            if item.state == SUPPORTED and item.supported_value is not None
+        ]
 
     def __len__(self) -> int:
         return len(self._items)
@@ -579,8 +594,14 @@ def synthesize(
             log.append(
                 "synthesize",
                 "score",
-                {"expert": gt.expert_id, "trace": gt.trace_index, "anchor_support": anchor_support,
-                 "conflict_agreement": conflict_agreement, "mean_confidence": mean_confidence, "total": total},
+                {
+                    "expert": gt.expert_id,
+                    "trace": gt.trace_index,
+                    "anchor_support": anchor_support,
+                    "conflict_agreement": conflict_agreement,
+                    "mean_confidence": mean_confidence,
+                    "total": total,
+                },
                 (gt.expert_id,),
             )
         if best is None or total > best[4]:
@@ -592,14 +613,10 @@ def synthesize(
 def _per_position(masks: list[int], positions: tuple[int, ...]) -> list[int]:
     """How many of ``masks`` hold each of ``positions``, which ascend.
 
-    A few masks are read bit by bit. Else each mask's bits, as bytes, are
-    an integer's base-256 digits, so the integers' sum counts per digit;
-    255 masks at a time, so that no digit carries.
+    Each mask's bits, as bytes, are an integer's base-256 digits, so the
+    integers' sum counts per digit; 255 masks at a time, so that no digit
+    carries.
     """
-    if not masks:
-        return [0] * len(positions)
-    if len(masks) * len(positions) < 64:
-        return [sum([mask >> p & 1 for mask in masks]) for p in positions]
     width = positions[-1] + 1
     counts = [0] * width
     for start in range(0, len(masks), 255):

@@ -34,9 +34,9 @@ from array import array
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
-from operator import add, itemgetter
+from operator import add
 from types import MappingProxyType
-from typing import AbstractSet, Any, Callable, Iterator, KeysView, Mapping, NamedTuple, Protocol, Sequence
+from typing import AbstractSet, Any, Callable, KeysView, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import AllExpertsFailedError, BackendError, InvalidPlanError, ParseError, SchemaError
 from .values import Value, _exact_key, format_literal, shared_text, value_from_json, values_equal
@@ -118,15 +118,6 @@ class ExpertOutput:
         """The trace's step ids in trace order; a set-like view with O(1) membership."""
         return self._positions.keys()
 
-    def step_values(self) -> Iterator[tuple[str, Value]]:
-        """``(step, value)`` of each step, in trace order."""
-        if len(self._positions) == len(self._values):
-            # Columns ascend in trace order (see the class), so a trace that
-            # holds every column holds them in order and zips them as they are.
-            return zip(self._positions, self._values)
-        values = self._values
-        return ((step, values[col]) for step, col in self._positions.items())
-
     def value_at(self, step: str) -> Value:
         """The value asserted at ``step``; KeyError where the trace lacks it."""
         return self._values[self._positions[step]]
@@ -158,7 +149,6 @@ class ExpertOutput:
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_VALUE = itemgetter(1)
 
 
 def mask_bytes(mask: int) -> bytes:
@@ -206,32 +196,40 @@ def index_statements(outputs: Sequence[ExpertOutput]) -> StatementIndex:
     """
     by_step: dict[str, dict[int, int]] = {}  # step -> id() of a value -> the mask of its holders
     layouts: dict[int, list[dict[int, int]]] = {}  # id() of a step order -> its steps' entries in by_step
-    for p, output in enumerate(outputs):
+    bit = 1
+    for output in outputs:
         columns = layouts.get(id(output._positions))
         if columns is None:
             columns = layouts[id(output._positions)] = [by_step.setdefault(step, {}) for step in output.step_ids]
-        for holders, key in zip(columns, map(id, map(_VALUE, output.step_values()))):
-            holders[key] = holders.get(key, 0) | 1 << p
+        # Columns ascend in trace order (see ExpertOutput), so an output that holds every column holds them in order.
+        values = output._values
+        if len(columns) != len(values):
+            values = map(values.__getitem__, output._positions.values())
+        for classes, key in zip(columns, map(id, values)):
+            classes[key] = classes.get(key, 0) | bit
+        bit <<= 1
     width, steps = len(outputs), sorted(by_step)
     reps: list[Value] = []
     equal: list[int] = []
     packed: list[int] = []
     for step in steps:
-        first, masks = len(reps), []
+        first = len(reps)
+        shift = holders = 0
         for mask in by_step[step].values():
-            value = outputs[(mask & -mask).bit_length() - 1].value_at(step)
+            value = outputs[mask.bit_length() - 1].value_at(step)
             keyed = _exact_key(value) is not None  # else each of its statements is a class of its own
             own = keyed or values_equal(value, value)
             for held in [mask] if keyed else [1 << p for p in range(mask.bit_length()) if mask >> p & 1]:
-                equal.append(own << len(masks))
-                masks.append(held)
+                equal.append(own << len(reps) - first)
                 reps.append(value)
-        for a in range(1, len(masks)):
-            for b in range(a):
-                if values_equal(reps[first + a], reps[first + b]):
-                    equal[first + a] |= 1 << b
-                    equal[first + b] |= 1 << a
-        packed.append(sum([mask << c * width for c, mask in enumerate(masks)]))
+                holders |= held << shift
+                shift += width
+        for a in range(first + 1, len(reps)):
+            for b in range(first, a):
+                if values_equal(reps[a], reps[b]):
+                    equal[a] |= 1 << b - first
+                    equal[b] |= 1 << a - first
+        packed.append(holders)
     experts = tuple([output.expert_id for output in outputs])
     # A step of at most eight classes has rows below 256, so its rows fit in bytes.
     return StatementIndex(tuple(outputs), tuple(steps), tuple(reps), tuple(packed),

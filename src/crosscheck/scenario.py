@@ -22,10 +22,9 @@ byte for byte: ``load(save(load(path)))`` is structurally identical to
 ``load(path)``.
 
 A load holds each repeated thing once. Every id it keeps, once the id
-has passed its check, is passed through ``sys.intern``
-(``values.shared_text``): DAG steps and edges, trace step keys, oracle
-truth keys, verdict steps, facts keys, constraint step patterns and
-expert ids. So equal ids are one object within a scenario and across
+has passed its check, is passed through ``values.shared_text``: DAG
+steps and edges, trace step keys, oracle truth keys, verdict steps,
+facts keys, constraint step patterns and expert ids. So equal ids are one object within a scenario and across
 scenarios. An id that is not exactly a ``str`` is kept as it is and
 loads or fails as it would unshared. Closed-vocabulary words (expert
 role, constraint scope, fact category and status, verdict) are the
@@ -476,5 +475,8 @@ facts store dump (line-delimited JSON; tools, then notes, then facts, by id)
 
 def scenario_expert_outputs(scenario: Scenario) -> list[ExpertOutput]:
     """The outputs parsed at load, for baseline methods that skip the pipeline entirely."""
-    experts = sorted(scenario.experts, key=lambda e: e.config.expert_id)
-    return [output for expert in experts if not expert.fail for output in expert.outputs]
+    outputs: list[ExpertOutput] = []
+    for expert in sorted(scenario.experts, key=lambda e: e.config.expert_id):
+        if not expert.fail:
+            outputs.extend(expert.outputs)
+    return outputs

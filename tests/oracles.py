@@ -172,7 +172,7 @@ def reference_gate(output, constraints, dag, verified, threshold):
         return all(values_equal(f.value, value) for f in verified if f.key == key)
 
     failing = []
-    for step, value in output.step_values():
+    for step, value, _, _ in trace_rows(output):
         if step not in dag.steps:
             raise UnknownStepError(f"unknown step {step!r}")
         ok = all(c.predicate(value) for c in constraints

@@ -239,7 +239,7 @@ def _reference_scores(traces, anchors, conflict_set):
 
     candidates = sorted(traces, key=lambda gt: (gt.expert_id, gt.trace_index))
     fallback = bool(refuted) and all(
-        any(leans_on_refuted(s, value) for s, value in gt.asserted.step_values()) for gt in candidates
+        any(leans_on_refuted(s, value) for s, value, _, _ in trace_rows(gt.asserted)) for gt in candidates
     )
     scores = []
     for gt in candidates:

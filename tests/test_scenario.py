@@ -570,7 +570,7 @@ def _lookalikes_scenario():
 
 def _trace_values(scenario):
     return [value for expert in scenario.experts for output in expert.outputs
-            for value in [value for _, value in output.step_values()] + [output.response]]
+            for value in [output.value_at(step) for step in output.step_ids] + [output.response]]
 
 
 def _parsed_without_a_table(scenario):

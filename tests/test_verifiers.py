@@ -382,7 +382,7 @@ def _holds_by_store(constraint, value, facts, key):
 def _reference_failing(trace, facts, constraints):
     """The gate's rule asked the plain way: every constraint, then the store, statement by statement."""
     failing = []
-    for step, value in trace.step_values():
+    for step, value, _, _ in trace_rows(trace):
         ok = all(_holds_by_store(c, value, facts, step) for c in constraints if c.applies_to_step(step))
         ok = ok and facts.check_consistency((step, value)).verdict != CONFLICT
         if not ok:
