@@ -248,7 +248,9 @@ class AnchorSet:
         self._anchors[anchor.step] = anchor
 
     def items(self) -> tuple[Anchor, ...]:
-        return tuple(self._anchors[s] for s in sorted(self._anchors))
+        # A list first: ``tuple()`` of a generator resizes its tuple as it grows, which cost a
+        # ``wide`` bench run about 0.5 MB more peak RSS than this list (ensemble.StatementIndex.supporters).
+        return tuple([self._anchors[s] for s in sorted(self._anchors)])
 
     def __len__(self) -> int:
         return len(self._anchors)
@@ -312,7 +314,7 @@ class ConflictSet:
         return self._items[step]
 
     def items(self) -> tuple[ConflictItem, ...]:
-        return tuple(self._items[s] for s in sorted(self._items))
+        return tuple([self._items[s] for s in sorted(self._items)])  # a list first, as in AnchorSet.items
 
     def steps(self) -> tuple[str, ...]:
         return tuple(sorted(self._items))
