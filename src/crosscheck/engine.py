@@ -248,8 +248,7 @@ class AnchorSet:
         self._anchors[anchor.step] = anchor
 
     def items(self) -> tuple[Anchor, ...]:
-        # A list first: ``tuple()`` of a generator resizes its tuple as it grows, which cost a
-        # ``wide`` bench run about 0.5 MB more peak RSS than this list (ensemble.StatementIndex.supporters).
+        # A list first: ``tuple()`` of a generator resizes its tuple, which cost a ``wide`` run 0.5 MB of peak RSS.
         return tuple([self._anchors[s] for s in sorted(self._anchors)])
 
     def __len__(self) -> int:
