@@ -39,11 +39,10 @@ from .ensemble import (
     HttpBackend,
     ScriptedBackend,
     collect,
-    sample_traces,
 )
 from .errors import CrosscheckError
 from .facts import ConsistencyReport, Fact, FactStore, Note, ToolRecord
-from .plandag import PlanDag, build_plan
+from .plandag import PlanDag
 from .scenario import Scenario, load_corpus, load_scenario, save_scenario
 from .values import Value, boolean, composite, number, quantity, text, values_equal
 from .verifiers import Constraint, GateResult, OperatorRegistry, Verdict, check_response, gate, index_constraints
@@ -78,7 +77,6 @@ __all__ = [
     "Verdict",
     "anchor",
     "boolean",
-    "build_plan",
     "check_response",
     "collect",
     "composite",
@@ -96,7 +94,6 @@ __all__ = [
     "replay",
     "run_ablation",
     "run_pipeline",
-    "sample_traces",
     "save_scenario",
     "simple_verification",
     "statements",

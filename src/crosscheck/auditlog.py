@@ -168,12 +168,13 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
     steps leaving the open set. Verify events also follow the one audit
     plan: each comes after it, at a step of its order, never back to an
     earlier step than the verify before, and no more of them than its
-    budget. Each decision follows from its verdicts: a verify examines its conflict's next
-    untried candidate, a promote follows a ``support`` verdict for its
-    value, and a resolve is ``refuted`` exactly when every verdict at its
-    step refuted. Nothing follows the final ``synthesize/answer`` or
-    ``synthesize/abstain``. Violations are collected, not raised — a
-    replay is a report.
+    budget. Each decision follows from its verdicts: a verify examines
+    its conflict's next untried candidate, a promote follows a
+    ``support`` verdict for its value, and a resolve follows the verdict
+    on its conflict's last candidate and is ``refuted`` exactly when
+    every verdict at its step refuted. Nothing follows the final
+    ``synthesize/answer`` or ``synthesize/abstain``. Violations are
+    collected, not raised — a replay is a report.
     """
     state = ReplayState()
     last_seq = 0
@@ -265,6 +266,8 @@ def replay(entries: Iterable[AuditLogEntry]) -> ReplayState:
                 state.violations.append(f"seq {entry.seq}: bad resolve state {outcome!r}")
             else:
                 seen = [verdict for _, verdict in verdicts.get(step, [])]
+                if len(seen) != len(candidates.get(step, [])):
+                    state.violations.append(f"seq {entry.seq}: resolve at {step!r} before its last candidate")
                 expected = "refuted" if seen and all(v == "refute" for v in seen) else "inconclusive"
                 if outcome != expected:
                     state.violations.append(f"seq {entry.seq}: resolve {outcome!r} at {step!r} after verdicts {seen!r}")

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, or_
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .auditlog import AuditLog
 from .ensemble import CollectResult, ExpertOutput, StatementIndex, collect, index_statements, mask_bytes
@@ -45,7 +45,7 @@ from .errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateEr
 from .facts import Fact, FactStore, Note, ToolRecord
 from .plandag import PlanDag
 # Not called here: the benchmark's tracer wraps ``group_values`` under this name, and tests require it to resolve.
-from .values import Value, format_literal, group_values, values_equal  # noqa: F401
+from .values import Value, format_literal, group_values, sum_in_order, values_equal  # noqa: F401
 from .verifiers import (
     INCONCLUSIVE,
     REFUTE,
@@ -106,16 +106,6 @@ class EngineConfig:
 
 def _is_real(x: object) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def sum_in_order(xs: Iterable[float]) -> float:
-    """Left to right from ``0``, as ``sum()`` added floats before CPython 3.12.
-
-    Since 3.12 ``sum()`` compensates float rounding, which can change the
-    last digit of a logged score; this sum writes the same bytes on every
-    supported interpreter.
-    """
-    return reduce(add, xs, 0)
 
 
 class StepClasses(NamedTuple):
@@ -299,7 +289,6 @@ class ConflictItem:
     state: str = OPEN
     supported_value: Value | None = None
     refuted_values: list[Value] = field(default_factory=list)
-    verdicts: list[tuple[str, str]] = field(default_factory=list)  # (value literal, verdict)
 
 
 class ConflictSet:
@@ -485,7 +474,6 @@ def run_audit(
             )
             used = budget.spend()
             literal = format_literal(candidate.value)
-            item.verdicts.append((literal, verdict.value))
             log.append(
                 "audit",
                 "verify",
@@ -509,8 +497,7 @@ def run_audit(
             if verdict.value == REFUTE:
                 item.refuted_values.append(candidate.value)
         if item.state == OPEN and not ran_out:
-            all_refuted = bool(item.verdicts) and all(v == REFUTE for _, v in item.verdicts)
-            item.state = REFUTED if all_refuted else INCONCLUSIVE
+            item.state = REFUTED if len(item.refuted_values) == len(item.candidates) else INCONCLUSIVE
             log.append("audit", "resolve", {"step": step, "state": item.state}, (step,))
         if ran_out:
             break
@@ -723,7 +710,6 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
                 (output.expert_id,),
             )
 
-    retained.sort(key=lambda gt: (gt.expert_id, gt.trace_index))
     table = statements(retained, scenario.statement_index)
     log.append("anchor", "statements", {"count": len(table)})
 

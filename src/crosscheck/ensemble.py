@@ -32,14 +32,12 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import compress
-from operator import add
 from types import MappingProxyType
 from typing import AbstractSet, Any, Callable, KeysView, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import AllExpertsFailedError, BackendError, InvalidPlanError, ParseError, SchemaError
-from .values import Value, _exact_key, format_literal, shared_text, value_from_json, values_equal
+from .values import Value, _exact_key, format_literal, shared_text, sum_in_order, value_from_json, values_equal
 
 CONSERVATIVE = "conservative"
 RADICAL = "radical"
@@ -129,14 +127,14 @@ class ExpertOutput:
     def mean_confidence(self, skip: AbstractSet[str] = frozenset()) -> float:
         """The mean confidence of the trace's steps outside ``skip``; 0.0 where none is left.
 
-        The confidences are added left to right in trace order from ``0``,
-        as ``engine.sum_in_order`` adds, so a logged mean has the same last
-        digit on every supported interpreter.
+        The confidences are added left to right in trace order
+        (``values.sum_in_order``), so a logged mean has the same last digit
+        on every supported interpreter.
         """
         column = confidences = self._confidences
         if skip or len(self._positions) != len(self._values):
             confidences = [column[col] for step, col in self._positions.items() if step not in skip]
-        return reduce(add, confidences, 0) / len(confidences) if confidences else 0.0
+        return sum_in_order(confidences) / len(confidences) if confidences else 0.0
 
     def provenance(self, step: str) -> tuple[str, ...]:
         """The tool record ids behind ``step``; empty where the trace cites none or lacks the step."""
@@ -357,14 +355,6 @@ def parse_expert_output(expert_id: str, raw: dict, interned: dict[object, Any] |
                         provenance_by_step or _NO_PROVENANCE_STEPS)
 
 
-def sample_traces(config: ExpertConfig, query: str, backend: ExpertBackend) -> list[ExpertOutput]:
-    """Draw this expert's candidate traces; a backend that returns none has failed."""
-    outputs = backend.sample(config, query)
-    if not outputs:
-        raise BackendError(f"backend returned no traces for expert {config.expert_id!r}")
-    return outputs
-
-
 @dataclass
 class ExpertFailure:
     expert_id: str
@@ -380,8 +370,9 @@ class CollectResult:
 def collect(query: str, configs: Sequence[ExpertConfig], backend: ExpertBackend) -> CollectResult:
     """Gather every expert's traces, in expert-id order.
 
-    Individual backend failures are tolerated and reported alongside the
-    survivors; the whole collection fails only when nobody answered.
+    Individual backend failures, returning no traces among them, are
+    tolerated and reported alongside the survivors; the whole collection
+    fails only when nobody answered.
     """
     if not configs:
         raise AllExpertsFailedError("no expert configs supplied")
@@ -389,7 +380,10 @@ def collect(query: str, configs: Sequence[ExpertConfig], backend: ExpertBackend)
     failures: list[ExpertFailure] = []
     for config in sorted(configs, key=lambda c: c.expert_id):
         try:
-            outputs.extend(sample_traces(config, query, backend))
+            sampled = backend.sample(config, query)
+            if not sampled:
+                raise BackendError(f"backend returned no traces for expert {config.expert_id!r}")
+            outputs.extend(sampled)
         except (BackendError, SchemaError) as exc:
             failures.append(ExpertFailure(config.expert_id, str(exc)))
     if not outputs:

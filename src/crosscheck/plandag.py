@@ -78,11 +78,6 @@ class PlanDag:
         return step in self._succ
 
 
-def build_plan(steps: Iterable[str], edges: Iterable[tuple[str, str]]) -> PlanDag:
-    """Validate and freeze a plan; raises CycleError / UnknownStepError."""
-    return PlanDag(steps, edges)
-
-
 def removal_set(dag: PlanDag, violated: Iterable[str]) -> frozenset[str]:
     """The violated steps plus every step downstream of any of them; UnknownStepError for a step not in ``dag``."""
     removed: set[str] = set()

@@ -62,7 +62,7 @@ from .ensemble import (CONSERVATIVE, ExpertConfig, ExpertOutput, ScriptedBackend
                        interned_decoder, parse_expert_output)
 from .errors import CrosscheckError, ParseError, UnknownIdError, ValidationError
 from .facts import Fact, FactStore, Note, ToolRecord, decode_record, params_key
-from .plandag import PlanDag, build_plan
+from .plandag import PlanDag
 from .values import Value, parse_statement_key, shared_text, value_to_json
 from .verifiers import RESPONSE_KEY, VERDICTS, Constraint, OperatorRegistry, constraint_from_spec, default_registry
 
@@ -218,7 +218,7 @@ def scenario_from_dict(obj: dict, name: str = "") -> Scenario:
                 raise ValidationError(f"an edge must be a list of two step ids, got {edge!r}")
             edges.append((shared_text(edge[0]), shared_text(edge[1])))
         at = ("dag", None)
-        dag = build_plan(steps, edges)
+        dag = PlanDag(steps, edges)
         known_steps = frozenset(dag.steps)
 
         at = ("constraints", None)

@@ -25,7 +25,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from json.encoder import encode_basestring
+from operator import add
 from typing import Iterable, TypeVar
 
 from .errors import ParseError
@@ -103,14 +105,22 @@ def numbers_close(a: float, b: float) -> bool:
     return abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
 
 
+def sum_in_order(xs: Iterable[float]) -> float:
+    """Left to right from ``0``, as ``sum()`` added floats before CPython 3.12.
+
+    Since 3.12 ``sum()`` compensates float rounding, which can change the
+    last digit of a logged score; this sum writes the same bytes on every
+    supported interpreter.
+    """
+    return reduce(add, xs, 0)
+
+
 def values_equal(a: Value, b: Value) -> bool:
     """Canonical equality; see the module docstring for the full rule."""
     if a.kind != b.kind:
         return False
     if a.kind == NUMBER:
-        # The rule of numbers_close, inlined: numbers are the commonest kind compared.
-        x, y = a.payload, b.payload
-        return abs(x - y) <= max(ABS_TOL, REL_TOL * max(abs(x), abs(y)))  # type: ignore[operator, arg-type]
+        return numbers_close(a.payload, b.payload)  # type: ignore[arg-type]
     if a.kind == TEXT:
         return _fold(a.payload) == _fold(b.payload)  # type: ignore[arg-type]
     if a.kind == BOOLEAN:

@@ -6,7 +6,7 @@ import pytest
 
 from crosscheck import auditlog
 from crosscheck.auditlog import AuditLog, AuditLogEntry, replay
-from crosscheck.corpus import adversarial_scenario
+from crosscheck.corpus import adversarial_scenario, random_scenario
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.errors import ParseError
 from crosscheck.values import format_literal, quantity, text
@@ -278,12 +278,13 @@ def test_replay_flags_verify_going_back_in_the_plan_order():
         log = AuditLog()
         log.append("audit", "conflict", {"step": "s1", "candidates": ["num:1", "num:2"]})
         log.append("audit", "conflict", {"step": "s2", "candidates": ["num:1", "num:2"]})
-        log.append("audit", "plan", {"order": order, "budget": 2})
-        log.append("audit", "verify", {"step": "s2", "value": "num:1", "verdict": "refute",
-                                       "cost": 1, "evidence": [], "budget_used": 1})
+        log.append("audit", "plan", {"order": order, "budget": 3})
+        for used, value in enumerate(["num:1", "num:2"], start=1):
+            log.append("audit", "verify", {"step": "s2", "value": value, "verdict": "refute",
+                                           "cost": 1, "evidence": [], "budget_used": used})
         log.append("audit", "resolve", {"step": "s2", "state": "refuted"})
         log.append("audit", "verify", {"step": "s1", "value": "num:1", "verdict": "refute",
-                                       "cost": 1, "evidence": [], "budget_used": 2})
+                                       "cost": 1, "evidence": [], "budget_used": 3})
         return log.to_text()
 
     assert _violations(backtracking_log(["s2", "s1"])) == []
@@ -350,6 +351,27 @@ def test_replay_flags_a_resolve_that_does_not_follow_from_its_verdicts(verdicts,
     log.append("audit", "resolve", {"step": "s1", "state": state})
     expected = [f"seq 5: resolve {state!r} at 's1' after verdicts {verdicts!r}"] if flagged else []
     assert _violations(log.to_text()) == expected
+
+
+@pytest.mark.parametrize("seed", [10_031, 10_066, 10_076])
+def test_replay_flags_a_resolve_logged_before_its_conflicts_last_candidate(seed):
+    # Scenarios 31, 66 and 76 of random_corpus(1, 500), the first three whose log has a refute verify just
+    # before a resolve. Once that verify is dropped and seq and budget_used renumbered, every other check holds.
+    entries = list(run_pipeline(random_scenario(seed), EngineConfig(budget=10_000)).audit_log)
+    assert replay(entries).ok
+    at = next(i for i, e in enumerate(entries)
+              if e.event == "resolve" and entries[i - 1].payload.get("verdict") == "refute")
+    resolve, dropped = entries[at], entries[at - 1]
+    assert (dropped.event, dropped.payload["step"]) == ("verify", resolve.payload["step"])
+    forged: list[AuditLogEntry] = []
+    for entry in entries:
+        if entry is not dropped:
+            payload = dict(entry.payload)
+            if entry.event == "verify" and entry.seq > dropped.seq:
+                payload["budget_used"] -= 1
+            forged.append(AuditLogEntry(len(forged) + 1, entry.stage, entry.event, payload, entry.parent_refs))
+    step = resolve.payload["step"]
+    assert replay(forged).violations == [f"seq {resolve.seq - 1}: resolve at {step!r} before its last candidate"]
 
 
 @pytest.mark.parametrize("value", ["num:4", "num:3"], ids=["not-a-candidate", "out-of-candidate-order"])

@@ -24,7 +24,7 @@ from crosscheck.engine import (
 from crosscheck.ensemble import parse_expert_output
 from crosscheck.errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
 from crosscheck.facts import FactStore
-from crosscheck.plandag import build_plan
+from crosscheck.plandag import PlanDag
 from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict, scenario_to_dict
 from crosscheck.values import (NUMBER, Value, format_literal, number, parse_literal, parse_statement_key, statement_key,
                               values_equal)
@@ -190,13 +190,13 @@ def test_rank_singleton():
     pool = [_stmt("s", 1, "e1", 0.9), _stmt("s", 2, "e2", 0.2)]
     anchors, _ = anchor(_table(pool), theta=2)
     conflict_set = conflicts(_table(pool), anchors)
-    dag = build_plan(["s"], [])
+    dag = PlanDag(["s"], [])
     assert rank_conflicts(conflict_set, dag, _table(pool)) == ["s"]
 
 
 def test_rank_prefers_root_with_dependents():
-    dag = build_plan(["root", "x1", "x2", "x3", "sink"],
-                     [("root", "x1"), ("root", "x2"), ("root", "x3")])
+    dag = PlanDag(["root", "x1", "x2", "x3", "sink"],
+                  [("root", "x1"), ("root", "x2"), ("root", "x3")])
     pool = []
     for step in ("root", "sink"):
         pool += [_stmt(step, 1, "e1", 0.9), _stmt(step, 2, "e2", 0.5)]
@@ -207,7 +207,7 @@ def test_rank_prefers_root_with_dependents():
 
 
 def test_rank_ties_break_by_step_id():
-    dag = build_plan(["a", "b", "c"], [])
+    dag = PlanDag(["a", "b", "c"], [])
     pool = []
     for step in ("c", "a", "b"):
         pool += [_stmt(step, 1, "e1", 0.7), _stmt(step, 2, "e2", 0.3)]
@@ -225,7 +225,7 @@ def _scripted(table):
 
 def _audit_fixture(n_steps, table, b_max):
     steps = [f"s{i:02d}" for i in range(n_steps)]
-    dag = build_plan(steps, [])
+    dag = PlanDag(steps, [])
     pool = []
     for step in steps:
         pool += [_stmt(step, 1, "e1", 0.9), _stmt(step, 2, "e2", 0.5)]
@@ -262,7 +262,7 @@ def test_supported_value_promoted_to_anchor():
 
 def test_minority_value_wins_after_majority_refuted():
     steps = ["s"]
-    dag = build_plan(steps, [])
+    dag = PlanDag(steps, [])
     pool = [_stmt("s", 7, "e1", 0.6), _stmt("s", 9, "e2", 0.9), _stmt("s", 9, "e3", 0.9)]
     anchors, _ = anchor(_table(pool), theta=3)
     conflict_set = conflicts(_table(pool), anchors)

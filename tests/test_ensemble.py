@@ -18,7 +18,6 @@ from crosscheck.ensemble import (
     ScriptedBackend,
     collect,
     parse_expert_output,
-    sample_traces,
 )
 from crosscheck.errors import AllExpertsFailedError, BackendError, SchemaError
 from crosscheck.values import number
@@ -48,7 +47,7 @@ def test_scripted_passthrough():
     config = ExpertConfig("e01", CONSERVATIVE, 0.1, 7)
     scripted = [parse_expert_output("e01", _trace()), parse_expert_output("e01", _trace(value=17, response=17))]
     backend = ScriptedBackend({"e01": scripted})
-    outputs = sample_traces(config, "q", backend)
+    outputs = backend.sample(config, "q")
     assert len(outputs) == 2
     assert outputs[0].value_at("s1") == number(42)
     assert outputs[1].response == number(17)
@@ -58,7 +57,7 @@ def test_out_of_range_confidence_is_schema_error(monkeypatch):
     config = ExpertConfig("e01", CONSERVATIVE, 0.1, 7)
     backend = _stub_http(monkeypatch, lambda body: [_trace(confidence=1.3)])
     with pytest.raises(SchemaError):
-        sample_traces(config, "q", backend)
+        backend.sample(config, "q")
 
 
 def test_float_drift_confidence_is_clamped():
@@ -74,7 +73,7 @@ def test_missing_response_is_schema_error():
 def test_scripted_determinism():
     config = ExpertConfig("e01", CONSERVATIVE, 0.1, 7)
     backend = ScriptedBackend({"e01": [parse_expert_output("e01", _trace())]})
-    assert sample_traces(config, "q", backend) == sample_traces(config, "q", backend)
+    assert backend.sample(config, "q") == backend.sample(config, "q")
 
 
 def _configs(*ids):
@@ -102,10 +101,19 @@ def test_collect_all_failed():
         collect("q", _configs("e01", "e02"), backend)
 
 
+def test_collect_records_a_backend_that_returns_no_traces_as_that_experts_failure():
+    backend = ScriptedBackend({"e01": [], "e02": [parse_expert_output("e02", _trace())]})
+    result = collect("q", _configs("e01", "e02"), backend)
+    assert [o.expert_id for o in result.outputs] == ["e02"]
+    assert [(f.expert_id, f.error) for f in result.failures] == [("e01", "backend returned no traces for expert 'e01'")]
+    with pytest.raises(AllExpertsFailedError, match="e01: backend returned no traces.*e02: backend returned no traces"):
+        collect("q", _configs("e01", "e02"), ScriptedBackend({"e01": [], "e02": []}))
+
+
 def test_unscripted_expert_is_backend_error():
     backend = ScriptedBackend({})
     with pytest.raises(BackendError):
-        sample_traces(ExpertConfig("e09", CONSERVATIVE, 0.1, 0), "q", backend)
+        backend.sample(ExpertConfig("e09", CONSERVATIVE, 0.1, 0), "q")
 
 
 @pytest.mark.parametrize("content", ['[{"steps": {}, "response": ' + "1" * 5000 + '}]', 5, "[" * 100_000],
@@ -143,7 +151,7 @@ def test_http_backend_maps_content_and_errors(monkeypatch):
     monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
     backend = HttpBackend(endpoint="http://backend.test/v1/chat", token="tok")
     config = ExpertConfig("e01", CONSERVATIVE, 0.1, 7)
-    outputs = sample_traces(config, "q", backend)
+    outputs = backend.sample(config, "q")
     assert outputs[0].response == number(42)
 
     def bad_content(request, timeout=None):

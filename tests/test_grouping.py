@@ -32,7 +32,7 @@ from crosscheck.engine import (
     statements,
     synthesize,
 )
-from crosscheck.plandag import build_plan
+from crosscheck.plandag import PlanDag
 from crosscheck.values import (
     COMPOSITE,
     NUMBER,
@@ -135,7 +135,7 @@ def test_payloads_without_an_exact_key_take_the_scan():
 
 STEPS = ("a", "b", "c", "d", "e")
 EXPERTS = ("e1", "e2", "e3", "e4", "e5")
-DAG = build_plan(list(STEPS), [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "e")])
+DAG = PlanDag(list(STEPS), [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "e")])
 WEIGHTS = (0.5, 0.3, 0.2)
 NAN = Value(NUMBER, float("nan"))  # no exact key: a class of its own each time
 

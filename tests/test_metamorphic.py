@@ -5,6 +5,9 @@ what the paper claims, or what determinism implies, about pairs of runs:
 
 - *R1, order.* Shuffling the expert blocks of a scenario dict leaves the
   audit log byte-identical: a run orders experts by id, not by file.
+- *R2, names.* Renaming the experts by an order-preserving map leaves the
+  audit log byte-identical once the ids in its ``expert`` fields and
+  their parent refs are mapped back: a run reads an id only for its order.
 - *R3, cost follows disagreement.* On a constraint-free scenario, steps on
   which every trace asserts one value leave every ``audit/*`` event and
   the verify calls as they were; one step that splits the experts with
@@ -24,7 +27,7 @@ import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from crosscheck.auditlog import AuditLog, replay
+from crosscheck.auditlog import AuditLog, AuditLogEntry, replay
 from crosscheck.corpus import GeneratorParams, adversarial_scenario, random_scenario
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.errors import AllExpertsFailedError, CrosscheckError
@@ -70,6 +73,38 @@ def test_shuffling_the_expert_blocks_leaves_the_log_byte_identical(source, rng):
     shuffled = copy.deepcopy(obj)
     rng.shuffle(shuffled["experts"])
     assert _log(shuffled, _config(kind)) == _log(obj, _config(kind))
+
+
+# --- R2: expert names --------------------------------------------------------------
+
+# Short ids over a few characters, so that one often prefixes another and a
+# character of an id seldom orders the ids as the whole ids do.
+EXPERT_IDS = st.text("ab0-é", min_size=1, max_size=4)
+
+
+def _mapped_back(text: str, back: dict) -> str:
+    """``text`` with each event's ``expert`` and, on such an event, its parent refs mapped through ``back``."""
+    lines = []
+    for entry in AuditLog.from_lines(text.splitlines()):
+        payload, refs = dict(entry.payload), entry.parent_refs
+        if "expert" in payload:
+            payload["expert"] = back[payload["expert"]]
+            refs = tuple(back[ref] for ref in refs)
+        lines.append(AuditLogEntry(entry.seq, entry.stage, entry.event, payload, refs).to_line() + "\n")
+    return "".join(lines)
+
+
+@given(st.one_of(SCENARIO_SOURCES, st.tuples(st.just("tools"), st.integers(0, 2))), st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_renaming_the_experts_in_order_leaves_the_log_identical_once_mapped_back(source, data):
+    kind, seed = source
+    obj = _tool_variants()[seed] if kind == "tools" else _saved(kind, seed)
+    old = sorted(block["expert_id"] for block in obj["experts"])
+    new = sorted(data.draw(st.lists(EXPERT_IDS, min_size=len(old), max_size=len(old), unique=True)))
+    renamed = copy.deepcopy(obj)
+    for block in renamed["experts"]:
+        block["expert_id"] = new[old.index(block["expert_id"])]
+    assert _mapped_back(_log(renamed, _config(kind)), dict(zip(new, old))) == _log(obj, _config(kind))
 
 
 # --- R3: cost follows disagreement ---------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crosscheck.errors import CycleError, UnknownStepError
-from crosscheck.plandag import build_plan, removal_set
+from crosscheck.plandag import PlanDag, removal_set
 
 from oracles import cyclic_steps, dfs_reachable, removal_oracle
 
@@ -35,33 +35,33 @@ def random_digraphs(draw, max_nodes=8):
 
 
 def test_chain_builds():
-    dag = build_plan(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    dag = PlanDag(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert dag.steps == ("a", "b", "c")
     assert dag.edges == (("a", "b"), ("b", "c"))
 
 
 def test_self_loop_is_a_cycle():
     with pytest.raises(CycleError):
-        build_plan(["a"], [("a", "a")])
+        PlanDag(["a"], [("a", "a")])
 
 
 def test_longer_cycle_rejected():
     with pytest.raises(CycleError):
-        build_plan(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+        PlanDag(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
 
 
 def test_dangling_edge_rejected():
     with pytest.raises(UnknownStepError):
-        build_plan(["a"], [("a", "b")])
+        PlanDag(["a"], [("a", "b")])
 
 
 def test_duplicate_steps_rejected():
     with pytest.raises(ValueError):
-        build_plan(["a", "a"], [])
+        PlanDag(["a", "a"], [])
 
 
 def test_diamond_closures():
-    dag = build_plan(*DIAMOND)
+    dag = PlanDag(*DIAMOND)
     assert dag.dependents_closure("a") == {"b", "c", "d"}
     assert dag.dependents_closure("d") == frozenset()
     with pytest.raises(UnknownStepError):
@@ -77,30 +77,30 @@ def test_random_20_node_closure_matches_dfs_oracle():
         for j in range(i + 1, 20)
         if rng.random() < 0.15
     ]
-    dag = build_plan(steps, edges)
+    dag = PlanDag(steps, edges)
     for step in steps:
         assert dag.dependents_closure(step) == dfs_reachable(edges, step)
 
 
 def test_backtrack_no_violation_keeps_everything():
-    dag = build_plan(*DIAMOND)
+    dag = PlanDag(*DIAMOND)
     assert removal_set(dag, set()) == frozenset()
 
 
 def test_backtrack_chain_removes_downstream():
-    dag = build_plan(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    dag = PlanDag(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert removal_set(dag, {"b"}) == {"b", "c"}
 
 
 def test_backtrack_diamond_spares_sibling():
-    dag = build_plan(*DIAMOND)
+    dag = PlanDag(*DIAMOND)
     assert removal_set(dag, {"b"}) == {"b", "d"}
     # sibling c is genuinely not downstream of b
     assert "c" not in dfs_reachable(DIAMOND[1], "b")
 
 
 def test_backtrack_unknown_step():
-    dag = build_plan(*DIAMOND)
+    dag = PlanDag(*DIAMOND)
     with pytest.raises(UnknownStepError):
         removal_set(dag, {"zz"})
 
@@ -110,16 +110,16 @@ def test_cycle_error_exactly_when_dfs_finds_a_cycle(graph):
     steps, edges = graph
     stuck = cyclic_steps(steps, edges)
     if not stuck:
-        build_plan(steps, edges)
+        PlanDag(steps, edges)
         return
     with pytest.raises(CycleError) as raised:
-        build_plan(steps, edges)
+        PlanDag(steps, edges)
     assert str(raised.value) == f"graph has a directed cycle through {sorted(stuck)}"
 
 
 @given(random_dags())
 def test_no_step_in_its_own_closure(dag_spec):
-    dag = build_plan(*dag_spec)
+    dag = PlanDag(*dag_spec)
     for step in dag.steps:
         assert step not in dag.dependents_closure(step)
 
@@ -127,7 +127,7 @@ def test_no_step_in_its_own_closure(dag_spec):
 @given(random_dags(), st.data())
 def test_backtrack_locality_properties(dag_spec, data):
     steps, edges = dag_spec
-    dag = build_plan(steps, edges)
+    dag = PlanDag(steps, edges)
     violated = set(data.draw(st.lists(st.sampled_from(steps), max_size=len(steps))))
     removed = removal_set(dag, violated)
     assert removed == removal_oracle(steps, edges, violated)
@@ -140,14 +140,14 @@ def test_backtrack_locality_properties(dag_spec, data):
 @given(random_dags())
 def test_determinism_across_construction(dag_spec):
     steps, edges = dag_spec
-    a = build_plan(steps, edges)
-    b = build_plan(list(reversed(steps)), list(reversed(edges)))
+    a = PlanDag(steps, edges)
+    b = PlanDag(list(reversed(steps)), list(reversed(edges)))
     assert (a.steps, a.edges) == (b.steps, b.edges)
     for step in steps:
         assert a.dependents_closure(step) == b.dependents_closure(step)
 
 
 def test_empty_dag_is_legal():
-    dag = build_plan([], [])
+    dag = PlanDag([], [])
     assert dag.steps == ()
     assert dag.edges == ()

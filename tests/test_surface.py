@@ -65,7 +65,6 @@ PUBLIC_NAMES = [
     "Verdict",
     "anchor",
     "boolean",
-    "build_plan",
     "check_response",
     "collect",
     "composite",
@@ -83,7 +82,6 @@ PUBLIC_NAMES = [
     "replay",
     "run_ablation",
     "run_pipeline",
-    "sample_traces",
     "save_scenario",
     "simple_verification",
     "statements",

@@ -11,7 +11,7 @@ from crosscheck.ensemble import parse_expert_output
 from crosscheck.errors import DuplicateIdError, UnknownStepError
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.facts import CONFLICT, FactStore, ToolRecord, conflicting_fact_ids
-from crosscheck.plandag import build_plan
+from crosscheck.plandag import PlanDag
 from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict
 from crosscheck.values import number, quantity, text
 from crosscheck.verifiers import (
@@ -35,7 +35,7 @@ from oracles import conjunction, reference_gate, removal_oracle, trace, trace_ro
 from test_golden_digest import WIDE_PARAMS
 from test_scenario import TOOL_CONFIGS, _tool_variants
 
-CHAIN = build_plan(["s1", "s2", "s3", "s4"], [("s1", "s2"), ("s2", "s3"), ("s3", "s4")])
+CHAIN = PlanDag(["s1", "s2", "s3", "s4"], [("s1", "s2"), ("s2", "s3"), ("s3", "s4")])
 
 
 def _trace(values: dict[str, object], response: object, confidence: float = 0.8):
@@ -239,7 +239,7 @@ def fact_stores(draw):
     return store
 
 
-FLAT = build_plan(["s1", "s2", "s3"], [])
+FLAT = PlanDag(["s1", "s2", "s3"], [])
 
 
 def _chain_ends_at_s1():
@@ -306,7 +306,7 @@ def gate_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_gate_partial_retention_matches_closure_oracle(case):
     steps, edges, bad = case
-    dag = build_plan(steps, edges)
+    dag = PlanDag(steps, edges)
     facts = FactStore()
     for s in bad:
         facts.add_given(s, number(999))  # every trace value below conflicts with this
@@ -498,7 +498,7 @@ def test_gate_matches_the_statement_by_statement_reference_on_wide_scenarios(see
 
 def test_the_gate_checks_only_the_steps_that_have_a_check(monkeypatch):
     steps = [f"s{i:02d}" for i in range(1, 13)]
-    dag = build_plan(steps, [(steps[i], steps[i + 1]) for i in range(0, 11, 3)])
+    dag = PlanDag(steps, [(steps[i], steps[i + 1]) for i in range(0, 11, 3)])
     facts = FactStore()
     facts.add_given("s04", number(4))
     facts.add_given("s12", number(0))
