@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .auditlog import AuditLog, AuditLogEntry, replay
 from .baselines import (
-    AblationConfig,
     EvalReport,
     evaluate_methods,
     majority_vote,
@@ -48,7 +47,6 @@ from .values import Value, boolean, composite, number, quantity, text, values_eq
 from .verifiers import Constraint, GateResult, OperatorRegistry, Verdict, check_response, gate, index_constraints
 
 __all__ = [
-    "AblationConfig",
     "AnchorSet",
     "AuditBudget",
     "AuditLog",

@@ -1,10 +1,17 @@
-"""Reference baselines and the synthetic ablation evaluator.
+"""Reference baselines and the evaluator that scores them against the pipeline.
 
 Three baselines frame the pipeline's behaviour: majority voting (modal
 response), simple verification (one-pass synthesis straight from the
 expert tuples — no pruning, anchoring, or auditing), and oracle-style
 pass@N (success if any candidate matches ground truth — the ceiling any
 selection method can reach over the same samples).
+
+One function scores every label. ``evaluate_methods`` takes any of
+``METHODS``: ``audit`` (the pipeline under the caller's config), ``mv``,
+``sv`` and ``passn``. ``run_ablation`` scores the four fixed
+``ABLATION_ROWS``: ``baseline`` (the lowest-id expert's response),
+``synthesis`` (``sv``), ``audited`` (the pipeline with facts off) and
+``audited+facts`` (with facts on).
 
 Scores on synthetic corpora are ordinal comparisons between methods run
 on identical scenarios; they are not reproductions of any benchmark
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .engine import EngineConfig, run_pipeline
 from .ensemble import ExpertOutput
@@ -28,6 +35,7 @@ METHOD_MV = "mv"
 METHOD_SV = "sv"
 METHOD_PASSN = "passn"
 METHODS = (METHOD_AUDIT, METHOD_MV, METHOD_SV, METHOD_PASSN)
+ABLATION_ROWS = ("baseline", "synthesis", "audited", "audited+facts")
 
 CORRECT = "correct"
 WRONG = "wrong"
@@ -58,30 +66,6 @@ def simple_verification(outputs: Sequence[ExpertOutput]) -> Value:
 def pass_at_n(responses: Sequence[Value], oracle: Oracle) -> bool:
     """True iff any candidate equals the oracle answer under canonical equality."""
     return any(values_equal(r, oracle.answer) for r in responses)
-
-
-@dataclass(frozen=True)
-class AblationConfig:
-    """Which subsystems a row enables. Auditing subsumes synthesis; only auditing reads facts."""
-
-    label: str
-    facts: bool
-    synth: bool
-    audit: bool
-
-    def __post_init__(self) -> None:
-        if (self.facts and not self.audit) or (self.audit and not self.synth):
-            raise InvalidConfigError(
-                f"row {self.label!r}: facts=on requires audit=on, and audit=on requires synth=on"
-            )
-
-
-DEFAULT_ABLATION_ROWS = (
-    AblationConfig("baseline", facts=False, synth=False, audit=False),
-    AblationConfig("synthesis", facts=False, synth=True, audit=False),
-    AblationConfig("audited", facts=False, synth=True, audit=True),
-    AblationConfig("audited+facts", facts=True, synth=True, audit=True),
-)
 
 
 @dataclass
@@ -128,34 +112,44 @@ def _require_oracles(corpus: Sequence[Scenario]) -> None:
             raise InvalidConfigError(f"scenario {scenario.name or '<unnamed>'} lacks an oracle")
 
 
-def _pipeline_answer(scenario: Scenario, config: EngineConfig) -> tuple[Value | None, int]:
-    try:
-        result = run_pipeline(scenario, config)
-    except AllExpertsFailedError:
-        return None, 0
-    return result.answer, result.verify_calls
+def _score(label: str, scenario: Scenario, outputs: list[ExpertOutput],
+           config: EngineConfig) -> tuple[str, int | None]:
+    """One label's verdict on a scenario and, for a label that runs the pipeline, its verify calls."""
+    oracle = scenario.oracle
+    responses = [o.response for o in outputs]
+    if label == METHOD_PASSN:
+        return (CORRECT if pass_at_n(responses, oracle) else WRONG), None
+    if label in (METHOD_AUDIT, "audited", "audited+facts"):
+        if label != METHOD_AUDIT:
+            config = replace(config, facts_enabled=label == "audited+facts")
+        try:
+            result = run_pipeline(scenario, config)
+        except AllExpertsFailedError:
+            return ABSTAIN, 0
+        return _outcome(result.answer, oracle), result.verify_calls
+    # With every expert failed there is nothing to vote on or
+    # synthesize from: these labels abstain, as the pipeline does.
+    if not outputs:
+        return ABSTAIN, None
+    if label == METHOD_MV:
+        answer = majority_vote(responses)
+    elif label in (METHOD_SV, "synthesis"):
+        answer = simple_verification(outputs)
+    else:  # baseline
+        answer = outputs[0].response
+    return _outcome(answer, oracle), None
 
 
-def _evaluate(
-    corpus: Sequence[Scenario],
-    labels: Sequence[str],
-    outcome: Callable[[str, Scenario, list[ExpertOutput]], tuple[str, int | None]],
-    params: dict,
-) -> EvalReport:
-    """Score each label on every scenario, in name order.
-
-    ``outcome`` gives a label's verdict on one scenario and, for a label
-    that runs the pipeline, its verify calls (None for any other label).
-    """
+def _evaluate(corpus: Sequence[Scenario], labels: Sequence[str], config: EngineConfig, params: dict) -> EvalReport:
+    """Score each label on every scenario, in name order."""
     ordered = sorted(corpus, key=lambda s: s.name)
     verdicts: dict[str, list[str]] = {label: [] for label in labels}
     verify_calls: dict[str, list[int]] = {}
     started = time.perf_counter()
     for scenario in ordered:
-        assert scenario.oracle is not None
         outputs = scenario_expert_outputs(scenario)
         for label in labels:
-            verdict, calls = outcome(label, scenario, outputs)
+            verdict, calls = _score(label, scenario, outputs, config)
             verdicts[label].append(verdict)
             if calls is not None:
                 verify_calls.setdefault(label, []).append(calls)
@@ -185,55 +179,13 @@ def evaluate_methods(
         if method in methods[:i]:
             raise InvalidConfigError(f"method {method!r} given twice")
     cfg = config or EngineConfig()
-
-    def outcome(method: str, scenario: Scenario, outputs: list[ExpertOutput]) -> tuple[str, int | None]:
-        responses = [o.response for o in outputs]
-        if method == METHOD_PASSN:
-            return (CORRECT if pass_at_n(responses, scenario.oracle) else WRONG), None
-        # With every expert failed there is nothing to vote on or
-        # synthesize from: mv and sv abstain, as the pipeline does.
-        if method == METHOD_MV:
-            return _outcome(majority_vote(responses) if responses else None, scenario.oracle), None
-        if method == METHOD_SV:
-            return _outcome(simple_verification(outputs) if outputs else None, scenario.oracle), None
-        answer, calls = _pipeline_answer(scenario, cfg)
-        return _outcome(answer, scenario.oracle), calls
-
-    return _evaluate(corpus, methods, outcome, {
+    return _evaluate(corpus, methods, cfg, {
         "theta": cfg.theta, "budget": cfg.budget, "gate_threshold": cfg.gate_threshold,
         "weights": list(cfg.weights)})
 
 
-def run_ablation(
-    corpus: Sequence[Scenario],
-    rows: Sequence[AblationConfig] = DEFAULT_ABLATION_ROWS,
-    config: EngineConfig | None = None,
-) -> EvalReport:
-    """Evaluate subsystem combinations on identical scenarios.
-
-    Rows without auditing run one-pass synthesis (or, with synthesis off
-    too, fall back to the lowest-id expert's response). The facts flag
-    decides whether an audited row loads the scenario's seeded facts.
-    """
+def run_ablation(corpus: Sequence[Scenario], config: EngineConfig | None = None) -> EvalReport:
+    """Score the four ``ABLATION_ROWS`` on identical scenarios."""
     _require_oracles(corpus)
-    if not rows:
-        raise InvalidConfigError("no ablation rows given")
-    labels = [row.label for row in rows]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise InvalidConfigError(f"ablation row {label!r} given twice")
     cfg = config or EngineConfig()
-    by_label = {row.label: row for row in rows}
-
-    def outcome(label: str, scenario: Scenario, outputs: list[ExpertOutput]) -> tuple[str, int | None]:
-        row = by_label[label]
-        if row.audit:
-            answer, calls = _pipeline_answer(scenario, replace(cfg, facts_enabled=row.facts))
-            return _outcome(answer, scenario.oracle), calls
-        if row.synth:
-            answer = simple_verification(outputs) if outputs else None
-        else:
-            answer = outputs[0].response if outputs else None
-        return _outcome(answer, scenario.oracle), None
-
-    return _evaluate(corpus, labels, outcome, {"rows": labels, "theta": cfg.theta, "budget": cfg.budget})
+    return _evaluate(corpus, ABLATION_ROWS, cfg, {"rows": list(ABLATION_ROWS), "theta": cfg.theta, "budget": cfg.budget})

@@ -505,9 +505,7 @@ def run_audit(
 
 def _candidate_provenance(table: StatementTable, step: str, value: Value) -> tuple[str, ...]:
     """The tool records behind every retained statement at ``step`` that equals ``value``."""
-    sc = table.steps.get(step)
-    if sc is None:
-        return ()
+    sc = table.steps[step]
     kept = sc.keep & table.holding(sc, value)
     ids: set[str] = set()
     for gt, p in zip(table.retained, table.positions):
@@ -521,7 +519,7 @@ def synthesize(
     anchors: AnchorSet,
     conflict_set: ConflictSet,
     weights: tuple[float, float, float],
-    log: AuditLog | None = None,
+    log: AuditLog,
 ) -> tuple[GatedTrace, SynthesisScore, bool]:
     """Stage 4: argmax over candidate responses of the three-term score.
 
@@ -555,7 +553,7 @@ def synthesize(
     for step, mask in leaned:
         leans[step] = leans.get(step, 0) | mask
     fallback = bool(refuted) and not sum([1 << p for p in positions]) & ~reduce(or_, leans.values(), 0)
-    if fallback and log is not None:
+    if fallback:
         log.append("synthesize", "fallback", {"reason": "every candidate asserts a refuted statement"})
     dropped_at = leans if fallback else {}
     contradicted = [(a.step, sum(steps[a.step].asserted) & ~table.holding(steps[a.step], a.value))
@@ -578,20 +576,19 @@ def synthesize(
             conflict_agreement = min(1.0, max(0.0, (agree_frac - refute_frac + 1.0) / 2.0))
         mean_confidence = gt.trace.mean_confidence(dropped)
         total = w_a * anchor_support + w_c * conflict_agreement + w_g * mean_confidence
-        if log is not None:
-            log.append(
-                "synthesize",
-                "score",
-                {
-                    "expert": gt.expert_id,
-                    "trace": gt.trace_index,
-                    "anchor_support": anchor_support,
-                    "conflict_agreement": conflict_agreement,
-                    "mean_confidence": mean_confidence,
-                    "total": total,
-                },
-                (gt.expert_id,),
-            )
+        log.append(
+            "synthesize",
+            "score",
+            {
+                "expert": gt.expert_id,
+                "trace": gt.trace_index,
+                "anchor_support": anchor_support,
+                "conflict_agreement": conflict_agreement,
+                "mean_confidence": mean_confidence,
+                "total": total,
+            },
+            (gt.expert_id,),
+        )
         if best is None or total > best[4]:
             best = (i, anchor_support, conflict_agreement, mean_confidence, total)
     assert best is not None
@@ -660,7 +657,8 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
         )
 
     # After seeding, a run never writes to its store: the gate reads its verified facts once, here.
-    constraints = index_constraints(scenario.constraints, scenario.dag, facts if cfg.facts_enabled else None)
+    # With facts off the store stays empty, so the gate sees no verified fact.
+    constraints = index_constraints(scenario.constraints, scenario.dag, facts)
     retained: list[GatedTrace] = []
     salvageable: list[tuple[int, ExpertOutput, GateResult]] = []
     for idx, output in enumerate(collected.outputs):

@@ -189,17 +189,14 @@ class ConstraintIndex:
         object.__setattr__(self, "checked", checked)
 
 
-def index_constraints(
-    constraints: Sequence[Constraint], dag: PlanDag, facts: FactStore | None = None
-) -> ConstraintIndex:
+def index_constraints(constraints: Sequence[Constraint], dag: PlanDag, facts: FactStore) -> ConstraintIndex:
     """Resolve which constraints apply where, and which verified facts speak to each step.
 
     One pattern match per (DAG step, predicate constraint), and one listing
-    of ``facts``; with no store there are no verified facts. The store
-    must not change while the index is in use.
+    of ``facts``. The store must not change while the index is in use.
     """
     predicates = [c for c in constraints if c.predicate is not None]
-    by_key = facts.verified_by_key() if facts is not None else {}
+    by_key = facts.verified_by_key()
     return ConstraintIndex(
         steps={step: tuple(c for c in predicates if c.applies_to_step(step)) for step in dag.steps},
         response=tuple(c for c in constraints if c.scope == RESPONSE_SCOPE),
@@ -232,7 +229,7 @@ def gate(
     trace: "ExpertOutput",
     constraints: ConstraintIndex,
     dag: PlanDag,
-    threshold: float = 0.5,
+    threshold: float,
 ) -> GateResult:
     """Screen a trace against constraints and verified facts.
 

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crosscheck.baselines import (
-    AblationConfig,
-    DEFAULT_ABLATION_ROWS,
+    ABLATION_ROWS,
     evaluate_methods,
     majority_vote,
     pass_at_n,
@@ -126,24 +125,11 @@ def _unanimous_corpus(n=3):
 def test_unanimous_corpus_is_a_ceiling_for_everyone():
     report = run_ablation(_unanimous_corpus())
     assert set(report.scores.values()) == {1.0}
-    assert list(report.scores) == [row.label for row in DEFAULT_ABLATION_ROWS]
-
-
-def test_audit_requires_synth():
-    with pytest.raises(InvalidConfigError):
-        AblationConfig("broken", facts=False, synth=False, audit=True)
-
-
-@pytest.mark.parametrize("synth", [False, True])
-def test_facts_require_audit(synth):
-    # Facts reach a run only through the audited pipeline; such a row would
-    # repeat the row without facts.
-    with pytest.raises(InvalidConfigError):
-        AblationConfig("inert", facts=True, synth=synth, audit=False)
+    assert list(report.scores) == list(ABLATION_ROWS)
 
 
 def test_default_ablation_rows():
-    assert [row.label for row in DEFAULT_ABLATION_ROWS] == ["baseline", "synthesis", "audited", "audited+facts"]
+    assert ABLATION_ROWS == ("baseline", "synthesis", "audited", "audited+facts")
 
 
 def test_adversarial_corpus_separates_methods():
@@ -226,23 +212,22 @@ def test_empty_or_repeated_methods_rejected(methods):
         evaluate_methods(adversarial_corpus(4), methods)
 
 
-@pytest.mark.parametrize("rows", [
-    [],
-    [DEFAULT_ABLATION_ROWS[0]] * 2,
-    [DEFAULT_ABLATION_ROWS[1], DEFAULT_ABLATION_ROWS[0],
-     AblationConfig("synthesis", facts=False, synth=True, audit=True)],
-])
-def test_empty_or_repeated_ablation_rows_rejected(rows):
-    # A repeated row was scored twice: baseline read 2.0 and the table 8/4; no rows gave an empty report.
-    with pytest.raises(InvalidConfigError):
-        run_ablation(adversarial_corpus(4), rows)
-
-
 def test_missing_oracle_rejected():
     scenario = _unanimous_corpus(1)[0]
     scenario.oracle = None
     with pytest.raises(InvalidConfigError):
         evaluate_methods([scenario], ["mv"])
+
+
+def test_corpus_errors_are_reported_before_method_errors():
+    scenario = _unanimous_corpus(1)[0]
+    scenario.oracle = None
+    with pytest.raises(InvalidConfigError, match="corpus is empty"):
+        evaluate_methods([], ["voting"])
+    with pytest.raises(InvalidConfigError, match="lacks an oracle"):
+        evaluate_methods([scenario], [])
+    with pytest.raises(InvalidConfigError, match="lacks an oracle"):
+        run_ablation([scenario])
 
 
 def test_report_table_and_json_shapes():
@@ -275,7 +260,7 @@ def test_all_experts_failed_scores_abstain_not_abort():
     assert all(len(v) == 3 for v in report.verdicts.values())
     ablation = run_ablation(corpus)
     assert {label: v[0] for label, v in ablation.verdicts.items()} == {
-        row.label: "abstain" for row in DEFAULT_ABLATION_ROWS}
+        label: "abstain" for label in ABLATION_ROWS}
 
 
 def test_sv_requires_input():

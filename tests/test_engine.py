@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crosscheck import engine, ensemble, facts, values, verifiers
-from crosscheck.auditlog import replay
+from crosscheck.auditlog import AuditLog, replay
 from crosscheck.baselines import majority_vote
 from crosscheck.corpus import GeneratorParams, adversarial_scenario, random_corpus, random_scenario
 from crosscheck.engine import (
+    Anchor,
+    AnchorSet,
     AuditBudget,
     EngineConfig,
     GatedTrace,
@@ -234,7 +236,6 @@ def _audit_fixture(n_steps, table, b_max):
     ranked = rank_conflicts(conflict_set, dag, _table(pool))
     registry = OperatorRegistry().register(_scripted(table))
     budget = AuditBudget(b_max=b_max)
-    from crosscheck.auditlog import AuditLog
 
     log = AuditLog()
     for item in conflict_set.items():
@@ -271,7 +272,6 @@ def test_minority_value_wins_after_majority_refuted():
     table = {statement_key("s", number(9)): "refute", statement_key("s", number(7)): "support"}
     registry = OperatorRegistry().register(_scripted(table))
     budget = AuditBudget(b_max=2)
-    from crosscheck.auditlog import AuditLog
 
     run_audit(["s"], conflict_set, anchors, budget, registry, _table(pool), AuditLog())
     assert budget.consumed == 2
@@ -300,6 +300,61 @@ def test_budget_exhausted_mid_item_leaves_it_open():
     assert budget.consumed == 1
 
 
+class _CrashingOperator:
+    op_id = "crashing"
+    scripted = False
+
+    def examine(self, step, value, provenance):
+        raise RuntimeError("tool offline")
+
+
+class _UnevidencedOperator:
+    op_id = "unevidenced"
+    scripted = False
+
+    def examine(self, step, value, provenance):
+        return verifiers.Verdict(verifiers.SUPPORT, ())
+
+
+def test_operator_errors_are_logged_under_their_step_and_the_log_replays_clean():
+    pool = [_stmt("s", 1, "e1", 0.9), _stmt("s", 2, "e2", 0.5)]
+    anchors, _ = anchor(_table(pool), theta=2)
+    conflict_set = conflicts(_table(pool), anchors)
+    registry = (OperatorRegistry().register(_CrashingOperator()).register(_UnevidencedOperator())
+                .register(_scripted({statement_key("s", number(1)): "support"})))
+    log = AuditLog()
+    log.append("audit", "conflict",
+               {"step": "s", "candidates": [format_literal(c.value) for c in conflict_set.get("s").candidates]}, ("s",))
+    log.append("audit", "plan", {"order": ["s"], "budget": 2})
+
+    run_audit(["s"], conflict_set, anchors, AuditBudget(b_max=2), registry, _table(pool), log)
+    audit = list(log)[2:]
+    assert [e.event for e in audit] == ["operator_error", "operator_error", "verify", "promote"]
+    assert [(e.payload["operator"], e.payload["error"]) for e in audit[:2]] == [
+        ("crashing", "RuntimeError: tool offline"), ("unevidenced", "discarded evidence-free verdict")]
+    assert all(e.parent_refs == ("s",) for e in audit[:2])
+    verify = audit[2].payload
+    assert (verify["value"], verify["verdict"], verify["cost"], verify["operator"]) == ("num:1", "support", 3, "scripted")
+    state = replay(AuditLog.from_lines(log.to_text().splitlines()))
+    assert state.ok, state.violations
+
+
+def test_a_step_takes_one_anchor():
+    anchors = AnchorSet()
+    anchors.add(Anchor("s", number(1), ("e1",)))
+    with pytest.raises(InvalidConfigError, match="already anchored"):
+        anchors.add(Anchor("s", number(2), ("e2",)))
+    assert values_equal(_anchored(anchors)["s"].value, number(1))
+
+
+def test_budget_refuses_to_overspend():
+    budget = AuditBudget(b_max=1)
+    assert budget.spend() == 1
+    with pytest.raises(InvalidConfigError, match="overspent"):
+        budget.spend()
+    assert budget.consumed == 1
+
+
 # --- synthesis ------------------------------------------------------------------
 
 def test_synthesize_single_expert_degenerate():
@@ -307,7 +362,7 @@ def test_synthesize_single_expert_degenerate():
 
     trace = _output("e01", {"s1": 5}, 5, confidence=0.7)
     winner, score, fallback = synthesize(
-        statements([GatedTrace(trace, 0)]), AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2)
+        statements([GatedTrace(trace, 0)]), AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2), AuditLog()
     )
     assert winner.expert_id == "e01"
     assert score.anchor_support == 1.0  # vacuous with no anchors
@@ -326,7 +381,7 @@ def test_synthesize_anchor_dominance():
     dissent = _output("e02", {"s0": 1, "s1": 9, "s2": 9}, 9, confidence=0.5)
     winner, score, _ = synthesize(
         statements([GatedTrace(agree, 0), GatedTrace(dissent, 1)]),
-        anchors, ConflictSet(), (0.5, 0.3, 0.2),
+        anchors, ConflictSet(), (0.5, 0.3, 0.2), AuditLog(),
     )
     assert winner.expert_id == "e01"
     assert score.anchor_support == 1.0
@@ -336,7 +391,7 @@ def test_synthesize_raises_without_candidates():
     from crosscheck.engine import AnchorSet, ConflictSet
 
     with pytest.raises(NoFeasibleCandidateError):
-        synthesize(statements([]), AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2))
+        synthesize(statements([]), AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2), AuditLog())
 
 
 def test_synthesize_tie_breaks_to_lowest_expert_id():
@@ -346,7 +401,7 @@ def test_synthesize_tie_breaks_to_lowest_expert_id():
     b = _output("e01", {"s1": 7}, 7, confidence=0.6)
     winner, _, _ = synthesize(
         statements([GatedTrace(a, 1), GatedTrace(b, 0)]),
-        AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2),
+        AnchorSet(), ConflictSet(), (0.5, 0.3, 0.2), AuditLog(),
     )
     assert winner.expert_id == "e01"
 

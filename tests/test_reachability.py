@@ -49,7 +49,6 @@ LIVE = "live backend, exported: needs a network endpoint (ROADMAP: live backends
 # Never entered by the census, by ``module.Qualname``, each with its reason.
 UNREACHED = {
     "auditlog._payload_encoder": "import time: picks the one payload encoder as the module loads",
-    "baselines.AblationConfig.__post_init__": "import time: checks DEFAULT_ABLATION_ROWS as the module loads",
     "ensemble.ExpertBackend.sample": PROTOCOL,
     "ensemble.HttpBackend.__init__": LIVE,
     "ensemble.HttpBackend.sample": LIVE,

@@ -36,7 +36,6 @@ def test_every_trace_hook_resolves_and_is_removed(capsys):
 
 # Written out so that adding or removing a public name is a visible diff.
 PUBLIC_NAMES = [
-    "AblationConfig",
     "AnchorSet",
     "AuditBudget",
     "AuditLog",
