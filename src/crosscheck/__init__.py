@@ -44,7 +44,8 @@ from .facts import ConsistencyReport, Fact, FactStore, Note, ToolRecord
 from .plandag import PlanDag
 from .scenario import Scenario, load_corpus, load_scenario, save_scenario
 from .values import Value, boolean, composite, number, quantity, text, values_equal
-from .verifiers import Constraint, GateResult, OperatorRegistry, Verdict, check_response, gate, index_constraints
+from .verifiers import (Constraint, GateResult, OperatorRegistry, Verdict, check_response, gate, index_constraints,
+                        index_gate)
 
 __all__ = [
     "AnchorSet",
@@ -82,6 +83,7 @@ __all__ = [
     "evaluate_methods",
     "gate",
     "index_constraints",
+    "index_gate",
     "load_corpus",
     "load_scenario",
     "majority_vote",

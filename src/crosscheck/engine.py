@@ -21,14 +21,19 @@ Four stages turn a bundle of expert traces into one audited answer:
    statement, candidates are re-scored over their non-refuted statements
    only, which recovers the best recombination of valid micro-inferences.
 
-Anchoring, conflict detection, ranking and synthesis read one table that
-:func:`statements` decides per run from the scenario's statement index,
-built once at load: each step's value classes (one per distinct value,
-as the loader shares one object per printed value), a holder mask per
-class and the equality between the classes. A run decides each class
-with mask operations; it neither walks the statements nor compares a
-value. Every decision lands in the audit log; identical inputs reproduce
-the log byte for byte.
+Every stage reads the statement index of the run's collected outputs:
+the scenario's, built once at load, or, for outputs it does not hold (a
+live backend's), one built at the gate. It holds each step's value
+classes (one per distinct value, as the loader shares one object per
+printed value), a holder mask per class and the equality between the
+classes. The gate checks each class at each checked step once per run
+(:func:`verifiers.index_gate`) and each trace reads its failing steps
+from the resulting masks. Anchoring, conflict detection, ranking and
+synthesis read one table that :func:`statements` decides per run from
+the same index, and the anchor of a step is its best-supported group,
+found by count. A run decides each class with mask operations; it
+neither walks the statements nor compares a value. Every decision lands
+in the audit log; identical inputs reproduce the log byte for byte.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .auditlog import AuditLog
 from .ensemble import CollectResult, ExpertOutput, StatementIndex, collect, index_statements, mask_bytes
 from .errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
 from .facts import Fact, FactStore, Note, ToolRecord
-from .plandag import PlanDag
+from .plandag import PlanDag, removal_set
 # Not called here: the benchmark's tracer wraps ``group_values`` under this name, and tests require it to resolve.
 from .values import Value, format_literal, group_values, sum_in_order, values_equal  # noqa: F401
 from .verifiers import (
@@ -54,6 +59,7 @@ from .verifiers import (
     OperatorRegistry,
     gate,
     index_constraints,
+    index_gate,
 )
 
 if TYPE_CHECKING:
@@ -219,11 +225,24 @@ def statements(retained: Sequence[GatedTrace], index: StatementIndex | None = No
     return StatementTable(retained, positions, index, steps)
 
 
-@dataclass(frozen=True)
-class Anchor:
+class Anchor(NamedTuple):
+    """A trusted value at ``step``, asserted by ``support`` distinct experts.
+
+    ``holders`` masks the outputs of ``source`` behind it, as a group of
+    :class:`StepClasses` does; :attr:`supporters` names their experts and
+    is built only where it is read.
+    """
+
     step: str
     value: Value
-    supporters: tuple[str, ...]
+    support: int
+    holders: int
+    source: StatementIndex
+
+    @property
+    def supporters(self) -> tuple[str, ...]:
+        """The distinct experts behind the anchor, sorted."""
+        return self.source.supporters(self.holders)
 
 
 class AnchorSet:
@@ -253,33 +272,36 @@ def anchor(table: StatementTable, theta: int) -> tuple[AnchorSet, list[str]]:
 
     A (step, value) is promoted when at least ``theta`` distinct experts
     asserted an equal value there. If several values at one step reach
-    quorum, the better-supported one wins; an exact tie anchors nothing
-    and leaves the step for the conflict set. The values and their
-    supporters are the step's groups in ``table``, as :func:`statements`
-    built it.
+    quorum, the better-supported one wins; an exact tie at the top anchors
+    nothing and leaves the step for the conflict set. The values and their
+    distinct-expert counts are the step's groups in ``table``, as
+    :func:`statements` built it; one pass over them finds the top.
     """
     if theta < 2:
         raise InvalidThetaError(f"anchor quorum must be >= 2, got {theta}")
     anchors = AnchorSet()
     collisions: list[str] = []
     for step, sc in table.steps.items():
-        eligible = [group for group in sc.groups if group[2] >= theta]
-        if not eligible:
-            continue
-        if len(eligible) > 1:
-            eligible.sort(key=lambda g: (-g[2], format_literal(g[0])))
-            if eligible[0][2] == eligible[1][2]:
-                collisions.append(step)
-                continue
-        rep, kept, _ = eligible[0]
-        anchors.add(Anchor(step, rep, table.index.supporters(kept)))
+        top, best, tied = theta - 1, None, False
+        for group in sc.groups:
+            if group[2] > top:
+                top, best, tied = group[2], group, False
+            elif group[2] == top and best is not None:
+                tied = True
+        if tied:
+            collisions.append(step)
+        elif best is not None:
+            anchors.add(Anchor(step, best[0], top, best[1], table.index))
     return anchors, collisions
 
 
 @dataclass(frozen=True)
 class Candidate:
+    """A contested value, its distinct experts (sorted) and its group's holder mask (see :class:`Anchor`)."""
+
     value: Value
     supporters: tuple[str, ...]
+    holders: int = field(repr=False)
 
 
 @dataclass
@@ -343,19 +365,22 @@ def conflicts(table: StatementTable, anchors: AnchorSet) -> ConflictSet:
         # groups, any two distinct experts at the step make such a pair.
         if len(table.index.supporters(sum(kept for _, kept, _ in groups))) < 2:
             continue
-        candidates = [Candidate(value, table.index.supporters(kept)) for value, kept, _ in groups]
+        candidates = [Candidate(value, table.index.supporters(kept), kept) for value, kept, _ in groups]
         candidates.sort(key=lambda c: (-len(c.supporters), c.supporters[0], format_literal(c.value)))
         out.add(ConflictItem(step=step, candidates=tuple(candidates)))
     return out
 
 
-def rank_conflicts(conflict_set: ConflictSet, dag: PlanDag, table: StatementTable) -> list[str]:
+def rank_conflicts(conflict_set: ConflictSet, dag: PlanDag, table: StatementTable,
+                   closures: dict[str, frozenset[str]] | None = None) -> list[str]:
     """Audit order: impact = (1 + |dependents|) * confidence spread, descending.
 
     A contested step that feeds many downstream steps and splits expert
     confidence wide is worth a verify call more than a contested leaf
     everyone is equally unsure about. Ties fall back to step id. The
-    spread is over the step's retained statements in ``table``.
+    spread is over the step's retained statements in ``table``. The step
+    and its dependents are its :func:`removal_set`, over ``closures``, the
+    run's memo of dependents closures that the gate filled.
     """
     spreads: dict[str, float] = {}
     for step in conflict_set.steps():
@@ -363,7 +388,7 @@ def rank_conflicts(conflict_set: ConflictSet, dag: PlanDag, table: StatementTabl
         spreads[step] = (max(confs) - min(confs)) if confs else 0.0
 
     def impact(step: str) -> float:
-        return (1 + len(dag.dependents_closure(step))) * spreads[step]
+        return len(removal_set(dag, (step,), closures)) * spreads[step]
 
     return sorted(conflict_set.steps(), key=lambda s: (-impact(s), s))
 
@@ -489,7 +514,7 @@ def run_audit(
                 (step,),
             )
             if verdict.value == SUPPORT:
-                anchors.add(Anchor(step, candidate.value, candidate.supporters))
+                anchors.add(Anchor(step, candidate.value, len(candidate.supporters), candidate.holders, table.index))
                 item.state = SUPPORTED
                 item.supported_value = candidate.value
                 log.append("audit", "promote", {"step": step, "value": literal}, (step,))
@@ -656,13 +681,17 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             (output.expert_id,),
         )
 
+    # The scenario's index holds the outputs its backend replays; others (a live backend's) are indexed here.
+    index = scenario.statement_index
+    if index.outputs != tuple(collected.outputs):  # outputs compare by identity
+        index = index_statements(collected.outputs)
     # After seeding, a run never writes to its store: the gate reads its verified facts once, here.
     # With facts off the store stays empty, so the gate sees no verified fact.
-    constraints = index_constraints(scenario.constraints, scenario.dag, facts)
+    gated = index_gate(index_constraints(scenario.constraints, scenario.dag, facts), scenario.dag, index)
     retained: list[GatedTrace] = []
     salvageable: list[tuple[int, ExpertOutput, GateResult]] = []
     for idx, output in enumerate(collected.outputs):
-        result = gate(output, constraints, scenario.dag, cfg.gate_threshold)
+        result = gate(gated, idx, cfg.gate_threshold)
         if result.removed:
             log.append(
                 "prune",
@@ -708,7 +737,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
                 (output.expert_id,),
             )
 
-    table = statements(retained, scenario.statement_index)
+    table = statements(retained, index)
     log.append("anchor", "statements", {"count": len(table)})
 
     anchors, collisions = anchor(table, cfg.theta)
@@ -716,7 +745,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
         log.append(
             "anchor",
             "promote",
-            {"step": a.step, "value": format_literal(a.value), "supporters": len(a.supporters)},
+            {"step": a.step, "value": format_literal(a.value), "supporters": a.support},
             (a.step,),
         )
     for step in collisions:
@@ -732,7 +761,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             (item.step,),
         )
 
-    ranked = rank_conflicts(conflict_set, scenario.dag, table)
+    ranked = rank_conflicts(conflict_set, scenario.dag, table, gated.closures)
     b_max = cfg.budget if cfg.budget is not None else min(len(conflict_set), BUDGET_CAP)
     budget = AuditBudget(b_max=b_max)
     if ranked:

@@ -78,11 +78,20 @@ class PlanDag:
         return step in self._succ
 
 
-def removal_set(dag: PlanDag, violated: Iterable[str]) -> frozenset[str]:
-    """The violated steps plus every step downstream of any of them; UnknownStepError for a step not in ``dag``."""
+def removal_set(dag: PlanDag, violated: Iterable[str],
+                closures: dict[str, frozenset[str]] | None = None) -> frozenset[str]:
+    """The violated steps plus every step downstream of any of them; UnknownStepError for a step not in ``dag``.
+
+    ``closures`` is a memo of ``dag``'s dependents closures that the caller
+    keeps across calls: each step's closure is computed on first use and
+    read afterwards.
+    """
+    memo: dict[str, frozenset[str]] = {} if closures is None else closures
     removed: set[str] = set()
     for step in violated:
+        closure = memo.get(step)
+        if closure is None:
+            closure = memo[step] = dag.dependents_closure(step)
         removed.add(step)
-        removed.update(dag.dependents_closure(step))
+        removed.update(closure)
     return frozenset(removed)
-

@@ -6,7 +6,8 @@ verified facts. The gate screens each expert trace against them before
 any expensive work: statements that fail are excised together with their
 DAG dependents (the preceding valid segments survive), and a trace is
 dropped outright when its final response is infeasible or too little of
-it remains.
+it remains. The checks are decided once per run for each value class of
+the run's statement index, not for each statement.
 
 The gate is the only place that decides admissibility, and the only one
 that reads the verified facts: every value the audit sees already passed
@@ -25,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import DuplicateIdError, ParseError, UnknownIdError, UnknownStepError
 from .facts import Fact, FactStore, conflicting_fact_ids
@@ -41,7 +42,7 @@ from .values import (
 )
 
 if TYPE_CHECKING:
-    from .ensemble import ExpertOutput
+    from .ensemble import ExpertOutput, StatementIndex
 
 SUPPORT = "support"
 REFUTE = "refute"
@@ -176,7 +177,8 @@ class ConstraintIndex:
     at its step, so no verify operator asks them again. ``checked`` is
     derived from the two: the DAG steps that have a predicate or verified
     facts, the only steps where the gate can fail a statement. Build it
-    with :func:`index_constraints`.
+    with :func:`index_constraints`; :func:`index_gate` decides it over a
+    run's statement classes.
     """
 
     steps: Mapping[str, tuple[Constraint, ...]]
@@ -204,8 +206,67 @@ def index_constraints(constraints: Sequence[Constraint], dag: PlanDag, facts: Fa
     )
 
 
-@dataclass(frozen=True)
-class GateResult:
+class GateIndex(NamedTuple):
+    """A run's gate decisions over the outputs of a statement index, made per value class.
+
+    ``failing`` maps each step where some statement fails, in sorted
+    order, to the mask of its failing holders: bit ``p`` stands for
+    ``outputs[p]``. ``response_ok[p]`` says whether ``outputs[p]``'s
+    response passes the response-scope constraints. ``closures`` is the
+    run's memo of ``dag``'s dependents closures (:func:`plandag.removal_set`).
+    Build it with :func:`index_gate`; it lives for one run.
+    """
+
+    outputs: tuple["ExpertOutput", ...]
+    failing: dict[str, int]
+    response_ok: list[bool]
+    dag: PlanDag
+    closures: dict[str, frozenset[str]]
+
+
+def index_gate(constraints: ConstraintIndex, dag: PlanDag, index: "StatementIndex") -> GateIndex:
+    """Decide the gate for every output of ``index`` at once, per (step, value class).
+
+    ``constraints`` is :func:`index_constraints` over ``dag``. Each class
+    at a step in ``constraints.checked`` is checked once against the
+    step's predicates and verified facts, and a failing class fails all its
+    holders; each distinct response object is checked once. A step of
+    ``index`` outside the DAG raises UnknownStepError, naming the first
+    output in ``index`` order that asserts such a step and its first such
+    step in trace order.
+    """
+    applicable, known = constraints.steps, constraints.facts
+    unknown = {step for step in index.steps if step not in applicable}
+    if unknown:
+        output = next(o for o in index.outputs if not unknown.isdisjoint(o.step_ids))
+        raise UnknownStepError(f"unknown step {next(s for s in output.step_ids if s in unknown)!r}")
+    width, reps = len(index.outputs), index.reps
+    full = (1 << width) - 1
+    failing: dict[str, int] = {}
+    first = 0
+    for step, packed in zip(index.steps, index.holders):
+        count = (packed.bit_length() - 1) // width + 1  # every class has a holder, so the last one's sets the length
+        if step in constraints.checked:
+            predicates, verified = applicable[step], known.get(step, ())
+            mask = 0
+            for c in range(count):
+                if not _statement_admissible(reps[first + c], predicates, verified):
+                    mask |= packed >> c * width & full
+            if mask:
+                failing[step] = mask
+        first += count
+    verified = known.get(RESPONSE_KEY, ())
+    decided: dict[int, bool] = {}  # id() of a response -> its check; the outputs keep each response alive
+    response_ok = []
+    for output in index.outputs:
+        ok = decided.get(id(output.response))
+        if ok is None:
+            ok = decided[id(output.response)] = check_response(output.response, constraints.response, verified)
+        response_ok.append(ok)
+    return GateIndex(index.outputs, failing, response_ok, dag, {})
+
+
+class GateResult(NamedTuple):
     """Outcome of screening one trace.
 
     ``trace`` is None exactly when the trace was rejected. ``score`` is the
@@ -225,46 +286,33 @@ class GateResult:
         return self.trace is None
 
 
-def gate(
-    trace: "ExpertOutput",
-    constraints: ConstraintIndex,
-    dag: PlanDag,
-    threshold: float,
-) -> GateResult:
-    """Screen a trace against constraints and verified facts.
+def gate(gated: GateIndex, position: int, threshold: float) -> GateResult:
+    """Screen ``gated.outputs[position]`` against constraints and verified facts.
 
     A statement fails when any applicable step predicate rejects its
     value or a verified fact at its step holds an unequal value (the
     conflict rule of :func:`facts.conflicting_fact_ids`). Failing
     statements and their DAG dependents are excised; everything upstream
     stays. The trace as a whole is rejected iff its response is infeasible
-    or the surviving fraction falls below ``threshold``. ``constraints`` is
-    :func:`index_constraints` over the same ``dag``, and the gate reads
-    the verified facts only from it; a trace step outside the DAG raises
-    UnknownStepError, naming the first such step in trace order.
+    or the surviving fraction falls below ``threshold``.
 
-    Only the trace's steps in ``constraints.checked`` are visited: with no
-    predicate and no verified fact at a step there is nothing to check.
+    The trace's failing steps are read, in sorted order, from the masks
+    :func:`index_gate` decided for its run; a trace with none keeps every
+    statement and scores 1.0.
     """
+    trace = gated.outputs[position]
+    failing = tuple([step for step, mask in gated.failing.items() if mask >> position & 1])
+    response_ok = gated.response_ok[position]
+    if not failing:
+        # Outputs are never mutated, so an untouched trace is retained as it is.
+        return GateResult(trace if response_ok else None, 1.0, (), (), response_ok)
     steps = trace.step_ids
-    applicable = constraints.steps
-    if not steps <= applicable.keys():
-        raise UnknownStepError(f"unknown step {next(s for s in steps if s not in applicable)!r}")
-    known = constraints.facts
-    failing = tuple(
-        step for step in sorted(constraints.checked & steps)
-        if not _statement_admissible(trace.value_at(step), applicable[step], known.get(step, ()))
-    )
-    removed_all = removal_set(dag, failing)
+    removed_all = removal_set(gated.dag, failing, gated.closures)
     removed = tuple(sorted(removed_all & steps))
-    total = len(steps)
-    score = (total - len(removed)) / total if total else 1.0
-    response_ok = check_response(trace.response, constraints.response, known.get(RESPONSE_KEY, ()))
+    score = (len(steps) - len(removed)) / len(steps)
     if not response_ok or score < threshold:
         return GateResult(None, score, failing, removed, response_ok)
-    # Outputs are never mutated, so an untouched trace is retained as it is.
-    kept = trace.restricted_to(steps - removed_all) if removed else trace
-    return GateResult(kept, score, failing, removed, response_ok)
+    return GateResult(trace.restricted_to(steps - removed_all), score, failing, removed, response_ok)
 
 
 def _statement_admissible(

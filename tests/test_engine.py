@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,14 +24,15 @@ from crosscheck.engine import (
     statements,
     synthesize,
 )
-from crosscheck.ensemble import parse_expert_output
-from crosscheck.errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError
-from crosscheck.facts import FactStore
+from crosscheck.ensemble import ScriptedBackend, parse_expert_output
+from crosscheck.errors import InvalidConfigError, InvalidThetaError, NoFeasibleCandidateError, UnknownStepError
+from crosscheck.facts import GIVEN, VERIFIED, Fact, FactStore
 from crosscheck.plandag import PlanDag
 from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict, scenario_to_dict
 from crosscheck.values import (NUMBER, Value, format_literal, number, parse_literal, parse_statement_key, statement_key,
-                              values_equal)
-from crosscheck.verifiers import Constraint, OperatorRegistry, ScriptedTableOperator
+                              value_from_json, value_to_json, values_equal)
+from crosscheck.verifiers import (Constraint, ConstraintIndex, OperatorRegistry, ScriptedTableOperator,
+                                  constraint_from_spec)
 
 from oracles import Stmt, count_filter_anchors, flat_pool, pairwise_conflicts, synthesis_score, trace, trace_rows
 from test_golden_digest import _golden_runs
@@ -339,12 +341,19 @@ def test_operator_errors_are_logged_under_their_step_and_the_log_replays_clean()
     assert state.ok, state.violations
 
 
+def _anchor_of(step, value, experts):
+    """An anchor of ``value`` at ``step``, held by one single-statement output of each of ``experts``."""
+    index = ensemble.index_statements([trace(e, {step: (value, 1.0)}, value) for e in experts])
+    return Anchor(step, value, len(experts), (1 << len(experts)) - 1, index)
+
+
 def test_a_step_takes_one_anchor():
     anchors = AnchorSet()
-    anchors.add(Anchor("s", number(1), ("e1",)))
+    anchors.add(_anchor_of("s", number(1), ["e1"]))
     with pytest.raises(InvalidConfigError, match="already anchored"):
-        anchors.add(Anchor("s", number(2), ("e2",)))
+        anchors.add(_anchor_of("s", number(2), ["e2"]))
     assert values_equal(_anchored(anchors)["s"].value, number(1))
+    assert _anchored(anchors)["s"].supporters == ("e1",)
 
 
 def test_budget_refuses_to_overspend():
@@ -372,11 +381,11 @@ def test_synthesize_single_expert_degenerate():
 
 
 def test_synthesize_anchor_dominance():
-    from crosscheck.engine import Anchor, AnchorSet, ConflictSet
+    from crosscheck.engine import AnchorSet, ConflictSet
 
     anchors = AnchorSet()
     for i, v in enumerate((1, 2, 3)):
-        anchors.add(Anchor(f"s{i}", number(v), ("e01", "e02")))
+        anchors.add(_anchor_of(f"s{i}", number(v), ["e01", "e02"]))
     agree = _output("e01", {"s0": 1, "s1": 2, "s2": 3}, 3, confidence=0.5)
     dissent = _output("e02", {"s0": 1, "s1": 9, "s2": 9}, 9, confidence=0.5)
     winner, score, _ = synthesize(
@@ -805,6 +814,49 @@ def test_statement_stages_compare_classes_not_statements(monkeypatch):
     assert table_sizes == [retained]
 
 
+def test_the_gate_checks_each_value_class_once_per_step(monkeypatch):
+    # The `wide` shape, with a range check at every step and a verified fact at every third,
+    # so that most statements are checked: each step predicate and each verified-fact
+    # comparison runs at most once per (step, value class) of the run, not once per statement.
+    params = GeneratorParams(max_experts=64, max_steps=64, agreement=0.5, distractors=4, edge_prob=0.1,
+                             with_constraints=True)
+    scenario = random_scenario(3, params)
+    outputs = scenario_expert_outputs(scenario)
+    scenario.constraints += (constraint_from_spec({"id": "band", "check": "range", "min": 0, "max": 60}),)
+    scenario.facts_seed = tuple(Fact(f"g-{step}", GIVEN, step, outputs[0].value_at(step), VERIFIED)
+                                for step in scenario.dag.steps[::3] if step in outputs[0].step_ids)
+    calls = Counter()  # (check, step, id of the value) -> how often the run asked it
+    step_of_facts = {}  # id of a step's verified facts -> the step
+    real_index = engine.index_constraints
+
+    def counted(constraint, step):
+        def predicate(value, check=constraint.predicate):
+            calls[(constraint.id, step, id(value))] += 1
+            return check(value)
+        return replace(constraint, predicate=predicate)
+
+    def counting_index(constraints, dag, store):
+        real = real_index(constraints, dag, store)
+        step_of_facts.update({id(same_key): key for key, same_key in real.facts.items()})
+        wrapped = {step: tuple(counted(c, step) for c in applicable) for step, applicable in real.steps.items()}
+        return ConstraintIndex(wrapped, real.response, real.facts)
+
+    real_conflicting = verifiers.conflicting_fact_ids
+
+    def conflicting(same_key, value):
+        calls[("facts", step_of_facts[id(same_key)], id(value))] += 1
+        return real_conflicting(same_key, value)
+
+    monkeypatch.setattr(engine, "index_constraints", counting_index)
+    monkeypatch.setattr(verifiers, "conflicting_fact_ids", conflicting)
+    result = run_pipeline(scenario)
+    statements = sum(len(output.step_ids) for output in outputs)
+    assert any(entry.event == "excise" for entry in result.audit_log)
+    assert max(calls.values()) == 1
+    assert sum(check == "band" for check, _, _ in calls) < statements / 5
+    assert 0 < sum(check == "facts" for check, _, _ in calls) < statements / 10
+
+
 def test_statements_check_each_value_object_for_an_exact_key_once(monkeypatch):
     # A loaded scenario shares one object per printed value, so a step's
     # classes are its distinct values, not its statements. The load builds
@@ -862,6 +914,42 @@ def test_per_position_counts_match_a_bit_by_bit_count(n_masks, width, rng):
     masks = [rng.getrandbits(width) for _ in range(n_masks)]
     positions = tuple(sorted(rng.sample(range(width), rng.randint(1, width))))
     assert engine._per_position(masks, positions) == [sum(mask >> p & 1 for mask in masks) for p in positions]
+
+
+def _served_fresh(scenario, extra_step=None):
+    """``scenario``, its backend serving new outputs with new value objects in place of the loaded ones.
+
+    Nothing in them is shared, so the run indexes them itself and each
+    statement is a class of its own. With ``extra_step``, the last
+    expert's outputs assert that step too, first in trace order.
+    """
+    fresh = lambda value: value_from_json(value_to_json(value))  # noqa: E731
+    served = {}
+    for expert in scenario.experts:
+        served[expert.config.expert_id] = [
+            trace(expert.config.expert_id,
+                  {**({extra_step: (number(1), 0.5)} if extra_step and expert is scenario.experts[-1] else {}),
+                   **{step: (fresh(value), confidence, provenance)
+                      for step, value, confidence, provenance in trace_rows(output)}},
+                  fresh(output.response))
+            for output in expert.outputs]
+    failing = {e.config.expert_id for e in scenario.experts if e.fail}
+    scenario.backend = lambda: ScriptedBackend(served, failing)
+    return scenario
+
+
+def test_a_run_over_outputs_its_scenario_did_not_load_indexes_them_itself():
+    # As for a live backend: the run builds one index over the collected outputs, and gates and
+    # decides every stage over it, with the same log as over the loaded outputs.
+    params = GeneratorParams(max_experts=64, max_steps=64, agreement=0.5, distractors=4, edge_prob=0.1,
+                             with_constraints=True)
+    desk = GeneratorParams(with_constraints=True, with_facts=True)
+    for make in (lambda: random_scenario(3, params), lambda: adversarial_scenario(11),
+                 lambda: random_scenario(8, desk)):
+        expected = run_pipeline(make()).audit_log.to_text()
+        assert run_pipeline(_served_fresh(make())).audit_log.to_text() == expected
+    with pytest.raises(UnknownStepError, match="unknown step 'zz-extra'"):
+        run_pipeline(_served_fresh(random_scenario(3, params), "zz-extra"))
 
 
 def test_a_loaded_index_serves_runs_under_any_config():

@@ -14,15 +14,15 @@ scenario's index holds the traces a run rejects too.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crosscheck.auditlog import AuditLog
 from crosscheck.ensemble import index_statements
 from crosscheck.engine import (
-    Anchor,
+    OPEN,
+    SUPPORTED,
     AuditBudget,
-    Candidate,
-    ConflictItem,
     GatedTrace,
     _candidate_provenance,
     anchor,
@@ -178,17 +178,18 @@ def _step_groups(pool, step):
 
 
 def _reference_anchor(pool, theta):
+    """Anchors as ``(step, value, supporters)``, and collisions: each step's quorum groups sorted on support, then literal."""
     anchors, collisions = [], []
     for step in sorted({s.step for s in pool}):
         eligible = [
-            Anchor(step, rep, tuple(sorted(set(ids))))
+            (step, rep, tuple(sorted(set(ids))))
             for rep, ids in _step_groups(pool, step)
             if len(set(ids)) >= theta
         ]
         if not eligible:
             continue
-        eligible.sort(key=lambda a: (-len(a.supporters), format_literal(a.value)))
-        if len(eligible) > 1 and len(eligible[0].supporters) == len(eligible[1].supporters):
+        eligible.sort(key=lambda a: (-len(a[2]), format_literal(a[1])))
+        if len(eligible) > 1 and len(eligible[0][2]) == len(eligible[1][2]):
             collisions.append(step)
         else:
             anchors.append(eligible[0])
@@ -196,6 +197,7 @@ def _reference_anchor(pool, theta):
 
 
 def _reference_conflicts(pool, anchored):
+    """Conflict items as ``(step, ((value, supporters), ...))``, candidates in audit order."""
     items = []
     for step in sorted({s.step for s in pool}):
         groups = _step_groups(pool, step)
@@ -205,10 +207,10 @@ def _reference_conflicts(pool, anchored):
         ):
             continue
         candidates = sorted(
-            (Candidate(rep, tuple(sorted(set(ids)))) for rep, ids in groups),
-            key=lambda c: (-len(c.supporters), c.supporters[0], format_literal(c.value)),
+            ((rep, tuple(sorted(set(ids)))) for rep, ids in groups),
+            key=lambda c: (-len(c[1]), c[1][0], format_literal(c[0])),
         )
-        items.append(ConflictItem(step=step, candidates=tuple(candidates)))
+        items.append((step, tuple(candidates)))
     return items
 
 
@@ -266,9 +268,9 @@ class _ScriptedVerdicts:
         return Verdict(next(self._verdicts, INCONCLUSIVE))
 
 
-def _literals(objs):
+def _literals(values):
     # Structural equality takes 1 == 1.0; the literal form tells them apart.
-    return [format_literal(o.value) for o in objs]
+    return [format_literal(value) for value in values]
 
 
 def _placed_among_rejected(traces):
@@ -308,14 +310,18 @@ def _assert_stages_match_oracles(traces, table, theta, verdicts):
 
     ref_anchors, ref_collisions = _reference_anchor(pool, theta)
     anchors, collisions = anchor(table, theta)
-    assert list(anchors.items()) == ref_anchors
-    assert _literals(anchors.items()) == _literals(ref_anchors)
+    assert [(a.step, a.value, a.supporters) for a in anchors.items()] == ref_anchors
+    assert [a.support for a in anchors.items()] == [len(supporters) for _, _, supporters in ref_anchors]
+    assert _literals(a.value for a in anchors.items()) == _literals(value for _, value, _ in ref_anchors)
     assert collisions == ref_collisions
 
     conflict_set = conflicts(table, anchors)
     ref_items = _reference_conflicts(pool, {a.step for a in anchors.items()})
-    assert list(conflict_set.items()) == ref_items
-    assert [_literals(i.candidates) for i in conflict_set.items()] == [_literals(i.candidates) for i in ref_items]
+    got = [(i.step, tuple((c.value, c.supporters) for c in i.candidates)) for i in conflict_set.items()]
+    assert got == ref_items
+    assert all(i.state == OPEN and i.supported_value is None and not i.refuted_values for i in conflict_set.items())
+    assert [_literals(c.value for c in i.candidates) for i in conflict_set.items()] == [
+        _literals(value for value, _ in candidates) for _, candidates in ref_items]
 
     ranked = rank_conflicts(conflict_set, DAG, table)
     assert ranked == _reference_rank(conflict_set.steps(), pool)
@@ -327,6 +333,11 @@ def _assert_stages_match_oracles(traces, table, theta, verdicts):
 
     registry = OperatorRegistry().register(_ScriptedVerdicts(verdicts))
     run_audit(ranked, conflict_set, anchors, AuditBudget(b_max=100), registry, table, AuditLog())
+    for item in conflict_set.items():
+        if item.state == SUPPORTED:  # the audit anchors the supported candidate with its supporters
+            (promoted,) = [a for a in anchors.items() if a.step == item.step]
+            assert (promoted.value, promoted.supporters, promoted.support) in [
+                (c.value, c.supporters, len(c.supporters)) for c in item.candidates if c.value is item.supported_value]
     if not traces:
         return anchors
     log = AuditLog()
@@ -357,7 +368,34 @@ def test_tolerance_chain_decides_each_class_against_the_anchor():
         _gated("e5", 4, {"a": number(1e9 + 2)}),
     ]
     anchors = _assert_table_matches_oracles(traces, 2)
-    assert _literals(anchors.items()) == ["num:1000000002.0"]
+    assert _literals(a.value for a in anchors.items()) == ["num:1000000002.0"]
+
+
+def _quorum_groups(counts, order):
+    """One step ``a`` where the values 1, 2 and 3 (in literal order) are held by ``counts`` experts each.
+
+    ``order`` is the order of the values' first holders, so the groups form in that order.
+    """
+    values = [number(1), number(2), number(3)]
+    holders = [i for i in order for _ in range(counts[i])]
+    return [_gated(f"e{j}", j, {"a": values[i]}) for j, i in enumerate(holders)]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+@pytest.mark.parametrize("top", [0, 1, 2])
+def test_a_unique_top_among_three_quorum_groups_anchors_whatever_the_literal_order(top, order):
+    counts = [2, 2, 2]
+    counts[top] = 3
+    anchors = _assert_table_matches_oracles(_quorum_groups(counts, order), 2)
+    assert [(a.value, a.support) for a in anchors.items()] == [(number(top + 1), 3)]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)])
+@pytest.mark.parametrize("counts", [(3, 3, 2), (2, 3, 3), (3, 2, 3), (2, 2, 2)])
+def test_a_tie_at_the_top_of_the_quorum_groups_is_a_collision(counts, order):
+    traces = _quorum_groups(counts, order)
+    assert not _assert_table_matches_oracles(traces, 2)
+    assert anchor(statements(traces), 2)[1] == ["a"]
 
 
 def test_table_int_float_twins_at_the_edge():

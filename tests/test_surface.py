@@ -71,6 +71,7 @@ PUBLIC_NAMES = [
     "evaluate_methods",
     "gate",
     "index_constraints",
+    "index_gate",
     "load_corpus",
     "load_scenario",
     "majority_vote",

@@ -7,13 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from crosscheck import verifiers
 from crosscheck.corpus import GeneratorParams, adversarial_scenario, random_corpus, random_scenario
-from crosscheck.ensemble import parse_expert_output
+from crosscheck.ensemble import index_statements, parse_expert_output
 from crosscheck.errors import DuplicateIdError, UnknownStepError
 from crosscheck.engine import EngineConfig, run_pipeline
 from crosscheck.facts import CONFLICT, FactStore, ToolRecord, conflicting_fact_ids
 from crosscheck.plandag import PlanDag
 from crosscheck.scenario import scenario_expert_outputs, scenario_from_dict
-from crosscheck.values import number, quantity, text
+from crosscheck.values import NUMBER, QUANTITY, Value, number, quantity, text
 from crosscheck.verifiers import (
     INCONCLUSIVE,
     REFUTE,
@@ -29,6 +29,7 @@ from crosscheck.verifiers import (
     default_registry,
     gate,
     index_constraints,
+    index_gate,
 )
 
 from oracles import conjunction, reference_gate, removal_oracle, trace, trace_rows
@@ -36,6 +37,11 @@ from test_golden_digest import WIDE_PARAMS
 from test_scenario import TOOL_CONFIGS, _tool_variants
 
 CHAIN = PlanDag(["s1", "s2", "s3", "s4"], [("s1", "s2"), ("s2", "s3"), ("s3", "s4")])
+
+
+def _gate(output, constraints, dag, threshold):
+    """The gate's result for ``output`` in a run that collected it alone."""
+    return gate(index_gate(constraints, dag, index_statements([output])), 0, threshold)
 
 
 def _trace(values: dict[str, object], response: object, confidence: float = 0.8):
@@ -48,7 +54,7 @@ def _trace(values: dict[str, object], response: object, confidence: float = 0.8)
 
 def test_gate_vacuous_pass():
     trace = _trace({"s1": 1, "s2": 2, "s3": 3, "s4": 4}, 4)
-    result = gate(trace, index_constraints((), CHAIN, FactStore()), CHAIN, threshold=0.5)
+    result = _gate(trace, index_constraints((), CHAIN, FactStore()), CHAIN, threshold=0.5)
     assert not result.rejected
     assert result.score == 1.0
     assert list(result.trace.step_ids) == list(trace.step_ids)
@@ -59,7 +65,7 @@ def test_gate_rejects_infeasible_response():
         {"id": "resp-m", "check": "unit", "scope": "response", "unit": "m"}
     )
     trace = _trace({"s1": 1}, {"kind": "quantity", "value": 3.0, "unit": "ft"})
-    result = gate(trace, index_constraints((constraint,), CHAIN, FactStore()), CHAIN, threshold=0.0)
+    result = _gate(trace, index_constraints((constraint,), CHAIN, FactStore()), CHAIN, threshold=0.0)
     assert result.rejected
     assert not result.response_ok
 
@@ -68,7 +74,7 @@ def test_gate_excises_facts_conflict_and_dependents():
     facts = FactStore()
     facts.add_given("s2", number(99))
     trace = _trace({"s1": 1, "s2": 2, "s3": 3, "s4": 4}, 4)
-    result = gate(trace, index_constraints((), CHAIN, facts), CHAIN, threshold=0.2)
+    result = _gate(trace, index_constraints((), CHAIN, facts), CHAIN, threshold=0.2)
     assert not result.rejected
     assert result.failing == ("s2",)
     assert result.removed == ("s2", "s3", "s4")
@@ -80,14 +86,14 @@ def test_gate_threshold_rejects_thin_remainder():
     facts = FactStore()
     facts.add_given("s2", number(99))
     trace = _trace({"s1": 1, "s2": 2, "s3": 3, "s4": 4}, 4)
-    result = gate(trace, index_constraints((), CHAIN, facts), CHAIN, threshold=0.5)
+    result = _gate(trace, index_constraints((), CHAIN, facts), CHAIN, threshold=0.5)
     assert result.rejected
     assert result.response_ok  # rejected on score, not feasibility
 
 
 def test_gate_statement_free_trace_scores_one():
     trace = _trace({}, 42)
-    result = gate(trace, index_constraints((), CHAIN, FactStore()), CHAIN, threshold=0.9)
+    result = _gate(trace, index_constraints((), CHAIN, FactStore()), CHAIN, threshold=0.9)
     assert not result.rejected
     assert result.score == 1.0
 
@@ -259,7 +265,7 @@ def test_gate_rule_over_the_verified_facts_matches_asking_the_store(store, step,
     report = store.check_consistency((step, value))
     assert conflicting_fact_ids(store.verified_by_key().get(step, ()), value) == report.conflicting_fact_ids
     output = trace("e01", {step: (value, 0.9)}, value)
-    failing = gate(output, index_constraints((), FLAT, store), FLAT, threshold=0.0).failing
+    failing = _gate(output, index_constraints((), FLAT, store), FLAT, threshold=0.0).failing
     assert failing == ((step,) if report.verdict == CONFLICT else ())
 
 
@@ -311,13 +317,13 @@ def test_gate_partial_retention_matches_closure_oracle(case):
     for s in bad:
         facts.add_given(s, number(999))  # every trace value below conflicts with this
     trace = _trace({s: i for i, s in enumerate(steps)}, 0)
-    result = gate(trace, index_constraints((), dag, facts), dag, threshold=0.0)
+    result = _gate(trace, index_constraints((), dag, facts), dag, threshold=0.0)
     expected_removed = removal_oracle(steps, edges, bad)
     assert set(result.removed) == expected_removed & set(steps)
     assert set(result.failing) == set(bad)
     # monotonicity: re-gating the filtered remainder can only score higher
     if not result.rejected:
-        again = gate(result.trace, index_constraints((), dag, facts), dag, threshold=0.0)
+        again = _gate(result.trace, index_constraints((), dag, facts), dag, threshold=0.0)
         assert again.score >= result.score
         assert again.score == 1.0
 
@@ -393,7 +399,7 @@ def test_index_lists_the_store_once_and_the_gate_never_asks_it(seed, placement):
     assert "check_consistency" not in facts.calls
     for output in outputs:
         facts.calls.clear()
-        result = gate(output, index, scenario.dag, 0.5)
+        result = _gate(output, index, scenario.dag, 0.5)
         assert facts.calls == []
         assert result.failing == _reference_failing(output, facts, constraints)
         assert result.response_ok == all(
@@ -447,19 +453,34 @@ def _assert_gate_matches_reference(scenario, checks, stride, threshold):
     outputs, constraints, facts = _gate_case(scenario, checks, stride)
     index = index_constraints(constraints, scenario.dag, facts)
     verified = facts.verified_facts()
-    # Traces that skip steps, so that some removed steps are not theirs, and traces with unknown steps.
-    partial = [o.restricted_to(set(list(o.step_ids)[1::2])) for o in outputs]
-    for output in outputs + partial + [_with_unknown_steps(o) for o in outputs[:2]]:
+    # Traces that skip steps, so that some removed steps are not theirs, gated in one run with the rest.
+    _assert_run_matches_reference(outputs + [o.restricted_to(set(list(o.step_ids)[1::2])) for o in outputs],
+                                  constraints, index, scenario.dag, verified, threshold)
+    for unknown in [_with_unknown_steps(o) for o in outputs[:2]]:
+        _assert_run_matches_reference(outputs[:1] + [unknown] + outputs[1:], constraints, index, scenario.dag,
+                                      verified, threshold)
+
+
+def _assert_run_matches_reference(batch, constraints, index, dag, verified, threshold):
+    """One run's gate over ``batch``, its collected outputs, equals the reference trace by trace.
+
+    A run with an unknown step raises the reference's error for the first
+    output in ``batch`` that has one.
+    """
+    expected = []
+    for output in batch:
         try:
-            expected = reference_gate(output, constraints, scenario.dag, verified, threshold)
+            expected.append(reference_gate(output, constraints, dag, verified, threshold))
         except UnknownStepError as exc:
             with pytest.raises(UnknownStepError) as raised:
-                gate(output, index, scenario.dag, threshold)
+                index_gate(index, dag, index_statements(batch))
             assert str(raised.value) == str(exc)
-            continue
-        result = gate(output, index, scenario.dag, threshold)
+            return
+    gated = index_gate(index, dag, index_statements(batch))
+    for position, want in enumerate(expected):
+        result = gate(gated, position, threshold)
         kept = None if result.trace is None else trace_rows(result.trace)
-        assert (kept, result.score, result.failing, result.removed, result.response_ok) == expected
+        assert (kept, result.score, result.failing, result.removed, result.response_ok) == want
 
 
 @given(st.integers(0, 10**6), st.sampled_from(sorted(EXTRA_CHECKS)), st.integers(1, 4), st.sampled_from([0.0, 0.5, 0.9]))
@@ -475,6 +496,54 @@ def test_gate_matches_the_statement_by_statement_reference_on_wide_scenarios(see
     scenario = random_scenario(seed, WIDE_PARAMS)
     for checks, stride, threshold in (("none", 3, 0.5), ("steps", 7, 0.5), ("steps", 2, 0.0), ("all", 5, 0.0)):
         _assert_gate_matches_reference(scenario, checks, stride, threshold)
+
+
+# One object each, shared by every hand-built trace that draws it: a run classes statements by value
+# object, yet a NaN or an ill-typed payload must be decided statement by statement, and objects of
+# equal values (7 and 7.0, the tolerance chain 1e9, 1e9+1, 1e9+2) class apart and are decided apart.
+ODD_VALUES = (number(10**9), number(1e9), number(1e9 + 1), number(1e9 + 2), Value(NUMBER, float("nan")),
+              Value(QUANTITY, [3.0, "m"]), number(7), number(7.0), text(" X "))
+EDGE_RANGE = constraint_from_spec({"id": "edge", "check": "range", "step_pattern": "s*[02468]",
+                                   "min": 0, "max": 1e9 + 1})
+
+
+def _hand_built(outputs, rng, unknown):
+    """Copies of some of ``outputs`` built by hand: steps dropped and shuffled, odd values shared.
+
+    With ``unknown``, the later copies each get two unknown steps, named
+    after their place, the one that sorts last first in trace order.
+    """
+    built = []
+    for k, output in enumerate(rng.sample(outputs, min(len(outputs), 6))):
+        rows = [(step, (rng.choice(ODD_VALUES) if rng.random() < 0.5 else value, confidence, provenance))
+                for step, value, confidence, provenance in trace_rows(output)]
+        del rows[rng.randint(0, len(rows)):rng.randint(0, len(rows))]
+        rng.shuffle(rows)
+        if unknown and k >= 3:
+            at = rng.randint(0, len(rows))
+            rows[at:at] = [(f"zz-{k}", (number(1), 0.5, ())), (f"aa-{k}", (number(1), 0.5, ()))]
+        built.append(trace(output.expert_id, dict(rows), rng.choice(ODD_VALUES + (output.response,))))
+    return built
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["desk", "wide"]), st.booleans(), st.sampled_from([0.0, 0.5, 0.9]))
+@settings(max_examples=40, deadline=None)
+def test_the_per_class_gate_matches_the_reference(seed, shape, facts_on, threshold):
+    # A run's gate, decided per value class, over loaded and hand-built outputs together.
+    params = WIDE_PARAMS if shape == "wide" else GeneratorParams(with_constraints=True, with_facts=True)
+    scenario = random_scenario(seed, params)
+    if facts_on:
+        outputs, constraints, facts = _gate_case(scenario, "all", 1 + seed % 4)
+        for step in scenario.dag.steps[seed % 3::3]:
+            facts.add_given(step, number(1e9 + 1))
+    else:
+        outputs, constraints, facts = scenario_expert_outputs(scenario), scenario.constraints, FactStore()
+    constraints += (EDGE_RANGE,)
+    rng = random.Random(seed)
+    batch = outputs + _hand_built(outputs, rng, unknown=seed % 5 == 0)
+    rng.shuffle(batch)
+    _assert_run_matches_reference(batch, constraints, index_constraints(constraints, scenario.dag, facts),
+                                  scenario.dag, facts.verified_facts(), threshold)
 
 
 def test_the_gate_checks_only_the_steps_that_have_a_check(monkeypatch):
@@ -497,6 +566,6 @@ def test_the_gate_checks_only_the_steps_that_have_a_check(monkeypatch):
                    _trace({s: 60 for s in steps[1::2]}, 0),
                    _trace({}, 0)):
         seen.clear()
-        gate(output, index, dag, 0.0)
+        _gate(output, index, dag, 0.0)
         wanted = sorted(index.checked & output.step_ids)
         assert [id(v) for v in seen] == [id(output.value_at(s)) for s in wanted]
