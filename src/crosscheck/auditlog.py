@@ -7,19 +7,30 @@ formatting, so two runs over identical inputs serialize to identical
 bytes. The log contains no wall-clock timestamps by design — time would
 be the only source of nondeterminism in an otherwise pure pipeline.
 
-The log is its lines. ``AuditLog.append`` encodes each event once, as
-it arrives, and keeps only the line; a NaN or an infinity in the payload
-raises ``ValueError`` there and the log stays as it was, so a non-finite
-number never reaches the text. ``to_text`` joins the kept lines, and
+The log is its lines. Each event is encoded once, as it arrives, by
+``AuditLog.append`` or one of the writers below, and only its line is
+kept; a NaN or an infinity in the payload raises ``ValueError`` there
+and the log stays as it was, so a non-finite number never reaches the
+text. ``to_text`` joins the kept lines, and
 iterating a log parses them back (``AuditLogEntry.from_line``), so
 ``replay`` of a live log checks exactly the bytes that ``audit.log``
 holds. An entry read back holds what the line holds: a tuple in a
 payload comes back as a list, and a non-string key as a string.
 
-One payload encoder serves every line. It is chosen once, at import: the
-C encoder from ``json``'s accelerator when the interpreter has it, else
-``json.JSONEncoder.encode`` with the same settings. Both write the same
-bytes, and the fixed frame around the payload is shared.
+Two ways write a line, with the same bytes. ``append`` serves every event
+kind: its payload dict goes through one encoder, chosen once, at import
+(the C encoder from ``json``'s accelerator when the interpreter has it,
+else ``json.JSONEncoder.encode`` with the same settings), inside the
+fixed frame that ``AuditLogEntry.to_line`` and ``from_lines`` share. The
+five kinds a run logs once per trace, anchor or candidate
+(``ensemble/expert_output``, ``prune/excise``, ``gate/accept``,
+``anchor/promote``, ``synthesize/score``; about 94% of a large run's
+events) each have a writer method that formats its line from its fields
+in one f-string, as the encoder would: payload keys in sorted order,
+strings through ``encode_basestring``, integers as decimal digits, floats
+through ``float.__repr__``. A writer checks its floats first and raises
+the encoder's own ``ValueError`` for a non-finite one, appending nothing.
+The generic path is the reference the writers are tested against.
 
 ``replay`` walks a recorded log and independently reconstructs the
 anchor/conflict evolution, flagging any entry the state machine cannot
@@ -32,6 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring
+from math import isfinite
 from typing import Callable, Iterable, Iterator
 
 from .errors import ParseError
@@ -58,6 +70,7 @@ def _payload_encoder() -> Callable[[dict], str]:
 
 
 _encode_payload = _payload_encoder()
+_repr_float = float.__repr__  # how both encoders write a float, even a subclass with its own repr
 
 
 def _line(seq: int, stage: str, event: str, payload: dict, parent_refs: Iterable[str]) -> str:
@@ -117,6 +130,63 @@ class AuditLog:
         if stage not in STAGES:
             raise ValueError(f"unknown audit stage {stage!r}")
         self._lines.append(_line(len(self._lines) + 1, stage, event, payload, parent_refs))
+
+    # The per-trace kinds (see the module docstring): each writer appends the
+    # line ``append`` would write for the payload its fields make.
+
+    def expert_output(self, expert: str, trace: int, steps: int, response: str) -> None:
+        """``ensemble/expert_output``: one collected trace, its step count and its response literal."""
+        ref = encode_basestring(expert)
+        self._lines.append(
+            f'{{"seq":{len(self._lines) + 1:d},"stage":"ensemble","event":"expert_output","payload":'
+            f'{{"expert":{ref},"response":{encode_basestring(response)},"steps":{steps:d},"trace":{trace:d}}},'
+            f'"parent_refs":[{ref}]}}'
+        )
+
+    def prune_excise(self, expert: str, trace: int, failing: Iterable[str], removed: Iterable[str]) -> None:
+        """``prune/excise``: the steps of a trace that failed a check, and all the steps cut with them."""
+        ref = encode_basestring(expert)
+        self._lines.append(
+            f'{{"seq":{len(self._lines) + 1:d},"stage":"prune","event":"excise","payload":'
+            f'{{"expert":{ref},"failing":[{",".join(map(encode_basestring, failing))}],'
+            f'"removed":[{",".join(map(encode_basestring, removed))}],"trace":{trace:d}}},'
+            f'"parent_refs":[{ref}]}}'
+        )
+
+    def gate_accept(self, expert: str, trace: int, score: float, retained_steps: int) -> None:
+        """``gate/accept``: a trace that passed the gate, its score and how many steps it kept."""
+        if not isfinite(score):
+            _encode_payload(score)  # raises the encoder's ValueError
+        ref = encode_basestring(expert)
+        self._lines.append(
+            f'{{"seq":{len(self._lines) + 1:d},"stage":"gate","event":"accept","payload":'
+            f'{{"expert":{ref},"retained_steps":{retained_steps:d},"score":{_repr_float(score)},"trace":{trace:d}}},'
+            f'"parent_refs":[{ref}]}}'
+        )
+
+    def anchor_promote(self, step: str, value: str, supporters: int) -> None:
+        """``anchor/promote``: a quorum anchor, its value literal and its count of distinct experts."""
+        ref = encode_basestring(step)
+        self._lines.append(
+            f'{{"seq":{len(self._lines) + 1:d},"stage":"anchor","event":"promote","payload":'
+            f'{{"step":{ref},"supporters":{supporters:d},"value":{encode_basestring(value)}}},'
+            f'"parent_refs":[{ref}]}}'
+        )
+
+    def synthesize_score(self, expert: str, trace: int, anchor_support: float, conflict_agreement: float,
+                         mean_confidence: float, total: float) -> None:
+        """``synthesize/score``: one candidate's three score terms and their weighted total."""
+        if not (isfinite(anchor_support) and isfinite(conflict_agreement)
+                and isfinite(mean_confidence) and isfinite(total)):
+            _encode_payload([anchor_support, conflict_agreement, mean_confidence, total])  # raises, as above
+        ref = encode_basestring(expert)
+        self._lines.append(
+            f'{{"seq":{len(self._lines) + 1:d},"stage":"synthesize","event":"score","payload":'
+            f'{{"anchor_support":{_repr_float(anchor_support)},'
+            f'"conflict_agreement":{_repr_float(conflict_agreement)},"expert":{ref},'
+            f'"mean_confidence":{_repr_float(mean_confidence)},"total":{_repr_float(total)},"trace":{trace:d}}},'
+            f'"parent_refs":[{ref}]}}'
+        )
 
     def __iter__(self) -> Iterator[AuditLogEntry]:
         return (AuditLogEntry.from_line(line, lineno) for lineno, line in enumerate(self._lines, start=1))

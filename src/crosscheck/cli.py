@@ -112,15 +112,21 @@ def _write_bundle(result: RunResult, out_dir: Path) -> None:
         "verify_calls": result.verify_calls,
         "fallback_used": result.fallback_used,
     }
-    # Encode every file before writing any, so a value JSON cannot carry
-    # (NaN, infinity) raises ValueError and leaves no partial bundle behind.
-    files = {
+    # json.dumps raises ValueError for a NaN or an infinity, and _write_files
+    # for a string UTF-8 cannot hold (a lone surrogate), before any file is
+    # written: a failed run leaves no partial bundle behind.
+    _write_files(out_dir, {
         "answer.json": json.dumps(answer_obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n",
         "audit.log": result.audit_log.to_text(),
         "facts.jsonl": "".join(line + "\n" for line in result.facts.to_lines()),
-    }
-    for name, content in files.items():
-        (out_dir / name).write_text(content, encoding="utf-8")
+    })
+
+
+def _write_files(out_dir: Path, texts: dict[str, str]) -> None:
+    """Write each text as UTF-8 under ``out_dir``, or, if one cannot be encoded, raise ValueError and write none."""
+    encoded = {name: text.encode("utf-8") for name, text in texts.items()}
+    for name, content in encoded.items():
+        (out_dir / name).write_bytes(content)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -142,12 +148,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CrosscheckError(f"corpus directory {args.corpus} contains no scenario files")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     report = evaluate_methods(corpus, methods, _engine_config(args))
+    table = report.to_table()
     args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "report.json").write_text(
-        json.dumps(report.to_json(), indent=2, ensure_ascii=False, allow_nan=False) + "\n", encoding="utf-8"
-    )
-    (args.out / "report.txt").write_text(report.to_table(), encoding="utf-8")
-    print(report.to_table(), end="")
+    _write_files(args.out, {
+        "report.json": json.dumps(report.to_json(), indent=2, ensure_ascii=False, allow_nan=False) + "\n",
+        "report.txt": table,
+    })
+    print(table, end="")
     return 0
 
 

@@ -601,19 +601,7 @@ def synthesize(
             conflict_agreement = min(1.0, max(0.0, (agree_frac - refute_frac + 1.0) / 2.0))
         mean_confidence = gt.trace.mean_confidence(dropped)
         total = w_a * anchor_support + w_c * conflict_agreement + w_g * mean_confidence
-        log.append(
-            "synthesize",
-            "score",
-            {
-                "expert": gt.expert_id,
-                "trace": gt.trace_index,
-                "anchor_support": anchor_support,
-                "conflict_agreement": conflict_agreement,
-                "mean_confidence": mean_confidence,
-                "total": total,
-            },
-            (gt.expert_id,),
-        )
+        log.synthesize_score(gt.expert_id, gt.trace_index, anchor_support, conflict_agreement, mean_confidence, total)
         if best is None or total > best[4]:
             best = (i, anchor_support, conflict_agreement, mean_confidence, total)
     assert best is not None
@@ -673,13 +661,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     for failure in collected.failures:
         log.append("ensemble", "expert_failure", {"expert": failure.expert_id, "error": failure.error})
     for idx, output in enumerate(collected.outputs):
-        log.append(
-            "ensemble",
-            "expert_output",
-            {"expert": output.expert_id, "trace": idx, "steps": len(output.step_ids),
-             "response": format_literal(output.response)},
-            (output.expert_id,),
-        )
+        log.expert_output(output.expert_id, idx, len(output.step_ids), format_literal(output.response))
 
     # The scenario's index holds the outputs its backend replays; others (a live backend's) are indexed here.
     index = scenario.statement_index
@@ -693,13 +675,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
     for idx, output in enumerate(collected.outputs):
         result = gate(gated, idx, cfg.gate_threshold)
         if result.removed:
-            log.append(
-                "prune",
-                "excise",
-                {"expert": output.expert_id, "trace": idx,
-                 "failing": list(result.failing), "removed": list(result.removed)},
-                (output.expert_id,),
-            )
+            log.prune_excise(output.expert_id, idx, result.failing, result.removed)
         if result.rejected:
             reason = "infeasible-response" if not result.response_ok else "low-gate-score"
             log.append(
@@ -714,13 +690,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
             assert result.trace is not None
             source = output if result.removed else None
             retained.append(GatedTrace(result.trace, idx, source))
-            log.append(
-                "gate",
-                "accept",
-                {"expert": output.expert_id, "trace": idx, "score": result.score,
-                 "retained_steps": len(result.trace.step_ids)},
-                (output.expert_id,),
-            )
+            log.gate_accept(output.expert_id, idx, result.score, len(result.trace.step_ids))
 
     if not retained and salvageable:
         # Nothing passed the gate threshold; fall back to backtracking and
@@ -742,12 +712,7 @@ def run_pipeline(scenario: "Scenario", config: EngineConfig | None = None) -> Ru
 
     anchors, collisions = anchor(table, cfg.theta)
     for a in anchors.items():
-        log.append(
-            "anchor",
-            "promote",
-            {"step": a.step, "value": format_literal(a.value), "supporters": a.support},
-            (a.step,),
-        )
+        log.anchor_promote(a.step, format_literal(a.value), a.support)
     for step in collisions:
         log.append("anchor", "collision", {"step": step}, (step,))
 

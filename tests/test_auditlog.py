@@ -3,6 +3,7 @@ from __future__ import annotations
 import json.encoder
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crosscheck import auditlog
 from crosscheck.auditlog import AuditLog, AuditLogEntry, replay
@@ -38,13 +39,27 @@ def test_seq_strictly_increases():
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
 
 
+def _float_writes(number):
+    """A call of each writer that takes a float, with ``number`` as its first float, then as its last."""
+    return [
+        lambda log: log.gate_accept("e01", 0, number, 3),
+        lambda log: log.synthesize_score("e01", 0, number, 0.5, 0.5, 0.5),
+        lambda log: log.synthesize_score("e01", 0, 0.5, 0.5, 0.5, number),
+    ]
+
+
 @pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_payload_never_reaches_the_text(number):
     log = _sample_log()
     before = log.to_text()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as appended:
         log.append("synthesize", "score", {"expert": "e01", "total": number})
     assert log.to_text() == before
+    for write in _float_writes(number):
+        with pytest.raises(ValueError) as written:
+            write(log)
+        assert str(written.value) == str(appended.value)  # the encoder's own error
+        assert log.to_text() == before
 
 
 @pytest.mark.parametrize("stage, payload", [("synthesize", {"total": float("nan")}), ("bogus", {})])
@@ -54,6 +69,10 @@ def test_a_failed_append_leaves_the_log_as_it_was(stage, payload):
     with pytest.raises(ValueError):
         log.append(stage, "score", payload)
     assert log.to_text() == before
+    for write in _float_writes(float("nan")):
+        with pytest.raises(ValueError):
+            write(log)
+        assert log.to_text() == before
     log.append("facts", "seeded", {"facts": 1})
     assert [e.seq for e in log][-2:] == [8, 9]
 
@@ -123,6 +142,47 @@ def test_lines_match_the_reference_encoder(payload, json_path):
         AuditLogEntry(10**6, "audit", "vérify\n", payload, ("s1", "ü\t\"", "")),
     ):
         assert entry.to_line() == reference_line(entry)
+
+
+_texts = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\ud800\udfff'))
+_ints = st.integers(-(10**40), 10**40)
+
+
+class _OwnRepr(float):
+    def __repr__(self):
+        return "own"
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1 / 3])
+_floats |= _floats.map(_OwnRepr)  # the encoders write a float subclass as a float
+
+# Each writer: its stage and event, the field its parent ref repeats, and
+# its fields, in the order of its parameters.
+WRITERS = {
+    "expert_output": ("ensemble", "expert_output", "expert",
+                      {"expert": _texts, "trace": _ints, "steps": _ints, "response": _texts}),
+    "prune_excise": ("prune", "excise", "expert",
+                     {"expert": _texts, "trace": _ints, "failing": st.lists(_texts), "removed": st.lists(_texts)}),
+    "gate_accept": ("gate", "accept", "expert",
+                    {"expert": _texts, "trace": _ints, "score": _floats, "retained_steps": _ints}),
+    "anchor_promote": ("anchor", "promote", "step", {"step": _texts, "value": _texts, "supporters": _ints}),
+    "synthesize_score": ("synthesize", "score", "expert",
+                         {"expert": _texts, "trace": _ints, "anchor_support": _floats,
+                          "conflict_agreement": _floats, "mean_confidence": _floats, "total": _floats}),
+}
+
+
+@given(st.sampled_from(sorted(WRITERS)), st.integers(0, 2), st.data())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_writers_write_the_reference_line(json_path, kind, earlier, data):
+    stage, event, ref, fields = WRITERS[kind]
+    payload = {name: data.draw(strategy, label=name) for name, strategy in fields.items()}
+    log = AuditLog()
+    for _ in range(earlier):
+        log.append("facts", "seeded", {})
+    getattr(log, kind)(*payload.values())
+    entry = AuditLogEntry(earlier + 1, stage, event, payload, (payload[ref],))
+    assert log.to_lines()[earlier:] == [reference_line(entry)]
 
 
 @pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])

@@ -61,9 +61,24 @@ def test_run_unanimous_exits_zero(tmp_path, capsys):
     assert (out / "facts.jsonl").exists()
 
 
-def test_bundle_refuses_a_non_finite_number(tmp_path):
+def _nan_answer(tmp_path):
     result = run_pipeline(load_scenario(_write_unanimous(tmp_path / "u.json")), EngineConfig())
     result.answer = Value(NUMBER, float("nan"))  # past the constructors, which reject it
+    return result
+
+
+def _lone_surrogate_expert(tmp_path):
+    # The file holds the JSON escape "e\ud800x": it loads and runs, but no UTF-8 text can hold the id.
+    obj = json.loads(_write_unanimous(tmp_path / "u.json").read_text())
+    obj["experts"][0]["expert_id"] = "e\ud800x"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(obj), encoding="ascii")
+    return run_pipeline(load_scenario(path), EngineConfig())
+
+
+@pytest.mark.parametrize("unwritable", [_nan_answer, _lone_surrogate_expert], ids=["nan-answer", "lone-surrogate"])
+def test_bundle_refuses_a_non_finite_number(tmp_path, unwritable):
+    result = unwritable(tmp_path)
     out = tmp_path / "out"
     with pytest.raises(ValueError):
         _write_bundle(result, out)
